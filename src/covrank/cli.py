@@ -21,6 +21,7 @@ from .kernels import parse_kernel
 from .manifold import Euclidean, UnitSphere, rng_stream
 from .montecarlo import (
     ExperimentConfig,
+    RankBoundError,
     alpha_recommendation,
     aux_stream,
     condition_sweep,
@@ -322,7 +323,7 @@ def _add_common(p, *, kernel=False, k=False, k_list=False, alphas=False, trials=
         p.add_argument("--trials", type=int, default=trials, help="Monte Carlo trials")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--tol-factor", type=float, default=None, help="relative rank tolerance factor")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (does not change results)")
+    p.add_argument("--threads", type=int, default=1, help="at least 1; trials run batched, so it does not change results")
     p.add_argument("--out", default=None, help="output file (or prefix for tensor)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"covrank: error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+    except (NumericalFailure, RankBoundError, np.linalg.LinAlgError) as exc:
         print(f"covrank: numerical failure: {exc}", file=sys.stderr)
         return 2
     print(summary)

@@ -72,16 +72,17 @@ class Kernel:
             raise ValueError("samples live on a different manifold than the kernel")
         if rows.k == 0 or cols.k == 0:
             raise ValueError("empty sample")
-        X, Y = rows.points, cols.points
-        if self.family in ("sqdist", "shifted"):
-            d = self.manifold.distance_matrix(X, Y)
-            if rows is cols:
-                # d(p, p) = 0 exactly; spares arccos round-off on the diagonal
-                np.fill_diagonal(d, 0.0)
-            entries = (d - self.alpha) ** 2
-        else:
-            entries = self._apply_dot(X @ Y.T)
+        entries = self.pairwise(rows.points, None if rows is cols else cols.points)
         return KernelMatrix(entries=entries, kernel=self, rows=rows, cols=cols)
+
+    def pairwise(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+        """Values k(x_r, y_s) for point stacks X (..., r, c) and Y (..., s, c), batched
+        over leading axes.  Y = None pairs X with itself, where d(p, p) = 0 exactly."""
+        if self.family in ("sqdist", "shifted"):
+            m = self.manifold
+            d = m.pairwise_distance(X) if Y is None else m.distance_matrix(X, Y)
+            return (d - self.alpha) ** 2
+        return self._apply_dot(X @ np.swapaxes(X if Y is None else Y, -1, -2))
 
     def _apply_dot(self, g):
         h = self.family.split(":", 1)[1]

@@ -10,12 +10,17 @@ Randomness is reproducible by construction: every sampling routine is keyed
 by a 64-bit seed plus a stream index, fed to numpy's counter-based Philox
 generator.  Stream ``s`` of seed ``q`` is ``Philox(key=[q, s])``, so parallel
 and serial runs that agree on (seed, stream) agree on the bits.
+
+Pairwise maps (distances, log maps) are batched over leading axes: a stack
+of samples of shape (..., k, coord_dim) gives one k x k result per sample,
+with the same bits as computing each sample on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +30,7 @@ __all__ = [
     "UnitSphere",
     "SampleSet",
     "rng_stream",
+    "rng_streams",
 ]
 
 # Log map on the sphere is refused this close to the cut locus.
@@ -45,6 +51,34 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
         raise ValueError("seed and stream must be non-negative")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def rng_streams(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Generators with the bits of ``rng_stream(seed, s)`` for each s in streams, in order.
+
+    One Philox bit generator is re-keyed per stream (key [seed, s], counter 0,
+    empty buffer) instead of constructed anew, because construction spends
+    most of its time pulling SeedSequence entropy.  The same Generator object
+    is yielded each time: finish drawing from it before advancing.
+    """
+    if seed < 0:
+        raise ValueError("seed and stream must be non-negative")
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # a copy: counter 0, empty buffer
+    for stream in streams:
+        if stream < 0:
+            raise ValueError("seed and stream must be non-negative")
+        fresh["state"]["key"][1] = stream
+        bitgen.state = fresh
+        yield gen
+
+
+def _zero_diagonal(a: np.ndarray) -> np.ndarray:
+    """Set a[..., i, i] = 0 in place and return a."""
+    i = np.arange(a.shape[-1])
+    a[..., i, i] = 0.0
+    return a
 
 
 def _as_point(x, coord_dim: int) -> np.ndarray:
@@ -93,11 +127,16 @@ class _ManifoldBase:
 
     def sample_uniform(self, k: int, seed: int, *, stream: int = 0, region=None) -> SampleSet:
         """Draw k independent uniform points; identical inputs give identical bits."""
+        pts = self.sample_batch(k, seed, [stream], region=region)[0]
+        return SampleSet(manifold=self, points=pts, seed=seed, stream=stream)
+
+    def sample_batch(self, k: int, seed: int, streams: Iterable[int], *, region=None) -> np.ndarray:
+        """The points of ``sample_uniform(k, seed, stream=s, region=region)`` for each s in
+        streams, stacked into shape (len(streams), k, coord_dim) with the same bits."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        rng = rng_stream(seed, stream)
-        pts = self._draw(rng, k, region)
-        return SampleSet(manifold=self, points=pts, seed=seed, stream=stream)
+        box = self._box(region)
+        return np.stack([self._draw(rng, k, box) for rng in rng_streams(seed, streams)])
 
     def expected_distance(self, trials: int, seed: int, *, stream: int = 0, region=None) -> float:
         """Monte Carlo estimate of E d(X, Y) for independent uniform X, Y.
@@ -110,6 +149,21 @@ class _ManifoldBase:
             raise ValueError("trials must be at least 1")
         pts = self.sample_uniform(2 * trials, seed, stream=stream, region=region).points
         return float(np.mean(self.paired_distance(pts[:trials], pts[trials:])))
+
+    def pairwise_distance(self, P: np.ndarray) -> np.ndarray:
+        """Distance matrices of point stacks P (..., k, coord_dim) with themselves.
+
+        d(p, p) = 0 exactly, sparing the arccos round-off on the diagonal.
+        """
+        return _zero_diagonal(self.distance_matrix(P, P))
+
+    def log_map(self, p, q) -> np.ndarray:
+        """Tangent vector at p of length d(p, q) pointing along the geodesic to q.
+
+        Undefined at the sphere's cut locus: antipodal pairs raise AntipodalPairError.
+        """
+        p, q = self._check_pair(p, q)
+        return self.pairwise_log(np.stack([p, q]))[0, 1]
 
     def _check_pair(self, p, q):
         return _as_point(p, self.coord_dim), _as_point(q, self.coord_dim)
@@ -133,10 +187,9 @@ class Euclidean(_ManifoldBase):
         p, q = self._check_pair(p, q)
         return float(np.linalg.norm(p - q))
 
-    def log_map(self, p, q) -> np.ndarray:
-        """Tangent vector at p pointing to q; here simply q - p."""
-        p, q = self._check_pair(p, q)
-        return q - p
+    def pairwise_log(self, P: np.ndarray) -> np.ndarray:
+        """Log-map vectors eta[..., j, i, :] = p_i - p_j of point stacks P (..., k, n)."""
+        return P[..., None, :, :] - P[..., :, None, :]
 
     def exp_map(self, p, v) -> np.ndarray:
         p, v = self._check_pair(p, v)
@@ -146,12 +199,17 @@ class Euclidean(_ManifoldBase):
         return np.linalg.norm(X - Y, axis=1)
 
     def distance_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        diff = X[:, None, :] - Y[None, :, :]
+        diff = X[..., :, None, :] - Y[..., None, :, :]
         return np.sqrt((diff * diff).sum(axis=-1))
 
-    def _draw(self, rng: np.random.Generator, k: int, region) -> np.ndarray:
+    def _box(self, region) -> tuple[np.ndarray, np.ndarray]:
         box = _normalize_region(self.n, region)
-        return rng.uniform(box[:, 0], box[:, 1], size=(k, self.n))
+        return box[:, 0], box[:, 1] - box[:, 0]
+
+    def _draw(self, rng: np.random.Generator, k: int, box) -> np.ndarray:
+        # the bits of rng.uniform(lo, hi, (k, n)), without its per-call argument checks
+        lo, width = box
+        return lo + width * rng.random((k, self.n))
 
     def __str__(self):
         return f"euclid:{self.n}"
@@ -176,20 +234,27 @@ class UnitSphere(_ManifoldBase):
         # clamp guards floating-point drift of nearly (anti)parallel pairs
         return float(np.arccos(np.clip(p @ q, -1.0, 1.0)))
 
-    def log_map(self, p, q) -> np.ndarray:
-        """Tangent vector at p of length d(p, q) pointing along the geodesic to q.
+    def pairwise_log(self, P: np.ndarray) -> np.ndarray:
+        """Log-map vectors eta[..., j, i, :] at p_j pointing to p_i, for point stacks P (..., k, n+1).
 
-        Undefined at the cut locus: antipodal pairs raise AntipodalPairError.
+        eta_ji = theta / sin(theta) * (p_i - cos(theta) p_j) with theta = d(p_j, p_i),
+        and eta_jj = 0.  Pairs within ANTIPODAL_MARGIN of antipodal raise
+        AntipodalPairError, since the log map is undefined at the cut locus.
         """
-        p, q = self._check_pair(p, q)
-        theta = self.distance(p, q)
-        if theta > math.pi - ANTIPODAL_MARGIN:
+        G = np.clip(P @ np.swapaxes(P, -1, -2), -1.0, 1.0)
+        theta = _zero_diagonal(np.arccos(G))
+        bad = np.argwhere(theta > np.pi - ANTIPODAL_MARGIN)
+        if bad.size:
+            j, i = bad[0][-2:]
             raise AntipodalPairError(
-                f"log map undefined for antipodal pair (distance {theta:.12g})"
+                f"points {j} and {i} are antipodal; the log map is undefined there"
             )
-        if theta == 0.0:
-            return np.zeros(self.coord_dim)
-        return (theta / math.sin(theta)) * (q - math.cos(theta) * p)
+        sin = np.sin(theta)
+        factor = np.divide(theta, sin, out=np.ones_like(theta), where=sin > 0)
+        eta = factor[..., None] * (P[..., None, :, :] - G[..., None] * P[..., :, None, :])
+        i = np.arange(P.shape[-2])
+        eta[..., i, i, :] = 0.0
+        return eta
 
     def exp_map(self, p, v) -> np.ndarray:
         """Geodesic flow from p along tangent v (requires ||v|| < pi)."""
@@ -205,11 +270,13 @@ class UnitSphere(_ManifoldBase):
         return np.arccos(np.clip((X * Y).sum(axis=1), -1.0, 1.0))
 
     def distance_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.arccos(np.clip(X @ Y.T, -1.0, 1.0))
+        return np.arccos(np.clip(X @ np.swapaxes(Y, -1, -2), -1.0, 1.0))
 
-    def _draw(self, rng: np.random.Generator, k: int, region) -> np.ndarray:
+    def _box(self, region) -> None:
         if region is not None:
             raise ValueError("sphere sampling takes no region")
+
+    def _draw(self, rng: np.random.Generator, k: int, box) -> np.ndarray:
         # normalized Gaussians are rotation-invariant, hence uniform
         g = rng.standard_normal((k, self.coord_dim))
         return g / np.linalg.norm(g, axis=1, keepdims=True)

@@ -1,11 +1,13 @@
 """Seeded Monte Carlo drivers: rank-law sweeps, full-rank frequencies, and
 the shifted-kernel condition-number comparison.
 
-Per-trial randomness comes from derived Philox streams, so results are
-independent of the degree of parallelism: trial t of a size-k experiment
-with master seed q always uses stream ``(k << 32) | t`` of q (auxiliary
-draws such as forward-model weights set the top stream bit).  Aggregation
-is by trial index.
+Per-trial randomness comes from derived Philox streams: trial t of a size-k
+experiment with master seed q always uses stream ``(k << 32) | t`` of q
+(auxiliary draws such as forward-model weights set the top stream bit).
+One trial engine serves every driver: it stacks the same-shape samples and
+matrices of consecutive trials into chunks and measures each chunk with one
+stacked SVD, which gives the same bits as one SVD per trial.  Results are
+therefore independent of the chunking, and aggregation is by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
 written with 17 significant digits so files round-trip exactly.
@@ -15,19 +17,19 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
-from .manifold import Euclidean, UnitSphere
-from .numrank import DEFAULT_TOLERANCE, Tolerance, rank_report
-from .tensor import assemble_Y, assemble_Z, outer_field, recover, sigma_field
+from .manifold import Euclidean, SampleSet, UnitSphere, rng_streams
+from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, batched_rank_report
+from .tensor import _blocks, _Y_layout, _Z_layout, outer_field, recover, sigma_field
 
 __all__ = [
     "ExperimentConfig",
+    "RankBoundError",
     "SweepRow",
     "RankLawRow",
     "RecoveryTrial",
@@ -58,15 +60,22 @@ def aux_stream(k: int, trial: int) -> int:
     return _AUX_STREAM_BIT | sample_stream(k, trial)
 
 
-def _map_trials(fn, trials: int, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
+# Byte budget of a chunk's largest temporary; see _sample_chunks.
+_CHUNK_BYTES = 256 * 1024
+
+
+class RankBoundError(RuntimeError):
+    """A measured rank exceeded its proven bound: the tolerance policy is too tight."""
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment grid; every driver validates its inputs through it.
+
+    threads is kept for compatibility and must be at least 1: trials run as
+    chunked batches in the calling thread, so it never changes results.
+    """
+
     manifold: Euclidean | UnitSphere
     kernel: Kernel | None
     k_values: tuple[int, ...]
@@ -134,20 +143,43 @@ class RecoveryTrial:
     unique: bool
 
 
+# --- the trial engine ---------------------------------------------------
+
+
+def _sample_chunks(cfg: ExperimentConfig, k: int, width: int) -> Iterator[np.ndarray]:
+    """Samples of trials 0..cfg.trials-1 at size k, stacked (T, k, coord_dim) per chunk.
+
+    A trial's largest temporary holds k x k entries of width doubles each:
+    width is d^2 for the Y/Z blocks and the coordinate dimension otherwise,
+    which covers the (k, k, n) difference tensor of Euclidean distances.
+    Chunks keep that temporary within _CHUNK_BYTES, or hold one trial.
+    """
+    size = max(1, _CHUNK_BYTES // (8 * k * k * width))
+    for start in range(0, cfg.trials, size):
+        streams = [sample_stream(k, t) for t in range(start, min(cfg.trials, start + size))]
+        yield cfg.manifold.sample_batch(k, cfg.seed, streams, region=cfg.region)
+
+
+def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankReport:
+    """Rank reports of the kernel, Y or Z matrix of every trial at size k."""
+    if system == "kernel":
+        build, width = cfg.kernel.pairwise, cfg.manifold.coord_dim
+    else:
+        layout = _Y_layout if system == "Y" else _Z_layout
+        build, width = (lambda P: layout(_blocks(cfg.manifold, P))), cfg.manifold.coord_dim**2
+    return BatchedRankReport.concatenate(
+        batched_rank_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, width)
+    )
+
+
+# --- drivers ---------------------------------------------------------------
+
+
 def fullrank_probability(cfg: ExperimentConfig, k: int) -> float:
     """Fraction of trials whose k x k kernel matrix has numerical rank k."""
     if cfg.kernel is None:
         raise ValueError("config needs a kernel for kernel-matrix experiments")
-
-    def one(trial: int) -> bool:
-        sample = cfg.manifold.sample_uniform(
-            k, cfg.seed, stream=sample_stream(k, trial), region=cfg.region
-        )
-        report = rank_report(cfg.kernel.matrix(sample).entries, cfg.tolerance)
-        return report.numerical_rank == k
-
-    hits = _map_trials(one, cfg.trials, cfg.threads)
-    return float(np.mean(hits))
+    return float(np.mean(_trial_reports(cfg, k, "kernel").numerical_rank == k))
 
 
 def _system_bound(cfg: ExperimentConfig, system: str):
@@ -175,32 +207,16 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
     """Measure numerical ranks across cfg.k_values for one system kind.
 
     Proven upper bounds are enforced, not just recorded: a trial exceeding
-    its bound raises immediately.  Equality with the generic expected rank is
-    reported as a fraction of the non-borderline trials.
+    its bound raises RankBoundError.  Equality with the generic expected
+    rank is reported as a fraction of the non-borderline trials.
     """
     bound, expected_for = _system_bound(cfg, system)
     rows = []
     for k in cfg.k_values:
-
-        def one(trial: int, k: int = k):
-            sample = cfg.manifold.sample_uniform(
-                k, cfg.seed, stream=sample_stream(k, trial), region=cfg.region
-            )
-            if system == "kernel":
-                matrix = cfg.kernel.matrix(sample).entries
-            else:
-                field = outer_field(cfg.manifold, sample)
-                matrix = assemble_Y(field) if system == "Y" else assemble_Z(field)
-            report = rank_report(matrix, cfg.tolerance)
-            full = report.numerical_rank == min(matrix.shape)
-            return report.numerical_rank, report.borderline, full
-
-        results = _map_trials(one, cfg.trials, cfg.threads)
-        ranks = np.array([r for r, _, _ in results])
-        borderline = np.array([b for _, b, _ in results])
-        full = np.array([f for _, _, f in results])
+        reports = _trial_reports(cfg, k, system)
+        ranks, borderline = reports.numerical_rank, reports.borderline
         if bound is not None and ranks.max() > bound:
-            raise RuntimeError(
+            raise RankBoundError(
                 f"{system} system exceeded its proven rank bound: "
                 f"rank {ranks.max()} > {bound} at k={k}"
             )
@@ -219,7 +235,7 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
                 rank_min=int(ranks.min()),
                 rank_max=int(ranks.max()),
                 equality_fraction=equality,
-                fullrank_fraction=float(np.mean(full)),
+                fullrank_fraction=float(np.mean(ranks == reports.singular_values.shape[1])),
                 borderline_fraction=float(np.mean(borderline)),
             )
         )
@@ -238,43 +254,33 @@ def condition_sweep(
 ) -> list[SweepRow]:
     """Condition statistics of the shifted squared-distance matrices (d - alpha)^2.
 
-    All alphas are evaluated on the same per-trial samples, so rows differing
-    only in alpha are paired comparisons.  Row order: alphas outer, k inner.
+    All alphas are evaluated on the same per-trial samples and distance
+    matrices, so rows differing only in alpha are paired comparisons.  Row
+    order: alphas outer, k inner.  threads never changes results.
     """
     alphas = [float(a) for a in alphas]
     k_values = [int(k) for k in k_values]
     if not alphas or not k_values:
         raise ValueError("need at least one alpha and one k")
-
-    def one(args):
-        k, trial = args
-        sample = manifold.sample_uniform(k, seed, stream=sample_stream(k, trial), region=region)
-        dist = manifold.distance_matrix(sample.points, sample.points)
-        np.fill_diagonal(dist, 0.0)
-        cell = {}
-        for alpha in alphas:
-            entries = (dist - alpha) ** 2
-            s = np.linalg.svd(entries, compute_uv=False)
-            tol = tolerance.threshold(entries.shape, float(s[0]))
-            cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
-            logdet = float("-inf") if s[-1] == 0.0 else float(np.sum(np.log(s)))
-            rank = int(np.count_nonzero(s > tol))
-            borderline = bool(tol > 0 and np.any((s > tol / 10) & (s < tol * 10)))
-            cell[alpha] = (cond, logdet, rank == k, borderline)
-        return cell
-
-    per_k = {}
-    for k in k_values:
-        results = _map_trials(lambda t, k=k: one((k, t)), trials, threads)
-        per_k[k] = results
+    cfg = ExperimentConfig(
+        manifold=manifold, kernel=None, k_values=tuple(k_values), trials=trials, seed=seed,
+        tolerance=tolerance, region=region, threads=threads,
+    )
+    cells = {}
+    for k in cfg.k_values:
+        per_alpha = [[] for _ in alphas]
+        for P in _sample_chunks(cfg, k, manifold.coord_dim):
+            dist = manifold.pairwise_distance(P)
+            for reports, alpha in zip(per_alpha, alphas):
+                reports.append(batched_rank_report((dist - alpha) ** 2, tolerance))
+        for alpha, reports in zip(alphas, per_alpha):
+            cells[alpha, k] = BatchedRankReport.concatenate(reports)
 
     rows = []
     for alpha in alphas:
-        for k in k_values:
-            conds = np.array([cell[alpha][0] for cell in per_k[k]])
-            logdets = np.array([cell[alpha][1] for cell in per_k[k]])
-            full = np.array([cell[alpha][2] for cell in per_k[k]])
-            borderline = np.array([cell[alpha][3] for cell in per_k[k]])
+        for k in cfg.k_values:
+            cell = cells[alpha, k]
+            conds = cell.spectral_ratio
             rows.append(
                 SweepRow(
                     k=k,
@@ -282,9 +288,9 @@ def condition_sweep(
                     mean_cond=float(np.mean(conds)),
                     min_cond=float(np.min(conds)),
                     max_cond=float(np.max(conds)),
-                    mean_log_abs_det=float(np.mean(logdets)),
-                    fullrank_fraction=float(np.mean(full)),
-                    borderline_fraction=float(np.mean(borderline)),
+                    mean_log_abs_det=float(np.mean(cell.log_abs_det)),
+                    fullrank_fraction=float(np.mean(cell.numerical_rank == k)),
+                    borderline_fraction=float(np.mean(cell.borderline)),
                 )
             )
     return rows
@@ -309,26 +315,34 @@ def recovery_experiment(
     region=None,
     threads: int = 1,
 ) -> list[RecoveryTrial]:
-    """Forward-generate f0 ~ Unif[0,1]^k, build its covariance field, solve back."""
-    from .manifold import rng_stream
+    """Forward-generate f0 ~ Unif[0,1]^k, build its covariance field, solve back.
 
-    def one(trial: int) -> RecoveryTrial:
-        sample = manifold.sample_uniform(k, seed, stream=sample_stream(k, trial), region=region)
-        f0 = rng_stream(seed, aux_stream(k, trial)).random(k)
-        field = outer_field(manifold, sample)
+    Samples come from the trial engine; each trial is then solved on its own.
+    threads never changes results.
+    """
+    cfg = ExperimentConfig(
+        manifold=manifold, kernel=None, k_values=(k,), trials=trials, seed=seed,
+        tolerance=tolerance, region=region, threads=threads,
+    )
+    samples = (points for P in _sample_chunks(cfg, k, manifold.coord_dim**2) for points in P)
+    weights = rng_streams(seed, (aux_stream(k, t) for t in range(trials)))
+    rows = []
+    for trial, points, rng in zip(range(trials), samples, weights):
+        f0 = rng.random(k)
+        field = outer_field(manifold, SampleSet(manifold, points, seed, sample_stream(k, trial)))
         result = recover(field, sigma_field(field, f0), tolerance)
-        rel = float(np.linalg.norm(result.f_hat - f0) / np.linalg.norm(f0))
-        return RecoveryTrial(
-            trial=trial,
-            k=k,
-            rel_error=rel,
-            residual=result.residual,
-            rank_Y=result.rank_Y,
-            rank_augmented=result.rank_augmented,
-            unique=result.unique,
+        rows.append(
+            RecoveryTrial(
+                trial=trial,
+                k=k,
+                rel_error=float(np.linalg.norm(result.f_hat - f0) / np.linalg.norm(f0)),
+                residual=result.residual,
+                rank_Y=result.rank_Y,
+                rank_augmented=result.rank_augmented,
+                unique=result.unique,
+            )
         )
-
-    return _map_trials(one, trials, threads)
+    return rows
 
 
 # --- row serialization -------------------------------------------------

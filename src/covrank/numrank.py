@@ -6,11 +6,14 @@ threshold is available for callers that know their scale.  Reports flag
 decisions as borderline when any singular value lands within a factor of 10
 of the threshold, so experiment drivers can report ambiguity instead of
 silently misclassifying.
+
+``batched_rank_report`` measures a stack of same-shape matrices with one
+stacked SVD; ``rank_report`` is its one-matrix case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -18,8 +21,10 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "RankReport",
+    "BatchedRankReport",
     "LeastSquaresSolution",
     "rank_report",
+    "batched_rank_report",
     "solve_least_squares",
 ]
 
@@ -47,11 +52,18 @@ class Tolerance:
     def absolute(cls, tau: float) -> "Tolerance":
         return cls(mode="absolute", value=tau)
 
-    def threshold(self, shape: tuple[int, int], sigma1: float) -> float:
+    def threshold(self, shape: tuple[int, int], sigma1):
+        """tau for m x n matrices with largest singular value sigma1.
+
+        sigma1 may be a float, giving a float, or an array of them, giving
+        an array of thresholds of the same shape.
+        """
         if self.mode == "absolute":
-            return float(self.value)
-        factor = self.value if self.value is not None else max(shape) * np.finfo(float).eps
-        return float(factor * sigma1)
+            tau = np.full(np.shape(sigma1), float(self.value))
+        else:
+            factor = self.value if self.value is not None else max(shape) * np.finfo(float).eps
+            tau = factor * np.asarray(sigma1, dtype=float)
+        return tau if tau.ndim else float(tau)
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -86,30 +98,83 @@ class RankReport:
         return float(s[0] / s[-1])
 
 
-def _validated(matrix) -> np.ndarray:
+@dataclass(frozen=True)
+class BatchedRankReport:
+    """RankReport fields for a stack of T same-shape matrices, one entry per matrix.
+
+    Indexing with a matrix number gives that matrix's RankReport;
+    ``concatenate`` joins reports of consecutive chunks of one stack.
+    """
+
+    singular_values: np.ndarray  # (T, min(m, n)), descending
+    numerical_rank: np.ndarray  # (T,) int
+    tolerance_used: np.ndarray  # (T,)
+    condition_number: np.ndarray  # (T,)
+    log_abs_det: np.ndarray | None  # (T,), None unless the matrices are square
+    borderline: np.ndarray  # (T,) bool
+
+    @property
+    def spectral_ratio(self) -> np.ndarray:
+        """Raw sigma_1 / sigma_min per matrix, ignoring the tolerance policy."""
+        s = self.singular_values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
+
+    def __getitem__(self, t: int) -> RankReport:
+        return RankReport(
+            singular_values=self.singular_values[t],
+            numerical_rank=int(self.numerical_rank[t]),
+            tolerance_used=float(self.tolerance_used[t]),
+            condition_number=float(self.condition_number[t]),
+            log_abs_det=None if self.log_abs_det is None else float(self.log_abs_det[t]),
+            borderline=bool(self.borderline[t]),
+        )
+
+    @classmethod
+    def concatenate(cls, reports) -> "BatchedRankReport":
+        reports = list(reports)
+
+        def joined(name):
+            parts = [getattr(r, name) for r in reports]
+            return None if parts[0] is None else np.concatenate(parts)
+
+        return cls(**{f.name: joined(f.name) for f in fields(cls)})
+
+
+def _validated(matrix, ndim: int = 2) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("expected a non-empty 2-d matrix")
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"expected a non-empty {ndim}-d array")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
 
 
+def batched_rank_report(matrices, policy: Tolerance = DEFAULT_TOLERANCE) -> BatchedRankReport:
+    """rank_report of every matrix of a (T, m, n) stack, from one stacked SVD.
+
+    Every field equals, bit for bit, what rank_report gives for that matrix alone.
+    """
+    return _report(_validated(matrices, ndim=3), policy)
+
+
 def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
     """Measure numerical rank, conditioning, and log-determinant in one SVD."""
-    a = _validated(matrix)
+    return _report(_validated(matrix)[None], policy)[0]
+
+
+def _report(a: np.ndarray, policy: Tolerance) -> BatchedRankReport:
     s = np.linalg.svd(a, compute_uv=False)
-    tol = policy.threshold(a.shape, float(s[0]))
-    rank = int(np.count_nonzero(s > tol))
-    if rank < s.size:
-        cond = float("inf")
-    else:
-        cond = float(s[0] / s[-1])
-    log_abs_det = None
-    if a.shape[0] == a.shape[1]:
-        log_abs_det = float("-inf") if s[-1] == 0.0 else float(np.sum(np.log(s)))
-    borderline = bool(tol > 0 and np.any((s > tol / 10) & (s < tol * 10)))
-    return RankReport(
+    shape = a.shape[1:]
+    tol = policy.threshold(shape, s[:, 0])
+    rank = np.count_nonzero(s > tol[:, None], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(rank < s.shape[1], np.inf, s[:, 0] / s[:, -1])
+        # log 0 = -inf, so a singular matrix gets log_abs_det = -inf
+        log_abs_det = np.log(s).sum(axis=1) if shape[0] == shape[1] else None
+    near = (s > (tol / 10)[:, None]) & (s < (tol * 10)[:, None])
+    borderline = (tol > 0) & near.any(axis=1)
+    return BatchedRankReport(
         singular_values=s,
         numerical_rank=rank,
         tolerance_used=tol,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import AntipodalPairError, Euclidean, SampleSet, UnitSphere
+from .manifold import Euclidean, SampleSet, UnitSphere
 from .numrank import DEFAULT_TOLERANCE, Tolerance, rank_report, solve_least_squares
 
 __all__ = [
@@ -85,26 +85,13 @@ def outer_field(manifold: Euclidean | UnitSphere, sample: SampleSet) -> Operator
     """Build every block eta_ji eta_ji^T; diagonal blocks are exactly zero."""
     if sample.manifold != manifold:
         raise ValueError("sample does not live on the given manifold")
-    P = sample.points
-    k = P.shape[0]
-    if isinstance(manifold, Euclidean):
-        eta = P[None, :, :] - P[:, None, :]  # eta[j, i] = p_i - p_j
-    else:
-        G = np.clip(P @ P.T, -1.0, 1.0)
-        theta = np.arccos(G)
-        np.fill_diagonal(theta, 0.0)
-        bad = np.argwhere(theta > np.pi - 1e-8)
-        if bad.size:
-            j, i = bad[0]
-            raise AntipodalPairError(
-                f"points {j} and {i} are antipodal; the log map is undefined there"
-            )
-        sin = np.sin(theta)
-        factor = np.divide(theta, sin, out=np.ones_like(theta), where=sin > 0)
-        eta = factor[:, :, None] * (P[None, :, :] - G[:, :, None] * P[:, None, :])
-        eta[np.arange(k), np.arange(k)] = 0.0
-    blocks = np.einsum("jia,jib->jiab", eta, eta)
-    return OperatorField(manifold=manifold, sample=sample, blocks=blocks)
+    return OperatorField(manifold=manifold, sample=sample, blocks=_blocks(manifold, sample.points))
+
+
+def _blocks(manifold: Euclidean | UnitSphere, P: np.ndarray) -> np.ndarray:
+    """Blocks (..., k, k, d, d) of point stacks P (..., k, d), batched over leading axes."""
+    eta = manifold.pairwise_log(P)
+    return np.einsum("...jia,...jib->...jiab", eta, eta)
 
 
 def _weighted_sum(field: OperatorField, f: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -144,8 +131,13 @@ def modified_sigma_field(field: OperatorField, f, alpha) -> CovField:
 
 def assemble_Y(field: OperatorField) -> np.ndarray:
     """Unfold the field into the (d^2 k) x k system matrix (layout v1)."""
-    k, d = field.k, field.d
-    return field.blocks.transpose(2, 3, 0, 1).reshape(d * d * k, k)
+    return _Y_layout(field.blocks)
+
+
+def _Y_layout(blocks: np.ndarray) -> np.ndarray:
+    """Layout-v1 Y of blocks (..., k, k, d, d), batched over leading axes."""
+    *lead, k, _, d, _ = blocks.shape
+    return np.moveaxis(blocks, (-2, -1), (-4, -3)).reshape(*lead, d * d * k, k)
 
 
 def unfold_C(cov: CovField) -> np.ndarray:
@@ -155,8 +147,13 @@ def unfold_C(cov: CovField) -> np.ndarray:
 
 def assemble_Z(field: OperatorField) -> np.ndarray:
     """Arrange the blocks into the (d k) x (d k) matrix with block (r, s) = Y[s, r]."""
-    k, d = field.k, field.d
-    return field.blocks.transpose(1, 2, 0, 3).reshape(k * d, k * d)
+    return _Z_layout(field.blocks)
+
+
+def _Z_layout(blocks: np.ndarray) -> np.ndarray:
+    """Layout-v1 Z of blocks (..., k, k, d, d), batched over leading axes."""
+    *lead, k, _, d, _ = blocks.shape
+    return np.moveaxis(blocks, -4, -2).reshape(*lead, k * d, k * d)
 
 
 def trace_system(field: OperatorField, cov: CovField | None = None):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,3 +226,32 @@ class TestExitCodes:
     def test_success_exits_zero(self, capsys):
         assert main(["sample", "--manifold", "sphere:2", "--k", "3"]) == 0
         capsys.readouterr()
+
+
+class TestFailureReports:
+    """Each failure exits 1 or 2 with one stderr line: no traceback, no warning."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # rank-bound violation: a tolerance far below round-off
+            (["rank", "--manifold", "euclid:2", "--kernel", "sqdist", "--k", "30",
+              "--tol-factor", "1e-30"], 2),
+            (["recover", "--manifold", "sphere:2", "--k", "5", "--trials", "0"], 1),
+            (["cond-sweep", "--manifold", "sphere:2", "--alpha", "0", "--k", "5", "--trials", "0"], 1),
+            (["cond-sweep", "--manifold", "sphere:2", "--alpha", "0", "--k", "5", "--threads", "0"], 1),
+            (["recover", "--manifold", "sphere:2", "--k", "5", "--threads", "0"], 1),
+            (["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--threads", "0"], 1),
+        ],
+        ids=["rank-bound", "recover-trials", "cond-trials", "cond-threads", "recover-threads",
+             "rank-threads"],
+    )
+    def test_one_line_and_exit_code(self, capsys, argv, code):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("covrank: ")
+        assert "Traceback" not in captured.err
+        assert caught == []

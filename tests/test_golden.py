@@ -1,0 +1,97 @@
+"""Byte-exact golden outputs of the CLI.
+
+Each case runs one covrank argv in a scratch directory and compares its
+summary line and every file it writes with the copies under
+``tests/golden/``.  The goldens were written with ``--threads 3``; every case
+is also run with ``--threads 1``, since the thread count must not change a
+byte.
+
+A change that alters numerics on purpose regenerates the goldens with
+``python tests/test_golden.py`` (from the repository root, with ``src`` on
+the import path) and states the largest difference it caused.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from covrank.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv, files the run writes, relative to its working directory)
+CASES = {
+    "rank_euclid": (
+        ["rank", "--manifold", "euclid:2", "--kernel", "sqdist", "--k-list", "3,4,7,12",
+         "--trials", "25", "--seed", "1", "--out", "rank_euclid.csv"],
+        ["rank_euclid.csv"],
+    ),
+    "rank_sphere": (
+        ["rank", "--manifold", "sphere:2", "--kernel", "dot:arccos2", "--k-list", "5,20",
+         "--trials", "20", "--seed", "2", "--out", "rank_sphere.csv"],
+        ["rank_sphere.csv"],
+    ),
+    "rank_sphere_jsonl": (
+        ["rank", "--manifold", "sphere:2", "--kernel", "dot:arccos2", "--k-list", "6,15",
+         "--trials", "12", "--seed", "5", "--format", "jsonl", "--out", "rank_sphere.jsonl"],
+        ["rank_sphere.jsonl"],
+    ),
+    "cond_sweep": (
+        ["cond-sweep", "--manifold", "sphere:2", "--alpha-list", "0,1.5707963267948966",
+         "--k-list", "15,40", "--trials", "4", "--seed", "3", "--out", "cond_sweep.csv"],
+        ["cond_sweep.csv"],
+    ),
+    "recover_sphere": (
+        ["recover", "--manifold", "sphere:2", "--k", "10", "--trials", "5", "--seed", "4",
+         "--out", "recover_sphere.csv"],
+        ["recover_sphere.csv"],
+    ),
+    "recover_euclid": (
+        ["recover", "--manifold", "euclid:2", "--k", "8", "--trials", "5", "--seed", "4",
+         "--out", "recover_euclid.csv"],
+        ["recover_euclid.csv"],
+    ),
+    "tensor": (
+        ["tensor", "--manifold", "sphere:2", "--k", "8", "--seed", "3", "--out", "tensor"],
+        [f"tensor.{name}.csv" for name in ("Y", "Z", "Psi", "C", "Sigma", "f0")],
+    ),
+}
+
+
+def run_case(name: str, workdir: Path, threads: str) -> dict[str, bytes]:
+    """Run one case in workdir; return its stdout and written files by golden file name."""
+    argv, files = CASES[name]
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--threads", threads])
+    finally:
+        os.chdir(cwd)
+    assert code == 0, f"{name} exited {code}"
+    outputs = {f"{name}.stdout": out.getvalue().encode()}
+    outputs.update({f: (workdir / f).read_bytes() for f in files})
+    return outputs
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, threads, tmp_path):
+    for filename, data in run_case(name, tmp_path, threads).items():
+        assert data == (GOLDEN / filename).read_bytes(), f"{filename} differs from its golden"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            for filename, data in run_case(case, Path(tmp), "3").items():
+                (GOLDEN / filename).write_bytes(data)
+    print(f"wrote goldens for {len(CASES)} cases to {GOLDEN}", file=sys.stderr)
