@@ -4,7 +4,7 @@ the shifted-kernel condition-number comparison.
 Per-trial randomness comes from derived Philox streams: trial t of a size-k
 experiment with master seed q always uses stream ``(k << 32) | t`` of q
 (auxiliary draws such as forward-model weights set the top stream bit).
-One trial engine serves every driver: it stacks the same-shape samples and
+One trial engine serves every experiment: it stacks the same-shape samples and
 matrices of consecutive trials into chunks and measures each chunk with one
 stacked SVD, which gives the same bits as one SVD per trial.  Results are
 therefore independent of the chunking, and aggregation is by trial index.
@@ -70,7 +70,7 @@ class RankBoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment grid; every driver validates its inputs through it.
+    """One experiment grid; every experiment validates its inputs through it.
 
     threads is kept for compatibility and must be at least 1: trials run as
     chunked batches in the calling thread, so it never changes results.
@@ -172,7 +172,7 @@ def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankRep
     )
 
 
-# --- drivers ---------------------------------------------------------------
+# --- experiments -----------------------------------------------------------
 
 
 def fullrank_probability(cfg: ExperimentConfig, k: int) -> float:

@@ -172,7 +172,7 @@ def test_rekeyed_streams_match_rng_stream():
 
 
 def test_samples_match_direct_draws():
-    # the draws sample_uniform made before the engine existed
+    # reference draws: numpy's uniform over the box, and normalized Gaussians
     for stream in (0, sample_stream(9, 4)):
         rng = rng_stream(2, stream)
         box = Euclidean(3).sample_uniform(9, 2, stream=stream, region=(-1.0, 3.0)).points
