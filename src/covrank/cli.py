@@ -22,6 +22,7 @@ from .manifold import Euclidean, UnitSphere, rng_stream
 from .montecarlo import (
     ExperimentConfig,
     RankBoundError,
+    _table,
     alpha_recommendation,
     aux_stream,
     condition_sweep,
@@ -124,10 +125,18 @@ def _write_rows(args, rows) -> str:
 
 
 def _matrix_csv(matrix: np.ndarray, name: str, meta: str) -> str:
-    lines = [f"# covrank {name} layout={LAYOUT_VERSION} {meta}"]
-    for row in np.atleast_2d(matrix):
-        lines.append(",".join(fmt17(v) for v in row))
-    return "\n".join(lines) + "\n"
+    header = f"# covrank {name} layout={LAYOUT_VERSION} {meta}\n"
+    # row by row: a Python-float copy of the whole matrix would raise peak memory
+    return header + _table(None, (row.tolist() for row in np.atleast_2d(matrix)), "csv")
+
+
+def _dump_meta(manifold, d: int, args) -> str:
+    return f"manifold={manifold} k={args.k} d={d} seed={args.seed}"
+
+
+def _trial0_sample(manifold, region, args):
+    # the trial-0 stream: the same points experiment trial 0 sees at this (k, seed)
+    return manifold.sample_uniform(args.k, args.seed, stream=sample_stream(args.k, 0), region=region)
 
 
 def _read_matrix_csv(path: str) -> np.ndarray:
@@ -149,24 +158,11 @@ def _read_matrix_csv(path: str) -> np.ndarray:
 
 def cmd_sample(args) -> str:
     manifold, region = parse_manifold(args.manifold)
-    # trial-0 stream: the same points experiment trial 0 sees at this (k, seed)
-    sample = manifold.sample_uniform(args.k, args.seed, stream=sample_stream(args.k, 0), region=region)
+    sample = _trial0_sample(manifold, region, args)
     wrote = ""
     if args.out:
         names = [f"x{i}" for i in range(manifold.coord_dim)]
-        if args.format == "csv":
-            lines = [",".join(names)]
-            lines += [",".join(fmt17(v) for v in p) for p in sample.points]
-            text = "\n".join(lines) + "\n"
-        else:
-            text = (
-                "\n".join(
-                    "{" + ", ".join(f'"{n}": {fmt17(v)}' for n, v in zip(names, p)) + "}"
-                    for p in sample.points
-                )
-                + "\n"
-            )
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(_table(names, sample.points.tolist(), args.format))
         wrote = f" out={args.out}"
     return f"sample manifold={manifold} k={args.k} seed={args.seed} coord_dim={manifold.coord_dim}{wrote}"
 
@@ -199,8 +195,7 @@ def cmd_rank(args) -> str:
 
 def cmd_tensor(args) -> str:
     manifold, region = parse_manifold(args.manifold)
-    sample = manifold.sample_uniform(args.k, args.seed, stream=sample_stream(args.k, 0), region=region)
-    field = outer_field(manifold, sample)
+    field = outer_field(manifold, _trial0_sample(manifold, region, args))
     f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)
     cov = sigma_field(field, f0)
     Y, Z = assemble_Y(field), assemble_Z(field)
@@ -212,7 +207,7 @@ def cmd_tensor(args) -> str:
     rank_psi = rank_report(psi, policy).numerical_rank
     wrote = ""
     if args.out:
-        meta = f"manifold={manifold} k={args.k} d={field.d} seed={args.seed}"
+        meta = _dump_meta(manifold, field.d, args)
         out = Path(args.out)
         for name, data in (
             ("Y", Y),
@@ -234,10 +229,9 @@ def cmd_recover(args) -> str:
     manifold, region = parse_manifold(args.manifold)
     policy = _tolerance(args)
     if args.sigma_file:
-        sample = manifold.sample_uniform(
-            args.k, args.seed, stream=sample_stream(args.k, 0), region=region
-        )
-        field = outer_field(manifold, sample)
+        if args.format != "csv":
+            raise CliError("recover --sigma-file writes CSV only; --format jsonl is not supported")
+        field = outer_field(manifold, _trial0_sample(manifold, region, args))
         d = field.d
         sigmas = _read_matrix_csv(args.sigma_file)
         if sigmas.shape != (args.k * d, d):
@@ -248,7 +242,7 @@ def cmd_recover(args) -> str:
         if not np.all(np.isfinite(result.f_hat)):
             raise NumericalFailure("recovered f contains non-finite entries")
         if args.out:
-            meta = f"manifold={manifold} k={args.k} d={d} seed={args.seed}"
+            meta = _dump_meta(manifold, d, args)
             Path(args.out).write_text(_matrix_csv(result.f_hat.reshape(-1, 1), "f_hat", meta))
         return (
             f"recover mode=file manifold={manifold} k={args.k} seed={args.seed}"
@@ -307,7 +301,7 @@ def cmd_alpha(args) -> str:
 # --- parser --------------------------------------------------------------
 
 
-def _add_common(p, *, kernel=False, k=False, k_list=False, alphas=False, trials=None):
+def _add_common(p, *, kernel=False, k=False, k_list=False, alphas=False, trials=None, formats=("csv", "jsonl")):
     p.add_argument("--manifold", required=True, help="sphere:<n> or euclid:<n>[:box=a,b]")
     if kernel:
         p.add_argument("--kernel", required=True, help="sqdist | shifted:<alpha> | dot:{arccos,arccos2,cos}")
@@ -324,8 +318,9 @@ def _add_common(p, *, kernel=False, k=False, k_list=False, alphas=False, trials=
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--tol-factor", type=float, default=None, help="relative rank tolerance factor")
     p.add_argument("--threads", type=int, default=1, help="at least 1; trials run batched, so it does not change results")
-    p.add_argument("--out", default=None, help="output file (or prefix for tensor)")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    if formats:
+        p.add_argument("--out", default=None, help="output file (or prefix for tensor)")
+        p.add_argument("--format", choices=formats, default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("tensor", help="assemble and dump the Y/Z/Psi systems of one sample")
-    _add_common(p, k=True)
+    _add_common(p, k=True, formats=("csv",))
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("recover", help="recover f from a covariance field")
@@ -354,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cond_sweep)
 
     p = sub.add_parser("alpha", help="recommend the distance shift E d(X, Y)")
-    _add_common(p, trials=100000)
+    _add_common(p, trials=100000, formats=())
     p.set_defaults(func=cmd_alpha)
 
     return parser

@@ -16,7 +16,6 @@ written with 17 significant digits so files round-trip exactly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -349,58 +348,56 @@ def recovery_experiment(
 
 
 def fmt17(value) -> str:
-    """Render one scalar for CSV: 17 significant digits for floats."""
+    """Render one scalar for CSV: 17 significant digits for floats, so they round-trip."""
+    if isinstance(value, float):  # np.float64 is a float
+        return f"{value:.17g}"  # also spells nan, inf and -inf
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
+    if isinstance(value, np.floating):
+        return f"{float(value):.17g}"
     return str(value)
 
 
+# fmt17 spellings that differ in JSON; non-finite values follow the json module
+# convention, so json.loads reads them back
+_JSON_SPELLINGS = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            return "NaN"  # json module convention, round-trips via json.loads
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return f"{x:.17g}"
-    return json.dumps(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    text = fmt17(value)
+    return _JSON_SPELLINGS.get(text, text)
 
 
-def _row_items(row):
-    return [(f.name, getattr(row, f.name)) for f in fields(row)]
+def _table(names: Sequence[str] | None, rows: Iterable[Sequence], fmt: str) -> str:
+    """Join rows of scalars as CSV lines (a header first when names are given) or as
+    JSON lines keyed by names; every output file's text comes from here."""
+    if fmt == "csv":
+        lines = [] if names is None else [",".join(names)]
+        lines += [",".join(map(fmt17, row)) for row in rows]
+    else:
+        keys = [f'"{name}": ' for name in names]
+        lines = ["{" + ", ".join(k + _json_scalar(v) for k, v in zip(keys, row)) + "}" for row in rows]
+    return "\n".join(lines) + "\n" if lines else ""
 
 
-def rows_to_csv(rows: Iterable) -> str:
+def _table_rows(rows: Iterable, fmt: str) -> str:
+    """Rows of one dataclass type, its fields as the columns."""
     rows = list(rows)
     if not rows:
         return ""
-    header = ",".join(name for name, _ in _row_items(rows[0]))
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(fmt17(v) for _, v in _row_items(row)))
-    return "\n".join(lines) + "\n"
+    names = [f.name for f in fields(rows[0])]
+    return _table(names, ([getattr(row, name) for name in names] for row in rows), fmt)
+
+
+def rows_to_csv(rows: Iterable) -> str:
+    return _table_rows(rows, "csv")
 
 
 def rows_to_jsonl(rows: Iterable) -> str:
-    lines = []
-    for row in rows:
-        body = ", ".join(f'"{name}": {_json_scalar(v)}' for name, v in _row_items(row))
-        lines.append("{" + body + "}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _table_rows(rows, "jsonl")

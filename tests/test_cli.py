@@ -1,12 +1,16 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covrank.cli import main, parse_manifold
 from covrank import Euclidean, UnitSphere
+
+# a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
+GOLDEN_SIGMA = Path(__file__).parent / "golden" / "tensor.Sigma.csv"
 
 
 def run(capsys, *argv):
@@ -242,9 +246,14 @@ class TestFailureReports:
             (["cond-sweep", "--manifold", "sphere:2", "--alpha", "0", "--k", "5", "--threads", "0"], 1),
             (["recover", "--manifold", "sphere:2", "--k", "5", "--threads", "0"], 1),
             (["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--threads", "0"], 1),
+            # output flags a command would ignore
+            (["alpha", "--manifold", "sphere:2", "--trials", "10", "--out", "alpha.csv"], 1),
+            (["tensor", "--manifold", "sphere:2", "--k", "4", "--format", "jsonl"], 1),
+            (["recover", "--manifold", "sphere:2", "--k", "8", "--seed", "3",
+              "--sigma-file", str(GOLDEN_SIGMA), "--format", "jsonl"], 1),
         ],
         ids=["rank-bound", "recover-trials", "cond-trials", "cond-threads", "recover-threads",
-             "rank-threads"],
+             "rank-threads", "alpha-out", "tensor-jsonl", "recover-file-jsonl"],
     )
     def test_one_line_and_exit_code(self, capsys, argv, code):
         with warnings.catch_warnings(record=True) as caught:

@@ -59,6 +59,31 @@ CASES = {
         ["tensor", "--manifold", "sphere:2", "--k", "8", "--seed", "3", "--out", "tensor"],
         [f"tensor.{name}.csv" for name in ("Y", "Z", "Psi", "C", "Sigma", "f0")],
     ),
+    "sample_sphere": (
+        ["sample", "--manifold", "sphere:2", "--k", "9", "--seed", "6", "--out", "sample_sphere.csv"],
+        ["sample_sphere.csv"],
+    ),
+    "sample_euclid_jsonl": (
+        ["sample", "--manifold", "euclid:3:box=-1,2", "--k", "7", "--seed", "2", "--format", "jsonl",
+         "--out", "sample_euclid.jsonl"],
+        ["sample_euclid.jsonl"],
+    ),
+    # reads the Sigma dump of the "tensor" case: same manifold, k and seed
+    "recover_file": (
+        ["recover", "--manifold", "sphere:2", "--k", "8", "--seed", "3",
+         "--sigma-file", str(GOLDEN / "tensor.Sigma.csv"), "--out", "recover_file.f_hat.csv"],
+        ["recover_file.f_hat.csv"],
+    ),
+    "cond_sweep_jsonl": (
+        ["cond-sweep", "--manifold", "euclid:2", "--alpha-list", "0,0.5", "--k-list", "6,11",
+         "--trials", "3", "--seed", "7", "--format", "jsonl", "--out", "cond_sweep.jsonl"],
+        ["cond_sweep.jsonl"],
+    ),
+    "recover_sphere_jsonl": (
+        ["recover", "--manifold", "sphere:2", "--k", "9", "--trials", "4", "--seed", "8",
+         "--format", "jsonl", "--out", "recover_sphere.jsonl"],
+        ["recover_sphere.jsonl"],
+    ),
 }
 
 

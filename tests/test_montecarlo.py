@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -226,3 +227,35 @@ class TestSerialization:
         csv_line = rows_to_csv(rows).strip().split("\n")[1]
         assert ",," in csv_line  # bound and expected_rank are empty
         assert json.loads(rows_to_jsonl(rows))["bound"] is None
+
+
+@dataclass(frozen=True)
+class OneField:
+    v: object
+
+
+@pytest.mark.parametrize(
+    "value, csv, jsonl",
+    [
+        (None, "", "null"),
+        (True, "true", "true"),
+        (np.bool_(False), "false", "false"),
+        (3, "3", "3"),
+        (np.int64(-2), "-2", "-2"),
+        (0.1, "0.10000000000000001", "0.10000000000000001"),
+        (np.float64(1 / 3), "0.33333333333333331", "0.33333333333333331"),
+        (np.float32(0.1), "0.10000000149011612", "0.10000000149011612"),
+        (-0.0, "-0", "-0"),
+        (math.nan, "nan", "NaN"),
+        (math.inf, "inf", "Infinity"),
+        (-math.inf, "-inf", "-Infinity"),
+        (5e-324, "4.9406564584124654e-324", "4.9406564584124654e-324"),
+        ("kernel", "kernel", '"kernel"'),
+    ],
+    ids=["none", "true", "np-false", "int", "np-int64", "float", "np-float64", "np-float32",
+         "neg-zero", "nan", "inf", "neg-inf", "subnormal", "str"],
+)
+def test_scalar_spellings(value, csv, jsonl):
+    """The exact text of one value in a CSV field and in a JSON-lines field."""
+    assert rows_to_csv([OneField(value)]) == f"v\n{csv}\n"
+    assert rows_to_jsonl([OneField(value)]) == f'{{"v": {jsonl}}}\n'
