@@ -22,9 +22,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
-from .manifold import Euclidean, SampleSet, UnitSphere, rng_streams
+from .manifold import Euclidean, UnitSphere, rng_streams
 from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, batched_rank_report
-from .tensor import _blocks, _Y_layout, _Z_layout, outer_field, recover, sigma_field
+from .tensor import _blocks, _forward_systems, _recoveries, _Y_array, _Z_layout
 
 __all__ = [
     "ExperimentConfig",
@@ -145,15 +145,16 @@ class RecoveryTrial:
 # --- the trial engine ---------------------------------------------------
 
 
-def _sample_chunks(cfg: ExperimentConfig, k: int, width: int) -> Iterator[np.ndarray]:
+def _sample_chunks(cfg: ExperimentConfig, k: int, trial_bytes: int) -> Iterator[np.ndarray]:
     """Samples of trials 0..cfg.trials-1 at size k, stacked (T, k, coord_dim) per chunk.
 
-    A trial's largest temporary holds k x k entries of width doubles each:
-    width is d^2 for the Y/Z blocks and the coordinate dimension otherwise,
-    which covers the (k, k, n) difference tensor of Euclidean distances.
-    Chunks keep that temporary within _CHUNK_BYTES, or hold one trial.
+    trial_bytes is the size of a trial's largest temporary: 8 k^2 d^2 for
+    the Y/Z matrices, 8 d^2 k (k+1) for a recovery's [Y | c], and 8 k^2 n
+    otherwise, which covers the (k, k, n) difference tensor of Euclidean
+    distances.  Chunks keep that temporary within _CHUNK_BYTES, or hold one
+    trial.
     """
-    size = max(1, _CHUNK_BYTES // (8 * k * k * width))
+    size = max(1, _CHUNK_BYTES // trial_bytes)
     for start in range(0, cfg.trials, size):
         streams = [sample_stream(k, t) for t in range(start, min(cfg.trials, start + size))]
         yield cfg.manifold.sample_batch(k, cfg.seed, streams, region=cfg.region)
@@ -161,13 +162,15 @@ def _sample_chunks(cfg: ExperimentConfig, k: int, width: int) -> Iterator[np.nda
 
 def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankReport:
     """Rank reports of the kernel, Y or Z matrix of every trial at size k."""
+    manifold, d = cfg.manifold, cfg.manifold.coord_dim
     if system == "kernel":
-        build, width = cfg.kernel.pairwise, cfg.manifold.coord_dim
+        build, width = cfg.kernel.pairwise, d
+    elif system == "Y":
+        build, width = (lambda P: _Y_array(manifold.pairwise_log(P), k)), d * d
     else:
-        layout = _Y_layout if system == "Y" else _Z_layout
-        build, width = (lambda P: layout(_blocks(cfg.manifold, P))), cfg.manifold.coord_dim**2
+        build, width = (lambda P: _Z_layout(_blocks(manifold, P))), d * d
     return BatchedRankReport.concatenate(
-        batched_rank_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, width)
+        batched_rank_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, 8 * k * k * width)
     )
 
 
@@ -268,7 +271,7 @@ def condition_sweep(
     cells = {}
     for k in cfg.k_values:
         per_alpha = [[] for _ in alphas]
-        for P in _sample_chunks(cfg, k, manifold.coord_dim):
+        for P in _sample_chunks(cfg, k, 8 * k * k * manifold.coord_dim):
             dist = manifold.pairwise_distance(P)
             for reports, alpha in zip(per_alpha, alphas):
                 reports.append(batched_rank_report((dist - alpha) ** 2, tolerance))
@@ -316,31 +319,32 @@ def recovery_experiment(
 ) -> list[RecoveryTrial]:
     """Forward-generate f0 ~ Unif[0,1]^k, build its covariance field, solve back.
 
-    Samples come from the trial engine; each trial is then solved on its own.
-    threads never changes results.
+    Each chunk of trials from the engine is written as one stack of [Y | c]
+    systems and solved with one stacked QR and two stacked small SVDs; every
+    row equals, bit for bit, recover(field, sigma_field(field, f0)) on that
+    trial's sample.  threads never changes results.
     """
     cfg = ExperimentConfig(
         manifold=manifold, kernel=None, k_values=(k,), trials=trials, seed=seed,
         tolerance=tolerance, region=region, threads=threads,
     )
-    samples = (points for P in _sample_chunks(cfg, k, manifold.coord_dim**2) for points in P)
+    d = manifold.coord_dim
     weights = rng_streams(seed, (aux_stream(k, t) for t in range(trials)))
     rows = []
-    for trial, points, rng in zip(range(trials), samples, weights):
-        f0 = rng.random(k)
-        field = outer_field(manifold, SampleSet(manifold, points, seed, sample_stream(k, trial)))
-        result = recover(field, sigma_field(field, f0), tolerance)
-        rows.append(
-            RecoveryTrial(
-                trial=trial,
-                k=k,
-                rel_error=float(np.linalg.norm(result.f_hat - f0) / np.linalg.norm(f0)),
-                residual=result.residual,
-                rank_Y=result.rank_Y,
-                rank_augmented=result.rank_augmented,
-                unique=result.unique,
+    for P in _sample_chunks(cfg, k, 8 * d * d * k * (k + 1)):
+        f0 = np.stack([next(weights).random(k) for _ in P])
+        for f, result in zip(f0, _recoveries(_forward_systems(manifold, P, f0), tolerance)):
+            rows.append(
+                RecoveryTrial(
+                    trial=len(rows),
+                    k=k,
+                    rel_error=float(np.linalg.norm(result.f_hat - f) / np.linalg.norm(f)),
+                    residual=result.residual,
+                    rank_Y=result.rank_Y,
+                    rank_augmented=result.rank_augmented,
+                    unique=result.unique,
+                )
             )
-        )
     return rows
 
 
@@ -371,6 +375,8 @@ def _json_scalar(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     text = fmt17(value)
+    if isinstance(value, (float, np.floating)) and not any(c in text for c in ".eni"):
+        text += ".0"  # an integral double stays a float in JSON, and -0.0 keeps its sign
     return _JSON_SPELLINGS.get(text, text)
 
 

@@ -8,7 +8,11 @@ of the threshold, so experiment drivers can report ambiguity instead of
 silently misclassifying.
 
 ``batched_rank_report`` measures a stack of same-shape matrices with one
-stacked SVD; ``rank_report`` is its one-matrix case.
+stacked SVD; ``rank_report`` is its one-matrix case.  Least squares follows
+Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder QR of the
+augmented systems [A | b], then two small SVDs of the triangular factor, one
+for the rank of [A | b] and one for the rank of A and the minimum-norm
+solution.  ``solve_least_squares`` is its one-system case.
 """
 
 from __future__ import annotations
@@ -191,11 +195,46 @@ class LeastSquaresSolution(NamedTuple):
     unique: bool
 
 
+class _AugmentedSolution(NamedTuple):
+    """Least-squares results for a stack of T systems, one entry per system."""
+
+    x: np.ndarray  # (T, n) minimum-norm solutions
+    residual: np.ndarray  # (T,) ||A x - b||
+    rank: np.ndarray  # (T,) numerical rank of A
+    rank_augmented: np.ndarray  # (T,) numerical rank of [A | b]
+
+
+def _solve_augmented(Ab: np.ndarray, policy: Tolerance) -> _AugmentedSolution:
+    """Minimum-norm least squares of every system [A | b] of a (T, m, n+1) stack.
+
+    One stacked QR gives [A | b] = Q R with R of at most n+1 rows, so both
+    SVDs below are small whatever m is.  The singular values of R are those
+    of [A | b]; those of R[:n, :n] are those of A, and its SVD solves
+    R[:, :n] x = R[:, n], which is A x = b in the coordinates of Q.  The
+    thresholds use the shapes of the original matrices, (m, n+1) and (m, n).
+    Every result for a system equals, bit for bit, what a stack holding only
+    that system gives.
+    """
+    m, n = Ab.shape[1], Ab.shape[2] - 1
+    R = np.linalg.qr(Ab, mode="r")  # (T, min(m, n+1), n+1)
+    s_aug = np.linalg.svd(R, compute_uv=False)
+    rank_augmented = np.count_nonzero(s_aug > policy.threshold((m, n + 1), s_aug[:, 0])[:, None], axis=1)
+    RA, Rb = R[:, :, :n], R[:, :, n]
+    U, s, Vt = np.linalg.svd(RA[:, :n], full_matrices=False)
+    keep = s > policy.threshold((m, n), s[:, 0])[:, None]
+    coeff = np.divide((np.swapaxes(U, 1, 2) @ Rb[:, :n, None])[..., 0], s, out=np.zeros_like(s), where=keep)
+    x = (np.swapaxes(Vt, 1, 2) @ coeff[..., None])[..., 0]
+    # Q has orthonormal columns spanning A's and b's, so ||A x - b|| = ||R[:, :n] x - R[:, n]||
+    residual = np.linalg.norm((RA @ x[..., None])[..., 0] - Rb, axis=1)
+    return _AugmentedSolution(x, residual, np.count_nonzero(keep, axis=1), rank_augmented)
+
+
 def solve_least_squares(A, b, policy: Tolerance = DEFAULT_TOLERANCE) -> LeastSquaresSolution:
     """Minimum-norm least-squares solution of A x = b under the same tolerance policy.
 
     unique means the solution of the least-squares problem is unique, i.e.
-    A has full numerical column rank.
+    A has full numerical column rank.  Solved from one QR of [A | b] and two
+    small SVDs of its triangular factor.
     """
     A = _validated(A)
     b = np.asarray(b, dtype=float)
@@ -203,12 +242,8 @@ def solve_least_squares(A, b, policy: Tolerance = DEFAULT_TOLERANCE) -> LeastSqu
         raise ValueError(f"b must have shape ({A.shape[0]},), got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    tol = policy.threshold(A.shape, float(s[0]))
-    keep = s > tol
-    rank = int(np.count_nonzero(keep))
-    coeff = np.zeros_like(s)
-    coeff[keep] = (U.T @ b)[keep] / s[keep]
-    x = Vt.T @ coeff
-    residual = float(np.linalg.norm(A @ x - b))
-    return LeastSquaresSolution(x=x, residual_norm=residual, rank=rank, unique=rank == A.shape[1])
+    sol = _solve_augmented(np.column_stack([A, b])[None], policy)
+    rank = int(sol.rank[0])
+    return LeastSquaresSolution(
+        x=sol.x[0], residual_norm=float(sol.residual[0]), rank=rank, unique=rank == A.shape[1]
+    )

@@ -13,10 +13,16 @@ used downstream, all pinned to layout version ``v1``:
 * ``assemble_Z``: the (d k) x (d k) block arrangement whose block at
   block-row r, block-column s is ``Y[s, r]``.
 
+Y and Sigma are computed from the log vectors eta_ji of the sample, which
+the blocks are built from: each entry of Y is the single product
+eta_ji[l] * eta_ji[m], the same bits as the block entry.
+
 A weight function f on the sample is recoverable from its covariance field
 precisely when Y_unfolded has full column rank; ``recover`` therefore runs a
 minimum-norm least-squares solve and reports rank and uniqueness rather than
-failing on deficiency.
+failing on deficiency.  It writes [Y | c] into one array and solves it with
+one QR and two small SVDs (``numrank``), the same path that
+``recovery_experiment`` runs batched over trials.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import Euclidean, SampleSet, UnitSphere
-from .numrank import DEFAULT_TOLERANCE, Tolerance, rank_report, solve_least_squares
+from .numrank import DEFAULT_TOLERANCE, Tolerance, _solve_augmented
 
 __all__ = [
     "LAYOUT_VERSION",
@@ -94,8 +100,15 @@ def _blocks(manifold: Euclidean | UnitSphere, P: np.ndarray) -> np.ndarray:
     return np.einsum("...jia,...jib->...jiab", eta, eta)
 
 
-def _weighted_sum(field: OperatorField, f: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.einsum("ji,i,jiab->jab", weights, f, field.blocks)
+def _eta(field: OperatorField) -> np.ndarray:
+    """Log vectors (k, k, d) of the field's sample, the ones its blocks were built from."""
+    return field.manifold.pairwise_log(field.sample.points)
+
+
+def _weighted_sigmas(eta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sigma_j = sum_i g_ji eta_ji eta_ji^T of log vectors eta (..., k, k, d), batched over
+    leading axes; g broadcasts to (..., k, k).  Each Sigma_j is one matrix product."""
+    return np.swapaxes(eta * g[..., None], -1, -2) @ eta
 
 
 def _check_f(field: OperatorField, f) -> np.ndarray:
@@ -108,8 +121,7 @@ def _check_f(field: OperatorField, f) -> np.ndarray:
 def sigma_field(field: OperatorField, f) -> CovField:
     """Sigma_j = sum_i f_i Y[j, i]; linear in f."""
     f = _check_f(field, f)
-    weights = np.ones((field.k, field.k))
-    return CovField(sigmas=_weighted_sum(field, f, weights), f=f)
+    return CovField(sigmas=_weighted_sigmas(_eta(field), f[None, :]), f=f)
 
 
 def modified_sigma_field(field: OperatorField, f, alpha) -> CovField:
@@ -126,23 +138,48 @@ def modified_sigma_field(field: OperatorField, f, alpha) -> CovField:
     positive = dist > 0
     ratio = np.divide(alpha[:, None], dist, out=np.zeros_like(dist), where=positive)
     weights = np.where(positive, (1.0 - ratio) ** 2, 0.0)
-    return CovField(sigmas=_weighted_sum(field, f, weights), f=f)
+    return CovField(sigmas=_weighted_sigmas(_eta(field), weights * f[None, :]), f=f)
 
 
 def assemble_Y(field: OperatorField) -> np.ndarray:
     """Unfold the field into the (d^2 k) x k system matrix (layout v1)."""
-    return _Y_layout(field.blocks)
+    return _Y_array(_eta(field), field.k)
 
 
-def _Y_layout(blocks: np.ndarray) -> np.ndarray:
-    """Layout-v1 Y of blocks (..., k, k, d, d), batched over leading axes."""
-    *lead, k, _, d, _ = blocks.shape
-    return np.moveaxis(blocks, (-2, -1), (-4, -3)).reshape(*lead, d * d * k, k)
+def _Y_array(eta: np.ndarray, width: int) -> np.ndarray:
+    """A new (..., d^2 k, width) array whose first k columns hold the layout-v1 Y of
+    log vectors eta (..., k, k, d), batched over leading axes.
+
+    Row (l*d + m)*k + j, column i gets eta[..., j, i, l] * eta[..., j, i, m],
+    written in place; columns k and up are left for the caller to fill.
+    """
+    *lead, k, _, d = eta.shape
+    out = np.empty((*lead, d * d * k, width))
+    E = np.moveaxis(eta, -1, -3)  # E[..., l, j, i] = eta[..., j, i, l]
+    Y = out.reshape(*lead, d, d, k, width)[..., :k]
+    np.multiply(E[..., :, None, :, :], E[..., None, :, :, :], out=Y)
+    return out
+
+
+def _unfold(sigmas: np.ndarray) -> np.ndarray:
+    """Layout-v1 right-hand sides of Sigma stacks (..., k, d, d): entry (l*d + m)*k + j."""
+    *lead, k, d, _ = sigmas.shape
+    return np.moveaxis(sigmas, -3, -1).reshape(*lead, d * d * k)
+
+
+def _forward_systems(manifold: Euclidean | UnitSphere, P: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """[Y | c] (T, d^2 k, k+1) of point stacks P (T, k, d), c the unfolded covariance
+    field of weights f (T, k); each trial's bits equal recover's array for
+    that sample and sigma_field(outer_field(...), f)."""
+    eta = manifold.pairwise_log(P)
+    system = _Y_array(eta, P.shape[-2] + 1)
+    system[..., -1] = _unfold(_weighted_sigmas(eta, f[..., None, :]))
+    return system
 
 
 def unfold_C(cov: CovField) -> np.ndarray:
     """Flatten Sigma_1..Sigma_k into the d^2 k right-hand-side vector (layout v1)."""
-    return cov.sigmas.transpose(1, 2, 0).reshape(-1)
+    return _unfold(cov.sigmas)
 
 
 def assemble_Z(field: OperatorField) -> np.ndarray:
@@ -186,17 +223,25 @@ def recover(
     Euclidean samples), so deficient systems are solved and reported with
     unique=False instead of raising.  rank_augmented is the rank of [Y | C];
     it equals rank_Y whenever C really is a covariance field of the sample.
+    [Y | C] is written into one array and factored with one QR, followed by
+    two small SVDs of its triangular factor, at most (k+1) x (k+1).
     """
-    Y = assemble_Y(field)
     c = unfold_C(C) if isinstance(C, CovField) else np.asarray(C, dtype=float)
-    if c.shape != (Y.shape[0],):
-        raise ValueError(f"right-hand side must have length {Y.shape[0]}, got shape {c.shape}")
-    sol = solve_least_squares(Y, c, policy)
-    augmented = rank_report(np.column_stack([Y, c]), policy)
-    return RecoveryResult(
-        f_hat=sol.x,
-        residual=sol.residual_norm,
-        rank_Y=sol.rank,
-        rank_augmented=augmented.numerical_rank,
-        unique=sol.unique,
-    )
+    rows = field.d * field.d * field.k
+    if c.shape != (rows,):
+        raise ValueError(f"right-hand side must have length {rows}, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("right-hand side has non-finite entries")
+    system = _Y_array(_eta(field), field.k + 1)
+    system[:, -1] = c
+    return _recoveries(system[None], policy)[0]
+
+
+def _recoveries(systems: np.ndarray, policy: Tolerance) -> list[RecoveryResult]:
+    """The RecoveryResult of every [Y | c] system of a (T, d^2 k, k+1) stack."""
+    k = systems.shape[-1] - 1
+    return [
+        RecoveryResult(f_hat=x, residual=float(residual), rank_Y=int(rank),
+                       rank_augmented=int(rank_augmented), unique=bool(rank == k))
+        for x, residual, rank, rank_augmented in zip(*_solve_augmented(systems, policy))
+    ]

@@ -8,13 +8,18 @@ byte.
 
 A change that alters numerics on purpose regenerates the goldens with
 ``python tests/test_golden.py`` (from the repository root, with ``src`` on
-the import path) and states the largest difference it caused.
+the import path) and states the largest difference it caused.  For every
+file whose bytes change, regeneration prints the largest absolute and
+relative difference of each field against the old copy.
 """
 
 import contextlib
 import io
+import json
+import math
 import os
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -111,12 +116,74 @@ def test_output_matches_golden(name, threads, tmp_path):
         assert data == (GOLDEN / filename).read_bytes(), f"{filename} differs from its golden"
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def field_values(filename: str, data: bytes) -> dict[str, list]:
+    """Every value of one output by field: JSON keys, CSV columns (``col<i>`` when
+    the file has no header line) or the ``key=value`` tokens of a summary line."""
+    values = defaultdict(list)
+    text = data.decode()
+    if filename.endswith(".jsonl"):
+        for line in text.splitlines():
+            for key, value in json.loads(line).items():
+                values[key].append(value)
+    elif filename.endswith(".csv"):
+        lines = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+        names = None
+        if lines and not all(map(_is_number, lines[0])):
+            names = lines.pop(0)
+        for row in lines:
+            for i, value in enumerate(row):
+                values[names[i] if names else f"col{i}"].append(value)
+    else:
+        for token in text.split():
+            key, eq, value = token.partition("=")
+            if eq:
+                values[key].append(value)
+    return values
+
+
+def field_differences(filename: str, old: bytes, new: bytes) -> list[str]:
+    """One line per field of a changed output: its largest absolute and relative
+    difference, or how many values changed when the field is not all numbers."""
+    before, after = field_values(filename, old), field_values(filename, new)
+    lines = []
+    for name in list(before) + [name for name in after if name not in before]:
+        a, b = before.get(name, []), after.get(name, [])
+        if len(a) != len(b):
+            lines.append(f"  {name}: {len(a)} -> {len(b)} values")
+            continue
+        try:
+            pairs = [(float(x), float(y)) for x, y in zip(a, b)]
+        except (TypeError, ValueError):
+            changed = sum(x != y for x, y in zip(a, b))
+            if changed:
+                lines.append(f"  {name}: {changed} of {len(a)} values changed")
+            continue
+        moved = [(x, y) for x, y in pairs if x != y and not (x != x and y != y)]  # nan == nan here
+        abs_diff = max((abs(y - x) for x, y in moved), default=0.0)
+        rel_diff = max((abs(y - x) / abs(x) if x else math.inf for x, y in moved), default=0.0)
+        lines.append(f"  {name}: max abs diff {abs_diff:.3g}, max rel diff {rel_diff:.3g}")
+    return lines
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(CASES):
+    # "recover_file" reads the Sigma dump of "tensor", so that one is written first
+    for case in sorted(CASES, key=lambda name: name != "tensor"):
         with tempfile.TemporaryDirectory() as tmp:
             for filename, data in run_case(case, Path(tmp), "3").items():
-                (GOLDEN / filename).write_bytes(data)
+                path = GOLDEN / filename
+                old = path.read_bytes() if path.exists() else None
+                if old is not None and old != data:
+                    print(f"{filename} changed:", *field_differences(filename, old, data), sep="\n")
+                path.write_bytes(data)
     print(f"wrote goldens for {len(CASES)} cases to {GOLDEN}", file=sys.stderr)

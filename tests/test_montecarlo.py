@@ -245,7 +245,9 @@ class OneField:
         (0.1, "0.10000000000000001", "0.10000000000000001"),
         (np.float64(1 / 3), "0.33333333333333331", "0.33333333333333331"),
         (np.float32(0.1), "0.10000000149011612", "0.10000000149011612"),
-        (-0.0, "-0", "-0"),
+        (-0.0, "-0", "-0.0"),
+        (3.0, "3", "3.0"),
+        (np.float64(1e16), "10000000000000000", "10000000000000000.0"),
         (math.nan, "nan", "NaN"),
         (math.inf, "inf", "Infinity"),
         (-math.inf, "-inf", "-Infinity"),
@@ -253,7 +255,7 @@ class OneField:
         ("kernel", "kernel", '"kernel"'),
     ],
     ids=["none", "true", "np-false", "int", "np-int64", "float", "np-float64", "np-float32",
-         "neg-zero", "nan", "inf", "neg-inf", "subnormal", "str"],
+         "neg-zero", "integral", "np-integral", "nan", "inf", "neg-inf", "subnormal", "str"],
 )
 def test_scalar_spellings(value, csv, jsonl):
     """The exact text of one value in a CSV field and in a JSON-lines field."""

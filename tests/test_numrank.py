@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from covrank import Tolerance, rank_report, rng_stream, solve_least_squares
+from covrank.numrank import _solve_augmented
 
 
 def exact_rank(matrix) -> int:
@@ -132,3 +133,77 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_least_squares(np.eye(3), np.ones(4))
+
+
+def pinv_reference(A, b, policy=Tolerance()):
+    """x, residual, rank of A and rank of [A | b] from full SVDs of A and [A | b]."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    r = int(np.count_nonzero(s > policy.threshold(A.shape, s[0])))
+    Ub = U[:, :r].T @ b
+    x = Vt[:r].T @ (Ub / s[:r])
+    residual = np.linalg.norm(b - U[:, :r] @ Ub)  # distance of b to range(A)
+    Ab = np.column_stack([A, b])
+    s_aug = np.linalg.svd(Ab, compute_uv=False)
+    return x, residual, r, int(np.count_nonzero(s_aug > policy.threshold(Ab.shape, s_aug[0])))
+
+
+def deficient(m, n, r, seed):
+    rng = rng_stream(seed)
+    return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+
+
+def solve_cases():
+    rng = rng_stream(40)
+    A = deficient(12, 5, 3, seed=41)
+    yield "deficient-consistent", A, A @ rng.standard_normal(5)
+    A = deficient(12, 5, 3, seed=42)
+    U = np.linalg.svd(A)[0]
+    yield "inconsistent", A, A @ rng.standard_normal(5) + 0.5 * U[:, 3:] @ rng.standard_normal(9)
+    yield "full-rank-inconsistent", rng.standard_normal((9, 4)), rng.standard_normal(9)
+    yield "wide", rng.standard_normal((4, 7)), rng.standard_normal(4)
+    yield "wide-deficient", deficient(5, 8, 2, seed=43), rng.standard_normal(5)
+    yield "zero-k1", np.zeros((9, 1)), np.zeros(9)
+
+
+SOLVE_CASES = list(solve_cases())
+
+
+@pytest.mark.parametrize("name, A, b", SOLVE_CASES, ids=[case[0] for case in SOLVE_CASES])
+def test_qr_solve_matches_svd_pseudo_inverse(name, A, b):
+    x_ref, residual_ref, rank_ref, rank_aug_ref = pinv_reference(A, b)
+    sol = _solve_augmented(np.column_stack([A, b])[None], Tolerance())
+    assert sol.rank[0] == rank_ref
+    assert sol.rank_augmented[0] == rank_aug_ref
+    scale = 1e-12 * max(1.0, np.linalg.norm(b))
+    np.testing.assert_allclose(sol.x[0], x_ref, rtol=1e-10, atol=scale)
+    assert sol.residual[0] == pytest.approx(residual_ref, rel=1e-10, abs=scale)
+    one = solve_least_squares(A, b)
+    assert np.array_equal(one.x, sol.x[0])
+    assert (one.residual_norm, one.rank, one.unique) == (sol.residual[0], rank_ref, rank_ref == A.shape[1])
+
+
+def test_case_list_covers_each_kind():
+    for name, A, b in SOLVE_CASES:
+        _, residual, rank, rank_aug = pinv_reference(A, b)
+        if name == "inconsistent":
+            assert rank == 3 and rank_aug == 4 and residual > 0.1
+        if name.startswith("wide"):
+            assert A.shape[0] < A.shape[1]
+        if name == "zero-k1":
+            assert rank == rank_aug == 0 and residual == 0.0
+
+
+@pytest.mark.parametrize("m, n, rank", [(30, 6, 6), (30, 6, 4), (20, 9, 9), (5, 8, 5), (7, 6, 3)])
+@pytest.mark.parametrize("policy", [Tolerance(), Tolerance.absolute(1e-9)], ids=["relative", "absolute"])
+def test_stacked_solve_equals_separate_solves(m, n, rank, policy):
+    rng = rng_stream(44)
+    T = 7
+    stack = np.stack([
+        np.column_stack([deficient(m, n, rank, seed=50 + t), rng.standard_normal(m)]) for t in range(T)
+    ])
+    stack[2, :, -1] = stack[2, :, :-1] @ rng.standard_normal(n)  # one consistent system
+    stacked = _solve_augmented(stack, policy)
+    for t in range(T):
+        alone = _solve_augmented(stack[t : t + 1], policy)
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got[t], want[0]), t

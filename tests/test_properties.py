@@ -46,15 +46,16 @@ recovery_rows = st.builds(
 @given(st.one_of(st.lists(sweep_rows, min_size=1, max_size=5),
                  st.lists(recovery_rows, min_size=1, max_size=5)))
 def test_jsonl_float_fields_round_trip(rows):
-    # Integral doubles are written without a fraction ("-0", "3"); reading number
-    # literals as doubles is what gives back -0.0 rather than the integer 0.
+    # Integral doubles are written with a fraction ("-0.0", "3.0"), so the default
+    # reader gives back floats, and -0.0 with its sign.
     lines = rows_to_jsonl(rows).splitlines()
     assert len(lines) == len(rows)
     for row, line in zip(rows, lines):
-        parsed = json.loads(line, parse_int=float)
+        parsed = json.loads(line)
         for f in fields(row):
             value = getattr(row, f.name)
             if isinstance(value, float):
+                assert isinstance(parsed[f.name], float), f.name
                 assert same_double(parsed[f.name], value), f.name
             else:
                 assert parsed[f.name] == value, f.name

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from covrank import (
     outer_field,
     rank_report,
     recover,
+    recovery_experiment,
     rng_stream,
     sigma_field,
     trace_system,
@@ -250,6 +252,8 @@ class TestRecovery:
         result = recover(field, sigma_field(field, [2.0]))
         assert result.rank_Y == 0
         assert not result.unique
+        assert (result.rank_augmented, result.residual) == (0, 0.0)
+        assert np.array_equal(result.f_hat, [0.0])
 
     def test_accepts_raw_vector(self):
         field = random_field(UnitSphere(2), 6, seed=18)
@@ -262,6 +266,19 @@ class TestRecovery:
         field = random_field(UnitSphere(2), 6, seed=19)
         with pytest.raises(ValueError):
             recover(field, np.ones(7))
+
+    def test_recovery_peak_memory_stays_near_Y(self):
+        # [Y | c] plus the copy that QR factors is about twice Y; the (k, k, d, d)
+        # blocks or a transposed copy of Y in the recovery path would push it past 2.5
+        k = 200
+        recovery_experiment(UnitSphere(2), 5, trials=1, seed=7)
+        tracemalloc.start()
+        try:
+            recovery_experiment(UnitSphere(2), k, trials=1, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 9 * k * k * 8
 
 
 class TestModifiedSigmaField:
