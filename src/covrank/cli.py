@@ -37,8 +37,8 @@ from .numrank import Tolerance, rank_report
 from .tensor import (
     LAYOUT_VERSION,
     CovField,
+    _Z_of_Y,
     assemble_Y,
-    assemble_Z,
     outer_field,
     recover,
     sigma_field,
@@ -124,10 +124,34 @@ def _write_rows(args, rows) -> str:
     return f" out={args.out}"
 
 
+def _header(name: str, meta: str) -> str:
+    return f"# covrank {name} layout={LAYOUT_VERSION} {meta}\n"
+
+
 def _matrix_csv(matrix: np.ndarray, name: str, meta: str) -> str:
-    header = f"# covrank {name} layout={LAYOUT_VERSION} {meta}\n"
     # row by row: a Python-float copy of the whole matrix would raise peak memory
-    return header + _table(None, (row.tolist() for row in np.atleast_2d(matrix)), "csv")
+    return _header(name, meta) + _table(None, (row.tolist() for row in np.atleast_2d(matrix)), "csv")
+
+
+def _spell_Y(Y: np.ndarray, d: int) -> np.ndarray:
+    """fmt17 spellings of layout-v1 Y as a byte-string array of its shape.  Row
+    blocks (l, m) and (m, l) hold the same doubles, so only l <= m is spelled.
+    Fixed-width bytes rather than str objects: a str per value would raise peak
+    memory."""
+    k = Y.shape[1]
+    Y4 = Y.reshape(d, d, k, k)
+    spelled = {}
+    for l in range(d):
+        for m in range(l, d):
+            spelled[l, m] = spelled[m, l] = np.array(list(map(fmt17, Y4[l, m].ravel().tolist())), dtype="S")
+    return np.stack([spelled[l, m] for l in range(d) for m in range(d)]).reshape(Y.shape)
+
+
+def _write_spelled_csv(path: str, name: str, meta: str, text: np.ndarray) -> None:
+    """Write a 2-D array of spelled values as a matrix CSV, streamed row by row."""
+    with open(path, "wb") as fh:
+        fh.write(_header(name, meta).encode())
+        fh.writelines(b",".join(row.tolist()) + b"\n" for row in text)
 
 
 def _dump_meta(manifold, d: int, args) -> str:
@@ -198,20 +222,22 @@ def cmd_tensor(args) -> str:
     field = outer_field(manifold, _trial0_sample(manifold, region, args))
     f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)
     cov = sigma_field(field, f0)
-    Y, Z = assemble_Y(field), assemble_Z(field)
+    Y = assemble_Y(field)
     psi, _ = trace_system(field)
     C = unfold_C(cov)
     policy = _tolerance(args)
     rank_Y = rank_report(Y, policy).numerical_rank
-    rank_Z = rank_report(Z, policy).numerical_rank
+    rank_Z = rank_report(_Z_of_Y(Y), policy).numerical_rank
     rank_psi = rank_report(psi, policy).numerical_rank
     wrote = ""
     if args.out:
         meta = _dump_meta(manifold, field.d, args)
         out = Path(args.out)
+        # every double of Z is one of Y's: Z's text is the same index map of Y's spellings
+        Y_text = _spell_Y(Y, field.d)
+        _write_spelled_csv(f"{out}.Y.csv", "Y", meta, Y_text)
+        _write_spelled_csv(f"{out}.Z.csv", "Z", meta, _Z_of_Y(Y_text))
         for name, data in (
-            ("Y", Y),
-            ("Z", Z),
             ("Psi", psi),
             ("C", C.reshape(-1, 1)),
             ("Sigma", cov.sigmas.reshape(args.k * field.d, field.d)),

@@ -24,7 +24,7 @@ import numpy as np
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import Euclidean, UnitSphere, rng_streams
 from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, batched_rank_report
-from .tensor import _blocks, _forward_systems, _recoveries, _Y_array, _Z_layout
+from .tensor import _forward_systems, _recoveries, _Y_array, _Z_of_Y
 
 __all__ = [
     "ExperimentConfig",
@@ -168,7 +168,7 @@ def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankRep
     elif system == "Y":
         build, width = (lambda P: _Y_array(manifold.pairwise_log(P), k)), d * d
     else:
-        build, width = (lambda P: _Z_layout(_blocks(manifold, P))), d * d
+        build, width = (lambda P: _Z_of_Y(_Y_array(manifold.pairwise_log(P), k))), d * d
     return BatchedRankReport.concatenate(
         batched_rank_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, 8 * k * k * width)
     )

@@ -13,9 +13,13 @@ used downstream, all pinned to layout version ``v1``:
 * ``assemble_Z``: the (d k) x (d k) block arrangement whose block at
   block-row r, block-column s is ``Y[s, r]``.
 
-Y and Sigma are computed from the log vectors eta_ji of the sample, which
-the blocks are built from: each entry of Y is the single product
-eta_ji[l] * eta_ji[m], the same bits as the block entry.
+Y, Sigma and Psi are computed from the log vectors eta_ji of the sample,
+which the field stores; the blocks are built from them only when read.
+Each entry of Y is the single product eta_ji[l] * eta_ji[m], the same bits
+as the block entry.  Two identities of layout v1 follow, both bit for bit:
+row block (l, m) of Y equals row block (m, l), since IEEE multiplication
+commutes, and every entry of Z is an entry of Y,
+``Z[r*d + a, s*d + b] == Y[(a*d + b)*k + s, r]``, so Z is an index map of Y.
 
 A weight function f on the sample is recoverable from its covariance field
 precisely when Y_unfolded has full column rank; ``recover`` therefore runs a
@@ -27,7 +31,9 @@ one QR and two small SVDs (``numrank``), the same path that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,22 +60,31 @@ LAYOUT_VERSION = "v1"
 
 @dataclass(frozen=True)
 class OperatorField:
-    """All pairwise rank-one blocks eta_ji eta_ji^T of one sample."""
+    """The pairwise log vectors eta_ji of one sample, and the rank-one blocks
+    eta_ji eta_ji^T they define."""
 
     manifold: Euclidean | UnitSphere
     sample: SampleSet
-    blocks: np.ndarray  # (k, k, d, d); blocks[j, i] uses eta = log_map(p_j, p_i)
+    eta: np.ndarray  # (k, k, d); eta[j, i] = log_map(p_j, p_i)
 
     def __post_init__(self):
-        self.blocks.setflags(write=False)
+        self.eta.setflags(write=False)
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """(k, k, d, d) blocks eta_ji eta_ji^T, built on first read; Y, Z, Sigma and Psi
+        are computed from eta instead."""
+        blocks = np.einsum("jia,jib->jiab", self.eta, self.eta)
+        blocks.setflags(write=False)
+        return blocks
 
     @property
     def k(self) -> int:
-        return self.blocks.shape[0]
+        return self.sample.points.shape[0]
 
     @property
     def d(self) -> int:
-        return self.blocks.shape[2]
+        return self.sample.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -88,21 +103,15 @@ class CovField:
 
 
 def outer_field(manifold: Euclidean | UnitSphere, sample: SampleSet) -> OperatorField:
-    """Build every block eta_ji eta_ji^T; diagonal blocks are exactly zero."""
+    """The field of a sample: every log vector eta_ji; the diagonal ones are exactly zero."""
     if sample.manifold != manifold:
         raise ValueError("sample does not live on the given manifold")
-    return OperatorField(manifold=manifold, sample=sample, blocks=_blocks(manifold, sample.points))
+    return OperatorField(manifold=manifold, sample=sample, eta=manifold.pairwise_log(sample.points))
 
 
-def _blocks(manifold: Euclidean | UnitSphere, P: np.ndarray) -> np.ndarray:
-    """Blocks (..., k, k, d, d) of point stacks P (..., k, d), batched over leading axes."""
-    eta = manifold.pairwise_log(P)
-    return np.einsum("...jia,...jib->...jiab", eta, eta)
-
-
-def _eta(field: OperatorField) -> np.ndarray:
-    """Log vectors (k, k, d) of the field's sample, the ones its blocks were built from."""
-    return field.manifold.pairwise_log(field.sample.points)
+def _squared_norms(eta: np.ndarray) -> np.ndarray:
+    """||eta_ji||^2 (k, k): the traces of the blocks, with the same bits."""
+    return (eta * eta).sum(-1)
 
 
 def _weighted_sigmas(eta: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -121,7 +130,7 @@ def _check_f(field: OperatorField, f) -> np.ndarray:
 def sigma_field(field: OperatorField, f) -> CovField:
     """Sigma_j = sum_i f_i Y[j, i]; linear in f."""
     f = _check_f(field, f)
-    return CovField(sigmas=_weighted_sigmas(_eta(field), f[None, :]), f=f)
+    return CovField(sigmas=_weighted_sigmas(field.eta, f[None, :]), f=f)
 
 
 def modified_sigma_field(field: OperatorField, f, alpha) -> CovField:
@@ -134,16 +143,16 @@ def modified_sigma_field(field: OperatorField, f, alpha) -> CovField:
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (field.k,))
     if np.any(alpha < 0):
         raise ValueError("alpha values must be non-negative")
-    dist = np.sqrt(np.trace(field.blocks, axis1=2, axis2=3))  # ||eta_ji||
+    dist = np.sqrt(_squared_norms(field.eta))
     positive = dist > 0
     ratio = np.divide(alpha[:, None], dist, out=np.zeros_like(dist), where=positive)
     weights = np.where(positive, (1.0 - ratio) ** 2, 0.0)
-    return CovField(sigmas=_weighted_sigmas(_eta(field), weights * f[None, :]), f=f)
+    return CovField(sigmas=_weighted_sigmas(field.eta, weights * f[None, :]), f=f)
 
 
 def assemble_Y(field: OperatorField) -> np.ndarray:
     """Unfold the field into the (d^2 k) x k system matrix (layout v1)."""
-    return _Y_array(_eta(field), field.k)
+    return _Y_array(field.eta, field.k)
 
 
 def _Y_array(eta: np.ndarray, width: int) -> np.ndarray:
@@ -184,18 +193,21 @@ def unfold_C(cov: CovField) -> np.ndarray:
 
 def assemble_Z(field: OperatorField) -> np.ndarray:
     """Arrange the blocks into the (d k) x (d k) matrix with block (r, s) = Y[s, r]."""
-    return _Z_layout(field.blocks)
+    return _Z_of_Y(assemble_Y(field))
 
 
-def _Z_layout(blocks: np.ndarray) -> np.ndarray:
-    """Layout-v1 Z of blocks (..., k, k, d, d), batched over leading axes."""
-    *lead, k, _, d, _ = blocks.shape
-    return np.moveaxis(blocks, -4, -2).reshape(*lead, k * d, k * d)
+def _Z_of_Y(Y: np.ndarray) -> np.ndarray:
+    """Layout-v1 Z (..., d k, d k) of layout-v1 Y stacks (..., d^2 k, k) of any dtype:
+    Z[..., r*d + a, s*d + b] = Y[..., (a*d + b)*k + s, r], batched over leading axes."""
+    *lead, rows, k = Y.shape
+    d = math.isqrt(rows // k)
+    Y4 = Y.reshape(*lead, d, d, k, k)  # [..., a, b, s, r]
+    return np.swapaxes(np.moveaxis(Y4, -1, -4), -1, -2).reshape(*lead, k * d, k * d)
 
 
 def trace_system(field: OperatorField, cov: CovField | None = None):
     """Blockwise traces: Psi[j, i] = tr Y[j, i] (the squared-distance matrix) and c_j = tr Sigma_j."""
-    psi = np.trace(field.blocks, axis1=2, axis2=3)
+    psi = _squared_norms(field.eta)
     if cov is None:
         return psi, None
     if cov.sigmas.shape != (field.k, field.d, field.d):
@@ -232,7 +244,7 @@ def recover(
         raise ValueError(f"right-hand side must have length {rows}, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("right-hand side has non-finite entries")
-    system = _Y_array(_eta(field), field.k + 1)
+    system = _Y_array(field.eta, field.k + 1)
     system[:, -1] = c
     return _recoveries(system[None], policy)[0]
 

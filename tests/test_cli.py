@@ -145,6 +145,28 @@ class TestTensorAndRecover:
         first = (tmp_path / "sys.Y.csv").read_text().splitlines()[0]
         assert first.startswith("# covrank Y layout=v1")
 
+    def test_dump_spells_each_double_once(self, capsys, tmp_path, monkeypatch):
+        # Y's mirrored row blocks share their spellings and Z is written from Y's, so
+        # a dump spells d(d+1)/2 k^2 (Y and Z), k^2 (Psi), 2 d^2 k (C, Sigma) and k (f0)
+        # doubles; spelling every entry of Y and Z would take 2 d^2 k^2
+        import covrank.cli
+        import covrank.montecarlo
+
+        spelled = []
+        fmt17 = covrank.montecarlo.fmt17
+
+        def counting_fmt17(value):
+            if isinstance(value, float):
+                spelled.append(value)
+            return fmt17(value)
+
+        for module in (covrank.cli, covrank.montecarlo):
+            monkeypatch.setattr(module, "fmt17", counting_fmt17)
+        k, d = 30, 3
+        code, _ = run(capsys, "tensor", "--manifold", "sphere:2", "--k", str(k), "--out", str(tmp_path / "sys"))
+        assert code == 0
+        assert len(spelled) <= d * (d + 1) // 2 * k * k + k * k + 2 * d * d * k + k
+
     def test_recover_from_sigma_file_round_trips(self, capsys, tmp_path):
         prefix = tmp_path / "sys"
         run(capsys, "tensor", "--manifold", "sphere:2", "--k", "8", "--seed", "3", "--out", str(prefix))

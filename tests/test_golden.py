@@ -28,6 +28,12 @@ from covrank.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
+def dump_files(prefix: str) -> list[str]:
+    """The files of a `tensor --out PREFIX` dump."""
+    return [f"{prefix}.{name}.csv" for name in ("Y", "Z", "Psi", "C", "Sigma", "f0")]
+
+
 # name -> (argv, files the run writes, relative to its working directory)
 CASES = {
     "rank_euclid": (
@@ -62,7 +68,15 @@ CASES = {
     ),
     "tensor": (
         ["tensor", "--manifold", "sphere:2", "--k", "8", "--seed", "3", "--out", "tensor"],
-        [f"tensor.{name}.csv" for name in ("Y", "Z", "Psi", "C", "Sigma", "f0")],
+        dump_files("tensor"),
+    ),
+    "tensor_euclid": (
+        ["tensor", "--manifold", "euclid:3:box=-1,2", "--k", "7", "--seed", "2", "--out", "tensor_euclid"],
+        dump_files("tensor_euclid"),
+    ),
+    "tensor_k1": (
+        ["tensor", "--manifold", "sphere:2", "--k", "1", "--out", "tensor_k1"],
+        dump_files("tensor_k1"),
     ),
     "sample_sphere": (
         ["sample", "--manifold", "sphere:2", "--k", "9", "--seed", "6", "--out", "sample_sphere.csv"],
