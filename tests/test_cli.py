@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covrank.cli import main, parse_manifold
+from covrank.cli import build_parser, main, parse_manifold
 from covrank import Euclidean, UnitSphere
 
 # a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
@@ -77,7 +78,7 @@ class TestRankCommand:
             "--k-list", "5,10", "--trials", "20", "--seed", "3", "--format", "csv",
         ]
         assert main(argv + ["--out", str(out_a)]) == 0
-        assert main(argv + ["--out", str(out_b), "--threads", "4"]) == 0
+        assert main(argv + ["--out", str(out_b)]) == 0
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
 
@@ -210,7 +211,7 @@ class TestCondSweepCommand:
             "--trials", "5", "--seed", "1",
         ]
         assert main(argv + ["--out", str(out_a)]) == 0
-        assert main(argv + ["--out", str(out_b), "--threads", "3"]) == 0
+        assert main(argv + ["--out", str(out_b)]) == 0
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
         header = out_a.read_text().split("\n", 1)[0]
@@ -254,6 +255,27 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestCliSurface:
+    def test_each_command_declares_only_the_flags_it_reads(self):
+        # a new flag has to be added here as well, so review sees it as an option to justify
+        common = {"-h", "--help", "--manifold", "--seed"}
+        reads = {
+            "sample": {"--k", "--out", "--format"},
+            "rank": {"--kernel", "--k", "--k-list", "--trials", "--tol-factor", "--out", "--format"},
+            "tensor": {"--k", "--tol-factor", "--out", "--format"},
+            "recover": {"--k", "--trials", "--sigma-file", "--tol-factor", "--out", "--format"},
+            "cond-sweep": {"--k", "--k-list", "--alpha", "--alpha-list", "--trials", "--tol-factor",
+                           "--out", "--format"},
+            "alpha": {"--trials"},
+        }
+        (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {flag for action in parser._actions for flag in action.option_strings}
+            for name, parser in commands.choices.items()
+        }
+        assert declared == {name: common | flags for name, flags in reads.items()}
+
+
 class TestFailureReports:
     """Each failure exits 1 or 2 with one stderr line: no traceback, no warning."""
 
@@ -265,17 +287,29 @@ class TestFailureReports:
               "--tol-factor", "1e-30"], 2),
             (["recover", "--manifold", "sphere:2", "--k", "5", "--trials", "0"], 1),
             (["cond-sweep", "--manifold", "sphere:2", "--alpha", "0", "--k", "5", "--trials", "0"], 1),
-            (["cond-sweep", "--manifold", "sphere:2", "--alpha", "0", "--k", "5", "--threads", "0"], 1),
-            (["recover", "--manifold", "sphere:2", "--k", "5", "--threads", "0"], 1),
-            (["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--threads", "0"], 1),
-            # output flags a command would ignore
+            # --threads is no option of any command
+            (["cond-sweep", "--manifold", "sphere:2", "--alpha", "0", "--k", "5", "--threads", "1"], 1),
+            (["recover", "--manifold", "sphere:2", "--k", "5", "--threads", "1"], 1),
+            (["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--threads", "1"], 1),
+            (["sample", "--manifold", "sphere:2", "--k", "5", "--threads", "1"], 1),
+            # flags a command would ignore
+            (["sample", "--manifold", "sphere:2", "--k", "5", "--tol-factor", "5"], 1),
+            (["alpha", "--manifold", "sphere:2", "--trials", "10", "--tol-factor", "5"], 1),
+            (["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--k-list", "7"], 1),
+            (["cond-sweep", "--manifold", "sphere:2", "--alpha", "0", "--alpha-list", "1", "--k", "5"], 1),
+            (["recover", "--manifold", "sphere:2", "--k", "8", "--seed", "3",
+              "--sigma-file", str(GOLDEN_SIGMA), "--trials", "3"], 1),
             (["alpha", "--manifold", "sphere:2", "--trials", "10", "--out", "alpha.csv"], 1),
             (["tensor", "--manifold", "sphere:2", "--k", "4", "--format", "jsonl"], 1),
             (["recover", "--manifold", "sphere:2", "--k", "8", "--seed", "3",
               "--sigma-file", str(GOLDEN_SIGMA), "--format", "jsonl"], 1),
+            # a non-finite tolerance would call every singular value zero
+            (["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--tol-factor", "nan"], 1),
         ],
         ids=["rank-bound", "recover-trials", "cond-trials", "cond-threads", "recover-threads",
-             "rank-threads", "alpha-out", "tensor-jsonl", "recover-file-jsonl"],
+             "rank-threads", "sample-threads", "sample-tol", "alpha-tol", "rank-k-pair",
+             "cond-alpha-pair", "recover-file-trials", "alpha-out", "tensor-jsonl",
+             "recover-file-jsonl", "rank-tol-nan"],
     )
     def test_one_line_and_exit_code(self, capsys, argv, code):
         with warnings.catch_warnings(record=True) as caught:

@@ -2,9 +2,10 @@
 
 Each case runs one covrank argv in a scratch directory and compares its
 summary line and every file it writes with the copies under
-``tests/golden/``.  The goldens were written with ``--threads 3``; every case
-is also run with ``--threads 1``, since the thread count must not change a
-byte.
+``tests/golden/``.  Every case is also run three times back to back in one
+interpreter, and each run must match: no state may carry from one run to the
+next, since the benchmark repeats passes in one process and requires each
+pass's output to equal the first's.
 
 A change that alters numerics on purpose regenerates the goldens with
 ``python tests/test_golden.py`` (from the repository root, with ``src`` on
@@ -106,7 +107,7 @@ CASES = {
 }
 
 
-def run_case(name: str, workdir: Path, threads: str) -> dict[str, bytes]:
+def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     """Run one case in workdir; return its stdout and written files by golden file name."""
     argv, files = CASES[name]
     out = io.StringIO()
@@ -114,7 +115,7 @@ def run_case(name: str, workdir: Path, threads: str) -> dict[str, bytes]:
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out):
-            code = main(argv + ["--threads", threads])
+            code = main(argv)
     finally:
         os.chdir(cwd)
     assert code == 0, f"{name} exited {code}"
@@ -123,11 +124,13 @@ def run_case(name: str, workdir: Path, threads: str) -> dict[str, bytes]:
     return outputs
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("runs", [1, 3])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name, threads, tmp_path):
-    for filename, data in run_case(name, tmp_path, threads).items():
-        assert data == (GOLDEN / filename).read_bytes(), f"{filename} differs from its golden"
+def test_output_matches_golden(name, runs, tmp_path):
+    for run in range(runs):
+        for filename, data in run_case(name, tmp_path).items():
+            golden = (GOLDEN / filename).read_bytes()
+            assert data == golden, f"{filename} differs from its golden in run {run + 1}"
 
 
 def _is_number(text: str) -> bool:
@@ -194,7 +197,7 @@ if __name__ == "__main__":
     # "recover_file" reads the Sigma dump of "tensor", so that one is written first
     for case in sorted(CASES, key=lambda name: name != "tensor"):
         with tempfile.TemporaryDirectory() as tmp:
-            for filename, data in run_case(case, Path(tmp), "3").items():
+            for filename, data in run_case(case, Path(tmp)).items():
                 path = GOLDEN / filename
                 old = path.read_bytes() if path.exists() else None
                 if old is not None and old != data:

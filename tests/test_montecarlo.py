@@ -22,7 +22,7 @@ from covrank import (
 from covrank.montecarlo import SweepRow
 
 
-def config(manifold, kernel_spec=None, k_values=(5,), trials=20, seed=1, threads=1):
+def config(manifold, kernel_spec=None, k_values=(5,), trials=20, seed=1):
     kernel = Kernel(manifold, *kernel_spec) if kernel_spec else None
     return ExperimentConfig(
         manifold=manifold,
@@ -30,7 +30,6 @@ def config(manifold, kernel_spec=None, k_values=(5,), trials=20, seed=1, threads
         k_values=tuple(k_values),
         trials=trials,
         seed=seed,
-        threads=threads,
     )
 
 
@@ -137,12 +136,10 @@ class TestConditionSweep:
         for row in rows:
             assert row.min_cond <= row.mean_cond <= row.max_cond
 
-    def test_determinism_across_threads(self):
-        serial = condition_sweep(UnitSphere(2), [0.0, math.pi / 2], [20, 40], trials=8, seed=3)
-        threaded = condition_sweep(
-            UnitSphere(2), [0.0, math.pi / 2], [20, 40], trials=8, seed=3, threads=4
-        )
-        assert serial == threaded
+    def test_rerun_determinism(self):
+        first = condition_sweep(UnitSphere(2), [0.0, math.pi / 2], [20, 40], trials=8, seed=3)
+        again = condition_sweep(UnitSphere(2), [0.0, math.pi / 2], [20, 40], trials=8, seed=3)
+        assert first == again
 
     def test_shift_improves_conditioning_markedly(self):
         rows = condition_sweep(UnitSphere(2), [0.0, math.pi / 2], [120], trials=10, seed=4)
@@ -175,9 +172,9 @@ class TestRecoveryExperiment:
         assert not any(r.unique for r in plane_rows)
         assert max(r.residual for r in plane_rows) <= 1e-10
 
-    def test_deterministic_and_thread_independent(self):
+    def test_rerun_determinism(self):
         a = recovery_experiment(UnitSphere(2), 8, trials=6, seed=6)
-        b = recovery_experiment(UnitSphere(2), 8, trials=6, seed=6, threads=3)
+        b = recovery_experiment(UnitSphere(2), 8, trials=6, seed=6)
         assert a == b
 
 
@@ -189,8 +186,6 @@ class TestConfigValidation:
             config(UnitSphere(2), k_values=(0,))
         with pytest.raises(ValueError):
             config(UnitSphere(2), trials=0)
-        with pytest.raises(ValueError):
-            config(UnitSphere(2), threads=0)
 
 
 class TestSerialization:

@@ -102,8 +102,11 @@ class TestRankReport:
             rank_report(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError):
             rank_report(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            Tolerance.absolute(0.0)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                Tolerance.absolute(bad)
+            with pytest.raises(ValueError):
+                Tolerance.relative(bad)
         with pytest.raises(ValueError):
             Tolerance(mode="typo")
 
