@@ -98,6 +98,10 @@ def _normalize_region(n: int, region) -> np.ndarray:
             box = np.tile(box, (n, 1))
         if box.shape != (n, 2):
             raise ValueError(f"region must be (lo, hi) or an ({n}, 2) array")
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = box[:, 1] - box[:, 0]  # finite only if both bounds are
+    if not np.all(np.isfinite(width)):
+        raise ValueError("degenerate sampling box: every bound and side length must be finite")
     if np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("degenerate sampling box: every side needs hi > lo")
     return box

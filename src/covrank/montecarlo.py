@@ -6,8 +6,9 @@ experiment with master seed q always uses stream ``(k << 32) | t`` of q
 (auxiliary draws such as forward-model weights set the top stream bit).
 One trial engine serves every experiment: it stacks the same-shape samples and
 matrices of consecutive trials into chunks and measures each chunk with one
-stacked SVD, which gives the same bits as one SVD per trial.  Results are
-therefore independent of the chunking, and aggregation is by trial index.
+stacked SVD, or one stacked symmetric eigensolve for most condition-sweep
+cells, which gives the same bits as factorizing each trial alone.  Results
+are therefore independent of the chunking, and aggregation is by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
 written with 17 significant digits so files round-trip exactly.
@@ -95,10 +96,11 @@ class ExperimentConfig:
 class SweepRow:
     """One (k, alpha) cell of a condition sweep, aggregated over trials.
 
-    Condition numbers are the raw spectral ratios sigma_1 / sigma_min; cells
-    far past the double-precision cliff simply report huge ratios the way a
-    condition-number table does, while fullrank/borderline fractions carry
-    the tolerance-aware verdicts.
+    Condition numbers are the raw spectral ratios sigma_1 / sigma_min, which
+    on eigensolved cells (see condition_sweep) are |lambda|_max / |lambda|_min;
+    cells far past the double-precision cliff simply report huge ratios the
+    way a condition-number table does, while fullrank/borderline fractions
+    carry the tolerance-aware verdicts.
     """
 
     k: int
@@ -240,6 +242,14 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
     return rows
 
 
+def _proven_finite_rank(manifold: Euclidean | UnitSphere, alpha: float) -> bool:
+    """Whether the rank oracle proves (d - alpha)^2 on manifold finite-rank."""
+    try:
+        return theoretical_rank(Kernel(manifold, "shifted", alpha=alpha)).finite
+    except ValueError:  # alpha < 0, or UnclassifiedKernelError
+        return False
+
+
 def condition_sweep(
     manifold: Euclidean | UnitSphere,
     alphas: Sequence[float],
@@ -254,6 +264,13 @@ def condition_sweep(
     All alphas are evaluated on the same per-trial samples and distance
     matrices, so rows differing only in alpha are paired comparisons.  Row
     order: alphas outer, k inner.
+
+    The matrices are symmetric, so a cell is measured by one symmetric
+    eigensolve, its singular values being the |eigenvalues|, unless the rank
+    oracle (theoretical_rank) proves the cell's kernel finite-rank: then its
+    noise singular values sit at a rank gap, where the SVD places them
+    further below the threshold, and the cell keeps the SVD.  Today that is
+    alpha = 0 on R^n; alpha < 0, which no Kernel accepts, is eigensolved.
     """
     alphas = [float(a) for a in alphas]
     k_values = [int(k) for k in k_values]
@@ -263,13 +280,14 @@ def condition_sweep(
         manifold=manifold, kernel=None, k_values=tuple(k_values), trials=trials, seed=seed,
         tolerance=tolerance, region=region,
     )
+    symmetric = [not _proven_finite_rank(manifold, alpha) for alpha in alphas]
     cells = {}
     for k in cfg.k_values:
         per_alpha = [[] for _ in alphas]
         for P in _sample_chunks(cfg, k, 8 * k * k * manifold.coord_dim):
             dist = manifold.pairwise_distance(P)
-            for reports, alpha in zip(per_alpha, alphas):
-                reports.append(batched_rank_report((dist - alpha) ** 2, tolerance))
+            for reports, alpha, sym in zip(per_alpha, alphas, symmetric):
+                reports.append(batched_rank_report((dist - alpha) ** 2, tolerance, symmetric=sym))
         for alpha, reports in zip(alphas, per_alpha):
             cells[alpha, k] = BatchedRankReport.concatenate(reports)
 

@@ -1,4 +1,4 @@
-"""SVD-based rank, conditioning, and minimum-norm least-squares measurements.
+"""Rank, conditioning, and minimum-norm least-squares measurements.
 
 Numerical rank counts singular values above a tolerance.  The default policy
 is the usual relative one, tau = max(m, n) * eps * sigma_1; an absolute
@@ -8,7 +8,9 @@ of the threshold, so experiment drivers can report ambiguity instead of
 silently misclassifying.
 
 ``batched_rank_report`` measures a stack of same-shape matrices with one
-stacked SVD; ``rank_report`` is its one-matrix case.  Least squares follows
+stacked SVD, or, for matrices the caller declares symmetric, one stacked
+symmetric eigensolve whose |eigenvalues| are the singular values;
+``rank_report`` is its one-matrix SVD case.  Least squares follows
 Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder QR of the
 augmented systems [A | b], then two small SVDs of the triangular factor, one
 for the rank of [A | b] and one for the rank of A and the minimum-norm
@@ -154,12 +156,18 @@ def _validated(matrix, ndim: int = 2) -> np.ndarray:
     return a
 
 
-def batched_rank_report(matrices, policy: Tolerance = DEFAULT_TOLERANCE) -> BatchedRankReport:
+def batched_rank_report(
+    matrices, policy: Tolerance = DEFAULT_TOLERANCE, symmetric: bool = False
+) -> BatchedRankReport:
     """rank_report of every matrix of a (T, m, n) stack, from one stacked SVD.
 
-    Every field equals, bit for bit, what rank_report gives for that matrix alone.
+    With symmetric=True the matrices must be square and symmetric, and the
+    singular values are the |eigenvalues| of one stacked symmetric
+    eigensolve, which reads only the lower triangle: the caller declares
+    symmetry, it is not checked.  On either path every field equals, bit for
+    bit, what that path gives for the matrix alone (rank_report, for the SVD).
     """
-    return _report(_validated(matrices, ndim=3), policy)
+    return _report(_validated(matrices, ndim=3), policy, symmetric)
 
 
 def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
@@ -167,8 +175,11 @@ def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
     return _report(_validated(matrix)[None], policy)[0]
 
 
-def _report(a: np.ndarray, policy: Tolerance) -> BatchedRankReport:
-    s = np.linalg.svd(a, compute_uv=False)
+def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False) -> BatchedRankReport:
+    if symmetric:
+        s = -np.sort(-np.abs(np.linalg.eigvalsh(a)), axis=1)
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
     shape = a.shape[1:]
     tol = policy.threshold(shape, s[:, 0])
     rank = np.count_nonzero(s > tol[:, None], axis=1)

@@ -305,13 +305,20 @@ class TestFailureReports:
               "--sigma-file", str(GOLDEN_SIGMA), "--format", "jsonl"], 1),
             # a non-finite tolerance would call every singular value zero
             (["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--tol-factor", "nan"], 1),
+            # a non-finite sampling box would draw non-finite points
+            (["sample", "--manifold", "euclid:2:box=0,inf", "--k", "3", "--out", "s.csv"], 1),
+            (["rank", "--manifold", "euclid:2:box=0,inf", "--kernel", "sqdist", "--k", "5"], 1),
+            (["alpha", "--manifold", "euclid:2:box=0,inf", "--trials", "10"], 1),
+            (["rank", "--manifold", "euclid:2:box=nan,1", "--kernel", "sqdist", "--k", "5"], 1),
         ],
         ids=["rank-bound", "recover-trials", "cond-trials", "cond-threads", "recover-threads",
              "rank-threads", "sample-threads", "sample-tol", "alpha-tol", "rank-k-pair",
              "cond-alpha-pair", "recover-file-trials", "alpha-out", "tensor-jsonl",
-             "recover-file-jsonl", "rank-tol-nan"],
+             "recover-file-jsonl", "rank-tol-nan", "sample-box-inf", "rank-box-inf", "alpha-box-inf",
+             "rank-box-nan"],
     )
-    def test_one_line_and_exit_code(self, capsys, argv, code):
+    def test_one_line_and_exit_code(self, capsys, monkeypatch, tmp_path, argv, code):
+        monkeypatch.chdir(tmp_path)  # a wrongly accepted --out writes here
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == code

@@ -2,7 +2,8 @@
 
 The reference draws each trial with ``sample_uniform``, builds its matrix
 with ``Kernel.matrix`` or ``outer_field`` and measures it with
-``rank_report``, one trial at a time.  The engine stacks trials into chunks
+``rank_report`` (or, for eigensolved condition-sweep cells, a one-matrix
+symmetric ``batched_rank_report``), one trial at a time.  The engine stacks trials into chunks
 and must give the same bits, on inputs the benchmark does not cover.
 """
 
@@ -18,6 +19,7 @@ from covrank import (
     UnitSphere,
     assemble_Y,
     assemble_Z,
+    batched_rank_report,
     condition_sweep,
     fullrank_probability,
     outer_field,
@@ -119,7 +121,7 @@ def test_fullrank_probability_matches_reference():
 
 
 def test_condition_sweep_matches_reference():
-    manifold, alphas, ks, trials, seed = Euclidean(2), [0.0, 0.4], [6, 30], 2 * chunk_size(30, 2) + 1, 4
+    manifold, alphas, ks, trials, seed = Euclidean(2), [0.0, 0.4, -0.3], [6, 30], 2 * chunk_size(30, 2) + 1, 4
     region = (-1.0, 3.0)
     expected = {}
     for k in ks:
@@ -128,7 +130,12 @@ def test_condition_sweep_matches_reference():
             points = manifold.sample_uniform(k, seed, stream=sample_stream(k, t), region=region).points
             dist = manifold.distance_matrix(points, points)
             np.fill_diagonal(dist, 0.0)
-            per_trial.append([rank_report((dist - a) ** 2) for a in alphas])
+            # the oracle proves only alpha = 0 on R^n finite-rank; every other cell is eigensolved
+            per_trial.append([
+                rank_report(dist**2) if a == 0.0
+                else batched_rank_report(((dist - a) ** 2)[None], symmetric=True)[0]
+                for a in alphas
+            ])
         expected[k] = per_trial
     rows = condition_sweep(manifold, alphas, ks, trials=trials, seed=seed, region=region)
     assert [(r.alpha, r.k) for r in rows] == [(a, k) for a in alphas for k in ks]

@@ -101,9 +101,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             UnitSphere(2).sample_uniform(0, seed=1)
 
-    def test_degenerate_box_rejected(self):
+    @pytest.mark.parametrize(
+        "region",
+        [(1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0), (-1e308, 1e308)],
+        ids=["empty", "inf-hi", "inf-lo", "nan-hi", "nan-lo", "side-overflow"],
+    )
+    def test_degenerate_box_rejected(self, region):
         with pytest.raises(ValueError, match="degenerate"):
-            Euclidean(2).sample_uniform(5, seed=1, region=(1.0, 1.0))
+            Euclidean(2).sample_uniform(5, seed=1, region=region)
 
     def test_sphere_region_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covrank import Tolerance, rank_report, rng_stream, solve_least_squares
+from covrank import Tolerance, batched_rank_report, rank_report, rng_stream, solve_least_squares
 from covrank.numrank import _solve_augmented
 
 
@@ -210,3 +210,53 @@ def test_stacked_solve_equals_separate_solves(m, n, rank, policy):
         alone = _solve_augmented(stack[t : t + 1], policy)
         for got, want in zip(stacked, alone):
             assert np.array_equal(got[t], want[0]), t
+
+
+def symmetric_stack(T, k, seed, rank=None):
+    """T random symmetric k x k matrices Q diag(lam) Q^T, eigenvalues of both signs
+    with magnitudes in [1, 10]; rank < k zeroes the trailing eigenvalues."""
+    rng = rng_stream(seed)
+    out = []
+    for _ in range(T):
+        Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        lam = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 10.0, k)
+        lam[k if rank is None else rank :] = 0.0
+        M = (Q * lam) @ Q.T
+        out.append((M + M.T) / 2)
+    return np.stack(out)
+
+
+def report_fields(report):
+    return [report.singular_values, report.numerical_rank, report.tolerance_used,
+            report.condition_number, report.log_abs_det, report.borderline]
+
+
+@pytest.mark.parametrize("k, rank", [(1, None), (6, None), (9, 4), (12, 11)])
+@pytest.mark.parametrize("policy", [Tolerance(), Tolerance.absolute(1e-9)], ids=["relative", "absolute"])
+def test_stacked_symmetric_report_equals_separate_reports(k, rank, policy):
+    stack = symmetric_stack(5, k, seed=60 + k, rank=rank)
+    stack[3] = 0.0  # a singular member: cond inf, log_abs_det -inf
+    stack[1] *= 1e-10  # a member whose spectrum straddles an absolute threshold
+    stacked = batched_rank_report(stack, policy, symmetric=True)
+    for t in range(len(stack)):
+        alone = batched_rank_report(stack[t : t + 1], policy, symmetric=True)
+        for got, want in zip(report_fields(stacked), report_fields(alone)):
+            assert np.array_equal(got[t], want[0]), t
+
+
+@pytest.mark.parametrize("k", [2, 7, 40])
+def test_symmetric_spectrum_matches_svd(k):
+    stack = symmetric_stack(6, k, seed=70 + k)
+    eig = batched_rank_report(stack, symmetric=True)
+    svd = batched_rank_report(stack)
+    s1 = svd.singular_values[:, :1]
+    assert np.all(np.diff(eig.singular_values, axis=1) <= 0)
+    assert np.all(np.abs(eig.singular_values - svd.singular_values) <= 1e-12 * s1)
+    assert np.array_equal(eig.numerical_rank, svd.numerical_rank)
+    assert np.array_equal(eig.borderline, svd.borderline)
+    assert np.all(eig.numerical_rank == k)
+
+
+def test_symmetric_path_needs_square_matrices():
+    with pytest.raises(ValueError, match="square"):
+        batched_rank_report(np.ones((2, 3, 4)), symmetric=True)
