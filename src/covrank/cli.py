@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -124,9 +125,17 @@ def _header(name: str, meta: str) -> str:
     return f"# covrank {name} layout={LAYOUT_VERSION} {meta}\n"
 
 
-def _matrix_csv(matrix: np.ndarray, name: str, meta: str) -> str:
-    # row by row: a Python-float copy of the whole matrix would raise peak memory
-    return _header(name, meta) + _table(None, (row.tolist() for row in np.atleast_2d(matrix)), "csv")
+def _write_matrix(path: str, name: str, meta: str, rows: Iterable[list[bytes]]) -> None:
+    """Write a matrix CSV, its header line and then one line per row of spelled values,
+    streamed row by row."""
+    with open(path, "wb") as fh:
+        fh.write(_header(name, meta).encode())
+        fh.writelines(b",".join(row) + b"\n" for row in rows)
+
+
+def _spelled_rows(matrix: np.ndarray) -> Iterable[list[bytes]]:
+    # row by row: spelling the whole matrix first would raise peak memory
+    return ([fmt17(v).encode() for v in row.tolist()] for row in np.atleast_2d(matrix))
 
 
 def _spell_Y(Y: np.ndarray, d: int) -> np.ndarray:
@@ -141,13 +150,6 @@ def _spell_Y(Y: np.ndarray, d: int) -> np.ndarray:
         for m in range(l, d):
             spelled[l, m] = spelled[m, l] = np.array(list(map(fmt17, Y4[l, m].ravel().tolist())), dtype="S")
     return np.stack([spelled[l, m] for l in range(d) for m in range(d)]).reshape(Y.shape)
-
-
-def _write_spelled_csv(path: str, name: str, meta: str, text: np.ndarray) -> None:
-    """Write a 2-D array of spelled values as a matrix CSV, streamed row by row."""
-    with open(path, "wb") as fh:
-        fh.write(_header(name, meta).encode())
-        fh.writelines(b",".join(row.tolist()) + b"\n" for row in text)
 
 
 def _dump_meta(manifold, d: int, args) -> str:
@@ -230,15 +232,15 @@ def cmd_tensor(args) -> str:
         out = Path(args.out)
         # every double of Z is one of Y's: Z's text is the same index map of Y's spellings
         Y_text = _spell_Y(Y, field.d)
-        _write_spelled_csv(f"{out}.Y.csv", "Y", meta, Y_text)
-        _write_spelled_csv(f"{out}.Z.csv", "Z", meta, _Z_of_Y(Y_text))
+        for name, text in (("Y", Y_text), ("Z", _Z_of_Y(Y_text))):
+            _write_matrix(f"{out}.{name}.csv", name, meta, (row.tolist() for row in text))
         for name, data in (
             ("Psi", psi),
             ("C", C.reshape(-1, 1)),
             ("Sigma", cov.sigmas.reshape(args.k * field.d, field.d)),
             ("f0", f0.reshape(-1, 1)),
         ):
-            Path(f"{out}.{name}.csv").write_text(_matrix_csv(data, name, meta))
+            _write_matrix(f"{out}.{name}.csv", name, meta, _spelled_rows(data))
         wrote = f" out={out}.*.csv"
     return (
         f"tensor manifold={manifold} k={args.k} seed={args.seed} d={field.d}"
@@ -264,17 +266,18 @@ def cmd_recover(args) -> str:
             raise NumericalFailure("recovered f contains non-finite entries")
         if args.out:
             meta = _dump_meta(manifold, d, args)
-            Path(args.out).write_text(_matrix_csv(result.f_hat.reshape(-1, 1), "f_hat", meta))
+            _write_matrix(args.out, "f_hat", meta, _spelled_rows(result.f_hat.reshape(-1, 1)))
         return (
             f"recover mode=file manifold={manifold} k={args.k} seed={args.seed}"
             f" residual={fmt17(result.residual)} rank_Y={result.rank_Y}"
             f" rank_augmented={result.rank_augmented} unique={fmt17(result.unique)}"
         )
-    rows = recovery_experiment(manifold, args.k, args.trials, args.seed, policy, region=region)
+    trials = 1 if args.trials is None else args.trials
+    rows = recovery_experiment(manifold, args.k, trials, args.seed, policy, region=region)
     _check_no_nan(rows)
     wrote = _write_rows(args, rows)
     return (
-        f"recover mode=forward manifold={manifold} k={args.k} trials={args.trials}"
+        f"recover mode=forward manifold={manifold} k={args.k} trials={trials}"
         f" seed={args.seed} unique_fraction={fmt17(sum(r.unique for r in rows) / len(rows))}"
         f" max_rel_error={fmt17(max(r.rel_error for r in rows))}"
         f" max_residual={fmt17(max(r.residual for r in rows))}{wrote}"
@@ -361,9 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="recover f from a covariance field")
     _add_common(p, k=True, tol=True)
-    # file mode solves the one system in the file, so --trials belongs to forward mode only
+    # file mode solves the one system in the file, so --trials belongs to forward mode only;
+    # its default is None because argparse takes an explicit "--trials 1" for the default 1
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--trials", type=int, default=1, help="Monte Carlo trials")
+    mode.add_argument("--trials", type=int, default=None, help="Monte Carlo trials (default 1)")
     mode.add_argument("--sigma-file", default=None, help="CSV of k*d x d stacked Sigma blocks")
     p.set_defaults(func=cmd_recover)
 
@@ -385,7 +389,7 @@ def main(argv=None) -> int:
         if getattr(args, "k", None) is not None and args.k < 1:
             raise CliError("--k must be at least 1")
         summary = args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"covrank: error: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailure, RankBoundError, np.linalg.LinAlgError) as exc:

@@ -58,11 +58,9 @@ class Kernel:
             raise ValueError("alpha only applies to the shifted family")
 
     def evaluate(self, p, q) -> float:
-        """Kernel value at a single pair of points."""
-        if self.family in ("sqdist", "shifted"):
-            d = self.manifold.distance(p, q)
-            return (d - self.alpha) ** 2
-        return float(self._apply_dot(np.asarray(p, dtype=float) @ np.asarray(q, dtype=float)))
+        """Kernel value at a single pair of points, with the bits of ``pairwise`` there."""
+        p, q = self.manifold._check_pair(p, q)
+        return float(self.pairwise(p[None], q[None])[0, 0])
 
     def matrix(self, rows: SampleSet, cols: SampleSet | None = None) -> "KernelMatrix":
         """Pairwise evaluation matrix {k(rows[i], cols[j])}; plain point values, no quadrature weights."""

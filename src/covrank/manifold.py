@@ -124,10 +124,20 @@ class SampleSet:
         return self.points.shape[0]
 
 
+@dataclass(frozen=True)
 class _ManifoldBase:
-    """Shared plumbing; concrete spaces fill in the geometric kernels."""
+    """Shared plumbing; concrete spaces fill in the geometric kernels.
 
-    coord_dim: int
+    Each space spells its distance once, in the batched ``distance_matrix``;
+    ``distance`` and ``paired_distance`` are read off it, so a pair gets the same
+    bits whichever of the three computes it.
+    """
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("dimension must be positive")
 
     def sample_uniform(self, k: int, seed: int, *, stream: int = 0, region=None) -> SampleSet:
         """Draw k independent uniform points; identical inputs give identical bits."""
@@ -154,6 +164,14 @@ class _ManifoldBase:
         pts = self.sample_uniform(2 * trials, seed, stream=stream, region=region).points
         return float(np.mean(self.paired_distance(pts[:trials], pts[trials:])))
 
+    def distance(self, p, q) -> float:
+        p, q = self._check_pair(p, q)
+        return float(self.distance_matrix(p[None], q[None])[0, 0])
+
+    def paired_distance(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Distances d(X[t], Y[t]) of two (T, coord_dim) point arrays, row by row."""
+        return self.distance_matrix(X[:, None], Y[:, None])[:, 0, 0]
+
     def pairwise_distance(self, P: np.ndarray) -> np.ndarray:
         """Distance matrices of point stacks P (..., k, coord_dim) with themselves.
 
@@ -173,23 +191,12 @@ class _ManifoldBase:
         return _as_point(p, self.coord_dim), _as_point(q, self.coord_dim)
 
 
-@dataclass(frozen=True)
 class Euclidean(_ManifoldBase):
     """Flat R^n.  Uniform sampling requires a bounded axis-aligned box."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be positive")
 
     @property
     def coord_dim(self) -> int:
         return self.n
-
-    def distance(self, p, q) -> float:
-        p, q = self._check_pair(p, q)
-        return float(np.linalg.norm(p - q))
 
     def pairwise_log(self, P: np.ndarray) -> np.ndarray:
         """Log-map vectors eta[..., j, i, :] = p_i - p_j of point stacks P (..., k, n)."""
@@ -198,9 +205,6 @@ class Euclidean(_ManifoldBase):
     def exp_map(self, p, v) -> np.ndarray:
         p, v = self._check_pair(p, v)
         return p + v
-
-    def paired_distance(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(X - Y, axis=1)
 
     def distance_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         diff = X[..., :, None, :] - Y[..., None, :, :]
@@ -219,24 +223,12 @@ class Euclidean(_ManifoldBase):
         return f"euclid:{self.n}"
 
 
-@dataclass(frozen=True)
 class UnitSphere(_ManifoldBase):
     """Unit n-sphere in R^{n+1} with the arc-length (geodesic) distance."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be positive")
 
     @property
     def coord_dim(self) -> int:
         return self.n + 1
-
-    def distance(self, p, q) -> float:
-        p, q = self._check_pair(p, q)
-        # clamp guards floating-point drift of nearly (anti)parallel pairs
-        return float(np.arccos(np.clip(p @ q, -1.0, 1.0)))
 
     def pairwise_log(self, P: np.ndarray) -> np.ndarray:
         """Log-map vectors eta[..., j, i, :] at p_j pointing to p_i, for point stacks P (..., k, n+1).
@@ -270,10 +262,8 @@ class UnitSphere(_ManifoldBase):
             return p.copy()
         return math.cos(norm) * p + math.sin(norm) * (v / norm)
 
-    def paired_distance(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.arccos(np.clip((X * Y).sum(axis=1), -1.0, 1.0))
-
     def distance_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        # clamp guards floating-point drift of nearly (anti)parallel pairs
         return np.arccos(np.clip(X @ np.swapaxes(Y, -1, -2), -1.0, 1.0))
 
     def _box(self, region) -> None:

@@ -392,12 +392,11 @@ def _json_scalar(value) -> str:
     return _JSON_SPELLINGS.get(text, text)
 
 
-def _table(names: Sequence[str] | None, rows: Iterable[Sequence], fmt: str) -> str:
-    """Join rows of scalars as CSV lines (a header first when names are given) or as
-    JSON lines keyed by names; every output file's text comes from here."""
+def _table(names: Sequence[str], rows: Iterable[Sequence], fmt: str) -> str:
+    """Join rows of scalars as CSV lines under a header of names, or as JSON lines
+    keyed by names; the text of every table file comes from here."""
     if fmt == "csv":
-        lines = [] if names is None else [",".join(names)]
-        lines += [",".join(map(fmt17, row)) for row in rows]
+        lines = [",".join(names)] + [",".join(map(fmt17, row)) for row in rows]
     else:
         keys = [f'"{name}": ' for name in names]
         lines = ["{" + ", ".join(k + _json_scalar(v) for k, v in zip(keys, row)) + "}" for row in rows]

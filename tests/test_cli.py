@@ -310,12 +310,21 @@ class TestFailureReports:
             (["rank", "--manifold", "euclid:2:box=0,inf", "--kernel", "sqdist", "--k", "5"], 1),
             (["alpha", "--manifold", "euclid:2:box=0,inf", "--trials", "10"], 1),
             (["rank", "--manifold", "euclid:2:box=nan,1", "--kernel", "sqdist", "--k", "5"], 1),
+            # an explicit --trials 1 is still a --trials, which file mode does not take
+            (["recover", "--manifold", "sphere:2", "--k", "8", "--seed", "3",
+              "--sigma-file", str(GOLDEN_SIGMA), "--trials", "1"], 1),
+            # an --out that cannot be written
+            (["rank", "--manifold", "euclid:2", "--kernel", "sqdist", "--k", "5", "--trials", "3",
+              "--out", "missing/x.csv"], 1),
+            (["tensor", "--manifold", "sphere:2", "--k", "4", "--out", "missing/p"], 1),
+            (["sample", "--manifold", "sphere:2", "--k", "3", "--out", "."], 1),
         ],
         ids=["rank-bound", "recover-trials", "cond-trials", "cond-threads", "recover-threads",
              "rank-threads", "sample-threads", "sample-tol", "alpha-tol", "rank-k-pair",
              "cond-alpha-pair", "recover-file-trials", "alpha-out", "tensor-jsonl",
              "recover-file-jsonl", "rank-tol-nan", "sample-box-inf", "rank-box-inf", "alpha-box-inf",
-             "rank-box-nan"],
+             "rank-box-nan", "recover-file-trials-1", "rank-out-missing-dir", "tensor-out-missing-dir",
+             "sample-out-dir"],
     )
     def test_one_line_and_exit_code(self, capsys, monkeypatch, tmp_path, argv, code):
         monkeypatch.chdir(tmp_path)  # a wrongly accepted --out writes here

@@ -1,5 +1,6 @@
 """Property tests: 17-digit CSV and JSON-lines values read back as the same doubles,
-and the layout-v1 index formulas of Y, Z and C hold bit for bit on random samples."""
+the layout-v1 index formulas of Y, Z and C hold bit for bit on random samples, and
+a pair of points gets the same distance and kernel value from every path."""
 
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from covrank import (  # noqa: E402
     Euclidean,
+    Kernel,
     UnitSphere,
     assemble_Y,
     assemble_Z,
@@ -77,14 +79,19 @@ def test_jsonl_float_fields_round_trip(rows):
 # --- layout v1 -------------------------------------------------------------
 
 
+def draw_region(draw, manifold):
+    """A random sampling box for Euclidean space; None for the sphere."""
+    if not isinstance(manifold, Euclidean):
+        return None
+    lo = draw(st.floats(-10, 10))
+    return (lo, lo + draw(st.floats(0.01, 10)))
+
+
 @st.composite
 def operator_fields(draw):
     """The field of a random sample on euclid:1-3 (in a random box) or sphere:2-3, k >= 1."""
     manifold = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3), UnitSphere(2), UnitSphere(3)]))
-    region = None
-    if isinstance(manifold, Euclidean):
-        lo = draw(st.floats(-10, 10))
-        region = (lo, lo + draw(st.floats(0.01, 10)))
+    region = draw_region(draw, manifold)
     k = draw(st.integers(1, 9))
     return outer_field(manifold, manifold.sample_uniform(k, draw(st.integers(0, 2**32 - 1)), region=region))
 
@@ -144,3 +151,35 @@ def test_C_entries_are_the_sigma_entries(field, data):
 @given(operator_fields())
 def test_psi_is_the_block_trace(field):
     assert same_bits(trace_system(field)[0], np.trace(field.blocks, axis1=2, axis2=3))
+
+
+# --- one pair, one distance -------------------------------------------------
+
+
+@st.composite
+def paired_points(draw):
+    """Row-paired point arrays X, Y (T, coord_dim) on euclid:1-3 (in a random box) or sphere:1-3."""
+    manifold = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3),
+                                     UnitSphere(1), UnitSphere(2), UnitSphere(3)]))
+    region = draw_region(draw, manifold)
+    T = draw(st.integers(1, 40))
+    points = manifold.sample_uniform(2 * T, draw(st.integers(0, 2**32 - 1)), region=region).points
+    return manifold, points[:T], points[T:]
+
+
+@given(paired_points())
+def test_paired_distance_is_the_pair_distance(pairs):
+    manifold, X, Y = pairs
+    paired = manifold.paired_distance(X, Y)
+    for t in range(len(X)):
+        assert same_double(paired[t], manifold.distance(X[t], Y[t])), t
+
+
+@given(paired_points(), st.floats(0, 4))
+def test_kernel_value_is_the_batched_value(pairs, alpha):
+    # the array formula of Kernel.pairwise; a Python-float ** 2 may round differently
+    manifold, X, Y = pairs
+    for kernel in (Kernel(manifold, "sqdist"), Kernel(manifold, "shifted", alpha=alpha)):
+        expected = (manifold.paired_distance(X, Y) - kernel.alpha) ** 2
+        for t in range(len(X)):
+            assert same_double(kernel.evaluate(X[t], Y[t]), expected[t]), (str(kernel), t)
