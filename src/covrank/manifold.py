@@ -4,7 +4,8 @@ Points live in ambient coordinates (length ``n`` for Euclidean space,
 ``n + 1`` for the sphere embedded in R^{n+1}).  Tangent vectors on the
 sphere are carried in the same ambient coordinates, which keeps
 ``tr(v v^T) = ||v||^2`` equal to the squared geodesic distance without any
-per-point frame bookkeeping.
+per-point frame bookkeeping; ``tangent_frames`` gives the per-point frames
+for code that wants n tangent coordinates instead.
 
 Randomness is reproducible by construction: every sampling routine is keyed
 by a 64-bit seed plus a stream index, fed to numpy's counter-based Philox
@@ -202,6 +203,11 @@ class Euclidean(_ManifoldBase):
         """Log-map vectors eta[..., j, i, :] = p_i - p_j of point stacks P (..., k, n)."""
         return P[..., None, :, :] - P[..., :, None, :]
 
+    def tangent_frames(self, P: np.ndarray) -> np.ndarray:
+        """Identity frames (..., k, n, n) of point stacks P (..., k, n): the ambient axes
+        already span every tangent space."""
+        return np.broadcast_to(np.eye(self.n), (*P.shape[:-1], self.n, self.n))
+
     def exp_map(self, p, v) -> np.ndarray:
         p, v = self._check_pair(p, v)
         return p + v
@@ -247,10 +253,26 @@ class UnitSphere(_ManifoldBase):
             )
         sin = np.sin(theta)
         factor = np.divide(theta, sin, out=np.ones_like(theta), where=sin > 0)
-        eta = factor[..., None] * (P[..., None, :, :] - G[..., None] * P[..., :, None, :])
+        # one (..., k, k, n+1) buffer holds every step, with the bits of the plain expression
+        eta = np.multiply(G[..., None], P[..., :, None, :])
+        np.subtract(P[..., None, :, :], eta, out=eta)
+        np.multiply(factor[..., None], eta, out=eta)
         i = np.arange(P.shape[-2])
         eta[..., i, i, :] = 0.0
         return eta
+
+    def tangent_frames(self, P: np.ndarray) -> np.ndarray:
+        """Orthogonal frames (..., k, n+1, n+1) of point stacks P (..., k, n+1) whose first n
+        columns span the tangent space at each point.
+
+        The frame at p is the Householder reflection H = I - 2 u u^T / (u^T u) with
+        u = p + s e_{n+1}, s = sign(p_{n+1}), which takes p to -s e_{n+1}; the sign
+        keeps u^T u = 2 (1 + |p_{n+1}|) clear of cancellation.
+        """
+        u = P.copy()
+        u[..., -1] += np.where(P[..., -1] < 0, -1.0, 1.0)
+        scale = 2.0 / (u * u).sum(axis=-1)
+        return np.eye(self.coord_dim) - scale[..., None, None] * u[..., :, None] * u[..., None, :]
 
     def exp_map(self, p, v) -> np.ndarray:
         """Geodesic flow from p along tangent v (requires ||v|| < pi)."""

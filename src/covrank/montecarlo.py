@@ -147,10 +147,10 @@ def _sample_chunks(cfg: ExperimentConfig, k: int, trial_bytes: int) -> Iterator[
     """Samples of trials 0..cfg.trials-1 at size k, stacked (T, k, coord_dim) per chunk.
 
     trial_bytes is the size of a trial's largest temporary: 8 k^2 d^2 for
-    the Y/Z matrices, 8 d^2 k (k+1) for a recovery's [Y | c], and 8 k^2 n
-    otherwise, which covers the (k, k, n) difference tensor of Euclidean
-    distances.  Chunks keep that temporary within _CHUNK_BYTES, or hold one
-    trial.
+    the Y/Z matrices, 8 (n(n+1)/2 k + 1)(k+1) for a recovery's reduced
+    [Y | c] system, and 8 k^2 n otherwise, which covers the (k, k, n)
+    difference tensor of Euclidean distances.  Chunks keep that temporary
+    within _CHUNK_BYTES, or hold one trial.
     """
     size = max(1, _CHUNK_BYTES // trial_bytes)
     for start in range(0, cfg.trials, size):
@@ -164,9 +164,9 @@ def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankRep
     if system == "kernel":
         build, width = cfg.kernel.pairwise, d
     elif system == "Y":
-        build, width = (lambda P: _Y_array(manifold.pairwise_log(P), k)), d * d
+        build, width = (lambda P: _Y_array(manifold.pairwise_log(P))), d * d
     else:
-        build, width = (lambda P: _Z_of_Y(_Y_array(manifold.pairwise_log(P), k))), d * d
+        build, width = (lambda P: _Z_of_Y(_Y_array(manifold.pairwise_log(P)))), d * d
     return BatchedRankReport.concatenate(
         batched_rank_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, 8 * k * k * width)
     )
@@ -331,8 +331,9 @@ def recovery_experiment(
 ) -> list[RecoveryTrial]:
     """Forward-generate f0 ~ Unif[0,1]^k, build its covariance field, solve back.
 
-    Each chunk of trials from the engine is written as one stack of [Y | c]
-    systems and solved with one stacked QR and two stacked small SVDs; every
+    Each chunk of trials from the engine is written as one stack of reduced
+    [Y | c] systems (n(n+1)/2 k + 1 rows each, see tensor.recover) and solved
+    with one stacked QR and two stacked small SVDs; every
     row equals, bit for bit, recover(field, sigma_field(field, f0)) on that
     trial's sample.
     """
@@ -340,12 +341,12 @@ def recovery_experiment(
         manifold=manifold, kernel=None, k_values=(k,), trials=trials, seed=seed,
         tolerance=tolerance, region=region,
     )
-    d = manifold.coord_dim
+    d, n = manifold.coord_dim, manifold.n
     weights = rng_streams(seed, (aux_stream(k, t) for t in range(trials)))
     rows = []
-    for P in _sample_chunks(cfg, k, 8 * d * d * k * (k + 1)):
+    for P in _sample_chunks(cfg, k, 8 * (n * (n + 1) // 2 * k + 1) * (k + 1)):
         f0 = np.stack([next(weights).random(k) for _ in P])
-        for f, result in zip(f0, _recoveries(_forward_systems(manifold, P, f0), tolerance)):
+        for f, result in zip(f0, _recoveries(_forward_systems(manifold, P, f0), d * d * k, tolerance)):
             rows.append(
                 RecoveryTrial(
                     trial=len(rows),

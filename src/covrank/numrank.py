@@ -206,6 +206,14 @@ class LeastSquaresSolution(NamedTuple):
     unique: bool
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, scaled by the largest |entry| so that no
+    square overflows or underflows."""
+    scale = np.max(np.abs(x), axis=-1, initial=0.0)
+    unit = np.divide(x, scale[..., None], out=np.zeros_like(x), where=scale[..., None] > 0)
+    return scale * np.sqrt((unit * unit).sum(axis=-1))
+
+
 class _AugmentedSolution(NamedTuple):
     """Least-squares results for a stack of T systems, one entry per system."""
 
@@ -215,19 +223,21 @@ class _AugmentedSolution(NamedTuple):
     rank_augmented: np.ndarray  # (T,) numerical rank of [A | b]
 
 
-def _solve_augmented(Ab: np.ndarray, policy: Tolerance) -> _AugmentedSolution:
+def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None) -> _AugmentedSolution:
     """Minimum-norm least squares of every system [A | b] of a (T, m, n+1) stack.
 
     One stacked QR gives [A | b] = Q R with R of at most n+1 rows, so both
     SVDs below are small whatever m is.  The singular values of R are those
     of [A | b]; those of R[:n, :n] are those of A, and its SVD solves
     R[:, :n] x = R[:, n], which is A x = b in the coordinates of Q.  The
-    thresholds use the shapes of the original matrices, (m, n+1) and (m, n).
+    thresholds use the shapes (rows, n+1) and (rows, n) of the original
+    matrices: rows defaults to m, and a caller whose stack is an orthogonally
+    reduced copy of taller systems passes their row count, so tau is theirs.
     Every result for a system equals, bit for bit, what a stack holding only
     that system gives.
     """
-    m, n = Ab.shape[1], Ab.shape[2] - 1
-    R = np.linalg.qr(Ab, mode="r")  # (T, min(m, n+1), n+1)
+    m, n = Ab.shape[1] if rows is None else rows, Ab.shape[2] - 1
+    R = np.linalg.qr(Ab, mode="r")  # (T, min(Ab.shape[1], n+1), n+1)
     s_aug = np.linalg.svd(R, compute_uv=False)
     rank_augmented = np.count_nonzero(s_aug > policy.threshold((m, n + 1), s_aug[:, 0])[:, None], axis=1)
     RA, Rb = R[:, :, :n], R[:, :, n]
@@ -236,7 +246,7 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance) -> _AugmentedSolution:
     coeff = np.divide((np.swapaxes(U, 1, 2) @ Rb[:, :n, None])[..., 0], s, out=np.zeros_like(s), where=keep)
     x = (np.swapaxes(Vt, 1, 2) @ coeff[..., None])[..., 0]
     # Q has orthonormal columns spanning A's and b's, so ||A x - b|| = ||R[:, :n] x - R[:, n]||
-    residual = np.linalg.norm((RA @ x[..., None])[..., 0] - Rb, axis=1)
+    residual = _norms((RA @ x[..., None])[..., 0] - Rb)
     return _AugmentedSolution(x, residual, np.count_nonzero(keep, axis=1), rank_augmented)
 
 

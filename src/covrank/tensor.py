@@ -24,9 +24,16 @@ commutes, and every entry of Z is an entry of Y,
 A weight function f on the sample is recoverable from its covariance field
 precisely when Y_unfolded has full column rank; ``recover`` therefore runs a
 minimum-norm least-squares solve and reports rank and uniqueness rather than
-failing on deficiency.  It writes [Y | c] into one array and solves it with
-one QR and two small SVDs (``numrank``), the same path that
-``recovery_experiment`` runs batched over trials.
+failing on deficiency.  It does not factor the d^2 k rows of [Y | c]: each
+Sigma_j = sum_i f_i eta_ji eta_ji^T lies in the n(n+1)/2-dimensional space of
+symmetric forms on the tangent space at p_j.  Rotated into a frame of that
+tangent space, with Y's mirrored rows folded, [Y | c] becomes an orthogonally
+equivalent system of n(n+1)/2 k + 1 rows (``_reduced_systems``; 3k + 1 on
+S^2 instead of 9k), whose last row [0 ... 0 | r] carries every part of c
+that the fold and the projection drop.  One QR and two small SVDs
+(``numrank``) solve it, thresholded for the shapes of the unreduced system;
+``recovery_experiment`` runs the same path batched over trials.  The
+reduction stays inside the solve: Y, C and the layout-v1 dump are unchanged.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .manifold import Euclidean, SampleSet, UnitSphere
-from .numrank import DEFAULT_TOLERANCE, Tolerance, _solve_augmented
+from .numrank import DEFAULT_TOLERANCE, Tolerance, _norms, _solve_augmented
 
 __all__ = [
     "LAYOUT_VERSION",
@@ -152,22 +159,15 @@ def modified_sigma_field(field: OperatorField, f, alpha) -> CovField:
 
 def assemble_Y(field: OperatorField) -> np.ndarray:
     """Unfold the field into the (d^2 k) x k system matrix (layout v1)."""
-    return _Y_array(field.eta, field.k)
+    return _Y_array(field.eta)
 
 
-def _Y_array(eta: np.ndarray, width: int) -> np.ndarray:
-    """A new (..., d^2 k, width) array whose first k columns hold the layout-v1 Y of
-    log vectors eta (..., k, k, d), batched over leading axes.
-
-    Row (l*d + m)*k + j, column i gets eta[..., j, i, l] * eta[..., j, i, m],
-    written in place; columns k and up are left for the caller to fill.
-    """
+def _Y_array(eta: np.ndarray) -> np.ndarray:
+    """The layout-v1 Y (..., d^2 k, k) of log vectors eta (..., k, k, d), batched over
+    leading axes: row (l*d + m)*k + j, column i holds eta[..., j, i, l] * eta[..., j, i, m]."""
     *lead, k, _, d = eta.shape
-    out = np.empty((*lead, d * d * k, width))
     E = np.moveaxis(eta, -1, -3)  # E[..., l, j, i] = eta[..., j, i, l]
-    Y = out.reshape(*lead, d, d, k, width)[..., :k]
-    np.multiply(E[..., :, None, :, :], E[..., None, :, :, :], out=Y)
-    return out
+    return (E[..., :, None, :, :] * E[..., None, :, :, :]).reshape(*lead, d * d * k, k)
 
 
 def _unfold(sigmas: np.ndarray) -> np.ndarray:
@@ -176,14 +176,51 @@ def _unfold(sigmas: np.ndarray) -> np.ndarray:
     return np.moveaxis(sigmas, -3, -1).reshape(*lead, d * d * k)
 
 
+def _reduced_systems(
+    manifold: Euclidean | UnitSphere, P: np.ndarray, eta: np.ndarray, sigmas: np.ndarray
+) -> np.ndarray:
+    """Systems (T, n(n+1)/2 k + 1, k+1), orthogonally equivalent to the layout-v1
+    [Y | c] (T, d^2 k, k+1) of point stacks P (T, k, d), their log vectors eta
+    (T, k, k, d) and covariance stacks sigmas (T, k, d, d), n the manifold's dimension.
+
+    The d^2 rows of point j carry the d x d matrices eta_ji eta_ji^T and Sigma_j.
+    Rotating each into the frame Q_j of ``manifold.tangent_frames``, M -> Q_j^T M Q_j,
+    is orthogonal on those rows.  In that frame eta_ji has no normal components
+    (up to round-off), so Y's rows (a, b) with a or b >= n vanish.  Y's rows (a, b)
+    and (b, a) are equal, and (x + y)/sqrt(2), (x - y)/sqrt(2) turns each such pair
+    into the row sqrt(2) x and a row whose Y part is zero.  Row pair*k + j keeps the
+    tangent block (a, b), a <= b < n, numbered as np.triu_indices(n); every row
+    whose Y part is zero folds into the last row [0 ... 0 | r], where r is the norm
+    of the c entries they hold: the antisymmetric and normal parts of Sigma.  On
+    R^n every frame is the identity, which leaves the symmetric fold alone.
+    """
+    n = manifold.n
+    T, k = eta.shape[:2]
+    a, b = np.triu_indices(n)
+    strict = a < b
+    frames = manifold.tangent_frames(P)
+    out = np.empty((T, len(a) * k + 1, k + 1))
+    blocks = out[:, :-1].reshape(T, len(a), k, k + 1)  # a view: rows pair*k + j
+    V = np.moveaxis(eta @ frames[..., :n], -1, -3)  # V[t, a, j, i]: tangent coordinate a of eta_ji
+    for row, (x, y) in enumerate(zip(a, b)):
+        np.multiply(V[:, x], V[:, y], out=blocks[:, row, :, :k])
+        if x != y:
+            blocks[:, row, :, :k] *= math.sqrt(2.0)
+    S = np.swapaxes(frames, -1, -2) @ sigmas @ frames
+    half = S * math.sqrt(0.5)
+    blocks[..., k] = np.swapaxes(np.where(strict, half[..., a, b] + half[..., b, a], S[..., a, b]), 1, 2)
+    out[:, -1, :k] = 0.0
+    dropped = [half[..., a[strict], b[strict]] - half[..., b[strict], a[strict]], S[..., n:, :], S[..., :n, n:]]
+    out[:, -1, k] = _norms(np.concatenate([part.reshape(T, -1) for part in dropped], axis=1))
+    return out
+
+
 def _forward_systems(manifold: Euclidean | UnitSphere, P: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """[Y | c] (T, d^2 k, k+1) of point stacks P (T, k, d), c the unfolded covariance
-    field of weights f (T, k); each trial's bits equal recover's array for
-    that sample and sigma_field(outer_field(...), f)."""
+    """Reduced [Y | c] systems (_reduced_systems) of point stacks P (T, k, d), c the
+    unfolded covariance field of weights f (T, k); each trial's bits equal recover's
+    array for that sample and sigma_field(outer_field(...), f)."""
     eta = manifold.pairwise_log(P)
-    system = _Y_array(eta, P.shape[-2] + 1)
-    system[..., -1] = _unfold(_weighted_sigmas(eta, f[..., None, :]))
-    return system
+    return _reduced_systems(manifold, P, eta, _weighted_sigmas(eta, f[..., None, :]))
 
 
 def unfold_C(cov: CovField) -> np.ndarray:
@@ -235,8 +272,11 @@ def recover(
     Euclidean samples), so deficient systems are solved and reported with
     unique=False instead of raising.  rank_augmented is the rank of [Y | C];
     it equals rank_Y whenever C really is a covariance field of the sample.
-    [Y | C] is written into one array and factored with one QR, followed by
-    two small SVDs of its triangular factor, at most (k+1) x (k+1).
+    The solve runs on the reduced system of ``_reduced_systems``, orthogonally
+    equivalent to [Y | C] but n(n+1)/2 k + 1 rows tall instead of d^2 k, with
+    one QR and two small SVDs of its triangular factor, at most
+    (k+1) x (k+1).  Ranks are thresholded for the shapes of [Y | C] and Y, so
+    the tolerance is that of the unreduced system.
     """
     c = unfold_C(C) if isinstance(C, CovField) else np.asarray(C, dtype=float)
     rows = field.d * field.d * field.k
@@ -244,16 +284,17 @@ def recover(
         raise ValueError(f"right-hand side must have length {rows}, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("right-hand side has non-finite entries")
-    system = _Y_array(field.eta, field.k + 1)
-    system[:, -1] = c
-    return _recoveries(system[None], policy)[0]
+    sigmas = np.moveaxis(c.reshape(field.d, field.d, field.k), -1, 0)  # the inverse of _unfold
+    system = _reduced_systems(field.manifold, field.sample.points[None], field.eta[None], sigmas[None])
+    return _recoveries(system, rows, policy)[0]
 
 
-def _recoveries(systems: np.ndarray, policy: Tolerance) -> list[RecoveryResult]:
-    """The RecoveryResult of every [Y | c] system of a (T, d^2 k, k+1) stack."""
+def _recoveries(systems: np.ndarray, rows: int, policy: Tolerance) -> list[RecoveryResult]:
+    """The RecoveryResult of every system of a (T, m, k+1) stack of reduced [Y | c]
+    systems that stand for rows-tall unreduced ones."""
     k = systems.shape[-1] - 1
     return [
         RecoveryResult(f_hat=x, residual=float(residual), rank_Y=int(rank),
                        rank_augmented=int(rank_augmented), unique=bool(rank == k))
-        for x, residual, rank, rank_augmented in zip(*_solve_augmented(systems, policy))
+        for x, residual, rank, rank_augmented in zip(*_solve_augmented(systems, policy, rows))
     ]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from covrank.cli import build_parser, main, parse_manifold
-from covrank import Euclidean, UnitSphere
+from covrank import Euclidean, UnitSphere, rng_stream
 
 # a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
 GOLDEN_SIGMA = Path(__file__).parent / "golden" / "tensor.Sigma.csv"
@@ -182,6 +182,30 @@ class TestTensorAndRecover:
         f_hat = read_matrix(tmp_path / "fhat.csv").ravel()
         f0 = read_matrix(tmp_path / "sys.f0.csv").ravel()
         assert np.linalg.norm(f_hat - f0) / np.linalg.norm(f0) <= 1e-6
+
+    def test_recover_from_asymmetric_sigma_file_matches_full_least_squares(self, capsys, tmp_path):
+        # an asymmetric Sigma is no covariance field: its antisymmetric and normal parts
+        # leave Y's range, and the solve on the reduced system sees them as the full one does
+        k, d = 8, 3
+        prefix = tmp_path / "sys"
+        run(capsys, "tensor", "--manifold", "sphere:2", "--k", str(k), "--seed", "3", "--out", str(prefix))
+        sigmas = read_matrix(tmp_path / "sys.Sigma.csv").reshape(k, d, d)
+        sigmas += rng_stream(5).standard_normal(sigmas.shape)
+        sigma_file = tmp_path / "asym.Sigma.csv"
+        sigma_file.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in sigmas.reshape(k * d, d)))
+        code, out = run(
+            capsys,
+            "recover", "--manifold", "sphere:2", "--k", str(k), "--seed", "3",
+            "--sigma-file", str(sigma_file), "--out", str(tmp_path / "fhat.csv"),
+        )
+        assert code == 0
+        assert int(summary_value(out, "rank_augmented")) == int(summary_value(out, "rank_Y")) + 1 == k + 1
+        Y = read_matrix(tmp_path / "sys.Y.csv")
+        c = np.moveaxis(sigmas, 0, -1).ravel()  # layout v1: entry (l*d + m)*k + j
+        x, *_ = np.linalg.lstsq(Y, c, rcond=None)
+        residual = np.linalg.norm(Y @ x - c)
+        assert float(summary_value(out, "residual")) == pytest.approx(residual, rel=1e-10)
+        assert np.linalg.norm(read_matrix(tmp_path / "fhat.csv").ravel() - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_forward_recovery_on_plane_is_never_unique(self, capsys):
         code, out = run(

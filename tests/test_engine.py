@@ -38,6 +38,12 @@ def chunk_size(k, width):
     return max(1, _CHUNK_BYTES // (8 * k * k * width))
 
 
+def recovery_chunk_size(manifold, k):
+    # a recovery's largest temporary is its reduced [Y | c], n(n+1)/2 k + 1 rows tall
+    n = manifold.n
+    return max(1, _CHUNK_BYTES // (8 * (n * (n + 1) // 2 * k + 1) * (k + 1)))
+
+
 def make_config(manifold, kernel=None, k=8, trials=10, seed=3, tolerance=Tolerance(), region=None):
     return ExperimentConfig(
         manifold=manifold,
@@ -152,7 +158,7 @@ def test_condition_sweep_matches_reference():
 
 @pytest.mark.parametrize("manifold, region", [(UnitSphere(2), None), (Euclidean(2), (-1.0, 3.0))])
 def test_recovery_experiment_matches_reference(manifold, region):
-    k, trials, seed = 7, 2 * chunk_size(7, manifold.coord_dim**2) + 1, 8
+    k, trials, seed = 7, 2 * recovery_chunk_size(manifold, 7) + 1, 8
     rows = recovery_experiment(manifold, k, trials, seed, region=region)
     assert [r.trial for r in rows] == list(range(trials))
     for t, row in enumerate(rows):

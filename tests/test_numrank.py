@@ -212,6 +212,19 @@ def test_stacked_solve_equals_separate_solves(m, n, rank, policy):
             assert np.array_equal(got[t], want[0]), t
 
 
+def test_solve_thresholds_for_the_row_count_it_is_given():
+    # a reduced copy of a taller system is thresholded as that system: tau grows with rows
+    eps = np.finfo(float).eps
+    Ab = np.zeros((1, 3, 3))
+    Ab[0, :2, :2] = np.diag([1.0, 30 * eps])  # 10x above tau for 3 rows, 10x below for 300
+    Ab[0, 1, 2] = 30 * eps  # b along the small direction
+    alone = _solve_augmented(Ab, Tolerance())
+    taller = _solve_augmented(Ab, Tolerance(), rows=300)
+    assert (alone.rank[0], alone.rank_augmented[0]) == (2, 2)
+    assert (taller.rank[0], taller.rank_augmented[0]) == (1, 1)
+    assert taller.residual[0] == 30 * eps and alone.residual[0] == 0.0
+
+
 def symmetric_stack(T, k, seed, rank=None):
     """T random symmetric k x k matrices Q diag(lam) Q^T, eigenvalues of both signs
     with magnitudes in [1, 10]; rank < k zeroes the trailing eigenvalues."""

@@ -1,6 +1,7 @@
 """Property tests: 17-digit CSV and JSON-lines values read back as the same doubles,
-the layout-v1 index formulas of Y, Z and C hold bit for bit on random samples, and
-a pair of points gets the same distance and kernel value from every path."""
+the layout-v1 index formulas of Y, Z and C hold bit for bit on random samples,
+the reduced recovery system keeps the singular values of [Y | c], and a pair of
+points gets the same distance and kernel value from every path."""
 
 import json
 import math
@@ -14,19 +15,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from covrank import (  # noqa: E402
+    CovField,
     Euclidean,
     Kernel,
     UnitSphere,
     assemble_Y,
     assemble_Z,
     outer_field,
+    rng_stream,
     rows_to_jsonl,
     sigma_field,
     trace_system,
     unfold_C,
 )
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
-from covrank.tensor import _Z_of_Y  # noqa: E402
+from covrank.tensor import _reduced_systems, _Z_of_Y  # noqa: E402
 
 
 def same_double(a: float, b: float) -> bool:
@@ -151,6 +154,40 @@ def test_C_entries_are_the_sigma_entries(field, data):
 @given(operator_fields())
 def test_psi_is_the_block_trace(field):
     assert same_bits(trace_system(field)[0], np.trace(field.blocks, axis1=2, axis2=3))
+
+
+# --- the reduced recovery system ---------------------------------------------
+
+
+@st.composite
+def recovery_systems(draw):
+    """The field of a random sample on euclid:1-3 (in a random box) or sphere:1-3, k >= 1,
+    and Sigma stacks: its forward covariance field, or that field plus a random matrix
+    per point, which has antisymmetric and, on the sphere, normal parts."""
+    manifold = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3),
+                                     UnitSphere(1), UnitSphere(2), UnitSphere(3)]))
+    region = draw_region(draw, manifold)
+    k = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    field = outer_field(manifold, manifold.sample_uniform(k, seed, region=region))
+    rng = rng_stream(seed, 1)
+    sigmas = sigma_field(field, rng.random(k)).sigmas
+    if draw(st.booleans()):
+        sigmas = sigmas + rng.standard_normal(sigmas.shape)
+    return field, sigmas
+
+
+@given(recovery_systems())
+def test_reduced_system_keeps_the_singular_values_of_Y_c(system):
+    field, sigmas = system
+    k, n = field.k, field.manifold.n
+    full = np.column_stack([assemble_Y(field), unfold_C(CovField(sigmas=sigmas))])
+    reduced = _reduced_systems(field.manifold, field.sample.points[None], field.eta[None], sigmas[None])[0]
+    assert reduced.shape == (n * (n + 1) // 2 * k + 1, k + 1)
+    s_full, s_reduced = (np.linalg.svd(a, compute_uv=False) for a in (full, reduced))
+    # on euclid:1 [Y | c] has k rows, and the reduced system's extra singular value is 0
+    s_full = np.pad(s_full, (0, k + 1 - len(s_full)))
+    assert np.max(np.abs(s_reduced - s_full), initial=0.0) <= 1e-12 * s_full[0]
 
 
 # --- one pair, one distance -------------------------------------------------

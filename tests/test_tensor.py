@@ -10,6 +10,7 @@ from covrank import (
     Euclidean,
     Kernel,
     SampleSet,
+    Tolerance,
     UnitSphere,
     assemble_Y,
     assemble_Z,
@@ -268,8 +269,9 @@ class TestRecovery:
             recover(field, np.ones(7))
 
     def test_recovery_peak_memory_stays_near_Y(self):
-        # [Y | c] plus the copy that QR factors is about twice Y; the (k, k, d, d)
-        # blocks or a transposed copy of Y in the recovery path would push it past 2.5
+        # the reduced (3k+1) x (k+1) system, the copy that QR factors and the log
+        # vectors peak near Y (0.95x); the unreduced [Y | c] alone is Y's size, and
+        # with the log vectors beside it would push the peak past 1.2
         k = 200
         recovery_experiment(UnitSphere(2), 5, trials=1, seed=7)
         tracemalloc.start()
@@ -278,7 +280,75 @@ class TestRecovery:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 9 * k * k * 8
+        assert peak <= 1.2 * 9 * k * k * 8
+
+
+class TestReducedRecovery:
+    """recover solves a reduced system, n(n+1)/2 k + 1 rows tall, but decides ranks as
+    for the unreduced Y and [Y | c]."""
+
+    @staticmethod
+    def asymmetric(cov, seed):
+        return CovField(sigmas=cov.sigmas + rng_stream(seed).standard_normal(cov.sigmas.shape))
+
+    @pytest.mark.parametrize("manifold, k, policy, asymmetric", [
+        (UnitSphere(2), 10, Tolerance(), False),
+        (UnitSphere(2), 10, Tolerance(), True),
+        (UnitSphere(3), 12, Tolerance(), False),
+        (Euclidean(2), 10, Tolerance(), False),
+        (Euclidean(3), 12, Tolerance(), True),
+        (UnitSphere(2), 20, Tolerance.relative(1e-6), True),
+        (Euclidean(2), 10, Tolerance.relative(1e-8), False),
+    ])
+    def test_ranks_are_those_of_the_unreduced_system(self, manifold, k, policy, asymmetric):
+        decided = 0
+        for seed in range(12):
+            field = random_field(manifold, k, seed=seed)
+            cov = sigma_field(field, rng_stream(300 + seed).random(k))
+            if asymmetric:
+                cov = self.asymmetric(cov, 400 + seed)
+            Y = assemble_Y(field)
+            rank_Y = rank_report(Y, policy)
+            rank_aug = rank_report(np.column_stack([Y, unfold_C(cov)]), policy)
+            if rank_Y.borderline or rank_aug.borderline:
+                continue
+            decided += 1
+            result = recover(field, cov, policy)
+            assert (result.rank_Y, result.rank_augmented) == (rank_Y.numerical_rank, rank_aug.numerical_rank)
+        assert decided >= 6
+
+    def test_tau_is_that_of_the_unreduced_shape(self):
+        # Two points an angle delta apart give Y a smallest singular value linear in delta.
+        # Put it at sqrt(9k (3k+1)) eps sigma_1: below tau for Y's (9k, k) shape and above
+        # tau for the (3k+1, k) shape of the reduced system's Y rows, by 1.7x each way.
+        k, eps = 6, np.finfo(float).eps
+        base = UnitSphere(2).sample_uniform(k, 3).points
+        v = np.cross(base[0], [0.0, 0.0, 1.0])
+        v /= np.linalg.norm(v)
+
+        def field(delta):
+            points = base.copy()
+            points[1] = math.cos(delta) * base[0] + math.sin(delta) * v
+            return outer_field(UnitSphere(2), sample_of(UnitSphere(2), points))
+
+        s = rank_report(assemble_Y(field(1e-6))).singular_values
+        near = field(1e-6 * math.sqrt(9 * k * (3 * k + 1)) * eps / (s[-1] / s[0]))
+        report = rank_report(assemble_Y(near))
+        assert 3 * k + 1 < report.singular_values[-1] / report.singular_values[0] / eps < 9 * k
+        assert recover(near, sigma_field(near, np.ones(k))).rank_Y == report.numerical_rank == k - 1
+
+    def test_huge_right_hand_side_does_not_overflow(self):
+        # the row that carries c's antisymmetric and normal parts holds their norm,
+        # whose squares would overflow here
+        field = random_field(UnitSphere(2), 8, seed=30)
+        cov = self.asymmetric(sigma_field(field, rng_stream(31).random(8)), 32)
+        scaled = CovField(sigmas=cov.sigmas * 1e200)
+        small, huge = recover(field, cov), recover(field, scaled)
+        assert math.isfinite(huge.residual)
+        assert huge.residual == pytest.approx(1e200 * small.residual, rel=1e-12)
+        np.testing.assert_allclose(huge.f_hat, 1e200 * small.f_hat, rtol=1e-12)
+        full = np.column_stack([assemble_Y(field), unfold_C(scaled)])
+        assert huge.rank_augmented == rank_report(full).numerical_rank
 
 
 class TestModifiedSigmaField:
