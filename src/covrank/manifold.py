@@ -4,8 +4,7 @@ Points live in ambient coordinates (length ``n`` for Euclidean space,
 ``n + 1`` for the sphere embedded in R^{n+1}).  Tangent vectors on the
 sphere are carried in the same ambient coordinates, which keeps
 ``tr(v v^T) = ||v||^2`` equal to the squared geodesic distance without any
-per-point frame bookkeeping; ``tangent_frames`` gives the per-point frames
-for code that wants n tangent coordinates instead.
+per-point frame bookkeeping.
 
 Randomness is reproducible by construction: every sampling routine is keyed
 by a 64-bit seed plus a stream index, fed to numpy's counter-based Philox
@@ -203,10 +202,10 @@ class Euclidean(_ManifoldBase):
         """Log-map vectors eta[..., j, i, :] = p_i - p_j of point stacks P (..., k, n)."""
         return P[..., None, :, :] - P[..., :, None, :]
 
-    def tangent_frames(self, P: np.ndarray) -> np.ndarray:
-        """Identity frames (..., k, n, n) of point stacks P (..., k, n): the ambient axes
-        already span every tangent space."""
-        return np.broadcast_to(np.eye(self.n), (*P.shape[:-1], self.n, self.n))
+    def _tangent_frames(self, P: np.ndarray) -> None:
+        """None: the ambient axes already span every tangent space, so there is nothing
+        to rotate."""
+        return None
 
     def exp_map(self, p, v) -> np.ndarray:
         p, v = self._check_pair(p, v)
@@ -261,7 +260,7 @@ class UnitSphere(_ManifoldBase):
         eta[..., i, i, :] = 0.0
         return eta
 
-    def tangent_frames(self, P: np.ndarray) -> np.ndarray:
+    def _tangent_frames(self, P: np.ndarray) -> np.ndarray:
         """Orthogonal frames (..., k, n+1, n+1) of point stacks P (..., k, n+1) whose first n
         columns span the tangent space at each point.
 

@@ -25,7 +25,7 @@ import numpy as np
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import Euclidean, UnitSphere, rng_streams
 from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, batched_rank_report
-from .tensor import _forward_systems, _recoveries, _Y_array, _Z_of_Y
+from .tensor import _forward_systems, _recoveries, _system_rows, _Y_array, _Z_of_Y
 
 __all__ = [
     "ExperimentConfig",
@@ -147,8 +147,8 @@ def _sample_chunks(cfg: ExperimentConfig, k: int, trial_bytes: int) -> Iterator[
     """Samples of trials 0..cfg.trials-1 at size k, stacked (T, k, coord_dim) per chunk.
 
     trial_bytes is the size of a trial's largest temporary: 8 k^2 d^2 for
-    the Y/Z matrices, 8 (n(n+1)/2 k + 1)(k+1) for a recovery's reduced
-    [Y | c] system, and 8 k^2 n otherwise, which covers the (k, k, n)
+    the Y/Z matrices, 8 (k+1) times tensor._system_rows for a recovery's
+    reduced [Y | c] system, and 8 k^2 n otherwise, which covers the (k, k, n)
     difference tensor of Euclidean distances.  Chunks keep that temporary
     within _CHUNK_BYTES, or hold one trial.
     """
@@ -331,22 +331,21 @@ def recovery_experiment(
 ) -> list[RecoveryTrial]:
     """Forward-generate f0 ~ Unif[0,1]^k, build its covariance field, solve back.
 
-    Each chunk of trials from the engine is written as one stack of reduced
-    [Y | c] systems (n(n+1)/2 k + 1 rows each, see tensor.recover) and solved
-    with one stacked QR and two stacked small SVDs; every
-    row equals, bit for bit, recover(field, sigma_field(field, f0)) on that
-    trial's sample.
+    Each chunk of trials from the engine is written as stacks of reduced
+    [Y | c] systems (see tensor.recover), each solved with one stacked QR and
+    two stacked small SVDs; every row equals, bit for bit,
+    recover(field, sigma_field(field, f0)) on that trial's sample.
     """
     cfg = ExperimentConfig(
         manifold=manifold, kernel=None, k_values=(k,), trials=trials, seed=seed,
         tolerance=tolerance, region=region,
     )
-    d, n = manifold.coord_dim, manifold.n
     weights = rng_streams(seed, (aux_stream(k, t) for t in range(trials)))
     rows = []
-    for P in _sample_chunks(cfg, k, 8 * (n * (n + 1) // 2 * k + 1) * (k + 1)):
+    for P in _sample_chunks(cfg, k, 8 * _system_rows(manifold, k) * (k + 1)):
         f0 = np.stack([next(weights).random(k) for _ in P])
-        for f, result in zip(f0, _recoveries(_forward_systems(manifold, P, f0), d * d * k, tolerance)):
+        systems = _forward_systems(manifold, P, f0, tolerance)
+        for f, result in zip(f0, _recoveries(manifold, systems, tolerance)):
             rows.append(
                 RecoveryTrial(
                     trial=len(rows),

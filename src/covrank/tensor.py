@@ -30,8 +30,12 @@ symmetric forms on the tangent space at p_j.  Rotated into a frame of that
 tangent space, with Y's mirrored rows folded, [Y | c] becomes an orthogonally
 equivalent system of n(n+1)/2 k + 1 rows (``_reduced_systems``; 3k + 1 on
 S^2 instead of 9k), whose last row [0 ... 0 | r] carries every part of c
-that the fold and the projection drop.  One QR and two small SVDs
-(``numrank``) solve it, thresholded for the shapes of the unreduced system;
+that the fold and the projection drop.  The Y rows the projection drops
+vanish only up to the round-off normal parts of the log vectors, which grow
+as eps / sin(theta) near the sphere's cut locus; a trial on which they are
+not negligible against the rank threshold keeps them, d(d+1)/2 k + 1 rows
+(``_recovery_systems``).  One QR and two small SVDs (``numrank``) solve
+either, thresholded for the shapes of the unreduced system;
 ``recovery_experiment`` runs the same path batched over trials.  The
 reduction stays inside the solve: Y, C and the layout-v1 dump are unchanged.
 """
@@ -176,51 +180,110 @@ def _unfold(sigmas: np.ndarray) -> np.ndarray:
     return np.moveaxis(sigmas, -3, -1).reshape(*lead, d * d * k)
 
 
-def _reduced_systems(
+def _frame_coordinates(
     manifold: Euclidean | UnitSphere, P: np.ndarray, eta: np.ndarray, sigmas: np.ndarray
-) -> np.ndarray:
-    """Systems (T, n(n+1)/2 k + 1, k+1), orthogonally equivalent to the layout-v1
-    [Y | c] (T, d^2 k, k+1) of point stacks P (T, k, d), their log vectors eta
-    (T, k, k, d) and covariance stacks sigmas (T, k, d, d), n the manifold's dimension.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log vectors eta (T, k, k, d) and covariance stacks sigmas (T, k, d, d) of point
+    stacks P (T, k, d) in the frame Q_j of each point (``manifold._tangent_frames``),
+    whose first n axes span the tangent space: V[t, j, i] = Q_j^T eta_ji and
+    S[t, j] = Q_j^T Sigma_j Q_j.  On R^n the frames are the identity and nothing moves."""
+    frames = manifold._tangent_frames(P)
+    if frames is None:
+        return eta, sigmas
+    return eta @ frames, np.swapaxes(frames, -1, -2) @ sigmas @ frames
 
-    The d^2 rows of point j carry the d x d matrices eta_ji eta_ji^T and Sigma_j.
-    Rotating each into the frame Q_j of ``manifold.tangent_frames``, M -> Q_j^T M Q_j,
-    is orthogonal on those rows.  In that frame eta_ji has no normal components
-    (up to round-off), so Y's rows (a, b) with a or b >= n vanish.  Y's rows (a, b)
-    and (b, a) are equal, and (x + y)/sqrt(2), (x - y)/sqrt(2) turns each such pair
-    into the row sqrt(2) x and a row whose Y part is zero.  Row pair*k + j keeps the
-    tangent block (a, b), a <= b < n, numbered as np.triu_indices(n); every row
-    whose Y part is zero folds into the last row [0 ... 0 | r], where r is the norm
-    of the c entries they hold: the antisymmetric and normal parts of Sigma.  On
-    R^n every frame is the identity, which leaves the symmetric fold alone.
+
+def _reduced_systems(V: np.ndarray, S: np.ndarray, dims: int) -> np.ndarray:
+    """Systems (T, dims(dims+1)/2 k + 1, k+1) of log vectors V (T, k, k, d) and covariance
+    stacks S (T, k, d, d) in the frames of ``_frame_coordinates``, orthogonally
+    equivalent to the layout-v1 [Y | c] (T, d^2 k, k+1) up to Y's entries (a, b) with
+    a or b >= dims, which they drop.
+
+    The d^2 rows of point j carry the d x d matrices eta_ji eta_ji^T and Sigma_j, and
+    rotating each into the frame, M -> Q_j^T M Q_j, is orthogonal on those rows.  Y's
+    rows (a, b) and (b, a) are equal, and (x + y)/sqrt(2), (x - y)/sqrt(2) turns each
+    such pair into the row sqrt(2) x and a row whose Y part is zero.  Row pair*k + j
+    keeps block (a, b), a <= b < dims, numbered as np.triu_indices(dims); every other
+    row folds into the last row [0 ... 0 | r], where r is the norm of the c entries
+    they hold: the antisymmetric parts of Sigma and its entries outside the kept
+    dims x dims corner.  With dims = n those are the normal parts, and the Y entries
+    dropped with them vanish but for round-off (``_dropped_norms``); with dims = d
+    nothing of Y is dropped.
     """
-    n = manifold.n
-    T, k = eta.shape[:2]
-    a, b = np.triu_indices(n)
+    T, k = V.shape[:2]
+    a, b = np.triu_indices(dims)
     strict = a < b
-    frames = manifold.tangent_frames(P)
     out = np.empty((T, len(a) * k + 1, k + 1))
     blocks = out[:, :-1].reshape(T, len(a), k, k + 1)  # a view: rows pair*k + j
-    V = np.moveaxis(eta @ frames[..., :n], -1, -3)  # V[t, a, j, i]: tangent coordinate a of eta_ji
+    W = np.moveaxis(V[..., :dims], -1, -3)  # W[t, a, j, i]: frame coordinate a of eta_ji
     for row, (x, y) in enumerate(zip(a, b)):
-        np.multiply(V[:, x], V[:, y], out=blocks[:, row, :, :k])
+        np.multiply(W[:, x], W[:, y], out=blocks[:, row, :, :k])
         if x != y:
             blocks[:, row, :, :k] *= math.sqrt(2.0)
-    S = np.swapaxes(frames, -1, -2) @ sigmas @ frames
     half = S * math.sqrt(0.5)
     blocks[..., k] = np.swapaxes(np.where(strict, half[..., a, b] + half[..., b, a], S[..., a, b]), 1, 2)
     out[:, -1, :k] = 0.0
-    dropped = [half[..., a[strict], b[strict]] - half[..., b[strict], a[strict]], S[..., n:, :], S[..., :n, n:]]
+    dropped = [half[..., a[strict], b[strict]] - half[..., b[strict], a[strict]], S[..., dims:, :], S[..., :dims, dims:]]
     out[:, -1, k] = _norms(np.concatenate([part.reshape(T, -1) for part in dropped], axis=1))
     return out
 
 
-def _forward_systems(manifold: Euclidean | UnitSphere, P: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Reduced [Y | c] systems (_reduced_systems) of point stacks P (T, k, d), c the
-    unfolded covariance field of weights f (T, k); each trial's bits equal recover's
-    array for that sample and sigma_field(outer_field(...), f)."""
+def _dropped_norms(V: np.ndarray, dims: int) -> np.ndarray:
+    """Frobenius norms (T,) of the Y entries (a, b), a or b >= dims, that
+    _reduced_systems(V, S, dims) drops: per log vector v = (v_T, v_N), split at dims,
+    they hold |v|^4 - |v_T|^4 = |v_N|^2 (2 |v_T|^2 + |v_N|^2), summed free of cancellation."""
+    tangent = np.einsum("...a,...a->...", V[..., :dims], V[..., :dims])
+    normal = np.einsum("...a,...a->...", V[..., dims:], V[..., dims:])
+    return np.sqrt((normal * (2.0 * tangent + normal)).sum(axis=(-2, -1)))
+
+
+def _system_rows(manifold: Euclidean | UnitSphere, k: int) -> int:
+    """Rows of a k-point trial's reduced [Y | c] system at most: d(d+1)/2 k + 1."""
+    d = manifold.coord_dim
+    return d * (d + 1) // 2 * k + 1
+
+
+def _recovery_systems(
+    manifold: Euclidean | UnitSphere, V: np.ndarray, S: np.ndarray, policy: Tolerance
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The reduced [Y | c] systems of log vectors V (T, k, k, d) and covariance stacks
+    S (T, k, d, d) in the frames of ``_frame_coordinates``, as (trials, systems) pairs
+    that cover each trial once.
+
+    A trial gets the tangent system of _reduced_systems(V, S, n), n(n+1)/2 k + 1 rows,
+    when the Y entries it drops are negligible: their norm is at most tau_Y / 10, tau_Y
+    the threshold of the unreduced Y.  Dropping them then moves no singular value of
+    [Y | c] or of Y by more than tau_Y / 10, so no rank verdict changes unless a
+    singular value lies in the borderline band (tau / 10, 10 tau).  Otherwise, as near
+    the sphere's cut locus, where a log vector's round-off normal part grows as
+    eps / sin(theta), the trial keeps those entries: dims = d, d(d+1)/2 k + 1 rows.
+    tau_Y is bounded below from sigma_1(Y) >= ||Y 1|| / sqrt(k), Y 1 being the
+    unfolded sum_i eta_ji eta_ji^T, so the choice needs no SVD.
+    """
+    n, d = manifold.n, manifold.coord_dim
+    T, k = V.shape[:2]
+    ones = _norms((np.swapaxes(V, -1, -2) @ V).reshape(T, -1))
+    tau = policy.threshold((d * d * k, k), ones / math.sqrt(k))
+    full = _dropped_norms(V, n) > tau / 10
+    groups = []
+    for dims, group in ((n, ~full), (d, full)):
+        if group.all():  # spares V a copy
+            groups.append((np.arange(T), _reduced_systems(V, S, dims)))
+        elif group.any():
+            groups.append((np.flatnonzero(group), _reduced_systems(V[group], S[group], dims)))
+    return groups
+
+
+def _forward_systems(
+    manifold: Euclidean | UnitSphere, P: np.ndarray, f: np.ndarray, policy: Tolerance
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_recovery_systems of point stacks P (T, k, d) and the covariance fields of weights
+    f (T, k); each trial's bits equal recover's for that sample and
+    sigma_field(outer_field(...), f)."""
     eta = manifold.pairwise_log(P)
-    return _reduced_systems(manifold, P, eta, _weighted_sigmas(eta, f[..., None, :]))
+    V, S = _frame_coordinates(manifold, P, eta, _weighted_sigmas(eta, f[..., None, :]))
+    del eta  # V holds all the systems need; spare the memory while they are built
+    return _recovery_systems(manifold, V, S, policy)
 
 
 def unfold_C(cov: CovField) -> np.ndarray:
@@ -272,11 +335,12 @@ def recover(
     Euclidean samples), so deficient systems are solved and reported with
     unique=False instead of raising.  rank_augmented is the rank of [Y | C];
     it equals rank_Y whenever C really is a covariance field of the sample.
-    The solve runs on the reduced system of ``_reduced_systems``, orthogonally
-    equivalent to [Y | C] but n(n+1)/2 k + 1 rows tall instead of d^2 k, with
-    one QR and two small SVDs of its triangular factor, at most
-    (k+1) x (k+1).  Ranks are thresholded for the shapes of [Y | C] and Y, so
-    the tolerance is that of the unreduced system.
+    The solve runs on the reduced system of ``_recovery_systems``, orthogonally
+    equivalent to [Y | C] but n(n+1)/2 k + 1 rows tall instead of d^2 k (or
+    d(d+1)/2 k + 1 where Y's dropped normal part is not negligible), with one
+    QR and two small SVDs of its triangular factor, at most (k+1) x (k+1).
+    Ranks are thresholded for the shapes of [Y | C] and Y, so the tolerance is
+    that of the unreduced system.
     """
     c = unfold_C(C) if isinstance(C, CovField) else np.asarray(C, dtype=float)
     rows = field.d * field.d * field.k
@@ -285,16 +349,20 @@ def recover(
     if not np.all(np.isfinite(c)):
         raise ValueError("right-hand side has non-finite entries")
     sigmas = np.moveaxis(c.reshape(field.d, field.d, field.k), -1, 0)  # the inverse of _unfold
-    system = _reduced_systems(field.manifold, field.sample.points[None], field.eta[None], sigmas[None])
-    return _recoveries(system, rows, policy)[0]
+    V, S = _frame_coordinates(field.manifold, field.sample.points[None], field.eta[None], sigmas[None])
+    return _recoveries(field.manifold, _recovery_systems(field.manifold, V, S, policy), policy)[0]
 
 
-def _recoveries(systems: np.ndarray, rows: int, policy: Tolerance) -> list[RecoveryResult]:
-    """The RecoveryResult of every system of a (T, m, k+1) stack of reduced [Y | c]
-    systems that stand for rows-tall unreduced ones."""
-    k = systems.shape[-1] - 1
-    return [
-        RecoveryResult(f_hat=x, residual=float(residual), rank_Y=int(rank),
-                       rank_augmented=int(rank_augmented), unique=bool(rank == k))
-        for x, residual, rank, rank_augmented in zip(*_solve_augmented(systems, policy, rows))
-    ]
+def _recoveries(
+    manifold: Euclidean | UnitSphere, groups: list[tuple[np.ndarray, np.ndarray]], policy: Tolerance
+) -> list[RecoveryResult]:
+    """The RecoveryResult of every trial of the (trials, systems) pairs of
+    _recovery_systems, thresholded for the shapes of the unreduced [Y | c] and Y."""
+    results = {}
+    for trials, systems in groups:
+        k = systems.shape[-1] - 1
+        solution = _solve_augmented(systems, policy, manifold.coord_dim ** 2 * k)
+        for t, x, residual, rank, rank_augmented in zip(trials, *solution):
+            results[t] = RecoveryResult(f_hat=x, residual=float(residual), rank_Y=int(rank),
+                                        rank_augmented=int(rank_augmented), unique=bool(rank == k))
+    return [results[t] for t in sorted(results)]

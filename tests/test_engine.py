@@ -32,6 +32,7 @@ from covrank import (
 )
 from covrank.manifold import rng_streams
 from covrank.montecarlo import _CHUNK_BYTES, _trial_reports, aux_stream, sample_stream
+from covrank.tensor import _system_rows
 
 
 def chunk_size(k, width):
@@ -39,9 +40,8 @@ def chunk_size(k, width):
 
 
 def recovery_chunk_size(manifold, k):
-    # a recovery's largest temporary is its reduced [Y | c], n(n+1)/2 k + 1 rows tall
-    n = manifold.n
-    return max(1, _CHUNK_BYTES // (8 * (n * (n + 1) // 2 * k + 1) * (k + 1)))
+    # a recovery's largest temporary is its reduced [Y | c]
+    return max(1, _CHUNK_BYTES // (8 * _system_rows(manifold, k) * (k + 1)))
 
 
 def make_config(manifold, kernel=None, k=8, trials=10, seed=3, tolerance=Tolerance(), region=None):

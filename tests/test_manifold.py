@@ -102,17 +102,15 @@ class TestTangentFrames:
         pts = random_sphere_points(n, 30, seed=n)
         pts[0] = np.eye(n + 1)[-1]  # on the last axis and opposite it: the sign choice
         pts[1] = -np.eye(n + 1)[-1]
-        frames = UnitSphere(n).tangent_frames(pts[None])[0]
+        frames = UnitSphere(n)._tangent_frames(pts[None])[0]
         assert frames.shape == (30, n + 1, n + 1)
         for p, Q in zip(pts, frames):
             np.testing.assert_allclose(Q.T @ Q, np.eye(n + 1), atol=1e-15)
             np.testing.assert_allclose(p @ Q[:, :n], 0.0, atol=1e-15)  # tangent axes
             np.testing.assert_allclose(abs(p @ Q[:, n]), 1.0, atol=1e-15)  # the normal axis
 
-    def test_euclidean_frames_are_the_identity(self):
-        frames = Euclidean(3).tangent_frames(np.zeros((2, 5, 3)))
-        assert frames.shape == (2, 5, 3, 3)
-        assert np.array_equal(frames, np.broadcast_to(np.eye(3), (2, 5, 3, 3)))
+    def test_euclidean_frames_are_not_needed(self):
+        assert Euclidean(3)._tangent_frames(np.zeros((2, 5, 3))) is None
 
 
 class TestSampling:

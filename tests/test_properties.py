@@ -1,7 +1,8 @@
 """Property tests: 17-digit CSV and JSON-lines values read back as the same doubles,
 the layout-v1 index formulas of Y, Z and C hold bit for bit on random samples,
-the reduced recovery system keeps the singular values of [Y | c], and a pair of
-points gets the same distance and kernel value from every path."""
+the reduced recovery system keeps the singular values and rank verdicts of
+[Y | c], and a pair of points gets the same distance and kernel value from every
+path."""
 
 import json
 import math
@@ -18,10 +19,12 @@ from covrank import (  # noqa: E402
     CovField,
     Euclidean,
     Kernel,
+    Tolerance,
     UnitSphere,
     assemble_Y,
     assemble_Z,
     outer_field,
+    rank_report,
     rng_stream,
     rows_to_jsonl,
     sigma_field,
@@ -29,7 +32,8 @@ from covrank import (  # noqa: E402
     unfold_C,
 )
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
-from covrank.tensor import _reduced_systems, _Z_of_Y  # noqa: E402
+from covrank.numrank import _solve_augmented  # noqa: E402
+from covrank.tensor import _frame_coordinates, _recovery_systems, _Z_of_Y  # noqa: E402
 
 
 def same_double(a: float, b: float) -> bool:
@@ -178,16 +182,23 @@ def recovery_systems(draw):
 
 
 @given(recovery_systems())
-def test_reduced_system_keeps_the_singular_values_of_Y_c(system):
+def test_reduced_system_keeps_the_singular_values_and_ranks_of_Y_c(system):
     field, sigmas = system
-    k, n = field.k, field.manifold.n
-    full = np.column_stack([assemble_Y(field), unfold_C(CovField(sigmas=sigmas))])
-    reduced = _reduced_systems(field.manifold, field.sample.points[None], field.eta[None], sigmas[None])[0]
-    assert reduced.shape == (n * (n + 1) // 2 * k + 1, k + 1)
-    s_full, s_reduced = (np.linalg.svd(a, compute_uv=False) for a in (full, reduced))
+    k, d = field.k, field.d
+    Y = assemble_Y(field)
+    full = np.column_stack([Y, unfold_C(CovField(sigmas=sigmas))])
+    V, S = _frame_coordinates(field.manifold, field.sample.points[None], field.eta[None], sigmas[None])
+    [(_, reduced)] = _recovery_systems(field.manifold, V, S, Tolerance())
+    s_full, s_reduced = (np.linalg.svd(a, compute_uv=False) for a in (full, reduced[0]))
     # on euclid:1 [Y | c] has k rows, and the reduced system's extra singular value is 0
     s_full = np.pad(s_full, (0, k + 1 - len(s_full)))
     assert np.max(np.abs(s_reduced - s_full), initial=0.0) <= 1e-12 * s_full[0]
+    # the solve thresholds the reduced system for the unreduced shapes and, away from
+    # the borderline band, decides the ranks of Y and [Y | c] as they do
+    solution = _solve_augmented(reduced, Tolerance(), d * d * k)
+    for report, rank in ((rank_report(Y), solution.rank[0]), (rank_report(full), solution.rank_augmented[0])):
+        if not report.borderline:
+            assert rank == report.numerical_rank
 
 
 # --- one pair, one distance -------------------------------------------------

@@ -24,6 +24,7 @@ from covrank import (
     trace_system,
     unfold_C,
 )
+from covrank.montecarlo import aux_stream, sample_stream
 
 
 def sample_of(manifold, points, seed=0):
@@ -270,7 +271,7 @@ class TestRecovery:
 
     def test_recovery_peak_memory_stays_near_Y(self):
         # the reduced (3k+1) x (k+1) system, the copy that QR factors and the log
-        # vectors peak near Y (0.95x); the unreduced [Y | c] alone is Y's size, and
+        # vectors peak below Y (0.83x); the unreduced [Y | c] alone is Y's size, and
         # with the log vectors beside it would push the peak past 1.2
         k = 200
         recovery_experiment(UnitSphere(2), 5, trials=1, seed=7)
@@ -292,6 +293,8 @@ class TestReducedRecovery:
         return CovField(sigmas=cov.sigmas + rng_stream(seed).standard_normal(cov.sigmas.shape))
 
     @pytest.mark.parametrize("manifold, k, policy, asymmetric", [
+        (UnitSphere(1), 12, Tolerance(), False),
+        (UnitSphere(1), 12, Tolerance(), True),
         (UnitSphere(2), 10, Tolerance(), False),
         (UnitSphere(2), 10, Tolerance(), True),
         (UnitSphere(3), 12, Tolerance(), False),
@@ -316,6 +319,23 @@ class TestReducedRecovery:
             result = recover(field, cov, policy)
             assert (result.rank_Y, result.rank_augmented) == (rank_Y.numerical_rank, rank_aug.numerical_rank)
         assert decided >= 6
+
+    @pytest.mark.parametrize("seed, trial", [(4, 21), (8, 1)])
+    def test_covariance_field_near_the_cut_locus_is_consistent(self, seed, trial):
+        # A pair of these circle samples is nearly antipodal, and its log vector's
+        # round-off normal part, growing as eps / sin(theta), is no longer negligible
+        # against tau.  The normal parts of c hold the same round-off, so the solve must
+        # keep Y's normal rows beside them or call a real covariance field inconsistent.
+        k = 12
+        row = recovery_experiment(UnitSphere(1), k, trial + 1, seed)[trial]
+        sample = UnitSphere(1).sample_uniform(k, seed, stream=sample_stream(k, trial))
+        field = outer_field(UnitSphere(1), sample)
+        assert np.pi - UnitSphere(1).pairwise_distance(sample.points).max() < 2e-3
+        cov = sigma_field(field, rng_stream(seed, aux_stream(k, trial)).random(k))
+        result = recover(field, cov)
+        assert result.rank_augmented == result.rank_Y == row.rank_augmented == row.rank_Y
+        Y = assemble_Y(field)
+        assert result.rank_augmented == rank_report(np.column_stack([Y, unfold_C(cov)])).numerical_rank
 
     def test_tau_is_that_of_the_unreduced_shape(self):
         # Two points an angle delta apart give Y a smallest singular value linear in delta.
