@@ -64,23 +64,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_manifold(text: str):
-    """Parse 'sphere:<n>' or 'euclid:<n>[:box=a,b]' into (manifold, region)."""
-    parts = text.split(":")
+    """Parse 'sphere:<n>' or 'euclid:<n>[:box=a,b]' into a manifold."""
+    kind, *rest = text.split(":")
     try:
-        if parts[0] == "sphere" and len(parts) == 2:
-            return UnitSphere(int(parts[1])), None
-        if parts[0] == "euclid" and len(parts) in (2, 3):
-            manifold = Euclidean(int(parts[1]))
-            region = None
-            if len(parts) == 3:
-                if not parts[2].startswith("box="):
-                    raise ValueError
-                lo, hi = (float(x) for x in parts[2][4:].split(","))
-                region = (lo, hi)
-            return manifold, region
-    except (ValueError, IndexError):
-        pass
-    raise CliError(f"bad manifold spec {text!r}; expected sphere:<n> or euclid:<n>[:box=a,b]")
+        if kind == "sphere" and len(rest) == 1:
+            return UnitSphere(int(rest[0]))
+        if kind == "euclid" and len(rest) == 1:
+            return Euclidean(int(rest[0]))
+        if kind != "euclid" or len(rest) != 2 or not rest[1].startswith("box="):
+            raise ValueError
+        n, box = int(rest[0]), tuple(float(x) for x in rest[1][4:].split(","))
+    except ValueError:
+        raise CliError(
+            f"bad manifold spec {text!r}; expected sphere:<n> or euclid:<n>[:box=a,b]"
+        ) from None
+    return Euclidean(n, box=box)  # a degenerate box raises its own ValueError
 
 
 def _int_list(text: str) -> list[int]:
@@ -156,9 +154,9 @@ def _dump_meta(manifold, d: int, args) -> str:
     return f"manifold={manifold} k={args.k} d={d} seed={args.seed}"
 
 
-def _trial0_sample(manifold, region, args):
+def _trial0_sample(manifold, args):
     # the trial-0 stream: the same points experiment trial 0 sees at this (k, seed)
-    return manifold.sample_uniform(args.k, args.seed, stream=sample_stream(args.k, 0), region=region)
+    return manifold.sample_uniform(args.k, args.seed, stream=sample_stream(args.k, 0))
 
 
 def _read_matrix_csv(path: str) -> np.ndarray:
@@ -179,8 +177,8 @@ def _read_matrix_csv(path: str) -> np.ndarray:
 
 
 def cmd_sample(args) -> str:
-    manifold, region = parse_manifold(args.manifold)
-    sample = _trial0_sample(manifold, region, args)
+    manifold = parse_manifold(args.manifold)
+    sample = _trial0_sample(manifold, args)
     wrote = ""
     if args.out:
         names = [f"x{i}" for i in range(manifold.coord_dim)]
@@ -190,7 +188,7 @@ def cmd_sample(args) -> str:
 
 
 def cmd_rank(args) -> str:
-    manifold, region = parse_manifold(args.manifold)
+    manifold = parse_manifold(args.manifold)
     kernel = parse_kernel(args.kernel, manifold)
     cfg = ExperimentConfig(
         manifold=manifold,
@@ -199,7 +197,6 @@ def cmd_rank(args) -> str:
         trials=args.trials,
         seed=args.seed,
         tolerance=_tolerance(args),
-        region=region,
     )
     rows = rank_law_sweep(cfg, "kernel")
     _check_no_nan(rows)
@@ -215,8 +212,8 @@ def cmd_rank(args) -> str:
 
 
 def cmd_tensor(args) -> str:
-    manifold, region = parse_manifold(args.manifold)
-    field = outer_field(manifold, _trial0_sample(manifold, region, args))
+    manifold = parse_manifold(args.manifold)
+    field = outer_field(manifold, _trial0_sample(manifold, args))
     f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)
     cov = sigma_field(field, f0)
     Y = assemble_Y(field)
@@ -249,12 +246,12 @@ def cmd_tensor(args) -> str:
 
 
 def cmd_recover(args) -> str:
-    manifold, region = parse_manifold(args.manifold)
+    manifold = parse_manifold(args.manifold)
     policy = _tolerance(args)
     if args.sigma_file:
         if args.format != "csv":
             raise CliError("recover --sigma-file writes CSV only; --format jsonl is not supported")
-        field = outer_field(manifold, _trial0_sample(manifold, region, args))
+        field = outer_field(manifold, _trial0_sample(manifold, args))
         d = field.d
         sigmas = _read_matrix_csv(args.sigma_file)
         if sigmas.shape != (args.k * d, d):
@@ -273,7 +270,7 @@ def cmd_recover(args) -> str:
             f" rank_augmented={result.rank_augmented} unique={fmt17(result.unique)}"
         )
     trials = 1 if args.trials is None else args.trials
-    rows = recovery_experiment(manifold, args.k, trials, args.seed, policy, region=region)
+    rows = recovery_experiment(manifold, args.k, trials, args.seed, policy)
     _check_no_nan(rows)
     wrote = _write_rows(args, rows)
     return (
@@ -285,7 +282,7 @@ def cmd_recover(args) -> str:
 
 
 def cmd_cond_sweep(args) -> str:
-    manifold, region = parse_manifold(args.manifold)
+    manifold = parse_manifold(args.manifold)
     alphas = _float_list(args.alpha_list) if args.alpha_list is not None else [args.alpha]
     rows = condition_sweep(
         manifold,
@@ -294,7 +291,6 @@ def cmd_cond_sweep(args) -> str:
         args.trials,
         args.seed,
         tolerance=_tolerance(args),
-        region=region,
     )
     _check_no_nan(rows)
     wrote = _write_rows(args, rows)
@@ -306,8 +302,8 @@ def cmd_cond_sweep(args) -> str:
 
 
 def cmd_alpha(args) -> str:
-    manifold, region = parse_manifold(args.manifold)
-    value = alpha_recommendation(manifold, args.trials, args.seed, region=region)
+    manifold = parse_manifold(args.manifold)
+    value = alpha_recommendation(manifold, args.trials, args.seed)
     if math.isnan(value):
         raise NumericalFailure("alpha recommendation is NaN")
     analytic = f" analytic={fmt17(math.pi / 2)}" if isinstance(manifold, UnitSphere) else ""
@@ -388,13 +384,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "k", None) is not None and args.k < 1:
             raise CliError("--k must be at least 1")
-        summary = args.func(args)
+        # overflow and NaN-making operations raise instead of warning, so they end in one line
+        with np.errstate(over="raise", invalid="raise"):
+            summary = args.func(args)
+    # ahead of the ValueError clause, since numpy's LinAlgError subclasses ValueError
+    except (NumericalFailure, RankBoundError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"covrank: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (CliError, ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"covrank: error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, RankBoundError, np.linalg.LinAlgError) as exc:
-        print(f"covrank: numerical failure: {exc}", file=sys.stderr)
-        return 2
     print(summary)
     return 0
 

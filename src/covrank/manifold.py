@@ -1,10 +1,12 @@
-"""Geometry of the two model spaces: Euclidean boxes and unit spheres.
+"""Geometry of the two model spaces: Euclidean space and unit spheres.
 
 Points live in ambient coordinates (length ``n`` for Euclidean space,
-``n + 1`` for the sphere embedded in R^{n+1}).  Tangent vectors on the
-sphere are carried in the same ambient coordinates, which keeps
-``tr(v v^T) = ||v||^2`` equal to the squared geodesic distance without any
-per-point frame bookkeeping.
+``n + 1`` for the sphere embedded in R^{n+1}).  Uniform sampling needs a
+bounded set, so ``Euclidean`` carries its sampling box ``[lo, hi]^n`` as the
+field ``box`` (default the unit cube); the sphere needs none.  Tangent
+vectors on the sphere are carried in the same ambient coordinates, which
+keeps ``tr(v v^T) = ||v||^2`` equal to the squared geodesic distance without
+any per-point frame bookkeeping.
 
 Randomness is reproducible by construction: every sampling routine is keyed
 by a 64-bit seed plus a stream index, fed to numpy's counter-based Philox
@@ -41,14 +43,20 @@ class AntipodalPairError(ValueError):
     """Sphere log map requested at (numerically) antipodal points."""
 
 
+def _check_key_word(value: int) -> None:
+    """Refuse a seed or stream that is not one unsigned 64-bit Philox key word."""
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"seed and stream must lie in [0, 2**64), got {value}")
+
+
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for the pair (seed, stream).
 
     Distinct streams of the same seed are independent, so per-trial streams
     can be handed to parallel workers without coordination.
     """
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be non-negative")
+    _check_key_word(seed)
+    _check_key_word(stream)
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -61,14 +69,12 @@ def rng_streams(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generat
     most of its time pulling SeedSequence entropy.  The same Generator object
     is yielded each time: finish drawing from it before advancing.
     """
-    if seed < 0:
-        raise ValueError("seed and stream must be non-negative")
+    _check_key_word(seed)
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state  # a copy: counter 0, empty buffer
     for stream in streams:
-        if stream < 0:
-            raise ValueError("seed and stream must be non-negative")
+        _check_key_word(stream)
         fresh["state"]["key"][1] = stream
         bitgen.state = fresh
         yield gen
@@ -86,25 +92,6 @@ def _as_point(x, coord_dim: int) -> np.ndarray:
     if p.shape != (coord_dim,):
         raise ValueError(f"expected a point of length {coord_dim}, got shape {p.shape}")
     return p
-
-
-def _normalize_region(n: int, region) -> np.ndarray:
-    """Coerce a sampling box to shape (n, 2); default is the unit cube."""
-    if region is None:
-        box = np.tile([0.0, 1.0], (n, 1))
-    else:
-        box = np.asarray(region, dtype=float)
-        if box.shape == (2,):
-            box = np.tile(box, (n, 1))
-        if box.shape != (n, 2):
-            raise ValueError(f"region must be (lo, hi) or an ({n}, 2) array")
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = box[:, 1] - box[:, 0]  # finite only if both bounds are
-    if not np.all(np.isfinite(width)):
-        raise ValueError("degenerate sampling box: every bound and side length must be finite")
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("degenerate sampling box: every side needs hi > lo")
-    return box
 
 
 @dataclass(frozen=True)
@@ -139,20 +126,19 @@ class _ManifoldBase:
         if self.n < 1:
             raise ValueError("dimension must be positive")
 
-    def sample_uniform(self, k: int, seed: int, *, stream: int = 0, region=None) -> SampleSet:
+    def sample_uniform(self, k: int, seed: int, *, stream: int = 0) -> SampleSet:
         """Draw k independent uniform points; identical inputs give identical bits."""
-        pts = self.sample_batch(k, seed, [stream], region=region)[0]
+        pts = self.sample_batch(k, seed, [stream])[0]
         return SampleSet(manifold=self, points=pts, seed=seed, stream=stream)
 
-    def sample_batch(self, k: int, seed: int, streams: Iterable[int], *, region=None) -> np.ndarray:
-        """The points of ``sample_uniform(k, seed, stream=s, region=region)`` for each s in
-        streams, stacked into shape (len(streams), k, coord_dim) with the same bits."""
+    def sample_batch(self, k: int, seed: int, streams: Iterable[int]) -> np.ndarray:
+        """The points of ``sample_uniform(k, seed, stream=s)`` for each s in streams,
+        stacked into shape (len(streams), k, coord_dim) with the same bits."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        box = self._box(region)
-        return np.stack([self._draw(rng, k, box) for rng in rng_streams(seed, streams)])
+        return np.stack([self._draw(rng, k) for rng in rng_streams(seed, streams)])
 
-    def expected_distance(self, trials: int, seed: int, *, stream: int = 0, region=None) -> float:
+    def expected_distance(self, trials: int, seed: int, *, stream: int = 0) -> float:
         """Monte Carlo estimate of E d(X, Y) for independent uniform X, Y.
 
         Draws a single 2*trials sample and pairs the first half against the
@@ -161,7 +147,7 @@ class _ManifoldBase:
         """
         if trials < 1:
             raise ValueError("trials must be at least 1")
-        pts = self.sample_uniform(2 * trials, seed, stream=stream, region=region).points
+        pts = self.sample_uniform(2 * trials, seed, stream=stream).points
         return float(np.mean(self.paired_distance(pts[:trials], pts[trials:])))
 
     def distance(self, p, q) -> float:
@@ -191,8 +177,27 @@ class _ManifoldBase:
         return _as_point(p, self.coord_dim), _as_point(q, self.coord_dim)
 
 
+@dataclass(frozen=True)
 class Euclidean(_ManifoldBase):
-    """Flat R^n.  Uniform sampling requires a bounded axis-aligned box."""
+    """Flat R^n, sampled uniformly from the cube [lo, hi]^n given by ``box``.
+
+    The box is part of the space, so a sample's manifold records the box it was
+    drawn from; ``str`` prints ``euclid:<n>`` whatever the box.
+    """
+
+    box: tuple[float, float] = (0.0, 1.0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        try:
+            lo, hi = (float(x) for x in self.box)
+        except (TypeError, ValueError):
+            raise ValueError(f"box must be a pair (lo, hi) of numbers, got {self.box!r}") from None
+        if not math.isfinite(hi - lo):  # finite only if both bounds are
+            raise ValueError("degenerate sampling box: bounds and side length must be finite")
+        if hi <= lo:
+            raise ValueError("degenerate sampling box: the box needs hi > lo")
+        object.__setattr__(self, "box", (lo, hi))
 
     @property
     def coord_dim(self) -> int:
@@ -215,14 +220,10 @@ class Euclidean(_ManifoldBase):
         diff = X[..., :, None, :] - Y[..., None, :, :]
         return np.sqrt((diff * diff).sum(axis=-1))
 
-    def _box(self, region) -> tuple[np.ndarray, np.ndarray]:
-        box = _normalize_region(self.n, region)
-        return box[:, 0], box[:, 1] - box[:, 0]
-
-    def _draw(self, rng: np.random.Generator, k: int, box) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         # the bits of rng.uniform(lo, hi, (k, n)), without its per-call argument checks
-        lo, width = box
-        return lo + width * rng.random((k, self.n))
+        lo, hi = self.box
+        return lo + (hi - lo) * rng.random((k, self.n))
 
     def __str__(self):
         return f"euclid:{self.n}"
@@ -287,11 +288,7 @@ class UnitSphere(_ManifoldBase):
         # clamp guards floating-point drift of nearly (anti)parallel pairs
         return np.arccos(np.clip(X @ np.swapaxes(Y, -1, -2), -1.0, 1.0))
 
-    def _box(self, region) -> None:
-        if region is not None:
-            raise ValueError("sphere sampling takes no region")
-
-    def _draw(self, rng: np.random.Generator, k: int, box) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         # normalized Gaussians are rotation-invariant, hence uniform
         g = rng.standard_normal((k, self.coord_dim))
         return g / np.linalg.norm(g, axis=1, keepdims=True)

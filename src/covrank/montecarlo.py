@@ -1,9 +1,11 @@
 """Seeded Monte Carlo drivers: rank-law sweeps, full-rank frequencies, and
 the shifted-kernel condition-number comparison.
 
-Per-trial randomness comes from derived Philox streams: trial t of a size-k
-experiment with master seed q always uses stream ``(k << 32) | t`` of q
-(auxiliary draws such as forward-model weights set the top stream bit).
+An experiment's sample space is its manifold alone; for R^n that includes the
+sampling box (``Euclidean.box``).  Per-trial randomness comes from derived
+Philox streams: trial t of a size-k experiment with master seed q always uses
+stream ``(k << 32) | t`` of q (auxiliary draws such as forward-model weights
+set the top stream bit).
 One trial engine serves every experiment: it stacks the same-shape samples and
 matrices of consecutive trials into chunks and measures each chunk with one
 stacked SVD, or one stacked symmetric eigensolve for most condition-sweep
@@ -81,7 +83,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     tolerance: Tolerance = DEFAULT_TOLERANCE
-    region: object = None  # Euclidean sampling box, None = unit cube
 
     def __post_init__(self):
         ks = tuple(int(k) for k in self.k_values)
@@ -155,7 +156,7 @@ def _sample_chunks(cfg: ExperimentConfig, k: int, trial_bytes: int) -> Iterator[
     size = max(1, _CHUNK_BYTES // trial_bytes)
     for start in range(0, cfg.trials, size):
         streams = [sample_stream(k, t) for t in range(start, min(cfg.trials, start + size))]
-        yield cfg.manifold.sample_batch(k, cfg.seed, streams, region=cfg.region)
+        yield cfg.manifold.sample_batch(k, cfg.seed, streams)
 
 
 def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankReport:
@@ -257,7 +258,6 @@ def condition_sweep(
     trials: int,
     seed: int,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
-    region=None,
 ) -> list[SweepRow]:
     """Condition statistics of the shifted squared-distance matrices (d - alpha)^2.
 
@@ -278,7 +278,7 @@ def condition_sweep(
         raise ValueError("need at least one alpha and one k")
     cfg = ExperimentConfig(
         manifold=manifold, kernel=None, k_values=tuple(k_values), trials=trials, seed=seed,
-        tolerance=tolerance, region=region,
+        tolerance=tolerance,
     )
     symmetric = [not _proven_finite_rank(manifold, alpha) for alpha in alphas]
     cells = {}
@@ -311,14 +311,12 @@ def condition_sweep(
     return rows
 
 
-def alpha_recommendation(
-    manifold: Euclidean | UnitSphere, trials: int, seed: int, region=None
-) -> float:
+def alpha_recommendation(manifold: Euclidean | UnitSphere, trials: int, seed: int) -> float:
     """Estimated E d(X, Y) for uniform X, Y: the shift minimizing E (d - alpha)^2.
 
     On the unit sphere the exact value is pi/2 in every dimension.
     """
-    return manifold.expected_distance(trials, seed, region=region)
+    return manifold.expected_distance(trials, seed)
 
 
 def recovery_experiment(
@@ -327,7 +325,6 @@ def recovery_experiment(
     trials: int,
     seed: int,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
-    region=None,
 ) -> list[RecoveryTrial]:
     """Forward-generate f0 ~ Unif[0,1]^k, build its covariance field, solve back.
 
@@ -338,7 +335,7 @@ def recovery_experiment(
     """
     cfg = ExperimentConfig(
         manifold=manifold, kernel=None, k_values=(k,), trials=trials, seed=seed,
-        tolerance=tolerance, region=region,
+        tolerance=tolerance,
     )
     weights = rng_streams(seed, (aux_stream(k, t) for t in range(trials)))
     rows = []

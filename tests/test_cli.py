@@ -38,12 +38,13 @@ def read_matrix(path):
 
 class TestManifoldGrammar:
     def test_sphere(self):
-        m, region = parse_manifold("sphere:2")
-        assert m == UnitSphere(2) and region is None
+        assert parse_manifold("sphere:2") == UnitSphere(2)
 
     def test_euclid_with_box(self):
-        m, region = parse_manifold("euclid:3:box=-1,2")
-        assert m == Euclidean(3) and region == (-1.0, 2.0)
+        m = parse_manifold("euclid:3:box=-1,2")
+        assert m == Euclidean(3, box=(-1.0, 2.0))
+        assert str(m) == "euclid:3"
+        assert parse_manifold("euclid:3") == Euclidean(3, box=(0.0, 1.0))
 
     @pytest.mark.parametrize("bad", ["torus:2", "sphere", "euclid:x", "euclid:2:box=1", "sphere:2:box=0,1"])
     def test_rejects(self, bad):
@@ -342,13 +343,22 @@ class TestFailureReports:
               "--out", "missing/x.csv"], 1),
             (["tensor", "--manifold", "sphere:2", "--k", "4", "--out", "missing/p"], 1),
             (["sample", "--manifold", "sphere:2", "--k", "3", "--out", "."], 1),
+            # a seed is one 64-bit Philox key word
+            (["sample", "--manifold", "sphere:2", "--k", "3", "--seed", str(2**64)], 1),
+            (["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--seed", str(2**64)], 1),
+            # overflow in a finite box or kernel shift is a numerical failure, not a warning
+            (["recover", "--manifold", "euclid:2:box=-1e200,1e200", "--k", "4", "--trials", "2"], 2),
+            (["alpha", "--manifold", "euclid:2:box=0,1e308", "--trials", "3"], 2),
+            (["rank", "--manifold", "sphere:2", "--kernel", "shifted:1e200", "--k", "5"], 2),
+            (["tensor", "--manifold", "euclid:2:box=-1e200,1e200", "--k", "4"], 2),
         ],
         ids=["rank-bound", "recover-trials", "cond-trials", "cond-threads", "recover-threads",
              "rank-threads", "sample-threads", "sample-tol", "alpha-tol", "rank-k-pair",
              "cond-alpha-pair", "recover-file-trials", "alpha-out", "tensor-jsonl",
              "recover-file-jsonl", "rank-tol-nan", "sample-box-inf", "rank-box-inf", "alpha-box-inf",
              "rank-box-nan", "recover-file-trials-1", "rank-out-missing-dir", "tensor-out-missing-dir",
-             "sample-out-dir"],
+             "sample-out-dir", "sample-seed-2**64", "rank-seed-2**64", "recover-overflow",
+             "alpha-overflow", "rank-shift-overflow", "tensor-overflow"],
     )
     def test_one_line_and_exit_code(self, capsys, monkeypatch, tmp_path, argv, code):
         monkeypatch.chdir(tmp_path)  # a wrongly accepted --out writes here
@@ -360,3 +370,14 @@ class TestFailureReports:
         assert captured.err.count("\n") == 1 and captured.err.startswith("covrank: ")
         assert "Traceback" not in captured.err
         assert caught == []
+
+    def test_linalg_error_is_a_numerical_failure(self, capsys, monkeypatch):
+        # LinAlgError is a ValueError, yet it reports a failed factorization, not a bad input
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert main(["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "covrank: numerical failure: SVD did not converge\n"

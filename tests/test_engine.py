@@ -44,7 +44,7 @@ def recovery_chunk_size(manifold, k):
     return max(1, _CHUNK_BYTES // (8 * _system_rows(manifold, k) * (k + 1)))
 
 
-def make_config(manifold, kernel=None, k=8, trials=10, seed=3, tolerance=Tolerance(), region=None):
+def make_config(manifold, kernel=None, k=8, trials=10, seed=3, tolerance=Tolerance()):
     return ExperimentConfig(
         manifold=manifold,
         kernel=parse_kernel(kernel, manifold) if kernel else None,
@@ -52,14 +52,13 @@ def make_config(manifold, kernel=None, k=8, trials=10, seed=3, tolerance=Toleran
         trials=trials,
         seed=seed,
         tolerance=tolerance,
-        region=region,
     )
 
 
 def reference_reports(cfg, k, system):
     reports = []
     for t in range(cfg.trials):
-        sample = cfg.manifold.sample_uniform(k, cfg.seed, stream=sample_stream(k, t), region=cfg.region)
+        sample = cfg.manifold.sample_uniform(k, cfg.seed, stream=sample_stream(k, t))
         if system == "kernel":
             matrix = cfg.kernel.matrix(sample).entries
         else:
@@ -89,19 +88,19 @@ ONE_PER_CHUNK_K = math.isqrt(_CHUNK_BYTES // (8 * 3)) + 1
 
 
 @pytest.mark.parametrize(
-    "manifold, kernel, region, tolerance, k, trials",
+    "manifold, kernel, tolerance, k, trials",
     [
-        (Euclidean(2), "shifted:0.7", None, Tolerance(), 9, 30),
-        (UnitSphere(2), "dot:cos", None, Tolerance(), 12, 30),
-        (Euclidean(2), "sqdist", (-1.0, 3.0), Tolerance(), 9, 30),
-        (UnitSphere(2), "dot:arccos2", None, Tolerance.absolute(1e-9), 15, 30),
-        (Euclidean(2), "sqdist", None, Tolerance.absolute(1e-12), 20, ODD_TRIALS),
-        (UnitSphere(2), "dot:cos", None, Tolerance(), ONE_PER_CHUNK_K, 3),
+        (Euclidean(2), "shifted:0.7", Tolerance(), 9, 30),
+        (UnitSphere(2), "dot:cos", Tolerance(), 12, 30),
+        (Euclidean(2, box=(-1.0, 3.0)), "sqdist", Tolerance(), 9, 30),
+        (UnitSphere(2), "dot:arccos2", Tolerance.absolute(1e-9), 15, 30),
+        (Euclidean(2), "sqdist", Tolerance.absolute(1e-12), 20, ODD_TRIALS),
+        (UnitSphere(2), "dot:cos", Tolerance(), ONE_PER_CHUNK_K, 3),
     ],
     ids=["shifted", "dot-cos", "box", "absolute", "odd-trials", "one-per-chunk"],
 )
-def test_kernel_reports_match_reference(manifold, kernel, region, tolerance, k, trials):
-    cfg = make_config(manifold, kernel, k=k, trials=trials, region=region, tolerance=tolerance)
+def test_kernel_reports_match_reference(manifold, kernel, tolerance, k, trials):
+    cfg = make_config(manifold, kernel, k=k, trials=trials, tolerance=tolerance)
     assert_reports_equal(_trial_reports(cfg, k, "kernel"), reference_reports(cfg, k, "kernel"))
 
 
@@ -112,28 +111,28 @@ def test_chunking_cases_cross_chunk_boundaries():
 
 @pytest.mark.parametrize("system", ["Y", "Z"])
 @pytest.mark.parametrize(
-    "manifold, region, k", [(Euclidean(2), None, 8), (Euclidean(3), (-1.0, 3.0), 11)]
+    "manifold, k", [(Euclidean(2), 8), (Euclidean(3, box=(-1.0, 3.0)), 11)], ids=["unit-box", "box"]
 )
-def test_system_reports_match_reference(system, manifold, region, k):
-    cfg = make_config(manifold, k=k, trials=2 * chunk_size(k, manifold.n**2) + 3, region=region)
+def test_system_reports_match_reference(system, manifold, k):
+    cfg = make_config(manifold, k=k, trials=2 * chunk_size(k, manifold.n**2) + 3)
     assert_reports_equal(_trial_reports(cfg, k, system), reference_reports(cfg, k, system))
 
 
 def test_fullrank_probability_matches_reference():
-    cfg = make_config(Euclidean(3), "shifted:0.7", k=7, trials=40, region=(-1.0, 3.0))
+    cfg = make_config(Euclidean(3, box=(-1.0, 3.0)), "shifted:0.7", k=7, trials=40)
     reference = reference_reports(cfg, 7, "kernel")
     expected = float(np.mean([r.numerical_rank == 7 for r in reference]))
     assert fullrank_probability(cfg, 7) == expected
 
 
 def test_condition_sweep_matches_reference():
-    manifold, alphas, ks, trials, seed = Euclidean(2), [0.0, 0.4, -0.3], [6, 30], 2 * chunk_size(30, 2) + 1, 4
-    region = (-1.0, 3.0)
+    manifold, alphas, ks, seed = Euclidean(2, box=(-1.0, 3.0)), [0.0, 0.4, -0.3], [6, 30], 4
+    trials = 2 * chunk_size(30, 2) + 1
     expected = {}
     for k in ks:
         per_trial = []
         for t in range(trials):
-            points = manifold.sample_uniform(k, seed, stream=sample_stream(k, t), region=region).points
+            points = manifold.sample_uniform(k, seed, stream=sample_stream(k, t)).points
             dist = manifold.distance_matrix(points, points)
             np.fill_diagonal(dist, 0.0)
             # the oracle proves only alpha = 0 on R^n finite-rank; every other cell is eigensolved
@@ -143,7 +142,7 @@ def test_condition_sweep_matches_reference():
                 for a in alphas
             ])
         expected[k] = per_trial
-    rows = condition_sweep(manifold, alphas, ks, trials=trials, seed=seed, region=region)
+    rows = condition_sweep(manifold, alphas, ks, trials=trials, seed=seed)
     assert [(r.alpha, r.k) for r in rows] == [(a, k) for a in alphas for k in ks]
     for row in rows:
         reports = [cell[alphas.index(row.alpha)] for cell in expected[row.k]]
@@ -156,13 +155,13 @@ def test_condition_sweep_matches_reference():
         assert row.borderline_fraction == float(np.mean([r.borderline for r in reports]))
 
 
-@pytest.mark.parametrize("manifold, region", [(UnitSphere(2), None), (Euclidean(2), (-1.0, 3.0))])
-def test_recovery_experiment_matches_reference(manifold, region):
+@pytest.mark.parametrize("manifold", [UnitSphere(2), Euclidean(2, box=(-1.0, 3.0))], ids=["sphere", "box"])
+def test_recovery_experiment_matches_reference(manifold):
     k, trials, seed = 7, 2 * recovery_chunk_size(manifold, 7) + 1, 8
-    rows = recovery_experiment(manifold, k, trials, seed, region=region)
+    rows = recovery_experiment(manifold, k, trials, seed)
     assert [r.trial for r in rows] == list(range(trials))
     for t, row in enumerate(rows):
-        sample = manifold.sample_uniform(k, seed, stream=sample_stream(k, t), region=region)
+        sample = manifold.sample_uniform(k, seed, stream=sample_stream(k, t))
         f0 = rng_stream(seed, aux_stream(k, t)).random(k)
         field = outer_field(manifold, sample)
         result = recover(field, sigma_field(field, f0))
@@ -188,7 +187,7 @@ def test_samples_match_direct_draws():
     # reference draws: numpy's uniform over the box, and normalized Gaussians
     for stream in (0, sample_stream(9, 4)):
         rng = rng_stream(2, stream)
-        box = Euclidean(3).sample_uniform(9, 2, stream=stream, region=(-1.0, 3.0)).points
+        box = Euclidean(3, box=(-1.0, 3.0)).sample_uniform(9, 2, stream=stream).points
         assert np.array_equal(box, rng.uniform([-1.0] * 3, [3.0] * 3, size=(9, 3)))
         rng = rng_stream(2, stream)
         g = rng.standard_normal((9, 3))

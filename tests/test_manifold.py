@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from covrank import AntipodalPairError, Euclidean, UnitSphere, rng_stream
+from covrank.manifold import rng_streams
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -119,17 +120,32 @@ class TestSampling:
             UnitSphere(2).sample_uniform(0, seed=1)
 
     @pytest.mark.parametrize(
-        "region",
+        "box",
         [(1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0), (-1e308, 1e308)],
         ids=["empty", "inf-hi", "inf-lo", "nan-hi", "nan-lo", "side-overflow"],
     )
-    def test_degenerate_box_rejected(self, region):
+    def test_degenerate_box_rejected(self, box):
         with pytest.raises(ValueError, match="degenerate"):
-            Euclidean(2).sample_uniform(5, seed=1, region=region)
+            Euclidean(2, box=box)
 
-    def test_sphere_region_rejected(self):
-        with pytest.raises(ValueError):
-            UnitSphere(2).sample_uniform(5, seed=1, region=(0.0, 1.0))
+    @pytest.mark.parametrize("box", [(0.0,), (0.0, 1.0, 2.0), "ab", None, [[0.0, 1.0], [0.0, 2.0]]])
+    def test_box_must_be_one_pair(self, box):
+        with pytest.raises(ValueError, match="pair"):
+            Euclidean(2, box=box)
+
+    def test_box_is_a_hashable_pair_of_floats(self):
+        space = Euclidean(2, box=[np.float32(-1), 3])
+        assert space.box == (-1.0, 3.0) and all(type(x) is float for x in space.box)
+        assert hash(space) == hash(Euclidean(2, box=(-1.0, 3.0)))
+        assert Euclidean(2).box == (0.0, 1.0)
+
+    def test_boxes_are_part_of_the_space(self):
+        assert Euclidean(2, box=(-1.0, 3.0)) == Euclidean(2, box=(-1, 3))
+        assert Euclidean(2, box=(-1.0, 3.0)) != Euclidean(2)
+        assert Euclidean(2, box=(-1.0, 3.0)) != Euclidean(2, box=(-1.0, 2.0))
+        assert str(Euclidean(2, box=(-1.0, 3.0))) == "euclid:2"
+        sample = Euclidean(2, box=(-1.0, 3.0)).sample_uniform(4, seed=1)
+        assert sample.manifold.box == (-1.0, 3.0)
 
     def test_sphere_points_are_unit(self):
         pts = UnitSphere(2).sample_uniform(10, seed=7).points
@@ -145,7 +161,7 @@ class TestSampling:
         assert not np.array_equal(a.points, c.points)
 
     def test_box_respected(self):
-        pts = Euclidean(2).sample_uniform(200, seed=3, region=(-1.0, 2.0)).points
+        pts = Euclidean(2, box=(-1.0, 2.0)).sample_uniform(200, seed=3).points
         assert np.all(pts >= -1.0) and np.all(pts <= 2.0)
         default = Euclidean(2).sample_uniform(200, seed=3).points
         assert np.all(default >= 0.0) and np.all(default <= 1.0)
@@ -190,6 +206,21 @@ def test_rng_stream_rejects_negative():
         rng_stream(-1)
     with pytest.raises(ValueError):
         rng_stream(1, -2)
+
+
+@pytest.mark.parametrize("seed, stream", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1)])
+def test_rng_streams_refuse_keys_outside_64_bits(seed, stream):
+    # a Philox key word is one uint64: a wider value must be refused, not overflow
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        rng_stream(seed, stream)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        next(rng_streams(seed, [stream]))
+
+
+def test_rng_streams_take_the_largest_key():
+    top = 2**64 - 1
+    (rng,) = rng_streams(top, [top])
+    assert np.array_equal(rng.random(3), rng_stream(top, top).random(3))
 
 
 def test_empirical_pairwise_mean_matches_expected_distance():

@@ -1,6 +1,7 @@
+import inspect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,43 @@ class TestConfigValidation:
             config(UnitSphere(2), k_values=(0,))
         with pytest.raises(ValueError):
             config(UnitSphere(2), trials=0)
+
+
+class TestLibrarySurface:
+    """The space, its sampling box included, is the one channel a sample's space comes in.
+
+    A new parameter or field has to be added here as well, so review sees it as an option
+    to justify.
+    """
+
+    @pytest.mark.parametrize(
+        "call, params",
+        [
+            (Euclidean.sample_uniform, ["self", "k", "seed", "stream"]),
+            (UnitSphere.sample_uniform, ["self", "k", "seed", "stream"]),
+            (Euclidean.sample_batch, ["self", "k", "seed", "streams"]),
+            (Euclidean.expected_distance, ["self", "trials", "seed", "stream"]),
+            (condition_sweep, ["manifold", "alphas", "k_values", "trials", "seed", "tolerance"]),
+            (recovery_experiment, ["manifold", "k", "trials", "seed", "tolerance"]),
+            (alpha_recommendation, ["manifold", "trials", "seed"]),
+        ],
+        ids=["sample_uniform", "sphere-sample_uniform", "sample_batch", "expected_distance",
+             "condition_sweep", "recovery_experiment", "alpha_recommendation"],
+    )
+    def test_parameters(self, call, params):
+        assert list(inspect.signature(call).parameters) == params
+
+    @pytest.mark.parametrize(
+        "cls, names",
+        [
+            (ExperimentConfig, ["manifold", "kernel", "k_values", "trials", "seed", "tolerance"]),
+            (Euclidean, ["n", "box"]),
+            (UnitSphere, ["n"]),
+        ],
+        ids=["ExperimentConfig", "Euclidean", "UnitSphere"],
+    )
+    def test_fields(self, cls, names):
+        assert [f.name for f in fields(cls)] == names
 
 
 class TestSerialization:

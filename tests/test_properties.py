@@ -86,21 +86,21 @@ def test_jsonl_float_fields_round_trip(rows):
 # --- layout v1 -------------------------------------------------------------
 
 
-def draw_region(draw, manifold):
-    """A random sampling box for Euclidean space; None for the sphere."""
+def draw_space(draw, spaces):
+    """One of spaces; a Euclidean one is drawn with a random sampling box."""
+    manifold = draw(st.sampled_from(spaces))
     if not isinstance(manifold, Euclidean):
-        return None
+        return manifold
     lo = draw(st.floats(-10, 10))
-    return (lo, lo + draw(st.floats(0.01, 10)))
+    return Euclidean(manifold.n, box=(lo, lo + draw(st.floats(0.01, 10))))
 
 
 @st.composite
 def operator_fields(draw):
     """The field of a random sample on euclid:1-3 (in a random box) or sphere:2-3, k >= 1."""
-    manifold = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3), UnitSphere(2), UnitSphere(3)]))
-    region = draw_region(draw, manifold)
+    manifold = draw_space(draw, [Euclidean(1), Euclidean(2), Euclidean(3), UnitSphere(2), UnitSphere(3)])
     k = draw(st.integers(1, 9))
-    return outer_field(manifold, manifold.sample_uniform(k, draw(st.integers(0, 2**32 - 1)), region=region))
+    return outer_field(manifold, manifold.sample_uniform(k, draw(st.integers(0, 2**32 - 1))))
 
 
 def same_bits(a, b) -> bool:
@@ -168,12 +168,11 @@ def recovery_systems(draw):
     """The field of a random sample on euclid:1-3 (in a random box) or sphere:1-3, k >= 1,
     and Sigma stacks: its forward covariance field, or that field plus a random matrix
     per point, which has antisymmetric and, on the sphere, normal parts."""
-    manifold = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3),
-                                     UnitSphere(1), UnitSphere(2), UnitSphere(3)]))
-    region = draw_region(draw, manifold)
+    manifold = draw_space(draw, [Euclidean(1), Euclidean(2), Euclidean(3),
+                                 UnitSphere(1), UnitSphere(2), UnitSphere(3)])
     k = draw(st.integers(1, 9))
     seed = draw(st.integers(0, 2**32 - 1))
-    field = outer_field(manifold, manifold.sample_uniform(k, seed, region=region))
+    field = outer_field(manifold, manifold.sample_uniform(k, seed))
     rng = rng_stream(seed, 1)
     sigmas = sigma_field(field, rng.random(k)).sigmas
     if draw(st.booleans()):
@@ -207,11 +206,10 @@ def test_reduced_system_keeps_the_singular_values_and_ranks_of_Y_c(system):
 @st.composite
 def paired_points(draw):
     """Row-paired point arrays X, Y (T, coord_dim) on euclid:1-3 (in a random box) or sphere:1-3."""
-    manifold = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3),
-                                     UnitSphere(1), UnitSphere(2), UnitSphere(3)]))
-    region = draw_region(draw, manifold)
+    manifold = draw_space(draw, [Euclidean(1), Euclidean(2), Euclidean(3),
+                                 UnitSphere(1), UnitSphere(2), UnitSphere(3)])
     T = draw(st.integers(1, 40))
-    points = manifold.sample_uniform(2 * T, draw(st.integers(0, 2**32 - 1)), region=region).points
+    points = manifold.sample_uniform(2 * T, draw(st.integers(0, 2**32 - 1))).points
     return manifold, points[:T], points[T:]
 
 

@@ -74,6 +74,11 @@ class TestOuterField:
         with pytest.raises(ValueError):
             outer_field(UnitSphere(3), sample)
 
+    def test_sample_from_another_box_refused(self):
+        sample = Euclidean(2, box=(-1, 3)).sample_uniform(4, seed=1)
+        with pytest.raises(ValueError, match="does not live"):
+            outer_field(Euclidean(2), sample)
+
 
 class TestSigmaField:
     def test_zero_weights(self):
