@@ -95,10 +95,6 @@ def _float_list(text: str) -> list[float]:
         raise CliError(f"bad float list {text!r}") from None
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance.relative(args.tol_factor)
-
-
 def _k_values(args) -> list[int]:
     return _int_list(args.k_list) if args.k_list is not None else [args.k]
 
@@ -196,7 +192,7 @@ def cmd_rank(args) -> str:
         k_values=tuple(_k_values(args)),
         trials=args.trials,
         seed=args.seed,
-        tolerance=_tolerance(args),
+        tolerance=Tolerance(args.tol_factor),
     )
     rows = rank_law_sweep(cfg, "kernel")
     _check_no_nan(rows)
@@ -219,7 +215,7 @@ def cmd_tensor(args) -> str:
     Y = assemble_Y(field)
     psi, _ = trace_system(field)
     C = unfold_C(cov)
-    policy = _tolerance(args)
+    policy = Tolerance(args.tol_factor)
     rank_Y = rank_report(Y, policy).numerical_rank
     rank_Z = rank_report(_Z_of_Y(Y), policy).numerical_rank
     rank_psi = rank_report(psi, policy).numerical_rank
@@ -247,7 +243,7 @@ def cmd_tensor(args) -> str:
 
 def cmd_recover(args) -> str:
     manifold = parse_manifold(args.manifold)
-    policy = _tolerance(args)
+    policy = Tolerance(args.tol_factor)
     if args.sigma_file:
         if args.format != "csv":
             raise CliError("recover --sigma-file writes CSV only; --format jsonl is not supported")
@@ -290,7 +286,7 @@ def cmd_cond_sweep(args) -> str:
         _k_values(args),
         args.trials,
         args.seed,
-        tolerance=_tolerance(args),
+        tolerance=Tolerance(args.tol_factor),
     )
     _check_no_nan(rows)
     wrote = _write_rows(args, rows)

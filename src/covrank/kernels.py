@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import Euclidean, SampleSet, UnitSphere
+from .manifold import Euclidean, UnitSphere
 
 __all__ = [
     "Kernel",
-    "KernelMatrix",
     "RankClass",
     "UnclassifiedKernelError",
     "parse_kernel",
@@ -62,17 +61,6 @@ class Kernel:
         p, q = self.manifold._check_pair(p, q)
         return float(self.pairwise(p[None], q[None])[0, 0])
 
-    def matrix(self, rows: SampleSet, cols: SampleSet | None = None) -> "KernelMatrix":
-        """Pairwise evaluation matrix {k(rows[i], cols[j])}; plain point values, no quadrature weights."""
-        if cols is None:
-            cols = rows
-        if rows.manifold != self.manifold or cols.manifold != self.manifold:
-            raise ValueError("samples live on a different manifold than the kernel")
-        if rows.k == 0 or cols.k == 0:
-            raise ValueError("empty sample")
-        entries = self.pairwise(rows.points, None if rows is cols else cols.points)
-        return KernelMatrix(entries=entries, kernel=self, rows=rows, cols=cols)
-
     def pairwise(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         """Values k(x_r, y_s) for point stacks X (..., r, c) and Y (..., s, c), batched
         over leading axes.  Y = None pairs X with itself, where d(p, p) = 0 exactly."""
@@ -93,19 +81,6 @@ class Kernel:
         if self.family == "shifted":
             return f"shifted:{self.alpha:.17g}"
         return self.family
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Kernel evaluations of a sample pair, with enough provenance to re-derive them."""
-
-    entries: np.ndarray
-    kernel: Kernel
-    rows: SampleSet
-    cols: SampleSet
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
 
 
 def parse_kernel(text: str, manifold: Euclidean | UnitSphere) -> Kernel:

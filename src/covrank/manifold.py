@@ -212,10 +212,6 @@ class Euclidean(_ManifoldBase):
         to rotate."""
         return None
 
-    def exp_map(self, p, v) -> np.ndarray:
-        p, v = self._check_pair(p, v)
-        return p + v
-
     def distance_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         diff = X[..., :, None, :] - Y[..., None, :, :]
         return np.sqrt((diff * diff).sum(axis=-1))
@@ -273,16 +269,6 @@ class UnitSphere(_ManifoldBase):
         u[..., -1] += np.where(P[..., -1] < 0, -1.0, 1.0)
         scale = 2.0 / (u * u).sum(axis=-1)
         return np.eye(self.coord_dim) - scale[..., None, None] * u[..., :, None] * u[..., None, :]
-
-    def exp_map(self, p, v) -> np.ndarray:
-        """Geodesic flow from p along tangent v (requires ||v|| < pi)."""
-        p, v = self._check_pair(p, v)
-        if abs(float(p @ v)) > 1e-10:
-            raise ValueError("vector is not tangent to the sphere at its base point")
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return p.copy()
-        return math.cos(norm) * p + math.sin(norm) * (v / norm)
 
     def distance_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         # clamp guards floating-point drift of nearly (anti)parallel pairs

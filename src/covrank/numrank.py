@@ -1,24 +1,25 @@
 """Rank, conditioning, and minimum-norm least-squares measurements.
 
-Numerical rank counts singular values above a tolerance.  The default policy
-is the usual relative one, tau = max(m, n) * eps * sigma_1; an absolute
-threshold is available for callers that know their scale.  Reports flag
-decisions as borderline when any singular value lands within a factor of 10
-of the threshold, so experiment drivers can report ambiguity instead of
-silently misclassifying.
+Numerical rank counts singular values above a tolerance, always the relative
+tau = factor * sigma_1 with the default factor max(m, n) * eps, so a verdict
+does not depend on the scale of the matrix.  Reports flag decisions as
+borderline when any singular value lands within a factor of 10 of the
+threshold, so experiment drivers can report ambiguity instead of silently
+misclassifying.
 
 ``batched_rank_report`` measures a stack of same-shape matrices with one
 stacked SVD, or, for matrices the caller declares symmetric, one stacked
 symmetric eigensolve whose |eigenvalues| are the singular values;
-``rank_report`` is its one-matrix SVD case.  Least squares follows
-Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder QR of the
-augmented systems [A | b], then two small SVDs of the triangular factor, one
-for the rank of [A | b] and one for the rank of A and the minimum-norm
-solution.  ``solve_least_squares`` is its one-system case.
+``rank_report`` is its one-matrix SVD case.  Least squares (``_solve_augmented``,
+behind ``tensor.recover`` and the recovery experiments) follows Chan's R-SVD
+(T. F. Chan, ACM TOMS 8, 1982): one stacked Householder QR of the augmented
+systems [A | b], then two small SVDs of the triangular factor, one for the
+rank of [A | b] and one for the rank of A and the minimum-norm solution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -28,35 +29,21 @@ __all__ = [
     "Tolerance",
     "RankReport",
     "BatchedRankReport",
-    "LeastSquaresSolution",
     "rank_report",
     "batched_rank_report",
-    "solve_least_squares",
 ]
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Threshold policy for deciding which singular values count as nonzero."""
+    """Threshold policy for deciding which singular values count as nonzero:
+    tau = factor * sigma_1, with factor None meaning max(m, n) * eps."""
 
-    mode: str = "relative"
-    value: float | None = None  # relative factor (None = max(m,n)*eps) or absolute tau
+    factor: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("relative", "absolute"):
-            raise ValueError("mode must be 'relative' or 'absolute'")
-        if self.mode == "absolute" and self.value is None:
-            raise ValueError("absolute mode needs a tau")
-        if self.value is not None and not 0 < self.value < np.inf:
-            raise ValueError(f"{self.mode} tolerance must be positive and finite, got {self.value}")
-
-    @classmethod
-    def relative(cls, factor: float | None = None) -> "Tolerance":
-        return cls(mode="relative", value=factor)
-
-    @classmethod
-    def absolute(cls, tau: float) -> "Tolerance":
-        return cls(mode="absolute", value=tau)
+        if self.factor is not None and not 0 < self.factor < np.inf:
+            raise ValueError(f"tolerance factor must be positive and finite, got {self.factor}")
 
     def threshold(self, shape: tuple[int, int], sigma1):
         """tau for m x n matrices with largest singular value sigma1.
@@ -64,11 +51,8 @@ class Tolerance:
         sigma1 may be a float, giving a float, or an array of them, giving
         an array of thresholds of the same shape.
         """
-        if self.mode == "absolute":
-            tau = np.full(np.shape(sigma1), float(self.value))
-        else:
-            factor = self.value if self.value is not None else max(shape) * np.finfo(float).eps
-            tau = factor * np.asarray(sigma1, dtype=float)
+        factor = self.factor if self.factor is not None else max(shape) * np.finfo(float).eps
+        tau = factor * np.asarray(sigma1, dtype=float)
         return tau if tau.ndim else float(tau)
 
 
@@ -199,19 +183,23 @@ def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False) -> Batche
     )
 
 
-class LeastSquaresSolution(NamedTuple):
-    x: np.ndarray
-    residual_norm: float
-    rank: int
-    unique: bool
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, scaled by the largest |entry| so that no
     square overflows or underflows."""
     scale = np.max(np.abs(x), axis=-1, initial=0.0)
     unit = np.divide(x, scale[..., None], out=np.zeros_like(x), where=scale[..., None] > 0)
     return scale * np.sqrt((unit * unit).sum(axis=-1))
+
+
+def _scale_exponents(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exponents e (T,) that put ||b 2^-e|| in [g/2, g) for sizes g (T,) and vectors
+    b (T, m); e = 0 where ||b|| or g is 0.  No quotient of ||b|| and g is formed, so
+    none overflows."""
+    nb = _norms(b)
+    (mb, eb), (mg, eg) = np.frexp(nb), np.frexp(g)
+    both = (nb > 0) & (g > 0)
+    ratio = np.divide(mb, mg, out=np.ones_like(mb), where=both)  # in [1/2, 2)
+    return np.where(both, eb - eg + np.frexp(ratio)[1], 0)
 
 
 class _AugmentedSolution(NamedTuple):
@@ -235,36 +223,28 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     reduced copy of taller systems passes their row count, so tau is theirs.
     Every result for a system equals, bit for bit, what a stack holding only
     that system gives.
+
+    rank([A | b]) does not depend on the scale of b, but a threshold set by
+    sigma_1([A | b]) would: a b far larger than A puts every singular value of
+    A below it.  So R[:, n] = Q^T b, which is linear in b, is scaled by the
+    power of two 2^-e that brings ||b|| into [g/2, g), g = ||A||_F / sqrt(n)
+    <= sigma_1(A) (from A's singular values, so no copy of R is made), and x
+    and the residual are scaled back by 2^e.  Scaling by a power of two is
+    exact, so they keep their bits, and Ab is not touched.
     """
     m, n = Ab.shape[1] if rows is None else rows, Ab.shape[2] - 1
     R = np.linalg.qr(Ab, mode="r")  # (T, min(Ab.shape[1], n+1), n+1)
-    s_aug = np.linalg.svd(R, compute_uv=False)
-    rank_augmented = np.count_nonzero(s_aug > policy.threshold((m, n + 1), s_aug[:, 0])[:, None], axis=1)
     RA, Rb = R[:, :, :n], R[:, :, n]
     U, s, Vt = np.linalg.svd(RA[:, :n], full_matrices=False)
+    e = _scale_exponents(_norms(s) / math.sqrt(n), Rb)
+    np.ldexp(Rb, -e[:, None], out=Rb)
+    s_aug = np.linalg.svd(R, compute_uv=False)
+    rank_augmented = np.count_nonzero(s_aug > policy.threshold((m, n + 1), s_aug[:, 0])[:, None], axis=1)
     keep = s > policy.threshold((m, n), s[:, 0])[:, None]
     coeff = np.divide((np.swapaxes(U, 1, 2) @ Rb[:, :n, None])[..., 0], s, out=np.zeros_like(s), where=keep)
     x = (np.swapaxes(Vt, 1, 2) @ coeff[..., None])[..., 0]
     # Q has orthonormal columns spanning A's and b's, so ||A x - b|| = ||R[:, :n] x - R[:, n]||
     residual = _norms((RA @ x[..., None])[..., 0] - Rb)
-    return _AugmentedSolution(x, residual, np.count_nonzero(keep, axis=1), rank_augmented)
+    return _AugmentedSolution(np.ldexp(x, e[:, None]), np.ldexp(residual, e), np.count_nonzero(keep, axis=1),
+                              rank_augmented)
 
-
-def solve_least_squares(A, b, policy: Tolerance = DEFAULT_TOLERANCE) -> LeastSquaresSolution:
-    """Minimum-norm least-squares solution of A x = b under the same tolerance policy.
-
-    unique means the solution of the least-squares problem is unique, i.e.
-    A has full numerical column rank.  Solved from one QR of [A | b] and two
-    small SVDs of its triangular factor.
-    """
-    A = _validated(A)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.shape[0],):
-        raise ValueError(f"b must have shape ({A.shape[0]},), got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side has non-finite entries")
-    sol = _solve_augmented(np.column_stack([A, b])[None], policy)
-    rank = int(sol.rank[0])
-    return LeastSquaresSolution(
-        x=sol.x[0], residual_norm=float(sol.residual[0]), rank=rank, unique=rank == A.shape[1]
-    )

@@ -14,7 +14,7 @@ used downstream, all pinned to layout version ``v1``:
   block-row r, block-column s is ``Y[s, r]``.
 
 Y, Sigma and Psi are computed from the log vectors eta_ji of the sample,
-which the field stores; the blocks are built from them only when read.
+which the field stores; no (k, k, d, d) array of blocks is ever built.
 Each entry of Y is the single product eta_ji[l] * eta_ji[m], the same bits
 as the block entry.  Two identities of layout v1 follow, both bit for bit:
 row block (l, m) of Y equals row block (m, l), since IEEE multiplication
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +57,6 @@ __all__ = [
     "RecoveryResult",
     "outer_field",
     "sigma_field",
-    "modified_sigma_field",
     "assemble_Y",
     "unfold_C",
     "assemble_Z",
@@ -71,8 +69,8 @@ LAYOUT_VERSION = "v1"
 
 @dataclass(frozen=True)
 class OperatorField:
-    """The pairwise log vectors eta_ji of one sample, and the rank-one blocks
-    eta_ji eta_ji^T they define."""
+    """The pairwise log vectors eta_ji of one sample, which define the rank-one blocks
+    eta_ji eta_ji^T."""
 
     manifold: Euclidean | UnitSphere
     sample: SampleSet
@@ -80,14 +78,6 @@ class OperatorField:
 
     def __post_init__(self):
         self.eta.setflags(write=False)
-
-    @cached_property
-    def blocks(self) -> np.ndarray:
-        """(k, k, d, d) blocks eta_ji eta_ji^T, built on first read; Y, Z, Sigma and Psi
-        are computed from eta instead."""
-        blocks = np.einsum("jia,jib->jiab", self.eta, self.eta)
-        blocks.setflags(write=False)
-        return blocks
 
     @property
     def k(self) -> int:
@@ -120,45 +110,18 @@ def outer_field(manifold: Euclidean | UnitSphere, sample: SampleSet) -> Operator
     return OperatorField(manifold=manifold, sample=sample, eta=manifold.pairwise_log(sample.points))
 
 
-def _squared_norms(eta: np.ndarray) -> np.ndarray:
-    """||eta_ji||^2 (k, k): the traces of the blocks, with the same bits."""
-    return (eta * eta).sum(-1)
-
-
 def _weighted_sigmas(eta: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Sigma_j = sum_i g_ji eta_ji eta_ji^T of log vectors eta (..., k, k, d), batched over
     leading axes; g broadcasts to (..., k, k).  Each Sigma_j is one matrix product."""
     return np.swapaxes(eta * g[..., None], -1, -2) @ eta
 
 
-def _check_f(field: OperatorField, f) -> np.ndarray:
+def sigma_field(field: OperatorField, f) -> CovField:
+    """Sigma_j = sum_i f_i Y[j, i]; linear in f."""
     f = np.asarray(f, dtype=float)
     if f.shape != (field.k,):
         raise ValueError(f"f must have length {field.k}, got shape {f.shape}")
-    return f
-
-
-def sigma_field(field: OperatorField, f) -> CovField:
-    """Sigma_j = sum_i f_i Y[j, i]; linear in f."""
-    f = _check_f(field, f)
     return CovField(sigmas=_weighted_sigmas(field.eta, f[None, :]), f=f)
-
-
-def modified_sigma_field(field: OperatorField, f, alpha) -> CovField:
-    """Shift-weighted covariance field: each term carries (1 - alpha_j / d(p_j, p_i))^2.
-
-    Pairs at distance zero are skipped (their block vanishes anyway), and
-    alpha = 0 reproduces sigma_field bit for bit.
-    """
-    f = _check_f(field, f)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (field.k,))
-    if np.any(alpha < 0):
-        raise ValueError("alpha values must be non-negative")
-    dist = np.sqrt(_squared_norms(field.eta))
-    positive = dist > 0
-    ratio = np.divide(alpha[:, None], dist, out=np.zeros_like(dist), where=positive)
-    weights = np.where(positive, (1.0 - ratio) ** 2, 0.0)
-    return CovField(sigmas=_weighted_sigmas(field.eta, weights * f[None, :]), f=f)
 
 
 def assemble_Y(field: OperatorField) -> np.ndarray:
@@ -306,8 +269,9 @@ def _Z_of_Y(Y: np.ndarray) -> np.ndarray:
 
 
 def trace_system(field: OperatorField, cov: CovField | None = None):
-    """Blockwise traces: Psi[j, i] = tr Y[j, i] (the squared-distance matrix) and c_j = tr Sigma_j."""
-    psi = _squared_norms(field.eta)
+    """Blockwise traces: Psi[j, i] = tr Y[j, i] (the squared-distance matrix) and c_j = tr Sigma_j.
+    Psi[j, i] = ||eta_ji||^2 has the bits of the trace of the block eta_ji eta_ji^T."""
+    psi = (field.eta * field.eta).sum(-1)
     if cov is None:
         return psi, None
     if cov.sigmas.shape != (field.k, field.d, field.d):

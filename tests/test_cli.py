@@ -226,6 +226,21 @@ class TestTensorAndRecover:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("entry", ["1e20", "1e308"])
+    def test_huge_sigma_entry_is_no_covariance_field(self, capsys, tmp_path, entry):
+        # the verdict on [Y | c] is that of its direction, not of its scale
+        lines = GOLDEN_SIGMA.read_text().splitlines()
+        lines[1] = entry + lines[1][lines[1].index(","):]  # the first entry of Sigma_1
+        sigma = tmp_path / "Sigma.csv"
+        sigma.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["recover", "--manifold", "sphere:2", "--k", "8", "--seed", "3",
+                         "--sigma-file", str(sigma)])
+        captured = capsys.readouterr()
+        assert (code, captured.err, caught) == (0, "", [])
+        assert int(summary_value(captured.out, "rank_augmented")) == int(summary_value(captured.out, "rank_Y")) + 1
+
 
 class TestCondSweepCommand:
     def test_csv_columns_and_determinism(self, capsys, tmp_path):

@@ -60,7 +60,7 @@ def reference_reports(cfg, k, system):
     for t in range(cfg.trials):
         sample = cfg.manifold.sample_uniform(k, cfg.seed, stream=sample_stream(k, t))
         if system == "kernel":
-            matrix = cfg.kernel.matrix(sample).entries
+            matrix = cfg.kernel.pairwise(sample.points)
         else:
             field = outer_field(cfg.manifold, sample)
             matrix = assemble_Y(field) if system == "Y" else assemble_Z(field)
@@ -93,11 +93,11 @@ ONE_PER_CHUNK_K = math.isqrt(_CHUNK_BYTES // (8 * 3)) + 1
         (Euclidean(2), "shifted:0.7", Tolerance(), 9, 30),
         (UnitSphere(2), "dot:cos", Tolerance(), 12, 30),
         (Euclidean(2, box=(-1.0, 3.0)), "sqdist", Tolerance(), 9, 30),
-        (UnitSphere(2), "dot:arccos2", Tolerance.absolute(1e-9), 15, 30),
-        (Euclidean(2), "sqdist", Tolerance.absolute(1e-12), 20, ODD_TRIALS),
+        (UnitSphere(2), "dot:arccos2", Tolerance(1e-9), 15, 30),
+        (Euclidean(2), "sqdist", Tolerance(1e-12), 20, ODD_TRIALS),
         (UnitSphere(2), "dot:cos", Tolerance(), ONE_PER_CHUNK_K, 3),
     ],
-    ids=["shifted", "dot-cos", "box", "absolute", "odd-trials", "one-per-chunk"],
+    ids=["shifted", "dot-cos", "box", "factor", "odd-trials", "one-per-chunk"],
 )
 def test_kernel_reports_match_reference(manifold, kernel, tolerance, k, trials):
     cfg = make_config(manifold, kernel, k=k, trials=trials, tolerance=tolerance)

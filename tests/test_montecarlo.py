@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 import math
@@ -7,10 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import covrank
 from covrank import (
     Euclidean,
     ExperimentConfig,
     Kernel,
+    Tolerance,
     UnitSphere,
     alpha_recommendation,
     condition_sweep,
@@ -190,10 +193,11 @@ class TestConfigValidation:
 
 
 class TestLibrarySurface:
-    """The space, its sampling box included, is the one channel a sample's space comes in.
+    """The space, its sampling box included, is the one channel a sample's space comes in,
+    and the package exports only what the instrument uses.
 
-    A new parameter or field has to be added here as well, so review sees it as an option
-    to justify.
+    A new parameter, field or export has to be added here as well, so review sees it as an
+    option to justify.
     """
 
     @pytest.mark.parametrize(
@@ -219,11 +223,30 @@ class TestLibrarySurface:
             (ExperimentConfig, ["manifold", "kernel", "k_values", "trials", "seed", "tolerance"]),
             (Euclidean, ["n", "box"]),
             (UnitSphere, ["n"]),
+            (Tolerance, ["factor"]),
         ],
-        ids=["ExperimentConfig", "Euclidean", "UnitSphere"],
+        ids=["ExperimentConfig", "Euclidean", "UnitSphere", "Tolerance"],
     )
     def test_fields(self, cls, names):
         assert [f.name for f in fields(cls)] == names
+
+    def test_package_exports(self):
+        assert covrank.__all__ == [
+            "AntipodalPairError", "BatchedRankReport", "CovField", "DEFAULT_TOLERANCE", "Euclidean",
+            "ExperimentConfig", "Kernel", "OperatorField", "RankBoundError", "RankClass", "RankLawRow",
+            "RankReport", "RecoveryResult", "RecoveryTrial", "SampleSet", "SweepRow", "Tolerance",
+            "UnclassifiedKernelError", "UnitSphere", "alpha_recommendation", "arccos_taylor_coeffs",
+            "arccos_taylor_eval", "assemble_Y", "assemble_Z", "batched_rank_report", "condition_sweep",
+            "fullrank_probability", "outer_field", "parse_kernel", "rank_law_sweep", "rank_report",
+            "recover", "recovery_experiment", "rng_stream", "rows_to_csv", "rows_to_jsonl", "sigma_field",
+            "theoretical_rank", "trace_system", "unfold_C",
+        ]
+
+    @pytest.mark.parametrize("module", ["covrank", "covrank.cli", "covrank.kernels", "covrank.manifold",
+                                        "covrank.montecarlo", "covrank.numrank", "covrank.tensor"])
+    def test_every_export_resolves(self, module):
+        module = importlib.import_module(module)
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 class TestSerialization:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covrank import Tolerance, batched_rank_report, rank_report, rng_stream, solve_least_squares
+from covrank import Tolerance, batched_rank_report, rank_report, rng_stream
 from covrank.numrank import _solve_augmented
 
 
@@ -84,15 +84,14 @@ class TestRankReport:
         clear = np.diag([1.0, 0.5])
         assert not rank_report(clear).borderline
 
-    def test_absolute_policy(self):
-        m = np.diag([1.0, 1e-3, 1e-9])
-        assert rank_report(m, Tolerance.absolute(1e-6)).numerical_rank == 2
-        assert rank_report(m, Tolerance.absolute(1e-12)).numerical_rank == 3
-
     def test_relative_factor_override(self):
         m = np.diag([1.0, 1e-10])
-        assert rank_report(m, Tolerance.relative(1e-8)).numerical_rank == 1
-        assert rank_report(m, Tolerance.relative(1e-12)).numerical_rank == 2
+        assert rank_report(m, Tolerance(1e-8)).numerical_rank == 1
+        assert rank_report(m, Tolerance(1e-12)).numerical_rank == 2
+        m = np.diag([1.0, 1e-3, 1e-9])
+        assert rank_report(m, Tolerance(1e-6)).numerical_rank == 2
+        assert rank_report(m, Tolerance(1e-12)).numerical_rank == 3
+        assert rank_report(1e-200 * m, Tolerance(1e-6)).numerical_rank == 2  # tau scales with sigma_1
 
     def test_nonsquare_has_no_determinant(self):
         assert rank_report(np.ones((3, 5))).log_abs_det is None
@@ -104,38 +103,34 @@ class TestRankReport:
             rank_report(np.zeros((0, 3)))
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
-                Tolerance.absolute(bad)
-            with pytest.raises(ValueError):
-                Tolerance.relative(bad)
-        with pytest.raises(ValueError):
-            Tolerance(mode="typo")
+                Tolerance(bad)
+
+
+def solve_one(A, b):
+    """x, residual, rank of A and rank of [A | b] of one system, solved as a stack of one."""
+    return [field[0] for field in _solve_augmented(np.column_stack([A, b])[None], Tolerance())]
 
 
 class TestLeastSquares:
     def test_identity_system(self):
-        sol = solve_least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(sol.x, [1, 2, 3])
-        assert sol.residual_norm == pytest.approx(0.0, abs=1e-14)
-        assert sol.unique
+        x, residual, rank, _ = solve_one(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        assert np.allclose(x, [1, 2, 3])
+        assert residual == pytest.approx(0.0, abs=1e-14)
+        assert rank == 3
 
     def test_rank_one_system_takes_minimum_norm(self):
-        sol = solve_least_squares(np.ones((2, 2)), np.array([2.0, 2.0]))
-        assert np.allclose(sol.x, [1.0, 1.0], atol=1e-12)
-        assert sol.rank == 1
-        assert not sol.unique
+        x, _, rank, _ = solve_one(np.ones((2, 2)), np.array([2.0, 2.0]))
+        assert np.allclose(x, [1.0, 1.0], atol=1e-12)
+        assert rank == 1
 
     def test_forward_generated_recovery(self):
         rng = rng_stream(31)
         for trial in range(10):
             a = rng.standard_normal((8, 3))
             x0 = rng.standard_normal(3)
-            sol = solve_least_squares(a, a @ x0)
-            assert np.max(np.abs(sol.x - x0)) <= 1e-10
-            assert sol.unique and sol.rank == 3
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_least_squares(np.eye(3), np.ones(4))
+            x, _, rank, rank_augmented = solve_one(a, a @ x0)
+            assert np.max(np.abs(x - x0)) <= 1e-10
+            assert rank == rank_augmented == 3
 
 
 def pinv_reference(A, b, policy=Tolerance()):
@@ -180,9 +175,20 @@ def test_qr_solve_matches_svd_pseudo_inverse(name, A, b):
     scale = 1e-12 * max(1.0, np.linalg.norm(b))
     np.testing.assert_allclose(sol.x[0], x_ref, rtol=1e-10, atol=scale)
     assert sol.residual[0] == pytest.approx(residual_ref, rel=1e-10, abs=scale)
-    one = solve_least_squares(A, b)
-    assert np.array_equal(one.x, sol.x[0])
-    assert (one.residual_norm, one.rank, one.unique) == (sol.residual[0], rank_ref, rank_ref == A.shape[1])
+
+
+@pytest.mark.parametrize("name, A, b", SOLVE_CASES, ids=[case[0] for case in SOLVE_CASES])
+def test_solve_does_not_depend_on_the_scale_of_b(name, A, b):
+    # rank([A | b]) is that of [A | 2^e b]; x and the residual scale with b, exactly
+    one = _solve_augmented(np.column_stack([A, b])[None], Tolerance())
+    for e in (-600, 600):
+        Ab = np.column_stack([A, np.ldexp(b, e)])[None]
+        given = Ab.copy()
+        sol = _solve_augmented(Ab, Tolerance())
+        assert np.array_equal(Ab, given)  # the caller's stack is left as it was
+        assert np.array_equal(sol.x, np.ldexp(one.x, e))
+        assert np.array_equal(sol.residual, np.ldexp(one.residual, e))
+        assert (sol.rank, sol.rank_augmented) == (one.rank, one.rank_augmented)
 
 
 def test_case_list_covers_each_kind():
@@ -197,7 +203,7 @@ def test_case_list_covers_each_kind():
 
 
 @pytest.mark.parametrize("m, n, rank", [(30, 6, 6), (30, 6, 4), (20, 9, 9), (5, 8, 5), (7, 6, 3)])
-@pytest.mark.parametrize("policy", [Tolerance(), Tolerance.absolute(1e-9)], ids=["relative", "absolute"])
+@pytest.mark.parametrize("policy", [Tolerance(), Tolerance(1e-9)], ids=["relative", "factor"])
 def test_stacked_solve_equals_separate_solves(m, n, rank, policy):
     rng = rng_stream(44)
     T = 7
@@ -221,7 +227,8 @@ def test_solve_thresholds_for_the_row_count_it_is_given():
     alone = _solve_augmented(Ab, Tolerance())
     taller = _solve_augmented(Ab, Tolerance(), rows=300)
     assert (alone.rank[0], alone.rank_augmented[0]) == (2, 2)
-    assert (taller.rank[0], taller.rank_augmented[0]) == (1, 1)
+    # b lies outside the numerical range of A, so [A | b] keeps a rank above A's
+    assert (taller.rank[0], taller.rank_augmented[0]) == (1, 2)
     assert taller.residual[0] == 30 * eps and alone.residual[0] == 0.0
 
 
@@ -245,11 +252,11 @@ def report_fields(report):
 
 
 @pytest.mark.parametrize("k, rank", [(1, None), (6, None), (9, 4), (12, 11)])
-@pytest.mark.parametrize("policy", [Tolerance(), Tolerance.absolute(1e-9)], ids=["relative", "absolute"])
+@pytest.mark.parametrize("policy", [Tolerance(), Tolerance(1e-9)], ids=["relative", "factor"])
 def test_stacked_symmetric_report_equals_separate_reports(k, rank, policy):
     stack = symmetric_stack(5, k, seed=60 + k, rank=rank)
     stack[3] = 0.0  # a singular member: cond inf, log_abs_det -inf
-    stack[1] *= 1e-10  # a member whose spectrum straddles an absolute threshold
+    stack[1] *= 1e-10  # a member at another scale, whose tau is its own
     stacked = batched_rank_report(stack, policy, symmetric=True)
     for t in range(len(stack)):
         alone = batched_rank_report(stack[t : t + 1], policy, symmetric=True)
