@@ -88,6 +88,10 @@ class TestRankReport:
         m = np.diag([1.0, 1e-10])
         assert rank_report(m, Tolerance(1e-8)).numerical_rank == 1
         assert rank_report(m, Tolerance(1e-12)).numerical_rank == 2
+
+    def test_absolute_policy(self):
+        # there is no absolute threshold: at sigma_1 = 1 a factor gives the
+        # ranks a fixed tau would, and at another scale tau follows sigma_1
         m = np.diag([1.0, 1e-3, 1e-9])
         assert rank_report(m, Tolerance(1e-6)).numerical_rank == 2
         assert rank_report(m, Tolerance(1e-12)).numerical_rank == 3
