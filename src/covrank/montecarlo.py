@@ -329,8 +329,9 @@ def recovery_experiment(
     """Forward-generate f0 ~ Unif[0,1]^k, build its covariance field, solve back.
 
     Each chunk of trials from the engine is written as stacks of reduced
-    [Y | c] systems (see tensor.recover), each solved with one stacked QR and
-    two stacked small SVDs; every row equals, bit for bit,
+    [Y | c] systems (see tensor.recover), each solved with one stacked QR, one
+    stacked SVD plus an arrowhead inertia count (O'Leary-Stewart); every row
+    equals, bit for bit,
     recover(field, sigma_field(field, f0)) on that trial's sample.
     """
     cfg = ExperimentConfig(

@@ -13,8 +13,9 @@ symmetric eigensolve whose |eigenvalues| are the singular values;
 ``rank_report`` is its one-matrix SVD case.  Least squares (``_solve_augmented``,
 behind ``tensor.recover`` and the recovery experiments) follows Chan's R-SVD
 (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder QR of the augmented
-systems [A | b], then two small SVDs of the triangular factor, one for the
-rank of [A | b] and one for the rank of A and the minimum-norm solution.
+systems [A | b], then one SVD of the triangular factor's leading block plus an
+arrowhead inertia count (O'Leary-Stewart): the SVD gives the rank of A and the
+minimum-norm solution, the count the rank of [A | b].
 """
 
 from __future__ import annotations
@@ -211,17 +212,90 @@ class _AugmentedSolution(NamedTuple):
     rank_augmented: np.ndarray  # (T,) numerical rank of [A | b]
 
 
+_NEWTON_STEPS = 64  # a cap only: from its start below the root Newton converges in a few steps
+
+
+def _arrowhead_sigma1(s: np.ndarray, z: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sigma_1 (T,) of the bordered matrices M = [[diag(s), z], [0, rho]], s (T, n) >= 0.
+
+    M^T M is a symmetric arrowhead matrix: diagonal s_i^2, border s_i z_i and corner
+    alpha = |z|^2 + rho^2.  Its largest eigenvalue is the largest root of
+    phi(lam) = lam - alpha - sum_i s_i^2 z_i^2 / (lam - s_i^2), or, where every border
+    entry of the largest s_i^2 is 0, that s_i^2 itself (O'Leary and Stewart, J. Comput.
+    Phys. 90, 1990).  Newton's method starts from the largest eigenvalue of the 2 x 2
+    principal blocks [[s_i^2, s_i z_i], [s_i z_i, alpha]], which is at most lam_1 by
+    interlacing and lies above every pole; phi is increasing and concave there, so
+    every step moves up and none passes the root.  A step is never taken downwards,
+    which keeps the deflated case at its start, and a trial stops at its own
+    convergence, so its result does not depend on the other trials of the stack.
+    """
+    d, w2 = s * s, (s * z) ** 2
+    alpha = (z * z).sum(axis=1) + rho * rho
+    lam = ((d + alpha[:, None]) / 2 + np.hypot((d - alpha[:, None]) / 2, s * z)).max(axis=1)
+    poles = w2 > 0
+    # the 2 x 2 start rounds onto its pole when s_i z_i is tiny; start one ulp above it
+    lam = np.maximum(lam, np.nextafter(np.where(poles, d, -np.inf).max(axis=1), np.inf))
+    active = np.arange(len(lam))
+    for _ in range(_NEWTON_STEPS):
+        if not active.size:
+            break
+        at, where = lam[active], poles[active]
+        gap = at[:, None] - d[active]
+        q = np.divide(w2[active], gap, out=np.zeros_like(gap), where=where)
+        slope = 1.0 + np.divide(q, gap, out=np.zeros_like(gap), where=where).sum(axis=1)
+        step = np.maximum((alpha[active] + q.sum(axis=1) - at) / slope, 0.0)
+        lam[active] = at + step
+        active = active[step > 2 * np.finfo(float).eps * at]
+    return np.sqrt(lam)
+
+
+def _arrowhead_count(s: np.ndarray, z: np.ndarray, rho: np.ndarray, x: np.ndarray,
+                     sigma1: np.ndarray) -> np.ndarray:
+    """Number of singular values above x (T,) of M = [[diag(s), z], [0, rho]], whose
+    largest singular value is sigma1 (T,), without an SVD.
+
+    By Sylvester's law of inertia the eigenvalues of M^T M - x^2 above 0 are as many as
+    the positive pivots s_i^2 - x^2 plus the positive Schur complement
+    rho^2 - x^2 - x^2 sum_i z_i^2 / (s_i^2 - x^2), written so that |z|^2 does not
+    cancel.  A zero pivot with z_i != 0 pairs with the last row into a block of
+    inertia (1, 1) and leaves the other such rows singular; x >= sigma1 counts none.
+    """
+    below = x < sigma1
+    x = np.where(below, x, 0.0)[:, None]  # a huge x would overflow x^2
+    pivot = (s - x) * (s + x)
+    coupled = (pivot == 0) & (z != 0)
+    terms = np.divide((z * x) ** 2, pivot, out=np.zeros_like(pivot), where=pivot != 0)
+    last = rho * rho - x[:, 0] ** 2 - terms.sum(axis=1) > 0
+    count = np.count_nonzero((s > x) & ~coupled, axis=1) + np.where(coupled.any(axis=1), 1, last)
+    return np.where(below, count, 0)
+
+
+def _rank_augmented(s: np.ndarray, z: np.ndarray, rho: np.ndarray, policy: Tolerance,
+                    shape: tuple[int, int]) -> np.ndarray:
+    """Numerical rank (T,) of M = [[diag(s), z], [0, rho]] under policy, for matrices of
+    the given shape, from an arrowhead inertia count.  M is first scaled by the power of
+    two of its largest entry, so no square below overflows, and the scaling is exact."""
+    big = np.maximum(s[:, 0], np.maximum(np.abs(z).max(axis=1), np.abs(rho)))
+    e = -np.frexp(big)[1]
+    with np.errstate(under="ignore"):  # what underflows lies far below the threshold
+        s, z, rho = np.ldexp(s, e[:, None]), np.ldexp(z, e[:, None]), np.ldexp(rho, e)
+        sigma1 = _arrowhead_sigma1(s, z, rho)
+        return _arrowhead_count(s, z, rho, policy.threshold(shape, sigma1), sigma1)
+
+
 def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None) -> _AugmentedSolution:
     """Minimum-norm least squares of every system [A | b] of a (T, m, n+1) stack.
 
-    One stacked QR gives [A | b] = Q R with R of at most n+1 rows, so both
-    SVDs below are small whatever m is.  The singular values of R are those
-    of [A | b]; those of R[:n, :n] are those of A, and its SVD solves
-    R[:, :n] x = R[:, n], which is A x = b in the coordinates of Q.  The
-    thresholds use the shapes (rows, n+1) and (rows, n) of the original
-    matrices: rows defaults to m, and a caller whose stack is an orthogonally
-    reduced copy of taller systems passes their row count, so tau is theirs.
-    Every result for a system equals, bit for bit, what a stack holding only
+    One stacked QR gives [A | b] = Q R, R padded with zero rows to n+1 when m is
+    smaller, which changes neither its singular values nor the solution.  The SVD
+    R[:n, :n] = U S V^T gives the singular values of A, and solves R[:, :n] x = R[:, n],
+    which is A x = b in the coordinates of Q.  It also gives rank([A | b]) without a
+    second SVD: R is orthogonally equivalent to M = [[S, z], [0, rho]], z = U^T R[:n, n]
+    and rho = R[n, n], whose singular values an arrowhead inertia count measures
+    (``_rank_augmented``).  The thresholds use the shapes (rows, n+1) and (rows, n) of
+    the original matrices: rows defaults to m, and a caller whose stack is an
+    orthogonally reduced copy of taller systems passes their row count, so tau is
+    theirs.  Every result for a system equals, bit for bit, what a stack holding only
     that system gives.
 
     rank([A | b]) does not depend on the scale of b, but a threshold set by
@@ -234,17 +308,18 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     """
     m, n = Ab.shape[1] if rows is None else rows, Ab.shape[2] - 1
     R = np.linalg.qr(Ab, mode="r")  # (T, min(Ab.shape[1], n+1), n+1)
+    if R.shape[1] <= n:
+        R = np.concatenate([R, np.zeros((R.shape[0], n + 1 - R.shape[1], n + 1))], axis=1)
     RA, Rb = R[:, :, :n], R[:, :, n]
     U, s, Vt = np.linalg.svd(RA[:, :n], full_matrices=False)
     e = _scale_exponents(_norms(s) / math.sqrt(n), Rb)
     np.ldexp(Rb, -e[:, None], out=Rb)
-    s_aug = np.linalg.svd(R, compute_uv=False)
-    rank_augmented = np.count_nonzero(s_aug > policy.threshold((m, n + 1), s_aug[:, 0])[:, None], axis=1)
+    z = (np.swapaxes(U, 1, 2) @ Rb[:, :n, None])[..., 0]
+    rank_augmented = _rank_augmented(s, z, Rb[:, n], policy, (m, n + 1))
     keep = s > policy.threshold((m, n), s[:, 0])[:, None]
-    coeff = np.divide((np.swapaxes(U, 1, 2) @ Rb[:, :n, None])[..., 0], s, out=np.zeros_like(s), where=keep)
+    coeff = np.divide(z, s, out=np.zeros_like(s), where=keep)
     x = (np.swapaxes(Vt, 1, 2) @ coeff[..., None])[..., 0]
     # Q has orthonormal columns spanning A's and b's, so ||A x - b|| = ||R[:, :n] x - R[:, n]||
     residual = _norms((RA @ x[..., None])[..., 0] - Rb)
     return _AugmentedSolution(np.ldexp(x, e[:, None]), np.ldexp(residual, e), np.count_nonzero(keep, axis=1),
                               rank_augmented)
-

@@ -34,9 +34,9 @@ that the fold and the projection drop.  The Y rows the projection drops
 vanish only up to the round-off normal parts of the log vectors, which grow
 as eps / sin(theta) near the sphere's cut locus; a trial on which they are
 not negligible against the rank threshold keeps them, d(d+1)/2 k + 1 rows
-(``_recovery_systems``).  One QR and two small SVDs (``numrank``) solve
-either, thresholded for the shapes of the unreduced system;
-``recovery_experiment`` runs the same path batched over trials.  The
+(``_recovery_systems``).  One QR, one SVD plus an arrowhead inertia count
+(O'Leary-Stewart, ``numrank``) solve either, thresholded for the shapes of
+the unreduced system; ``recovery_experiment`` runs the same path batched over trials.  The
 reduction stays inside the solve: Y, C and the layout-v1 dump are unchanged.
 """
 
@@ -302,7 +302,8 @@ def recover(
     The solve runs on the reduced system of ``_recovery_systems``, orthogonally
     equivalent to [Y | C] but n(n+1)/2 k + 1 rows tall instead of d^2 k (or
     d(d+1)/2 k + 1 where Y's dropped normal part is not negligible), with one
-    QR and two small SVDs of its triangular factor, at most (k+1) x (k+1).
+    QR, then one SVD plus an arrowhead inertia count (O'Leary-Stewart) of its
+    triangular factor, at most (k+1) x (k+1).
     Ranks are thresholded for the shapes of [Y | C] and Y, so the tolerance is
     that of the unreduced system.
     """

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from covrank import Tolerance, batched_rank_report, rank_report, rng_stream
-from covrank.numrank import _solve_augmented
+from covrank.numrank import _arrowhead_count, _arrowhead_sigma1, _rank_augmented, _solve_augmented
 
 
 def exact_rank(matrix) -> int:
@@ -210,13 +210,15 @@ def test_case_list_covers_each_kind():
 @pytest.mark.parametrize("policy", [Tolerance(), Tolerance(1e-9)], ids=["relative", "factor"])
 def test_stacked_solve_equals_separate_solves(m, n, rank, policy):
     rng = rng_stream(44)
-    T = 7
     stack = np.stack([
-        np.column_stack([deficient(m, n, rank, seed=50 + t), rng.standard_normal(m)]) for t in range(T)
+        np.column_stack([deficient(m, n, rank, seed=50 + t), rng.standard_normal(m)]) for t in range(7)
     ])
     stack[2, :, -1] = stack[2, :, :-1] @ rng.standard_normal(n)  # one consistent system
+    # members that take different numbers of Newton steps for sigma_1([A | b]): the zero
+    # system, a copy of the consistent one and one scaled by 2^600
+    stack = np.concatenate([stack, np.zeros_like(stack[:1]), stack[2:3], np.ldexp(stack[1:2], 600)])
     stacked = _solve_augmented(stack, policy)
-    for t in range(T):
+    for t in range(len(stack)):
         alone = _solve_augmented(stack[t : t + 1], policy)
         for got, want in zip(stacked, alone):
             assert np.array_equal(got[t], want[0]), t
@@ -234,6 +236,107 @@ def test_solve_thresholds_for_the_row_count_it_is_given():
     # b lies outside the numerical range of A, so [A | b] keeps a rank above A's
     assert (taller.rank[0], taller.rank_augmented[0]) == (1, 2)
     assert taller.residual[0] == 30 * eps and alone.residual[0] == 0.0
+
+
+def test_solve_runs_one_svd(monkeypatch):
+    # rank([A | b]) comes from the SVD of A's block by an inertia count, not a second SVD
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = rng_stream(45)
+    sol = _solve_augmented(rng.standard_normal((4, 40, 7)), Tolerance())
+    assert calls == [(4, 6, 6)]
+    assert list(sol.rank_augmented) == [7] * 4
+
+
+def bordered(s, z, rho):
+    """M = [[diag(s), z], [0, rho]], whose singular values those of [A | b] equal."""
+    n = len(s)
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n], M[:n, n], M[n, n] = np.diag(s), z, rho
+    return M
+
+
+def arrowhead_count(s, z, rho, x):
+    """Singular values of bordered(s, z, rho) above x, and its sigma_1, as stacks of one."""
+    s, z, rho = np.asarray(s, dtype=float)[None], np.asarray(z, dtype=float)[None], np.array([rho], dtype=float)
+    sigma1 = _arrowhead_sigma1(s, z, rho)
+    return int(_arrowhead_count(s, z, rho, np.array([x], dtype=float), sigma1)[0]), float(sigma1[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_arrowhead_count_matches_svd(n):
+    rng = rng_stream(80 + n)
+    for _ in range(25):
+        s = -np.sort(-(10.0 ** rng.uniform(-6, 0, n)))
+        z = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 0, n)
+        rho = rng.standard_normal() * 10.0 ** rng.uniform(-6, 0)
+        sv = np.linalg.svd(bordered(s, z, rho), compute_uv=False)
+        # thresholds at least 2x away from every singular value, well above the SVD's round-off
+        xs = [(0, 2 * sv[0])] + [(i + 1, math.sqrt(sv[i] * sv[i + 1]))
+                                 for i in range(n) if sv[i] >= 4 * sv[i + 1] and sv[i + 1] > 1e-10 * sv[0]]
+        if sv[-1] > 1e-10 * sv[0]:
+            xs.append((n + 1, sv[-1] / 2))
+        for want, x in xs:
+            count, sigma1 = arrowhead_count(s, z, rho, x)
+            assert count == want
+            assert sigma1 == pytest.approx(sv[0], rel=1e-13)
+
+
+def test_arrowhead_count_at_ties_and_on_the_threshold():
+    with np.errstate(all="raise"):
+        # tied s_i, one of them with a zero border entry
+        s, z, rho = [1.0, 1.0, 0.5], [0.3, 0.0, 0.4], 0.1
+        sv = np.linalg.svd(bordered(s, z, rho), compute_uv=False)
+        for x in (0.05, 0.2, 0.75, 1.02, 2.0):
+            count, sigma1 = arrowhead_count(s, z, rho, x)
+            assert count == np.count_nonzero(sv > x)
+            assert sigma1 == pytest.approx(sv[0], rel=1e-14)
+        # no border at all: sigma_1 is the largest of s and rho, exactly
+        assert arrowhead_count([1.0, 1.0], [0.0, 0.0], 2.0, 0.5) == (3, 2.0)
+        assert arrowhead_count([1.0, 1.0], [0.0, 0.0], 0.5, 0.7) == (2, 1.0)
+        # x == s_i: a coupled zero pivot, and an uncoupled one, which is not above x
+        s, z, rho = [1.0, 0.25], [0.1, 0.2], 0.05
+        sv = np.linalg.svd(bordered(s, z, rho), compute_uv=False)
+        assert arrowhead_count(s, z, rho, 0.25)[0] == np.count_nonzero(sv > 0.25) == 2
+        assert arrowhead_count(s, [0.1, 0.0], rho, 0.25)[0] == 1
+        # two coupled zero pivots leave one row singular
+        s, z = [1.0, 0.25, 0.25], [0.1, 0.2, 0.3]
+        sv = np.linalg.svd(bordered(s, z, 0.0), compute_uv=False)
+        assert arrowhead_count(s, z, 0.0, 0.25)[0] == np.count_nonzero(sv > 0.25) == 2
+        # a threshold at or above sigma_1 counts nothing, however large
+        assert arrowhead_count([1.0], [0.0], 0.0, 1.0)[0] == 0
+        assert arrowhead_count([1.0], [1.0], 1.0, 1e300)[0] == 0
+        assert _rank_augmented(np.ones((1, 1)), np.ones((1, 1)), np.ones(1), Tolerance(1e300), (2, 2))[0] == 0
+
+
+def edge_systems():
+    rng = rng_stream(46)
+    A = rng.standard_normal((6, 3))
+    yield "zero-k1", np.zeros((5, 1)), rng.standard_normal(5), (0, 1)
+    yield "zero-k1-b0", np.zeros((5, 1)), np.zeros(5), (0, 0)
+    yield "b0", A, np.zeros(6), (3, 3)
+    A = rng.integers(-4, 5, (6, 3)).astype(float)
+    yield "b-in-range", A, A @ np.array([1.0, -2.0, 3.0]), (3, 3)  # exact: small integers
+    yield "general", A, rng.standard_normal(6), (3, 4)
+    yield "tied", np.vstack([np.eye(3), np.zeros((3, 3))]), rng.standard_normal(6), (3, 4)
+
+
+EDGE_SYSTEMS = list(edge_systems())
+
+
+@pytest.mark.parametrize("name, A, b, ranks", EDGE_SYSTEMS, ids=[case[0] for case in EDGE_SYSTEMS])
+def test_solve_edge_cases_raise_no_floating_point_error(name, A, b, ranks):
+    assert np.linalg.matrix_rank(A) == ranks[0]
+    for e in (-600, 0, 600):
+        with np.errstate(all="raise"):
+            sol = _solve_augmented(np.column_stack([A, np.ldexp(b, e)])[None], Tolerance())
+        assert (sol.rank[0], sol.rank_augmented[0]) == ranks
 
 
 def symmetric_stack(T, k, seed, rank=None):
