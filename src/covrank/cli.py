@@ -264,6 +264,7 @@ def cmd_recover(args) -> str:
             f"recover mode=file manifold={manifold} k={args.k} seed={args.seed}"
             f" residual={fmt17(result.residual)} rank_Y={result.rank_Y}"
             f" rank_augmented={result.rank_augmented} unique={fmt17(result.unique)}"
+            f" borderline={fmt17(result.borderline)}"
         )
     trials = 1 if args.trials is None else args.trials
     rows = recovery_experiment(manifold, args.k, trials, args.seed, policy)
@@ -273,7 +274,8 @@ def cmd_recover(args) -> str:
         f"recover mode=forward manifold={manifold} k={args.k} trials={trials}"
         f" seed={args.seed} unique_fraction={fmt17(sum(r.unique for r in rows) / len(rows))}"
         f" max_rel_error={fmt17(max(r.rel_error for r in rows))}"
-        f" max_residual={fmt17(max(r.residual for r in rows))}{wrote}"
+        f" max_residual={fmt17(max(r.residual for r in rows))}"
+        f" borderline_fraction={fmt17(sum(r.borderline for r in rows) / len(rows))}{wrote}"
     )
 
 

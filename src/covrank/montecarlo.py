@@ -139,6 +139,7 @@ class RecoveryTrial:
     rank_Y: int
     rank_augmented: int
     unique: bool
+    borderline: bool
 
 
 # --- the trial engine ---------------------------------------------------
@@ -353,6 +354,7 @@ def recovery_experiment(
                     rank_Y=result.rank_Y,
                     rank_augmented=result.rank_augmented,
                     unique=result.unique,
+                    borderline=result.borderline,
                 )
             )
     return rows

@@ -172,16 +172,19 @@ def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False) -> Batche
         cond = np.where(rank < s.shape[1], np.inf, s[:, 0] / s[:, -1])
         # log 0 = -inf, so a singular matrix gets log_abs_det = -inf
         log_abs_det = np.log(s).sum(axis=1) if shape[0] == shape[1] else None
-    near = (s > (tol / 10)[:, None]) & (s < (tol * 10)[:, None])
-    borderline = (tol > 0) & near.any(axis=1)
     return BatchedRankReport(
         singular_values=s,
         numerical_rank=rank,
         tolerance_used=tol,
         condition_number=cond,
         log_abs_det=log_abs_det,
-        borderline=borderline,
+        borderline=_near(s, tol),
     )
+
+
+def _near(s: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Whether any of the singular values s (T, r) lies within 10x of its row's threshold tol (T,)."""
+    return (tol > 0) & ((s > (tol / 10)[:, None]) & (s < (tol * 10)[:, None])).any(axis=1)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -210,6 +213,7 @@ class _AugmentedSolution(NamedTuple):
     residual: np.ndarray  # (T,) ||A x - b||
     rank: np.ndarray  # (T,) numerical rank of A
     rank_augmented: np.ndarray  # (T,) numerical rank of [A | b]
+    borderline: np.ndarray  # (T,) bool: either rank may flip under a small perturbation
 
 
 _NEWTON_STEPS = 64  # a cap only: from its start below the root Newton converges in a few steps
@@ -271,16 +275,20 @@ def _arrowhead_count(s: np.ndarray, z: np.ndarray, rho: np.ndarray, x: np.ndarra
 
 
 def _rank_augmented(s: np.ndarray, z: np.ndarray, rho: np.ndarray, policy: Tolerance,
-                    shape: tuple[int, int]) -> np.ndarray:
+                    shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Numerical rank (T,) of M = [[diag(s), z], [0, rho]] under policy, for matrices of
-    the given shape, from an arrowhead inertia count.  M is first scaled by the power of
-    two of its largest entry, so no square below overflows, and the scaling is exact."""
+    the given shape, and whether any singular value of M lies within 10x of the threshold
+    t, from three arrowhead inertia counts: at t, t/10 and 10 t.  M is first scaled by the
+    power of two of its largest entry, so no square below overflows, and the scaling is
+    exact."""
     big = np.maximum(s[:, 0], np.maximum(np.abs(z).max(axis=1), np.abs(rho)))
     e = -np.frexp(big)[1]
     with np.errstate(under="ignore"):  # what underflows lies far below the threshold
         s, z, rho = np.ldexp(s, e[:, None]), np.ldexp(z, e[:, None]), np.ldexp(rho, e)
         sigma1 = _arrowhead_sigma1(s, z, rho)
-        return _arrowhead_count(s, z, rho, policy.threshold(shape, sigma1), sigma1)
+        t = policy.threshold(shape, sigma1)
+        low, rank, high = (_arrowhead_count(s, z, rho, x, sigma1) for x in (t / 10, t, t * 10))
+    return rank, low > high
 
 
 def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None) -> _AugmentedSolution:
@@ -295,8 +303,10 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     (``_rank_augmented``).  The thresholds use the shapes (rows, n+1) and (rows, n) of
     the original matrices: rows defaults to m, and a caller whose stack is an
     orthogonally reduced copy of taller systems passes their row count, so tau is
-    theirs.  Every result for a system equals, bit for bit, what a stack holding only
-    that system gives.
+    theirs.  A solution is borderline when a singular value of A or of [A | b] lies
+    within 10x of its threshold, or when rank([A | b]) is neither rank(A) nor
+    rank(A) + 1.  Every result for a system equals, bit for bit, what a stack holding
+    only that system gives.
 
     rank([A | b]) does not depend on the scale of b, but a threshold set by
     sigma_1([A | b]) would: a b far larger than A puts every singular value of
@@ -315,11 +325,14 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     e = _scale_exponents(_norms(s) / math.sqrt(n), Rb)
     np.ldexp(Rb, -e[:, None], out=Rb)
     z = (np.swapaxes(U, 1, 2) @ Rb[:, :n, None])[..., 0]
-    rank_augmented = _rank_augmented(s, z, Rb[:, n], policy, (m, n + 1))
-    keep = s > policy.threshold((m, n), s[:, 0])[:, None]
+    rank_augmented, near_augmented = _rank_augmented(s, z, Rb[:, n], policy, (m, n + 1))
+    tau = policy.threshold((m, n), s[:, 0])
+    keep = s > tau[:, None]
+    rank = np.count_nonzero(keep, axis=1)
+    # appending a column raises the rank by 0 or 1, so any other verdict is round-off
+    borderline = near_augmented | _near(s, tau) | (rank_augmented < rank) | (rank_augmented > rank + 1)
     coeff = np.divide(z, s, out=np.zeros_like(s), where=keep)
     x = (np.swapaxes(Vt, 1, 2) @ coeff[..., None])[..., 0]
     # Q has orthonormal columns spanning A's and b's, so ||A x - b|| = ||R[:, :n] x - R[:, n]||
     residual = _norms((RA @ x[..., None])[..., 0] - Rb)
-    return _AugmentedSolution(np.ldexp(x, e[:, None]), np.ldexp(residual, e), np.count_nonzero(keep, axis=1),
-                              rank_augmented)
+    return _AugmentedSolution(np.ldexp(x, e[:, None]), np.ldexp(residual, e), rank, rank_augmented, borderline)

@@ -286,6 +286,7 @@ class RecoveryResult:
     rank_Y: int
     rank_augmented: int
     unique: bool
+    borderline: bool
 
 
 def recover(
@@ -299,6 +300,9 @@ def recover(
     Euclidean samples), so deficient systems are solved and reported with
     unique=False instead of raising.  rank_augmented is the rank of [Y | C];
     it equals rank_Y whenever C really is a covariance field of the sample.
+    borderline flags a verdict that a small perturbation could flip: a singular
+    value of Y or of [Y | C] within 10x of its threshold, or a rank_augmented other
+    than rank_Y or rank_Y + 1.
     The solve runs on the reduced system of ``_recovery_systems``, orthogonally
     equivalent to [Y | C] but n(n+1)/2 k + 1 rows tall instead of d^2 k (or
     d(d+1)/2 k + 1 where Y's dropped normal part is not negligible), with one
@@ -327,7 +331,8 @@ def _recoveries(
     for trials, systems in groups:
         k = systems.shape[-1] - 1
         solution = _solve_augmented(systems, policy, manifold.coord_dim ** 2 * k)
-        for t, x, residual, rank, rank_augmented in zip(trials, *solution):
+        for t, x, residual, rank, rank_augmented, borderline in zip(trials, *solution):
             results[t] = RecoveryResult(f_hat=x, residual=float(residual), rank_Y=int(rank),
-                                        rank_augmented=int(rank_augmented), unique=bool(rank == k))
+                                        rank_augmented=int(rank_augmented), unique=bool(rank == k),
+                                        borderline=bool(borderline))
     return [results[t] for t in sorted(results)]

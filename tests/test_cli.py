@@ -216,6 +216,7 @@ class TestTensorAndRecover:
         assert code == 0
         assert float(summary_value(out, "unique_fraction")) == 0.0
         assert float(summary_value(out, "max_residual")) <= 1e-10
+        assert float(summary_value(out, "borderline_fraction")) == 0.0
 
     def test_sigma_file_shape_checked(self, capsys, tmp_path):
         bad = tmp_path / "sigma.csv"
@@ -240,6 +241,7 @@ class TestTensorAndRecover:
         captured = capsys.readouterr()
         assert (code, captured.err, caught) == (0, "", [])
         assert int(summary_value(captured.out, "rank_augmented")) == int(summary_value(captured.out, "rank_Y")) + 1
+        assert summary_value(captured.out, "borderline") == "false"
 
 
 class TestCondSweepCommand:

@@ -111,19 +111,19 @@ class TestRankReport:
 
 
 def solve_one(A, b):
-    """x, residual, rank of A and rank of [A | b] of one system, solved as a stack of one."""
+    """x, residual, rank of A, rank of [A | b] and borderline of one system, solved as a stack of one."""
     return [field[0] for field in _solve_augmented(np.column_stack([A, b])[None], Tolerance())]
 
 
 class TestLeastSquares:
     def test_identity_system(self):
-        x, residual, rank, _ = solve_one(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        x, residual, rank, _, borderline = solve_one(np.eye(3), np.array([1.0, 2.0, 3.0]))
         assert np.allclose(x, [1, 2, 3])
         assert residual == pytest.approx(0.0, abs=1e-14)
-        assert rank == 3
+        assert rank == 3 and not borderline
 
     def test_rank_one_system_takes_minimum_norm(self):
-        x, _, rank, _ = solve_one(np.ones((2, 2)), np.array([2.0, 2.0]))
+        x, _, rank, _, _ = solve_one(np.ones((2, 2)), np.array([2.0, 2.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
         assert rank == 1
 
@@ -132,9 +132,18 @@ class TestLeastSquares:
         for trial in range(10):
             a = rng.standard_normal((8, 3))
             x0 = rng.standard_normal(3)
-            x, _, rank, rank_augmented = solve_one(a, a @ x0)
+            x, _, rank, rank_augmented, _ = solve_one(a, a @ x0)
             assert np.max(np.abs(x - x0)) <= 1e-10
             assert rank == rank_augmented == 3
+
+
+    def test_borderline_flag(self):
+        # a singular value of A, or one of [A | b] alone, within 10x of its threshold
+        eps = np.finfo(float).eps
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        for small, borderline in ((20 * eps, True), (1e-3, False)):
+            assert solve_one(np.diag([1.0, small, 0.0])[:, :2], np.array([0.0, 0.0, 1.0]))[4] == borderline
+            assert solve_one(A, np.array([0.0, 1.0, small]))[4] == borderline
 
 
 def pinv_reference(A, b, policy=Tolerance()):

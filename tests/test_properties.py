@@ -62,6 +62,7 @@ recovery_rows = st.builds(
     rank_Y=st.integers(0, 10**6),
     rank_augmented=st.integers(0, 10**6),
     unique=st.booleans(),
+    borderline=st.booleans(),
 )
 
 

@@ -329,6 +329,12 @@ class TestReducedRecovery:
             assert (result.rank_Y, result.rank_augmented) == (rank_Y.numerical_rank, rank_aug.numerical_rank)
         assert decided >= 6
 
+    def test_impossible_verdict_is_borderline(self):
+        # rank([Y | c]) 7 < rank(Y) 8 on this circle trial: Y's 8th singular value sits
+        # at 0.998 tau, so the verdict is round-off and must not read as decided
+        row = recovery_experiment(UnitSphere(1), 12, trials=50, seed=1)[7]
+        assert (row.rank_Y, row.rank_augmented, row.borderline) == (8, 7, True)
+
     @pytest.mark.parametrize("seed, trial", [(4, 21), (8, 1)])
     def test_covariance_field_near_the_cut_locus_is_consistent(self, seed, trial):
         # A pair of these circle samples is nearly antipodal, and its log vector's
