@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from covrank import Tolerance, batched_rank_report, rank_report, rng_stream
+from covrank import numrank
 from covrank.numrank import _arrowhead_count, _arrowhead_sigma1, _rank_augmented, _solve_augmented
 
 
@@ -306,6 +307,8 @@ def test_arrowhead_count_at_ties_and_on_the_threshold():
             count, sigma1 = arrowhead_count(s, z, rho, x)
             assert count == np.count_nonzero(sv > x)
             assert sigma1 == pytest.approx(sv[0], rel=1e-14)
+        # a border entry too small to move the 2 x 2 start off its pole s_1^2
+        assert arrowhead_count([1.0, 0.5], [1e-9, 0.0], 0.0, 0.7) == (1, 1.0)
         # no border at all: sigma_1 is the largest of s and rho, exactly
         assert arrowhead_count([1.0, 1.0], [0.0, 0.0], 2.0, 0.5) == (3, 2.0)
         assert arrowhead_count([1.0, 1.0], [0.0, 0.0], 0.5, 0.7) == (2, 1.0)
@@ -322,6 +325,30 @@ def test_arrowhead_count_at_ties_and_on_the_threshold():
         assert arrowhead_count([1.0], [0.0], 0.0, 1.0)[0] == 0
         assert arrowhead_count([1.0], [1.0], 1.0, 1e300)[0] == 0
         assert _rank_augmented(np.ones((1, 1)), np.ones((1, 1)), np.ones(1), Tolerance(1e300), (2, 2))[0] == 0
+
+
+def test_arrowhead_sigma1_of_a_stack_equals_separate_ones():
+    # trials converge after different numbers of Newton steps; each stops at its own
+    rng = rng_stream(81)
+    n, T = 12, 40
+    s = -np.sort(-(10.0 ** rng.uniform(-8, 0, (T, n))), axis=1)
+    z = rng.standard_normal((T, n)) * 10.0 ** rng.uniform(-8, 0, (T, 1))
+    rho = rng.standard_normal(T) * 10.0 ** rng.uniform(-8, 0, T)
+    z[::5] = 0.0  # no border: the start is the root
+    stacked = _arrowhead_sigma1(s, z, rho)
+    for t in range(T):
+        assert stacked[t] == _arrowhead_sigma1(s[t : t + 1], z[t : t + 1], rho[t : t + 1])[0], t
+
+
+def test_impossible_rank_augmented_is_borderline(monkeypatch):
+    # appending a column keeps rank([A | b]) in {rank(A), rank(A) + 1} in exact arithmetic;
+    # a count outside those, which only round-off could give, must not read as decided
+    A, b = np.eye(3)[:, :2], np.array([0.0, 0.0, 1.0])
+    assert solve_one(A, b)[2:] == [2, 3, False]
+    for rank_augmented, borderline in ((1, True), (2, False), (3, False), (4, True)):
+        monkeypatch.setattr(numrank, "_rank_augmented",
+                            lambda *args, r=rank_augmented: (np.array([r]), np.array([False])))
+        assert solve_one(A, b)[2:] == [2, rank_augmented, borderline]
 
 
 def edge_systems():
