@@ -36,8 +36,9 @@ as eps / sin(theta) near the sphere's cut locus; a trial on which they are
 not negligible against the rank threshold keeps them, d(d+1)/2 k + 1 rows
 (``_recovery_systems``).  One QR, one SVD plus an arrowhead inertia count
 (O'Leary-Stewart, ``numrank``) solve either, thresholded for the shapes of
-the unreduced system; ``recovery_experiment`` runs the same path batched over trials.  The
-reduction stays inside the solve: Y, C and the layout-v1 dump are unchanged.
+the unreduced system; ``recovery_experiment`` runs the same path batched
+over trials.  The reduction stays inside the solve: Y, C and the layout-v1
+dump are unchanged.
 """
 
 from __future__ import annotations
