@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from covrank.cli import build_parser, main, parse_manifold
-from covrank import Euclidean, UnitSphere, rng_stream
+from covrank import Euclidean, UnitSphere, assemble_Y, assemble_Z, outer_field, rng_stream
+from covrank.montecarlo import fmt17, sample_stream
 
 # a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
 GOLDEN_SIGMA = Path(__file__).parent / "golden" / "tensor.Sigma.csv"
@@ -150,24 +152,58 @@ class TestTensorAndRecover:
     def test_dump_spells_each_double_once(self, capsys, tmp_path, monkeypatch):
         # Y's mirrored row blocks share their spellings and Z is written from Y's, so
         # a dump spells d(d+1)/2 k^2 (Y and Z), k^2 (Psi), 2 d^2 k (C, Sigma) and k (f0)
-        # doubles; spelling every entry of Y and Z would take 2 d^2 k^2
+        # doubles; spelling every entry of Y and Z would take 2 d^2 k^2.  Matrices are
+        # spelled by _spelled_lines and scalars by fmt17, so the count takes in both
         import covrank.cli
         import covrank.montecarlo
 
         spelled = []
-        fmt17 = covrank.montecarlo.fmt17
+        fmt17, spelled_lines = covrank.montecarlo.fmt17, covrank.cli._spelled_lines
 
         def counting_fmt17(value):
             if isinstance(value, float):
-                spelled.append(value)
+                spelled.append(1)
             return fmt17(value)
+
+        def counting_spelled_lines(matrix):
+            spelled.append(np.size(matrix))
+            return spelled_lines(matrix)
 
         for module in (covrank.cli, covrank.montecarlo):
             monkeypatch.setattr(module, "fmt17", counting_fmt17)
+        monkeypatch.setattr(covrank.cli, "_spelled_lines", counting_spelled_lines)
         k, d = 30, 3
         code, _ = run(capsys, "tensor", "--manifold", "sphere:2", "--k", str(k), "--out", str(tmp_path / "sys"))
         assert code == 0
-        assert len(spelled) <= d * (d + 1) // 2 * k * k + k * k + 2 * d * d * k + k
+        assert 0 < sum(spelled) <= d * (d + 1) // 2 * k * k + k * k + 2 * d * d * k + k
+
+    @pytest.mark.parametrize("spec, k", [("sphere:2", 30), ("euclid:3:box=-1,2", 12)])
+    def test_dumped_Y_and_Z_are_fmt17_of_each_entry(self, capsys, tmp_path, spec, k):
+        # the goldens dump k in {1, 7, 8} only
+        code, _ = run(capsys, "tensor", "--manifold", spec, "--k", str(k), "--out", str(tmp_path / "sys"))
+        assert code == 0
+        manifold = parse_manifold(spec)
+        field = outer_field(manifold, manifold.sample_uniform(k, 0, stream=sample_stream(k, 0)))
+        for name, matrix in (("Y", assemble_Y(field)), ("Z", assemble_Z(field))):
+            header, body = (tmp_path / f"sys.{name}.csv").read_text().split("\n", 1)
+            assert header.startswith(f"# covrank {name} layout=v1")
+            assert body == "".join(",".join(map(fmt17, row)) + "\n" for row in matrix.tolist())
+
+    def test_dump_peak_memory_stays_near_Y(self, capsys, tmp_path):
+        # Y, Z's fixed-width spellings (3x Y's bytes) and the lines of Y's unique row
+        # blocks (1.8x) peak at 6.7x, stacked spellings of Y copied into Z's order at 7.3x;
+        # a tolist() of the whole of Z takes the peak to 12.4x
+        k, d = 120, 3
+        argv = ["tensor", "--manifold", "sphere:2", "--k", str(k), "--out", str(tmp_path / "sys")]
+        assert main(argv) == 0  # warm: first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 10 * 8 * d * d * k * k
 
     def test_recover_from_sigma_file_round_trips(self, capsys, tmp_path):
         prefix = tmp_path / "sys"

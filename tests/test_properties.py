@@ -1,8 +1,8 @@
 """Property tests: 17-digit CSV and JSON-lines values read back as the same doubles,
-the layout-v1 index formulas of Y, Z and C hold bit for bit on random samples,
-the reduced recovery system keeps the singular values and rank verdicts of
-[Y | c], and a pair of points gets the same distance and kernel value from every
-path."""
+a matrix row spelled by one template has the bytes fmt17 gives value by value, the
+layout-v1 index formulas of Y, Z and C hold bit for bit on random samples, the
+reduced recovery system keeps the singular values and rank verdicts of [Y | c], and
+a pair of points gets the same distance and kernel value from every path."""
 
 import json
 import math
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from covrank import (  # noqa: E402
     CovField,
@@ -31,6 +31,7 @@ from covrank import (  # noqa: E402
     trace_system,
     unfold_C,
 )
+from covrank.cli import _spelled_lines  # noqa: E402
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
 from covrank.numrank import _solve_augmented  # noqa: E402
 from covrank.tensor import _frame_coordinates, _recovery_systems, _Z_of_Y  # noqa: E402
@@ -46,6 +47,12 @@ def same_double(a: float, b: float) -> bool:
 @given(st.floats())
 def test_fmt17_round_trips_every_double(x):
     assert same_double(float(fmt17(x)), x)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=8))
+@example([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308])
+def test_row_template_spells_as_fmt17(row):
+    assert _spelled_lines(np.array([row]))[0] == ",".join(map(fmt17, row)) + "\n"
 
 
 sweep_rows = st.builds(
