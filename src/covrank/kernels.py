@@ -67,7 +67,9 @@ class Kernel:
         if self.family in ("sqdist", "shifted"):
             m = self.manifold
             d = m.pairwise_distance(X) if Y is None else m.distance_matrix(X, Y)
-            return (d - self.alpha) ** 2
+            d -= self.alpha
+            d *= d
+            return d
         return self._apply_dot(X @ np.swapaxes(X if Y is None else Y, -1, -2))
 
     def _apply_dot(self, g):

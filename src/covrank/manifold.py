@@ -66,13 +66,17 @@ def rng_streams(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generat
 
     One Philox bit generator is re-keyed per stream (key [seed, s], counter 0,
     empty buffer) instead of constructed anew, because construction spends
-    most of its time pulling SeedSequence entropy.  The same Generator object
-    is yielded each time: finish drawing from it before advancing.
+    most of its time pulling SeedSequence entropy.  The state handed to the
+    setter holds plain ints, which it reads word by word faster than numpy
+    arrays.  The same Generator object is yielded each time: finish drawing
+    from it before advancing.
     """
     _check_key_word(seed)
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state  # a copy: counter 0, empty buffer
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     for stream in streams:
         _check_key_word(stream)
         fresh["state"]["key"][1] = stream
@@ -133,10 +137,16 @@ class _ManifoldBase:
 
     def sample_batch(self, k: int, seed: int, streams: Iterable[int]) -> np.ndarray:
         """The points of ``sample_uniform(k, seed, stream=s)`` for each s in streams,
-        stacked into shape (len(streams), k, coord_dim) with the same bits."""
+        stacked into shape (len(streams), k, coord_dim) with the same bits: each stream
+        fills its slice with raw draws, and one pass over the stack makes them points."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        return np.stack([self._draw(rng, k) for rng in rng_streams(seed, streams)])
+        streams = list(streams)
+        out = np.empty((len(streams), k, self.coord_dim))
+        for rng, points in zip(rng_streams(seed, streams), out):
+            self._draw(rng, points)
+        self._finish(out)
+        return out
 
     def expected_distance(self, trials: int, seed: int, *, stream: int = 0) -> float:
         """Monte Carlo estimate of E d(X, Y) for independent uniform X, Y.
@@ -213,13 +223,29 @@ class Euclidean(_ManifoldBase):
         return None
 
     def distance_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        diff = X[..., :, None, :] - Y[..., None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+        """Distances of point stacks X (..., r, n) and Y (..., s, n), summed coordinate by
+        coordinate into one (..., r, s) array: for n < 8, where numpy's sum over a last axis
+        adds in the same order, the bits of ``sqrt(((X_i - Y_j) ** 2).sum(-1))``."""
+        n = X.shape[-1]
+        if Y.shape[-1] != n:
+            raise ValueError(f"points of {n} and {Y.shape[-1]} coordinates have no distance")
+        acc = X[..., :, None, 0] - Y[..., None, :, 0]
+        acc *= acc
+        term = np.empty_like(acc)
+        for c in range(1, n):
+            np.subtract(X[..., :, None, c], Y[..., None, :, c], out=term)
+            term *= term
+            acc += term
+        return np.sqrt(acc, out=acc if acc.dtype.kind == "f" else None)  # integer points too
 
-    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.random(out=out)
+
+    def _finish(self, U: np.ndarray) -> None:
         # the bits of rng.uniform(lo, hi, (k, n)), without its per-call argument checks
         lo, hi = self.box
-        return lo + (hi - lo) * rng.random((k, self.n))
+        U *= hi - lo
+        U += lo
 
     def __str__(self):
         return f"euclid:{self.n}"
@@ -274,10 +300,12 @@ class UnitSphere(_ManifoldBase):
         # clamp guards floating-point drift of nearly (anti)parallel pairs
         return np.arccos(np.clip(X @ np.swapaxes(Y, -1, -2), -1.0, 1.0))
 
-    def _draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.standard_normal(out=out)
+
+    def _finish(self, G: np.ndarray) -> None:
         # normalized Gaussians are rotation-invariant, hence uniform
-        g = rng.standard_normal((k, self.coord_dim))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
+        G /= np.linalg.norm(G, axis=-1, keepdims=True)
 
     def __str__(self):
         return f"sphere:{self.n}"

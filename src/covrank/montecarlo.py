@@ -150,9 +150,9 @@ def _sample_chunks(cfg: ExperimentConfig, k: int, trial_bytes: int) -> Iterator[
 
     trial_bytes is the size of a trial's largest temporary: 8 k^2 d^2 for
     the Y/Z matrices, 8 (k+1) times tensor._system_rows for a recovery's
-    reduced [Y | c] system, and 8 k^2 n otherwise, which covers the (k, k, n)
-    difference tensor of Euclidean distances.  Chunks keep that temporary
-    within _CHUNK_BYTES, or hold one trial.
+    reduced [Y | c] system, and 8 k^2 n (n = coord_dim) for a kernel matrix,
+    whose trial holds a few k x k arrays at a time.  Chunks keep that
+    temporary within _CHUNK_BYTES, or hold one trial.
     """
     size = max(1, _CHUNK_BYTES // trial_bytes)
     for start in range(0, cfg.trials, size):

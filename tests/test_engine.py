@@ -33,6 +33,7 @@ from covrank import (
 from covrank.manifold import rng_streams
 from covrank.montecarlo import _CHUNK_BYTES, _trial_reports, aux_stream, sample_stream
 from covrank.tensor import _system_rows
+from reference import euclidean_distances
 
 
 def chunk_size(k, width):
@@ -133,7 +134,7 @@ def test_condition_sweep_matches_reference():
         per_trial = []
         for t in range(trials):
             points = manifold.sample_uniform(k, seed, stream=sample_stream(k, t)).points
-            dist = manifold.distance_matrix(points, points)
+            dist = euclidean_distances(points, points)
             np.fill_diagonal(dist, 0.0)
             # the oracle proves only alpha = 0 on R^n finite-rank; every other cell is eigensolved
             per_trial.append([

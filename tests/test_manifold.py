@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from covrank import AntipodalPairError, Euclidean, UnitSphere, rng_stream
 from covrank.manifold import rng_streams
+from covrank.montecarlo import aux_stream, sample_stream
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -42,6 +44,29 @@ class TestDistance:
             Euclidean(2).distance((0, 0, 0), (1, 1))
         with pytest.raises(ValueError):
             UnitSphere(2).distance(E1, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("r_coords, s_coords", [(2, 3), (3, 2)])
+    def test_distance_matrix_refuses_mismatched_coordinates(self, r_coords, s_coords):
+        X, Y = np.zeros((4, r_coords)), np.zeros((5, s_coords))
+        with pytest.raises(ValueError, match=f"points of {r_coords} and {s_coords} coordinates"):
+            Euclidean(2).distance_matrix(X, Y)
+
+    def test_integer_points(self):
+        assert Euclidean(2).paired_distance(np.array([[0, 0]]), np.array([[3, 4]])).tolist() == [5.0]
+
+    def test_pairwise_distance_peak_memory_stays_near_its_output(self):
+        # a (T, k, k, n) difference tensor alone would take 3 of these 4 stacks of k x k
+        T, k = 20, 40
+        space = Euclidean(3)
+        P = space.sample_batch(k, 1, range(T))
+        space.pairwise_distance(P)  # warm: first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            space.pairwise_distance(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * T * k * k
 
     def test_triangle_inequality_on_sphere(self):
         sphere = UnitSphere(2)
@@ -158,6 +183,29 @@ class TestSampling:
         for axis in range(3):
             frac = np.mean(pts[:, axis] > 0)
             assert abs(frac - 0.5) <= band
+
+    @pytest.mark.parametrize(
+        "space", [Euclidean(3), Euclidean(2, box=(-1e6, 3.5)), UnitSphere(2), UnitSphere(9)],
+        ids=["cube", "box", "sphere", "sphere-9"],
+    )
+    def test_sample_batch_is_sample_uniform_stream_by_stream(self, space):
+        k, seed = 7, 12
+        streams = [0, 1, sample_stream(k, 3), aux_stream(k, 3), 2**64 - 1]
+        batch = space.sample_batch(k, seed, streams)
+        assert batch.shape == (len(streams), k, space.coord_dim)
+        for points, stream in zip(batch, streams):
+            assert np.array_equal(points, space.sample_uniform(k, seed, stream=stream).points)
+            rng = rng_stream(seed, stream)  # reference draws, as in numpy's own samplers
+            if isinstance(space, Euclidean):
+                expected = rng.uniform(*space.box, (k, space.n))
+            else:
+                g = rng.standard_normal((k, space.coord_dim))
+                expected = g / np.linalg.norm(g, axis=1, keepdims=True)
+            assert np.array_equal(points, expected), stream
+
+    @pytest.mark.parametrize("space", [Euclidean(3), UnitSphere(2)], ids=["euclid", "sphere"])
+    def test_sample_batch_of_no_streams_is_empty(self, space):
+        assert space.sample_batch(6, 1, []).shape == (0, 6, space.coord_dim)
 
     def test_points_are_read_only(self):
         ss = UnitSphere(2).sample_uniform(4, seed=1)

@@ -1,8 +1,9 @@
 """Property tests: 17-digit CSV and JSON-lines values read back as the same doubles,
 a matrix row spelled by one template has the bytes fmt17 gives value by value, the
 layout-v1 index formulas of Y, Z and C hold bit for bit on random samples, the
-reduced recovery system keeps the singular values and rank verdicts of [Y | c], and
-a pair of points gets the same distance and kernel value from every path."""
+reduced recovery system keeps the singular values and rank verdicts of [Y | c],
+a pair of points gets the same distance and kernel value from every path, and
+Euclidean distances have the bits of a reference that shares no code with them."""
 
 import json
 import math
@@ -35,6 +36,7 @@ from covrank.cli import _spelled_lines  # noqa: E402
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
 from covrank.numrank import _solve_augmented  # noqa: E402
 from covrank.tensor import _frame_coordinates, _recovery_systems, _Z_of_Y  # noqa: E402
+from reference import euclidean_distances  # noqa: E402
 
 
 def same_double(a: float, b: float) -> bool:
@@ -242,3 +244,25 @@ def test_kernel_value_is_the_batched_value(pairs, alpha):
         expected = (manifold.paired_distance(X, Y) - kernel.alpha) ** 2
         for t in range(len(X)):
             assert same_double(kernel.evaluate(X[t], Y[t]), expected[t]), (str(kernel), t)
+
+
+@st.composite
+def euclidean_stacks(draw):
+    """Point stacks X (..., r, n) and Y (..., s, n), n = 1..7, with the same leading axes,
+    drawn from a box whose side runs from 1e-8 to 1e8 and whose corner may sit far off."""
+    n, r, s = draw(st.integers(1, 7)), draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    side = 10.0 ** draw(st.integers(-8, 8))
+    lo = side * draw(st.floats(-1e3, 1e3))
+    rng = rng_stream(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(lo, lo + side, lead + (r, n)), rng.uniform(lo, lo + side, lead + (s, n))
+
+
+@given(euclidean_stacks())
+def test_euclidean_distances_have_the_reference_bits(stacks):
+    # below 8 terms numpy's sum over the last axis adds in order, as distance_matrix does
+    X, Y = stacks
+    space = Euclidean(X.shape[-1])
+    for got, expected in ((space.distance_matrix(X, Y), euclidean_distances(X, Y)),
+                          (space.distance_matrix(X, X), euclidean_distances(X, X))):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
