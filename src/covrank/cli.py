@@ -3,14 +3,17 @@ recovery, condition sweeps, and the shift recommendation.
 
 Every subcommand is deterministic given its argv (seeds default to 0), and
 numeric output uses 17 significant digits, so reruns produce byte-identical
-files.  Matrix dumps spell each row with one "%.17g" template, the bytes fmt17
-gives value by value.  Exit codes: 0 success, 1 validation error, 2 numerical failure.
+files.  Row tables spell each value with fmt17.  Matrix dumps spell whole arrays
+at once with a vectorised speller that gives the bytes of "%.17g", fmt17's, and
+hands the rare values it cannot settle exactly to "%.17g" itself.  Exit codes: 0
+success, 1 validation error, 2 numerical failure.
 File formats and layouts are documented in docs/formats.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -120,39 +123,185 @@ def _header(name: str, meta: str) -> str:
     return f"# covrank {name} layout={LAYOUT_VERSION} {meta}\n"
 
 
-def _write_matrix(path: str, name: str, meta: str, lines: Iterable[str]) -> None:
-    """Write a matrix CSV: its header line, then the spelled lines as they stream in."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(_header(name, meta))
-        fh.writelines(lines)
+# --- the matrix speller --------------------------------------------------
+#
+# A record holds one value's "%.17g" bytes at fixed places, NUL everywhere else:
+# byte 0 its sign, bytes 1-5 the "0.000" that starts a fixed spelling below 1, bytes
+# 6-23 its 17 digits with the '.' between them (the digits after it move up one),
+# bytes 24-28 "e" and the signed exponent of two or three digits, and byte 29 the
+# separator.  Dropping the NULs of a matrix's records gives its CSV text.
+_DIGITS, _EXPONENT, _WIDTH = 6, 24, 30
+_SLAB = 8192  # values spelled per pass: a pass's temporaries stay near 1 MB
+_NORMAL = (np.finfo(np.float64).tiny, np.finfo(np.float64).max)
+
+
+@functools.cache
+def _exponent_tables() -> tuple[np.ndarray, ...]:
+    """For every decimal exponent E of a normal double, log10's misses by one included,
+    at index E + 309: hi, lo and e2 with 10**(16 - E) = (hi + lo) * 2**e2 within
+    2**-106 relative and 1 <= hi < 2, and the (5,) bytes of "e%+03d" % E, the
+    exponent of a scientific "%.17g".  Built from exact integers on the first call,
+    not at import."""
+    rows = []
+    for E in range(-309, 310):
+        s = 16 - E
+        shift = 0 if s >= 0 else 128 + 4 * -s  # 10**s = M / 2**shift, M of 128 bits or more
+        M = 10**s if s >= 0 else (1 << shift) // 10**-s
+        b = M.bit_length() - 128
+        top = M >> b if b >= 0 else M << -b  # M's leading 128 bits
+        hi = float(top)
+        rows.append((math.ldexp(hi, -127), math.ldexp(float(top - int(hi)), -127), b - shift + 127,
+                     b"e%+03d" % E))
+    hi, lo, e2, suffix = (np.array(column) for column in zip(*rows))
+    tables = hi, lo, e2, suffix.view(np.uint8).reshape(-1, 5)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _spelled_exactly(values: np.ndarray) -> np.ndarray:
+    """Records of values spelled one at a time by Python's own "%.17g": the exact path
+    for the values the vectorised one leaves, subnormals, non-finite values and ties."""
+    out = np.zeros((values.size, _WIDTH), np.uint8)
+    # no double needs more than 24 bytes: -2.2250738585072014e-308
+    spelled = np.array([b"%.17g" % v for v in values.tolist()], dtype="S24")
+    out[:, :24] = spelled.view(np.uint8).reshape(-1, 24)
+    return out
+
+
+def _spell_slab(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the records of the doubles x (n,) into out (n, _WIDTH), which holds NULs."""
+    a = np.abs(x)
+    zero = a == 0
+    normal = (a >= _NORMAL[0]) & (a <= _NORMAL[1])  # false for nan and inf
+    a[~normal] = 1.0
+    E = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo, e2, suffix = _exponent_tables()
+    hi, lo, e2 = hi[E + 309], lo[E + 309], e2[E + 309]
+    # y = a * 10**(16 - E) = m * (hi + lo) * 2**(ea + e2) as a double-double yh + yl,
+    # off by less than 2**-46; numpy has no fused multiply-add, so Dekker's split
+    # gives the exact error of the product m * hi
+    m, ea = np.frexp(a)
+    p = m * hi
+    c = m * 134217729.0
+    mh = c - (c - m)
+    ml = m - mh
+    c = hi * 134217729.0
+    hh = c - (c - hi)
+    hl = hi - hh
+    t = ((((mh * hh - p) + mh * hl) + ml * hh) + ml * hl) + m * lo
+    yh = p + t
+    scale = ((ea + e2 + 1023) << 52).view(np.float64)  # 2.0**(ea + e2) from its exponent bits
+    yl = (t - (yh - p)) * scale
+    yh *= scale
+    below = np.floor(yl)
+    frac = yl - below
+    N = yh.astype(np.int64) + below.astype(np.int64)  # floor(y); yh is an integer from 2**53 up
+    # a log10 off by one puts floor(y) outside [10**16, 10**17), and round(y) is exact
+    # only away from a tie; those values, subnormals and non-finite ones take the exact
+    # path, and so would a round up to 10**17, which needs a double within 5e-18 below
+    # a power of ten and a log10 that missed it
+    slow = ~zero & (~normal | (np.abs(frac - 0.5) < 1e-9) | (N < 10**16))
+    N += frac > 0.5
+    slow |= N >= 10**17
+    N[zero] = 0
+    E[zero] = 0
+
+    # the 17 digits, peeled by uint32 // 10 (numpy's % is far slower) from N's two
+    # halves into rows 1-17 of a table whose first and last rows stay NUL
+    padded = np.zeros((19, x.size), np.uint8)
+    D = padded[1:18]
+    high = (N // 10**8).astype(np.uint32)
+    v = (N - high.astype(np.int64) * 10**8).astype(np.uint32)
+    for j in range(16, -1, -1):
+        if j == 8:
+            v = high
+        q = v // 10
+        D[j] = v - q * 10
+        v = q
+    position = np.arange(18, dtype=np.uint8)[:, None]
+    last = ((D != 0) * position[:17]).max(axis=0)  # of the last nonzero digit; 0 for zero
+    sci = (E < -4) | (E > 16)
+    unit = E * ~sci  # the digit before the '.'; negative for a fixed spelling below 1
+    D += ord("0")
+    stop = np.maximum(last, unit).astype(np.uint8)  # the fraction's trailing zeros go
+    D *= position[:17] <= stop
+    # place i of 18 holds digit i before the '.', the '.' itself, digit i - 1 after it;
+    # blended by arithmetic, as np.where is several times slower on a random mask
+    point = (unit + 1).astype(np.uint8)
+    point[(last <= unit) | (unit < 0)] = 18
+    digits = padded[:-1] + (padded[1:] - padded[:-1]) * (position < point)
+    digits += (ord(".") - digits) * (position == point)
+    out[:, _DIGITS:_DIGITS + 18] = digits.T
+    cut = ((1 - E) * (~sci & (E < 0))).astype(np.uint8)  # below 1: "0." and -E - 1 zeros
+    for i, byte in enumerate(b"0.000"):
+        out[:, 1 + i] = byte * (i < cut)
+    sci = np.flatnonzero(sci)
+    out[sci, _EXPONENT:_EXPONENT + 5] = suffix[E[sci] + 309]
+    out[:, 0] = ord("-") * np.signbit(x)
+    if slow.any():
+        out[slow] = _spelled_exactly(x[slow])
+
+
+def _spell(matrix: np.ndarray) -> np.ndarray:
+    """The records of a float array, shape matrix.shape + (_WIDTH,), separator bytes
+    NUL: each value's bytes are those of "%.17g" % value, fmt17's.
+
+    For a normal double x with E = floor(log10|x|), the 17 digits are N = round(y),
+    y = |x| * 10**(16 - E), computed in double-double arithmetic to within 2**-46.
+    That rounds exactly unless y lies within 1e-9 of a tie, and those values go to
+    "%.17g" itself, as do subnormal and non-finite ones and any whose log10 missed."""
+    flat = np.asarray(matrix, dtype=np.float64).reshape(-1)
+    out = np.zeros((flat.size, _WIDTH), np.uint8)
+    for start in range(0, flat.size, _SLAB):
+        _spell_slab(flat[start:start + _SLAB], out[start:start + _SLAB])
+    return out.reshape(*np.shape(matrix), _WIDTH)
+
+
+def _csv(records: np.ndarray) -> bytes:
+    """The CSV text of the records (rows, columns, _WIDTH) of a matrix: ',' between
+    fields and '\\n' after each row, written into the separator bytes in place."""
+    records[..., -1] = ord(",")
+    records[:, -1, -1] = ord("\n")
+    return records.tobytes().translate(None, b"\0")
+
+
+def _write_matrix(path: str, name: str, meta: str, chunks: Iterable[bytes]) -> None:
+    """Write a matrix CSV: its header line, then the CSV text as it streams in."""
+    with open(path, "wb") as fh:
+        fh.write(_header(name, meta).encode())
+        fh.writelines(chunks)
 
 
 def _spelled_lines(matrix: np.ndarray) -> list[str]:
-    """The CSV lines of a float matrix, each row spelled by one % of a "%.17g,...\n"
-    template: the bytes fmt17 gives value by value, at a fraction of its calls."""
-    matrix = np.atleast_2d(matrix)
-    template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    return [template % tuple(row) for row in matrix.tolist()]
+    """The CSV lines of a float matrix, as the matrix writer writes them."""
+    return _csv(_spell(np.atleast_2d(matrix))).decode().splitlines(keepends=True)
 
 
 def _write_Y_and_Z(prefix: str, Y: np.ndarray, d: int, meta: str) -> None:
     """Write layout-v1 Y and Z from one spelling of each of Y's d(d+1)/2 unique row
     blocks: blocks (a, b) and (b, a) hold the same doubles, and Z[r*d + a, s*d + b] =
-    Y[(a*d + b)*k + s, r].  Z's fields are fixed-width bytes, joined one row at a time:
-    a tolist() of the whole of Z takes peak memory from 6.7x Y's bytes to 12.4x."""
+    Y[(a*d + b)*k + s, r].  Z is written a few block rows at a time, gathered from
+    the blocks' fixed-width records, so those records (2.5x Y's bytes) are the most
+    the dump holds: a warm sphere:2 dump peaks at 6.2x Y's bytes at k = 120 and 4.8x
+    at k = 200 (tracemalloc)."""
     k = Y.shape[1]
     Y4 = Y.reshape(d, d, k, k)
-    Z4 = np.empty((k, d, k, d), dtype="S24")  # %.17g is at most 24 bytes: -2.2250738585072014e-308
     blocks = {}
     for a in range(d):
         for b in range(a, d):
-            blocks[a, b] = blocks[b, a] = lines = _spelled_lines(Y4[a, b])
-            for s, line in enumerate(lines):  # line s of block (a, b) is Y[(a*d + b)*k + s, :]
-                Z4[:, a, s, b] = Z4[:, b, s, a] = line[:-1].encode().split(b",")
-    Y_lines = (line for a in range(d) for b in range(d) for line in blocks[a, b])
-    _write_matrix(f"{prefix}.Y.csv", "Y", meta, Y_lines)
-    Z_lines = (b",".join(row.tolist()).decode() + "\n" for row in Z4.reshape(k * d, k * d))
-    _write_matrix(f"{prefix}.Z.csv", "Z", meta, Z_lines)
+            blocks[a, b] = blocks[b, a] = _spell(Y4[a, b])  # record [s, r] is Y4[a, b, s, r]
+    _write_matrix(f"{prefix}.Y.csv", "Y", meta, (_csv(blocks[a, b]) for a in range(d) for b in range(d)))
+    step = max(1, _SLAB // (d * d * k))
+
+    def Z_rows():
+        for r in range(0, k, step):
+            Z5 = np.empty((min(step, k - r), d, k, d, _WIDTH), np.uint8)  # [r, a, s, b]
+            for (a, b), records in blocks.items():
+                Z5[:, a, :, b] = records[:, r:r + step].swapaxes(0, 1)
+            yield _csv(Z5.reshape(len(Z5) * d, k * d, _WIDTH))
+
+    _write_matrix(f"{prefix}.Z.csv", "Z", meta, Z_rows())
 
 
 def _dump_meta(manifold, d: int, args) -> str:
@@ -239,7 +388,7 @@ def cmd_tensor(args) -> str:
             ("Sigma", cov.sigmas.reshape(args.k * field.d, field.d)),
             ("f0", f0.reshape(-1, 1)),
         ):
-            _write_matrix(f"{out}.{name}.csv", name, meta, _spelled_lines(data))
+            _write_matrix(f"{out}.{name}.csv", name, meta, [_csv(_spell(data))])
         wrote = f" out={out}.*.csv"
     return (
         f"tensor manifold={manifold} k={args.k} seed={args.seed} d={field.d}"
@@ -265,7 +414,7 @@ def cmd_recover(args) -> str:
             raise NumericalFailure("recovered f contains non-finite entries")
         if args.out:
             meta = _dump_meta(manifold, d, args)
-            _write_matrix(args.out, "f_hat", meta, _spelled_lines(result.f_hat.reshape(-1, 1)))
+            _write_matrix(args.out, "f_hat", meta, [_csv(_spell(result.f_hat.reshape(-1, 1)))])
         return (
             f"recover mode=file manifold={manifold} k={args.k} seed={args.seed}"
             f" residual={fmt17(result.residual)} rank_Y={result.rank_Y}"

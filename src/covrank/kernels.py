@@ -51,6 +51,8 @@ class Kernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"kernel shift alpha must be finite, got {self.alpha!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         if self.alpha != 0.0 and self.family != "shifted":

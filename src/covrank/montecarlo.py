@@ -19,6 +19,7 @@ written with 17 significant digits so files round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -277,6 +278,9 @@ def condition_sweep(
     k_values = [int(k) for k in k_values]
     if not alphas or not k_values:
         raise ValueError("need at least one alpha and one k")
+    for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise ValueError(f"distance shift alpha must be finite, got {alpha!r}")
     cfg = ExperimentConfig(
         manifold=manifold, kernel=None, k_values=tuple(k_values), trials=trials, seed=seed,
         tolerance=tolerance,

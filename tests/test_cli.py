@@ -153,29 +153,38 @@ class TestTensorAndRecover:
         # Y's mirrored row blocks share their spellings and Z is written from Y's, so
         # a dump spells d(d+1)/2 k^2 (Y and Z), k^2 (Psi), 2 d^2 k (C, Sigma) and k (f0)
         # doubles; spelling every entry of Y and Z would take 2 d^2 k^2.  Matrices are
-        # spelled by _spelled_lines and scalars by fmt17, so the count takes in both
+        # spelled by _spell and scalars by fmt17, so the count takes in both.  _spell
+        # hands the values it cannot settle to _spelled_exactly, one "%.17g" at a time;
+        # a _spell that sent them all there would pass every byte test and be as slow
         import covrank.cli
         import covrank.montecarlo
 
-        spelled = []
-        fmt17, spelled_lines = covrank.montecarlo.fmt17, covrank.cli._spelled_lines
+        spelled, exact = [], []
+        fmt17, spell = covrank.montecarlo.fmt17, covrank.cli._spell
+        spelled_exactly = covrank.cli._spelled_exactly
 
         def counting_fmt17(value):
             if isinstance(value, float):
                 spelled.append(1)
             return fmt17(value)
 
-        def counting_spelled_lines(matrix):
+        def counting_spell(matrix):
             spelled.append(np.size(matrix))
-            return spelled_lines(matrix)
+            return spell(matrix)
+
+        def counting_spelled_exactly(values):
+            exact.append(np.size(values))
+            return spelled_exactly(values)
 
         for module in (covrank.cli, covrank.montecarlo):
             monkeypatch.setattr(module, "fmt17", counting_fmt17)
-        monkeypatch.setattr(covrank.cli, "_spelled_lines", counting_spelled_lines)
+        monkeypatch.setattr(covrank.cli, "_spell", counting_spell)
+        monkeypatch.setattr(covrank.cli, "_spelled_exactly", counting_spelled_exactly)
         k, d = 30, 3
         code, _ = run(capsys, "tensor", "--manifold", "sphere:2", "--k", str(k), "--out", str(tmp_path / "sys"))
         assert code == 0
         assert 0 < sum(spelled) <= d * (d + 1) // 2 * k * k + k * k + 2 * d * d * k + k
+        assert sum(exact) <= 0.001 * sum(spelled)
 
     @pytest.mark.parametrize("spec, k", [("sphere:2", 30), ("euclid:3:box=-1,2", 12)])
     def test_dumped_Y_and_Z_are_fmt17_of_each_entry(self, capsys, tmp_path, spec, k):
@@ -423,6 +432,29 @@ class TestFailureReports:
         assert captured.err.count("\n") == 1 and captured.err.startswith("covrank: ")
         assert "Traceback" not in captured.err
         assert caught == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--manifold", "sphere:2", "--kernel", "shifted:nan", "--k", "5"],
+            ["rank", "--manifold", "sphere:2", "--kernel", "shifted:inf", "--k", "5"],
+            ["rank", "--manifold", "sphere:2", "--kernel", "shifted:1e400", "--k", "5"],
+            ["cond-sweep", "--manifold", "sphere:2", "--alpha", "nan", "--k", "5"],
+            ["cond-sweep", "--manifold", "sphere:2", "--alpha-list=-1,inf", "--k", "5"],
+            ["cond-sweep", "--manifold", "sphere:2", "--alpha=-1e400", "--k", "5"],
+        ],
+        ids=["rank-nan", "rank-inf", "rank-1e400", "cond-nan", "cond-list-inf", "cond-minus-1e400"],
+    )
+    def test_non_finite_shift_is_refused_before_sampling(self, capsys, monkeypatch, argv):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the shift was checked")
+
+        monkeypatch.setattr(UnitSphere, "sample_batch", no_sampling)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "alpha must be finite, got " in captured.err
 
     def test_linalg_error_is_a_numerical_failure(self, capsys, monkeypatch):
         # LinAlgError is a ValueError, yet it reports a failed factorization, not a bad input

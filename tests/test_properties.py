@@ -15,6 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from covrank import (  # noqa: E402
     CovField,
@@ -33,6 +34,7 @@ from covrank import (  # noqa: E402
     unfold_C,
 )
 from covrank.cli import _spelled_lines  # noqa: E402
+from covrank.cli import _csv, _spell  # noqa: E402
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
 from covrank.numrank import _solve_augmented  # noqa: E402
 from covrank.tensor import _frame_coordinates, _recovery_systems, _Z_of_Y  # noqa: E402
@@ -266,3 +268,42 @@ def test_euclidean_distances_have_the_reference_bits(stacks):
     for got, expected in ((space.distance_matrix(X, Y), euclidean_distances(X, Y)),
                           (space.distance_matrix(X, X), euclidean_distances(X, X))):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+# --- the matrix speller: adversarial corpora --------------------------------
+
+
+def percent_spelled(matrix: np.ndarray) -> bytes:
+    """A matrix's CSV text with each value spelled on its own by "%.17g": the reference."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in matrix.tolist()).encode()
+
+
+def adversarial_corpus(name: str) -> np.ndarray:
+    rng = np.random.default_rng(15)
+    if name == "ties":
+        # n + 1/4 and n + 3/4 are exact, and their 17th digit is followed by exactly 5
+        n = np.concatenate([[2.0**50, 2.0**51 - 1], rng.integers(2**50, 2**51, 20000)]).astype(float)
+        return np.concatenate([n + 0.25, n + 0.75])
+    if name == "powers-of-ten":
+        p = np.array([float(f"1e{e}") for e in range(-307, 309)])
+        return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    if name == "powers-of-two":
+        return np.ldexp(1.0, np.arange(-1074, 1024))
+    if name == "special":
+        subnormal = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+        limits = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, np.finfo(float).max]
+        return np.concatenate([limits, subnormal, -np.asarray(limits), -subnormal])
+    assert name == "random-bits"
+    return rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize("name", ["ties", "powers-of-ten", "powers-of-two", "special", "random-bits"])
+def test_speller_spells_adversarial_corpora_as_percent(name):
+    matrix = adversarial_corpus(name).reshape(-1, 1)
+    assert _csv(_spell(matrix)) == percent_spelled(matrix)
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 40))))
+def test_speller_spells_matrices_as_percent(matrix):
+    assert _csv(_spell(matrix)) == percent_spelled(matrix)
