@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -63,6 +64,11 @@ class NumericalFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-3, -.5 and -1,0.5 are values, not flags; argparse alone takes only -1 and -1.5
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise CliError(message)
 
@@ -459,7 +465,8 @@ def cmd_alpha(args) -> str:
     value = alpha_recommendation(manifold, args.trials, args.seed)
     if math.isnan(value):
         raise NumericalFailure("alpha recommendation is NaN")
-    analytic = f" analytic={fmt17(math.pi / 2)}" if isinstance(manifold, UnitSphere) else ""
+    exact = manifold.mean_distance
+    analytic = "" if exact is None else f" analytic={fmt17(exact)}"
     return (
         f"alpha manifold={manifold} trials={args.trials} seed={args.seed}"
         f" recommendation={fmt17(value)}{analytic}"

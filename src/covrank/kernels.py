@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import Euclidean, UnitSphere
+from .manifold import _ManifoldBase
 
 __all__ = [
     "Kernel",
@@ -44,7 +44,7 @@ class UnclassifiedKernelError(ValueError):
 class Kernel:
     """One member of the supported kernel families on a fixed manifold."""
 
-    manifold: Euclidean | UnitSphere
+    manifold: _ManifoldBase
     family: str
     alpha: float = 0.0
 
@@ -87,7 +87,7 @@ class Kernel:
         return self.family
 
 
-def parse_kernel(text: str, manifold: Euclidean | UnitSphere) -> Kernel:
+def parse_kernel(text: str, manifold: _ManifoldBase) -> Kernel:
     """Parse the CLI kernel grammar: sqdist | shifted:<alpha> | dot:{arccos,arccos2,cos}."""
     if text == "sqdist":
         return Kernel(manifold, "sqdist")
@@ -142,37 +142,13 @@ class RankClass:
     def __str__(self):
         return f"finite:{self.rank}" if self.finite else "full-rank-a.e."
 
-    @classmethod
-    def finite_rank(cls, rank: int) -> "RankClass":
-        if rank < 1:
-            raise ValueError("finite rank must be positive")
-        return cls(rank=rank)
-
-    @classmethod
-    def full_rank_ae(cls) -> "RankClass":
-        return cls(rank=None)
-
 
 def theoretical_rank(kernel: Kernel) -> RankClass:
-    """Rank classification of the kernel as a bivariate function.
-
-    Settled cases: squared Euclidean distance has finite rank n + 2 (its
-    global expansion spans {1, coordinates, squared norm}); squared or plain
-    geodesic distance on the sphere, and cos(p.q) anywhere, are full rank
-    almost everywhere (analytic dot-product kernels with infinitely many
-    non-zero series coefficients).  Everything else raises
-    UnclassifiedKernelError.
-    """
-    m = kernel.manifold
-    family = kernel.family
-    if family == "shifted" and kernel.alpha == 0.0:
-        family = "sqdist"
-    if family == "sqdist":
-        if isinstance(m, Euclidean):
-            return RankClass.finite_rank(m.n + 2)
-        return RankClass.full_rank_ae()
-    if family == "dot:cos":
-        return RankClass.full_rank_ae()
-    if family in ("dot:arccos", "dot:arccos2") and isinstance(m, UnitSphere):
-        return RankClass.full_rank_ae()
-    raise UnclassifiedKernelError(f"no rank classification for {kernel} on {m}")
+    """Rank classification of the kernel as a bivariate function: the proven rank its
+    space declares for the family (``_proven_ranks``), shifted:0 counting as sqdist.
+    A kernel its space does not settle raises UnclassifiedKernelError."""
+    family = "sqdist" if kernel.family == "shifted" and kernel.alpha == 0.0 else kernel.family
+    ranks = kernel.manifold._proven_ranks()
+    if family not in ranks:
+        raise UnclassifiedKernelError(f"no rank classification for {kernel} on {kernel.manifold}")
+    return RankClass(ranks[family])

@@ -102,7 +102,7 @@ def _as_point(x, coord_dim: int) -> np.ndarray:
 class SampleSet:
     """An ordered batch of manifold points plus the randomness that made it."""
 
-    manifold: "Euclidean | UnitSphere"
+    manifold: "_ManifoldBase"
     points: np.ndarray  # (k, coord_dim)
     seed: int
     stream: int = 0
@@ -117,14 +117,21 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class _ManifoldBase:
-    """Shared plumbing; concrete spaces fill in the geometric kernels.
+    """Shared plumbing; every fact about one space lives in its class.
 
+    A space defines ``coord_dim``, ``distance_matrix``, ``pairwise_log``,
+    ``_tangent_frames``, ``_draw``, ``_finish`` and ``__str__``, and declares
+    what is proven about it: ``_proven_ranks()``, the ranks of kernel families and
+    of the systems "Y" and "Z" keyed by name, an int for a finite rank and None for
+    full rank almost everywhere, a missing key unsettled; and ``mean_distance``.
+    The rank oracle, the Y/Z rank laws and the CLI read those, not the class.
     Each space spells its distance once, in the batched ``distance_matrix``;
     ``distance`` and ``paired_distance`` are read off it, so a pair gets the same
     bits whichever of the three computes it.
     """
 
     n: int
+    mean_distance = None  # exact E d(X, Y) of independent uniform X, Y, None if unknown
 
     def __post_init__(self):
         if self.n < 1:
@@ -222,6 +229,12 @@ class Euclidean(_ManifoldBase):
         to rotate."""
         return None
 
+    def _proven_ranks(self) -> dict:
+        # d^2 = |p|^2 - 2 p.q + |q|^2 spans {1, coordinates, |p|^2}; the log map
+        # p_i - p_j is affine in both points, which caps the ranks of Y and Z
+        n = self.n
+        return {"sqdist": n + 2, "dot:cos": None, "Y": (n + 1) * (n + 2) // 2, "Z": n * (n + 2)}
+
     def distance_matrix(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Distances of point stacks X (..., r, n) and Y (..., s, n), summed coordinate by
         coordinate into one (..., r, s) array: for n < 8, where numpy's sum over a last axis
@@ -254,9 +267,18 @@ class Euclidean(_ManifoldBase):
 class UnitSphere(_ManifoldBase):
     """Unit n-sphere in R^{n+1} with the arc-length (geodesic) distance."""
 
+    mean_distance = math.pi / 2  # in every dimension, by the symmetry p -> -p
+
     @property
     def coord_dim(self) -> int:
         return self.n + 1
+
+    def _proven_ranks(self) -> dict:
+        # analytic functions of p.q with infinitely many nonzero series coefficients;
+        # the flat S^1 leaves arccos^2 unsettled: on a closed semicircle, which k points
+        # occupy with probability k / 2^(k-1) (Wendel 1962), it is a line's, rank <= 3
+        full = ("dot:arccos", "dot:cos") + (("sqdist", "dot:arccos2") if self.n > 1 else ())
+        return dict.fromkeys(full)
 
     def pairwise_log(self, P: np.ndarray) -> np.ndarray:
         """Log-map vectors eta[..., j, i, :] at p_j pointing to p_i, for point stacks P (..., k, n+1).

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
-from .manifold import Euclidean, UnitSphere, rng_streams
+from .manifold import _ManifoldBase, rng_streams
 from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, batched_rank_report
 from .tensor import _forward_systems, _recoveries, _system_rows, _Y_array, _Z_of_Y
 
@@ -78,7 +78,7 @@ class ExperimentConfig:
     Trials run as chunked batches in the calling thread.
     """
 
-    manifold: Euclidean | UnitSphere
+    manifold: _ManifoldBase
     kernel: Kernel | None
     k_values: tuple[int, ...]
     trials: int
@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("k_values must be non-empty with every k >= 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.kernel is not None and self.kernel.manifold != self.manifold:
+            raise ValueError(f"kernel on {self.kernel.manifold!r} for samples on {self.manifold!r}")
 
 
 @dataclass(frozen=True)
@@ -187,23 +189,23 @@ def fullrank_probability(cfg: ExperimentConfig, k: int) -> float:
 
 def _system_bound(cfg: ExperimentConfig, system: str):
     """Upper rank bound and per-k expected generic rank for a system kind."""
-    if system in ("Y", "Z"):
-        if not isinstance(cfg.manifold, Euclidean):
-            raise ValueError("Y/Z rank laws are stated for Euclidean samples only")
-        n = cfg.manifold.n
-        bound = (n + 1) * (n + 2) // 2 if system == "Y" else n * (n + 2)
-        return bound, lambda k: min(k, bound)
     if system == "kernel":
         if cfg.kernel is None:
             raise ValueError("config needs a kernel for kernel-matrix experiments")
         try:
-            rc = theoretical_rank(cfg.kernel)
+            rank = theoretical_rank(cfg.kernel).rank
         except UnclassifiedKernelError:
             return None, lambda k: None
-        if rc.finite:
-            return rc.rank, lambda k: min(k, rc.rank)
+    elif system in ("Y", "Z"):
+        ranks = cfg.manifold._proven_ranks()
+        if system not in ranks:
+            raise ValueError(f"no {system} rank law is proven on {cfg.manifold}")
+        rank = ranks[system]
+    else:
+        raise ValueError(f"unknown system {system!r}; expected 'kernel', 'Y' or 'Z'")
+    if rank is None:
         return None, lambda k: k
-    raise ValueError(f"unknown system {system!r}; expected 'kernel', 'Y' or 'Z'")
+    return rank, lambda k: min(k, rank)
 
 
 def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLawRow]:
@@ -245,16 +247,8 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
     return rows
 
 
-def _proven_finite_rank(manifold: Euclidean | UnitSphere, alpha: float) -> bool:
-    """Whether the rank oracle proves (d - alpha)^2 on manifold finite-rank."""
-    try:
-        return theoretical_rank(Kernel(manifold, "shifted", alpha=alpha)).finite
-    except ValueError:  # alpha < 0, or UnclassifiedKernelError
-        return False
-
-
 def condition_sweep(
-    manifold: Euclidean | UnitSphere,
+    manifold: _ManifoldBase,
     alphas: Sequence[float],
     k_values: Sequence[int],
     trials: int,
@@ -268,11 +262,10 @@ def condition_sweep(
     order: alphas outer, k inner.
 
     The matrices are symmetric, so a cell is measured by one symmetric
-    eigensolve, its singular values being the |eigenvalues|, unless the rank
-    oracle (theoretical_rank) proves the cell's kernel finite-rank: then its
-    noise singular values sit at a rank gap, where the SVD places them
-    further below the threshold, and the cell keeps the SVD.  Today that is
-    alpha = 0 on R^n; alpha < 0, which no Kernel accepts, is eigensolved.
+    eigensolve, its singular values being the |eigenvalues|, unless alpha = 0
+    and the space proves sqdist finite-rank (``_proven_ranks``), as on R^n:
+    then its noise singular values sit at a rank gap, where the SVD places
+    them further below the threshold, and the cell keeps the SVD.
     """
     alphas = [float(a) for a in alphas]
     k_values = [int(k) for k in k_values]
@@ -285,7 +278,8 @@ def condition_sweep(
         manifold=manifold, kernel=None, k_values=tuple(k_values), trials=trials, seed=seed,
         tolerance=tolerance,
     )
-    symmetric = [not _proven_finite_rank(manifold, alpha) for alpha in alphas]
+    finite = manifold._proven_ranks().get("sqdist") is not None
+    symmetric = [alpha != 0.0 or not finite for alpha in alphas]
     cells = {}
     for k in cfg.k_values:
         per_alpha = [[] for _ in alphas]
@@ -316,16 +310,16 @@ def condition_sweep(
     return rows
 
 
-def alpha_recommendation(manifold: Euclidean | UnitSphere, trials: int, seed: int) -> float:
+def alpha_recommendation(manifold: _ManifoldBase, trials: int, seed: int) -> float:
     """Estimated E d(X, Y) for uniform X, Y: the shift minimizing E (d - alpha)^2.
 
-    On the unit sphere the exact value is pi/2 in every dimension.
+    A space that knows the exact value declares it as ``mean_distance`` (pi/2 on spheres).
     """
     return manifold.expected_distance(trials, seed)
 
 
 def recovery_experiment(
-    manifold: Euclidean | UnitSphere,
+    manifold: _ManifoldBase,
     k: int,
     trials: int,
     seed: int,

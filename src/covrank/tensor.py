@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import Euclidean, SampleSet, UnitSphere
+from .manifold import SampleSet, _ManifoldBase
 from .numrank import DEFAULT_TOLERANCE, Tolerance, _norms, _solve_augmented
 
 __all__ = [
@@ -73,7 +73,7 @@ class OperatorField:
     """The pairwise log vectors eta_ji of one sample, which define the rank-one blocks
     eta_ji eta_ji^T."""
 
-    manifold: Euclidean | UnitSphere
+    manifold: _ManifoldBase
     sample: SampleSet
     eta: np.ndarray  # (k, k, d); eta[j, i] = log_map(p_j, p_i)
 
@@ -104,7 +104,7 @@ class CovField:
         return self.sigmas.shape[0]
 
 
-def outer_field(manifold: Euclidean | UnitSphere, sample: SampleSet) -> OperatorField:
+def outer_field(manifold: _ManifoldBase, sample: SampleSet) -> OperatorField:
     """The field of a sample: every log vector eta_ji; the diagonal ones are exactly zero."""
     if sample.manifold != manifold:
         raise ValueError("sample does not live on the given manifold")
@@ -145,7 +145,7 @@ def _unfold(sigmas: np.ndarray) -> np.ndarray:
 
 
 def _frame_coordinates(
-    manifold: Euclidean | UnitSphere, P: np.ndarray, eta: np.ndarray, sigmas: np.ndarray
+    manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, sigmas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log vectors eta (T, k, k, d) and covariance stacks sigmas (T, k, d, d) of point
     stacks P (T, k, d) in the frame Q_j of each point (``manifold._tangent_frames``),
@@ -201,14 +201,14 @@ def _dropped_norms(V: np.ndarray, dims: int) -> np.ndarray:
     return np.sqrt((normal * (2.0 * tangent + normal)).sum(axis=(-2, -1)))
 
 
-def _system_rows(manifold: Euclidean | UnitSphere, k: int) -> int:
+def _system_rows(manifold: _ManifoldBase, k: int) -> int:
     """Rows of a k-point trial's reduced [Y | c] system at most: d(d+1)/2 k + 1."""
     d = manifold.coord_dim
     return d * (d + 1) // 2 * k + 1
 
 
 def _recovery_systems(
-    manifold: Euclidean | UnitSphere, V: np.ndarray, S: np.ndarray, policy: Tolerance
+    manifold: _ManifoldBase, V: np.ndarray, S: np.ndarray, policy: Tolerance
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The reduced [Y | c] systems of log vectors V (T, k, k, d) and covariance stacks
     S (T, k, d, d) in the frames of ``_frame_coordinates``, as (trials, systems) pairs
@@ -239,7 +239,7 @@ def _recovery_systems(
 
 
 def _forward_systems(
-    manifold: Euclidean | UnitSphere, P: np.ndarray, f: np.ndarray, policy: Tolerance
+    manifold: _ManifoldBase, P: np.ndarray, f: np.ndarray, policy: Tolerance
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """_recovery_systems of point stacks P (T, k, d) and the covariance fields of weights
     f (T, k); each trial's bits equal recover's for that sample and
@@ -324,7 +324,7 @@ def recover(
 
 
 def _recoveries(
-    manifold: Euclidean | UnitSphere, groups: list[tuple[np.ndarray, np.ndarray]], policy: Tolerance
+    manifold: _ManifoldBase, groups: list[tuple[np.ndarray, np.ndarray]], policy: Tolerance
 ) -> list[RecoveryResult]:
     """The RecoveryResult of every trial of the (trials, systems) pairs of
     _recovery_systems, thresholded for the shapes of the unreduced [Y | c] and Y."""

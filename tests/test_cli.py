@@ -318,6 +318,27 @@ class TestCondSweepCommand:
         row = json.loads(out.read_text().strip().split("\n")[0])
         assert row["alpha"] == 0.5
 
+    @pytest.mark.parametrize(
+        "shifts, alphas",
+        [
+            (["--alpha", "-1e-3"], [-1e-3]),
+            (["--alpha", "-.5"], [-0.5]),
+            (["--alpha-list", "-1,0.5"], [-1.0, 0.5]),
+            (["--alpha=-1e-3"], [-1e-3]),
+        ],
+        ids=["exponent", "leading-point", "list", "equals"],
+    )
+    def test_negative_shift_as_its_own_word(self, capsys, tmp_path, shifts, alphas):
+        out = tmp_path / "rows.csv"
+        code, _ = run(capsys, "cond-sweep", "--manifold", "euclid:2", *shifts, "--k", "6", "--trials", "2",
+                      "--out", str(out))
+        assert code == 0
+        assert [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]] == alphas
+
+    def test_bare_shift_flag_is_refused(self, capsys):
+        assert main(["cond-sweep", "--manifold", "euclid:2", "--alpha", "--k", "6"]) == 1
+        assert "--alpha: expected one argument" in capsys.readouterr().err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(

@@ -6,16 +6,21 @@ import pytest
 
 from covrank import (
     Euclidean,
+    ExperimentConfig,
     Kernel,
+    RankClass,
     SampleSet,
     UnclassifiedKernelError,
     UnitSphere,
     arccos_taylor_coeffs,
     arccos_taylor_eval,
+    batched_rank_report,
     parse_kernel,
+    rank_law_sweep,
     rank_report,
     theoretical_rank,
 )
+from covrank.cli import parse_manifold
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -128,7 +133,55 @@ class TestArccosSeries:
             arccos_taylor_coeffs(-1)
 
 
+# The class the oracle gives each kernel spec on each space: an int is a finite rank,
+# None full rank almost everywhere, REFUSED an UnclassifiedKernelError.
+REFUSED = "refused"
+ORACLE_SPECS = ("sqdist", "shifted:0", "shifted:0.5", "dot:arccos", "dot:arccos2", "dot:cos")
+ORACLE_TABLE = {
+    "euclid:1": (3, 3, REFUSED, REFUSED, REFUSED, None),
+    "euclid:2": (4, 4, REFUSED, REFUSED, REFUSED, None),
+    "euclid:3": (5, 5, REFUSED, REFUSED, REFUSED, None),
+    # S^1 is flat: on a semicircle its squared arc distance is a line's, rank <= 3
+    "sphere:1": (REFUSED, REFUSED, REFUSED, None, REFUSED, None),
+    "sphere:2": (None, None, REFUSED, None, None, None),
+    "sphere:3": (None, None, REFUSED, None, None, None),
+}
+
+
 class TestRankOracle:
+    @pytest.mark.parametrize(
+        "space, spec, expected",
+        [(space, spec, cls) for space, row in ORACLE_TABLE.items() for spec, cls in zip(ORACLE_SPECS, row)],
+        ids=[f"{space}-{spec}" for space in ORACLE_TABLE for spec in ORACLE_SPECS],
+    )
+    def test_table(self, space, spec, expected):
+        kernel = parse_kernel(spec, parse_manifold(space))
+        if expected == REFUSED:
+            with pytest.raises(UnclassifiedKernelError):
+                theoretical_rank(kernel)
+        else:
+            assert theoretical_rank(kernel) == RankClass(expected)
+
+    @pytest.mark.parametrize("k", [5, 6, 8])
+    def test_circle_sqdist_rank_three_on_a_semicircle(self, k):
+        # k uniform points of S^1 lie in one closed semicircle with probability
+        # k / 2^(k-1) (Wendel 1962); there their squared arc distances are those of
+        # points on a line, rank 3.  The rank-3 fraction stays within 4 binomial sd.
+        trials, wendel = 4000, k / 2 ** (k - 1)
+        circle = UnitSphere(1)
+        P = circle.sample_batch(k, 11, range(trials))
+        ranks = batched_rank_report(Kernel(circle, "sqdist").pairwise(P)).numerical_rank
+        sd = math.sqrt(wendel * (1 - wendel) / trials)
+        assert abs(np.mean(ranks == 3) - wendel) <= 4 * sd
+
+    def test_circle_sqdist_is_never_full_rank_at_k40(self):
+        circle = UnitSphere(1)
+        cfg = ExperimentConfig(manifold=circle, kernel=Kernel(circle, "sqdist"), k_values=(40,),
+                               trials=200, seed=7)
+        (row,) = rank_law_sweep(cfg, "kernel")
+        assert row.fullrank_fraction == 0.0
+        assert row.expected_rank is None and row.equality_fraction is None
+
     def test_euclidean_sqdist_is_finite(self):
         rc = theoretical_rank(Kernel(Euclidean(3), "sqdist"))
         assert rc.finite and rc.rank == 5

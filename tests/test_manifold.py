@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -261,3 +262,12 @@ def test_empirical_pairwise_mean_matches_expected_distance():
     pts = sphere.sample_uniform(2 * 10**5, seed=13).points
     mean = np.mean(sphere.paired_distance(pts[: 10**5], pts[10**5 :]))
     assert abs(mean - math.pi / 2) <= 0.02
+
+
+class TestOneClassPerSpace:
+    """Facts about a space live in its class (``_proven_ranks``, ``mean_distance``), so
+    the modules that read them never name a concrete space."""
+
+    @pytest.mark.parametrize("module", ["covrank.kernels", "covrank.montecarlo", "covrank.tensor"])
+    def test_readers_do_not_name_a_space(self, module):
+        assert {"Euclidean", "UnitSphere"} & set(vars(importlib.import_module(module))) == set()

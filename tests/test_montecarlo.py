@@ -191,6 +191,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             config(UnitSphere(2), trials=0)
 
+    @pytest.mark.parametrize(
+        "kernel_space, space",
+        [(UnitSphere(2), Euclidean(3)), (Euclidean(2, box=(0.0, 2.0)), Euclidean(2)), (UnitSphere(3), UnitSphere(2))],
+        ids=["sphere-on-cube", "other-box", "other-dimension"],
+    )
+    def test_rejects_kernel_on_another_space(self, kernel_space, space):
+        # both spaces are named with their boxes, which str() leaves out
+        with pytest.raises(ValueError) as caught:
+            ExperimentConfig(manifold=space, kernel=Kernel(kernel_space, "sqdist"), k_values=(6,), trials=5,
+                             seed=1)
+        assert repr(kernel_space) in str(caught.value) and repr(space) in str(caught.value)
+
 
 class TestLibrarySurface:
     """The space, its sampling box included, is the one channel a sample's space comes in,
