@@ -3,7 +3,6 @@ space and the unit sphere, with seeded Monte Carlo experiment drivers."""
 
 from .kernels import (
     Kernel,
-    RankClass,
     UnclassifiedKernelError,
     arccos_taylor_coeffs,
     arccos_taylor_eval,
@@ -17,7 +16,6 @@ from .montecarlo import (
     RankLawRow,
     RecoveryTrial,
     SweepRow,
-    alpha_recommendation,
     condition_sweep,
     fullrank_probability,
     rank_law_sweep,
@@ -58,7 +56,6 @@ __all__ = [
     "Kernel",
     "OperatorField",
     "RankBoundError",
-    "RankClass",
     "RankLawRow",
     "RankReport",
     "RecoveryResult",
@@ -68,7 +65,6 @@ __all__ = [
     "Tolerance",
     "UnclassifiedKernelError",
     "UnitSphere",
-    "alpha_recommendation",
     "arccos_taylor_coeffs",
     "arccos_taylor_eval",
     "assemble_Y",

@@ -29,7 +29,6 @@ from .montecarlo import (
     ExperimentConfig,
     RankBoundError,
     _table,
-    alpha_recommendation,
     aux_stream,
     condition_sweep,
     fmt17,
@@ -279,11 +278,6 @@ def _write_matrix(path: str, name: str, meta: str, chunks: Iterable[bytes]) -> N
         fh.writelines(chunks)
 
 
-def _spelled_lines(matrix: np.ndarray) -> list[str]:
-    """The CSV lines of a float matrix, as the matrix writer writes them."""
-    return _csv(_spell(np.atleast_2d(matrix))).decode().splitlines(keepends=True)
-
-
 def _write_Y_and_Z(prefix: str, Y: np.ndarray, d: int, meta: str) -> None:
     """Write layout-v1 Y and Z from one spelling of each of Y's d(d+1)/2 unique row
     blocks: blocks (a, b) and (b, a) hold the same doubles, and Z[r*d + a, s*d + b] =
@@ -462,7 +456,7 @@ def cmd_cond_sweep(args) -> str:
 
 def cmd_alpha(args) -> str:
     manifold = parse_manifold(args.manifold)
-    value = alpha_recommendation(manifold, args.trials, args.seed)
+    value = manifold.expected_distance(args.trials, args.seed)
     if math.isnan(value):
         raise NumericalFailure("alpha recommendation is NaN")
     exact = manifold.mean_distance
@@ -551,8 +545,9 @@ def main(argv=None) -> int:
     except (NumericalFailure, RankBoundError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"covrank: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (CliError, ValueError, OSError) as exc:  # OSError: an --out that cannot be written
-        print(f"covrank: error: {exc}", file=sys.stderr)
+    # OSError: an --out that cannot be written; MemoryError: a k or trial count too large to hold
+    except (CliError, ValueError, OSError, MemoryError) as exc:
+        print(f"covrank: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     print(summary)
     return 0

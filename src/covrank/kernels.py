@@ -1,4 +1,4 @@
-"""Kernel families on the model spaces and their theoretical rank classes.
+"""Kernel families on the model spaces and their theoretical ranks.
 
 Three families are supported, written in the CLI grammar used throughout:
 
@@ -21,7 +21,6 @@ from .manifold import _ManifoldBase
 
 __all__ = [
     "Kernel",
-    "RankClass",
     "UnclassifiedKernelError",
     "parse_kernel",
     "arccos_taylor_coeffs",
@@ -57,11 +56,6 @@ class Kernel:
             raise ValueError("alpha must be non-negative")
         if self.alpha != 0.0 and self.family != "shifted":
             raise ValueError("alpha only applies to the shifted family")
-
-    def evaluate(self, p, q) -> float:
-        """Kernel value at a single pair of points, with the bits of ``pairwise`` there."""
-        p, q = self.manifold._check_pair(p, q)
-        return float(self.pairwise(p[None], q[None])[0, 0])
 
     def pairwise(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         """Values k(x_r, y_s) for point stacks X (..., r, c) and Y (..., s, c), batched
@@ -129,26 +123,13 @@ def arccos_taylor_eval(z, order: int):
     return np.polyval(coeffs[::-1], np.asarray(z, dtype=float))
 
 
-@dataclass(frozen=True)
-class RankClass:
-    """Either a finite kernel rank or full rank almost everywhere (rank None)."""
-
-    rank: int | None
-
-    @property
-    def finite(self) -> bool:
-        return self.rank is not None
-
-    def __str__(self):
-        return f"finite:{self.rank}" if self.finite else "full-rank-a.e."
-
-
-def theoretical_rank(kernel: Kernel) -> RankClass:
-    """Rank classification of the kernel as a bivariate function: the proven rank its
-    space declares for the family (``_proven_ranks``), shifted:0 counting as sqdist.
-    A kernel its space does not settle raises UnclassifiedKernelError."""
+def theoretical_rank(kernel: Kernel) -> int | None:
+    """Rank of the kernel as a bivariate function: the proven rank its space declares
+    for the family (``_proven_ranks``), an int, or None for full rank almost
+    everywhere; shifted:0 counts as sqdist.  A kernel its space does not settle
+    raises UnclassifiedKernelError."""
     family = "sqdist" if kernel.family == "shifted" and kernel.alpha == 0.0 else kernel.family
     ranks = kernel.manifold._proven_ranks()
     if family not in ranks:
         raise UnclassifiedKernelError(f"no rank classification for {kernel} on {kernel.manifold}")
-    return RankClass(ranks[family])
+    return ranks[family]

@@ -91,28 +91,15 @@ def _zero_diagonal(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_point(x, coord_dim: int) -> np.ndarray:
-    p = np.asarray(x, dtype=float)
-    if p.shape != (coord_dim,):
-        raise ValueError(f"expected a point of length {coord_dim}, got shape {p.shape}")
-    return p
-
-
 @dataclass(frozen=True)
 class SampleSet:
-    """An ordered batch of manifold points plus the randomness that made it."""
+    """An ordered batch of points on one manifold."""
 
     manifold: "_ManifoldBase"
     points: np.ndarray  # (k, coord_dim)
-    seed: int
-    stream: int = 0
 
     def __post_init__(self):
         self.points.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -126,8 +113,9 @@ class _ManifoldBase:
     full rank almost everywhere, a missing key unsettled; and ``mean_distance``.
     The rank oracle, the Y/Z rank laws and the CLI read those, not the class.
     Each space spells its distance once, in the batched ``distance_matrix``;
-    ``distance`` and ``paired_distance`` are read off it, so a pair gets the same
-    bits whichever of the three computes it.
+    ``pairwise_distance`` and ``paired_distance`` are read off it, so a pair gets
+    the same bits whichever computes it.  Maps act on stacks only: a single pair
+    is a stack of one.
     """
 
     n: int
@@ -140,7 +128,7 @@ class _ManifoldBase:
     def sample_uniform(self, k: int, seed: int, *, stream: int = 0) -> SampleSet:
         """Draw k independent uniform points; identical inputs give identical bits."""
         pts = self.sample_batch(k, seed, [stream])[0]
-        return SampleSet(manifold=self, points=pts, seed=seed, stream=stream)
+        return SampleSet(manifold=self, points=pts)
 
     def sample_batch(self, k: int, seed: int, streams: Iterable[int]) -> np.ndarray:
         """The points of ``sample_uniform(k, seed, stream=s)`` for each s in streams,
@@ -155,7 +143,7 @@ class _ManifoldBase:
         self._finish(out)
         return out
 
-    def expected_distance(self, trials: int, seed: int, *, stream: int = 0) -> float:
+    def expected_distance(self, trials: int, seed: int) -> float:
         """Monte Carlo estimate of E d(X, Y) for independent uniform X, Y.
 
         Draws a single 2*trials sample and pairs the first half against the
@@ -164,12 +152,8 @@ class _ManifoldBase:
         """
         if trials < 1:
             raise ValueError("trials must be at least 1")
-        pts = self.sample_uniform(2 * trials, seed, stream=stream).points
+        pts = self.sample_uniform(2 * trials, seed).points
         return float(np.mean(self.paired_distance(pts[:trials], pts[trials:])))
-
-    def distance(self, p, q) -> float:
-        p, q = self._check_pair(p, q)
-        return float(self.distance_matrix(p[None], q[None])[0, 0])
 
     def paired_distance(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Distances d(X[t], Y[t]) of two (T, coord_dim) point arrays, row by row."""
@@ -181,17 +165,6 @@ class _ManifoldBase:
         d(p, p) = 0 exactly, sparing the arccos round-off on the diagonal.
         """
         return _zero_diagonal(self.distance_matrix(P, P))
-
-    def log_map(self, p, q) -> np.ndarray:
-        """Tangent vector at p of length d(p, q) pointing along the geodesic to q.
-
-        Undefined at the sphere's cut locus: antipodal pairs raise AntipodalPairError.
-        """
-        p, q = self._check_pair(p, q)
-        return self.pairwise_log(np.stack([p, q]))[0, 1]
-
-    def _check_pair(self, p, q):
-        return _as_point(p, self.coord_dim), _as_point(q, self.coord_dim)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ __all__ = [
     "fullrank_probability",
     "rank_law_sweep",
     "condition_sweep",
-    "alpha_recommendation",
     "recovery_experiment",
     "rows_to_csv",
     "rows_to_jsonl",
@@ -92,6 +91,8 @@ class ExperimentConfig:
             raise ValueError("k_values must be non-empty with every k >= 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > 1 << 32:  # sample_stream indexes trials below 2**32
+            raise ValueError(f"trials must be at most 2**32, got {self.trials}")
         if self.kernel is not None and self.kernel.manifold != self.manifold:
             raise ValueError(f"kernel on {self.kernel.manifold!r} for samples on {self.manifold!r}")
 
@@ -193,7 +194,7 @@ def _system_bound(cfg: ExperimentConfig, system: str):
         if cfg.kernel is None:
             raise ValueError("config needs a kernel for kernel-matrix experiments")
         try:
-            rank = theoretical_rank(cfg.kernel).rank
+            rank = theoretical_rank(cfg.kernel)
         except UnclassifiedKernelError:
             return None, lambda k: None
     elif system in ("Y", "Z"):
@@ -308,14 +309,6 @@ def condition_sweep(
                 )
             )
     return rows
-
-
-def alpha_recommendation(manifold: _ManifoldBase, trials: int, seed: int) -> float:
-    """Estimated E d(X, Y) for uniform X, Y: the shift minimizing E (d - alpha)^2.
-
-    A space that knows the exact value declares it as ``mean_distance`` (pi/2 on spheres).
-    """
-    return manifold.expected_distance(trials, seed)
 
 
 def recovery_experiment(

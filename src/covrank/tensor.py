@@ -75,7 +75,7 @@ class OperatorField:
 
     manifold: _ManifoldBase
     sample: SampleSet
-    eta: np.ndarray  # (k, k, d); eta[j, i] = log_map(p_j, p_i)
+    eta: np.ndarray  # (k, k, d); eta[j, i] is the log vector at p_j pointing to p_i
 
     def __post_init__(self):
         self.eta.setflags(write=False)
@@ -91,17 +91,12 @@ class OperatorField:
 
 @dataclass(frozen=True)
 class CovField:
-    """Covariance matrices Sigma_j; f is kept for forward tests, None when withheld."""
+    """Covariance matrices Sigma_j of one sample."""
 
     sigmas: np.ndarray  # (k, d, d)
-    f: np.ndarray | None = None
 
     def __post_init__(self):
         self.sigmas.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return self.sigmas.shape[0]
 
 
 def outer_field(manifold: _ManifoldBase, sample: SampleSet) -> OperatorField:
@@ -122,7 +117,7 @@ def sigma_field(field: OperatorField, f) -> CovField:
     f = np.asarray(f, dtype=float)
     if f.shape != (field.k,):
         raise ValueError(f"f must have length {field.k}, got shape {f.shape}")
-    return CovField(sigmas=_weighted_sigmas(field.eta, f[None, :]), f=f)
+    return CovField(sigmas=_weighted_sigmas(field.eta, f[None, :]))
 
 
 def assemble_Y(field: OperatorField) -> np.ndarray:
@@ -290,17 +285,13 @@ class RecoveryResult:
     borderline: bool
 
 
-def recover(
-    field: OperatorField,
-    C: CovField | np.ndarray,
-    policy: Tolerance = DEFAULT_TOLERANCE,
-) -> RecoveryResult:
-    """Minimum-norm least-squares solve of the unfolded system Y f = C.
+def recover(field: OperatorField, cov: CovField, policy: Tolerance = DEFAULT_TOLERANCE) -> RecoveryResult:
+    """Minimum-norm least-squares solve of the unfolded system Y f = C, C = unfold_C(cov).
 
     Rank deficiency is an expected outcome (it is the whole point on
     Euclidean samples), so deficient systems are solved and reported with
     unique=False instead of raising.  rank_augmented is the rank of [Y | C];
-    it equals rank_Y whenever C really is a covariance field of the sample.
+    it equals rank_Y whenever cov really is a covariance field of the sample.
     borderline flags a verdict that a small perturbation could flip: a singular
     value of Y or of [Y | C] within 10x of its threshold, or a rank_augmented other
     than rank_Y or rank_Y + 1.
@@ -312,13 +303,12 @@ def recover(
     Ranks are thresholded for the shapes of [Y | C] and Y, so the tolerance is
     that of the unreduced system.
     """
-    c = unfold_C(C) if isinstance(C, CovField) else np.asarray(C, dtype=float)
-    rows = field.d * field.d * field.k
-    if c.shape != (rows,):
-        raise ValueError(f"right-hand side must have length {rows}, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("right-hand side has non-finite entries")
-    sigmas = np.moveaxis(c.reshape(field.d, field.d, field.k), -1, 0)  # the inverse of _unfold
+    sigmas = cov.sigmas
+    shape = (field.k, field.d, field.d)
+    if sigmas.shape != shape:
+        raise ValueError(f"covariance field must have shape {shape}, got {sigmas.shape}")
+    if not np.all(np.isfinite(sigmas)):
+        raise ValueError("covariance field has non-finite entries")
     V, S = _frame_coordinates(field.manifold, field.sample.points[None], field.eta[None], sigmas[None])
     return _recoveries(field.manifold, _recovery_systems(field.manifold, V, S, policy), policy)[0]
 

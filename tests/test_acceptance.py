@@ -16,7 +16,6 @@ from covrank import (
     ExperimentConfig,
     Kernel,
     UnitSphere,
-    alpha_recommendation,
     arccos_taylor_coeffs,
     arccos_taylor_eval,
     assemble_Y,
@@ -176,9 +175,9 @@ def test_criterion_7_arccos_series():
 
 def test_criterion_8_alpha_recommendation():
     with criterion(8, "estimated E d(X, Y) hits the closed forms"):
-        sphere_alpha = alpha_recommendation(UnitSphere(2), 10**5, seed=SEED)
+        sphere_alpha = UnitSphere(2).expected_distance(10**5, seed=SEED)
         assert abs(sphere_alpha - math.pi / 2) <= 0.02
-        interval_alpha = alpha_recommendation(Euclidean(1), 10**5, seed=SEED)
+        interval_alpha = Euclidean(1).expected_distance(10**5, seed=SEED)
         assert abs(interval_alpha - 1 / 3) <= 0.01
 
 

@@ -104,6 +104,8 @@ CASES = {
          "--format", "jsonl", "--out", "recover_sphere.jsonl"],
         ["recover_sphere.jsonl"],
     ),
+    "alpha_sphere": (["alpha", "--manifold", "sphere:2", "--trials", "1000", "--seed", "1"], []),
+    "alpha_euclid": (["alpha", "--manifold", "euclid:3:box=-1,2", "--trials", "1000", "--seed", "2"], []),
 }
 
 

@@ -21,30 +21,29 @@ def random_sphere_points(n, count, seed=0):
 
 class TestDistance:
     def test_pythagorean(self):
-        assert Euclidean(2).distance((0, 0), (3, 4)) == 5.0
+        assert Euclidean(2).distance_matrix(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))[0, 0] == 5.0
 
     def test_antipodal(self):
-        assert UnitSphere(2).distance(E1, -E1) == pytest.approx(math.pi)
+        assert UnitSphere(2).distance_matrix(E1[None], -E1[None])[0, 0] == pytest.approx(math.pi)
 
     def test_orthogonal_unit_vectors(self):
-        assert UnitSphere(2).distance(E1, E2) == pytest.approx(math.pi / 2)
+        assert UnitSphere(2).distance_matrix(E1[None], E2[None])[0, 0] == pytest.approx(math.pi / 2)
 
     def test_symmetry_is_exact(self):
         sphere = UnitSphere(3)
         pts = random_sphere_points(3, 40, seed=5)
-        for p, q in zip(pts[:20], pts[20:]):
-            assert sphere.distance(p, q) == sphere.distance(q, p)
+        P, Q = pts[:20], pts[20:]
+        assert np.array_equal(sphere.paired_distance(P, Q), sphere.paired_distance(Q, P))
         eucl = Euclidean(3)
-        rng = rng_stream(6)
-        for _ in range(20):
-            p, q = rng.random(3), rng.random(3)
-            assert eucl.distance(p, q) == eucl.distance(q, p)
+        pairs = rng_stream(6).random((20, 2, 3))  # the draws of p, q = random(3), random(3)
+        P, Q = pairs[:, 0], pairs[:, 1]
+        assert np.array_equal(eucl.paired_distance(P, Q), eucl.paired_distance(Q, P))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            Euclidean(2).distance((0, 0, 0), (1, 1))
+            Euclidean(2).distance_matrix(np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError):
-            UnitSphere(2).distance(E1, np.array([1.0, 0.0]))
+            UnitSphere(2).distance_matrix(E1[None], np.array([[1.0, 0.0]]))
 
     @pytest.mark.parametrize("r_coords, s_coords", [(2, 3), (3, 2)])
     def test_distance_matrix_refuses_mismatched_coordinates(self, r_coords, s_coords):
@@ -72,39 +71,40 @@ class TestDistance:
     def test_triangle_inequality_on_sphere(self):
         sphere = UnitSphere(2)
         pts = random_sphere_points(2, 300, seed=11)
-        for a, b, c in pts.reshape(100, 3, 3):
-            assert sphere.distance(a, c) <= sphere.distance(a, b) + sphere.distance(b, c) + 1e-9
+        D = sphere.pairwise_distance(pts.reshape(100, 3, 3))  # triples a, b, c
+        assert np.all(D[:, 0, 2] <= D[:, 0, 1] + D[:, 1, 2] + 1e-9)
 
 
 class TestLogExp:
     def test_euclidean_log(self):
-        v = Euclidean(2).log_map((1, 1), (4, 5))
+        v = Euclidean(2).pairwise_log(np.array([[1.0, 1.0], [4.0, 5.0]]))[0, 1]
         assert np.array_equal(v, [3.0, 4.0])
         assert np.linalg.norm(v) == 5.0
 
     def test_sphere_log_at_same_point_is_zero(self):
-        assert np.array_equal(UnitSphere(2).log_map(E1, E1), np.zeros(3))
+        assert np.array_equal(UnitSphere(2).pairwise_log(np.stack([E1, E1]))[0, 1], np.zeros(3))
 
     def test_sphere_log_quarter_turn(self):
         # by the log formula: theta = pi/2, sin theta = 1, cos theta = 0
-        v = UnitSphere(2).log_map(E1, E2)
+        v = UnitSphere(2).pairwise_log(np.stack([E1, E2]))[0, 1]
         np.testing.assert_allclose(v, [0.0, math.pi / 2, 0.0], atol=1e-15)
         assert np.linalg.norm(v) == pytest.approx(math.pi / 2)
         assert abs(v @ E1) <= 1e-10  # tangency
 
     def test_antipodal_log_refused(self):
         with pytest.raises(AntipodalPairError):
-            UnitSphere(2).log_map(E1, -E1)
+            UnitSphere(2).pairwise_log(np.stack([E1, -E1]))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_log_exp_round_trip(self, seed):
         sphere = UnitSphere(2)
         pts = random_sphere_points(2, 40, seed=seed)
-        for p, q in zip(pts[:20], pts[20:]):
-            v = sphere.log_map(p, q)
-            assert abs(np.linalg.norm(v) - sphere.distance(p, q)) <= 1e-10
-            norm = np.linalg.norm(v)  # the geodesic from p along v ends at q
-            np.testing.assert_allclose(math.cos(norm) * p + math.sin(norm) * v / norm, q, atol=1e-10)
+        P, Q = pts[:20], pts[20:]
+        V = sphere.pairwise_log(np.stack([P, Q], axis=1))[:, 0, 1]  # at each p, pointing to its q
+        norm = np.linalg.norm(V, axis=1)[:, None]
+        assert np.all(np.abs(norm[:, 0] - sphere.paired_distance(P, Q)) <= 1e-10)
+        # the geodesic from p along v ends at q
+        np.testing.assert_allclose(np.cos(norm) * P + np.sin(norm) * V / norm, Q, atol=1e-10)
 
 
 class TestTangentFrames:
@@ -227,7 +227,7 @@ class TestExpectedDistance:
     def test_single_trial_is_one_pair_distance(self):
         sphere = UnitSphere(2)
         pts = sphere.sample_uniform(2, seed=9).points
-        assert sphere.expected_distance(1, seed=9) == sphere.distance(pts[0], pts[1])
+        assert sphere.expected_distance(1, seed=9) == sphere.distance_matrix(pts[:1], pts[1:])[0, 0]
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):

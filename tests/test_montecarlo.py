@@ -10,12 +10,13 @@ import pytest
 
 import covrank
 from covrank import (
+    CovField,
     Euclidean,
     ExperimentConfig,
     Kernel,
+    SampleSet,
     Tolerance,
     UnitSphere,
-    alpha_recommendation,
     condition_sweep,
     fullrank_probability,
     rank_law_sweep,
@@ -156,15 +157,17 @@ class TestConditionSweep:
 
 
 class TestAlphaRecommendation:
+    """The shift the alpha command recommends, E d(X, Y), as expected_distance estimates it."""
+
     def test_sphere2(self):
-        assert abs(alpha_recommendation(UnitSphere(2), 10**5, seed=1) - math.pi / 2) <= 0.02
+        assert abs(UnitSphere(2).expected_distance(10**5, seed=1) - math.pi / 2) <= 0.02
 
     def test_sphere3_by_symmetry(self):
         # the antipodal map swaps d and pi - d, so E d = pi/2 in any dimension
-        assert abs(alpha_recommendation(UnitSphere(3), 10**5, seed=2) - math.pi / 2) <= 0.02
+        assert abs(UnitSphere(3).expected_distance(10**5, seed=2) - math.pi / 2) <= 0.02
 
     def test_unit_interval(self):
-        assert abs(alpha_recommendation(Euclidean(1), 10**5, seed=3) - 1 / 3) <= 0.01
+        assert abs(Euclidean(1).expected_distance(10**5, seed=3) - 1 / 3) <= 0.01
 
 
 class TestRecoveryExperiment:
@@ -190,6 +193,14 @@ class TestConfigValidation:
             config(UnitSphere(2), k_values=(0,))
         with pytest.raises(ValueError):
             config(UnitSphere(2), trials=0)
+
+    def test_trials_stay_within_the_stream_space(self):
+        # sample_stream indexes trials below 2**32; a larger count is refused before any
+        # trial runs instead of failing after 2**32 of them
+        assert config(UnitSphere(2), trials=2**32).trials == 2**32
+        for trials in (2**32 + 1, 5_000_000_000):
+            with pytest.raises(ValueError, match=r"trials must be at most 2\*\*32"):
+                config(UnitSphere(2), trials=trials)
 
     @pytest.mark.parametrize(
         "kernel_space, space",
@@ -218,13 +229,12 @@ class TestLibrarySurface:
             (Euclidean.sample_uniform, ["self", "k", "seed", "stream"]),
             (UnitSphere.sample_uniform, ["self", "k", "seed", "stream"]),
             (Euclidean.sample_batch, ["self", "k", "seed", "streams"]),
-            (Euclidean.expected_distance, ["self", "trials", "seed", "stream"]),
+            (Euclidean.expected_distance, ["self", "trials", "seed"]),
             (condition_sweep, ["manifold", "alphas", "k_values", "trials", "seed", "tolerance"]),
             (recovery_experiment, ["manifold", "k", "trials", "seed", "tolerance"]),
-            (alpha_recommendation, ["manifold", "trials", "seed"]),
         ],
         ids=["sample_uniform", "sphere-sample_uniform", "sample_batch", "expected_distance",
-             "condition_sweep", "recovery_experiment", "alpha_recommendation"],
+             "condition_sweep", "recovery_experiment"],
     )
     def test_parameters(self, call, params):
         assert list(inspect.signature(call).parameters) == params
@@ -236,18 +246,38 @@ class TestLibrarySurface:
             (Euclidean, ["n", "box"]),
             (UnitSphere, ["n"]),
             (Tolerance, ["factor"]),
+            (SampleSet, ["manifold", "points"]),
+            (CovField, ["sigmas"]),
         ],
-        ids=["ExperimentConfig", "Euclidean", "UnitSphere", "Tolerance"],
+        ids=["ExperimentConfig", "Euclidean", "UnitSphere", "Tolerance", "SampleSet", "CovField"],
     )
     def test_fields(self, cls, names):
         assert [f.name for f in fields(cls)] == names
 
+    @pytest.mark.parametrize(
+        "cls, names",
+        [
+            (Euclidean, ["box", "coord_dim", "distance_matrix", "expected_distance", "mean_distance", "n",
+                         "paired_distance", "pairwise_distance", "pairwise_log", "sample_batch",
+                         "sample_uniform"]),
+            (UnitSphere, ["coord_dim", "distance_matrix", "expected_distance", "mean_distance", "n",
+                          "paired_distance", "pairwise_distance", "pairwise_log", "sample_batch",
+                          "sample_uniform"]),
+            (Kernel, ["alpha", "family", "manifold", "pairwise"]),
+        ],
+        ids=["Euclidean", "UnitSphere", "Kernel"],
+    )
+    def test_public_attributes(self, cls, names):
+        # every map acts on stacks; a single-pair view would show up here
+        public = {name for name in dir(cls) if not name.startswith("_")} | {f.name for f in fields(cls)}
+        assert sorted(public) == names
+
     def test_package_exports(self):
         assert covrank.__all__ == [
             "AntipodalPairError", "BatchedRankReport", "CovField", "DEFAULT_TOLERANCE", "Euclidean",
-            "ExperimentConfig", "Kernel", "OperatorField", "RankBoundError", "RankClass", "RankLawRow",
+            "ExperimentConfig", "Kernel", "OperatorField", "RankBoundError", "RankLawRow",
             "RankReport", "RecoveryResult", "RecoveryTrial", "SampleSet", "SweepRow", "Tolerance",
-            "UnclassifiedKernelError", "UnitSphere", "alpha_recommendation", "arccos_taylor_coeffs",
+            "UnclassifiedKernelError", "UnitSphere", "arccos_taylor_coeffs",
             "arccos_taylor_eval", "assemble_Y", "assemble_Z", "batched_rank_report", "condition_sweep",
             "fullrank_probability", "outer_field", "parse_kernel", "rank_law_sweep", "rank_report",
             "recover", "recovery_experiment", "rng_stream", "rows_to_csv", "rows_to_jsonl", "sigma_field",

@@ -2,8 +2,9 @@
 a matrix row spelled by one template has the bytes fmt17 gives value by value, the
 layout-v1 index formulas of Y, Z and C hold bit for bit on random samples, the
 reduced recovery system keeps the singular values and rank verdicts of [Y | c],
-a pair of points gets the same distance and kernel value from every path, and
-Euclidean distances have the bits of a reference that shares no code with them."""
+each pair of a stack of pairs gets the bits of that pair's distance and kernel
+value computed alone, and Euclidean distances have the bits of a reference that
+shares no code with them."""
 
 import json
 import math
@@ -33,7 +34,6 @@ from covrank import (  # noqa: E402
     trace_system,
     unfold_C,
 )
-from covrank.cli import _spelled_lines  # noqa: E402
 from covrank.cli import _csv, _spell  # noqa: E402
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
 from covrank.numrank import _solve_augmented  # noqa: E402
@@ -56,7 +56,7 @@ def test_fmt17_round_trips_every_double(x):
 @given(st.lists(st.floats(), min_size=1, max_size=8))
 @example([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308])
 def test_row_template_spells_as_fmt17(row):
-    assert _spelled_lines(np.array([row]))[0] == ",".join(map(fmt17, row)) + "\n"
+    assert _csv(_spell(np.array([row]))).decode() == ",".join(map(fmt17, row)) + "\n"
 
 
 sweep_rows = st.builds(
@@ -235,7 +235,7 @@ def test_paired_distance_is_the_pair_distance(pairs):
     manifold, X, Y = pairs
     paired = manifold.paired_distance(X, Y)
     for t in range(len(X)):
-        assert same_double(paired[t], manifold.distance(X[t], Y[t])), t
+        assert same_double(paired[t], manifold.distance_matrix(X[t:t + 1], Y[t:t + 1])[0, 0]), t
 
 
 @given(paired_points(), st.floats(0, 4))
@@ -244,8 +244,10 @@ def test_kernel_value_is_the_batched_value(pairs, alpha):
     manifold, X, Y = pairs
     for kernel in (Kernel(manifold, "sqdist"), Kernel(manifold, "shifted", alpha=alpha)):
         expected = (manifold.paired_distance(X, Y) - kernel.alpha) ** 2
+        stacked = kernel.pairwise(X[:, None], Y[:, None])[:, 0, 0]
         for t in range(len(X)):
-            assert same_double(kernel.evaluate(X[t], Y[t]), expected[t]), (str(kernel), t)
+            assert same_double(stacked[t], expected[t]), (str(kernel), t)
+            assert same_double(kernel.pairwise(X[t:t + 1], Y[t:t + 1])[0, 0], expected[t]), (str(kernel), t)
 
 
 @st.composite
