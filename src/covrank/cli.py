@@ -42,7 +42,7 @@ from .numrank import Tolerance, rank_report
 from .tensor import (
     LAYOUT_VERSION,
     CovField,
-    _Z_of_Y,
+    _system_reports,
     assemble_Y,
     outer_field,
     recover,
@@ -370,21 +370,18 @@ def cmd_tensor(args) -> str:
     field = outer_field(manifold, _trial0_sample(manifold, args))
     f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)
     cov = sigma_field(field, f0)
-    Y = assemble_Y(field)
     psi, _ = trace_system(field)
-    C = unfold_C(cov)
     policy = Tolerance(args.tol_factor)
-    rank_Y = rank_report(Y, policy).numerical_rank
-    rank_Z = rank_report(_Z_of_Y(Y), policy).numerical_rank
-    rank_psi = rank_report(psi, policy).numerical_rank
+    report_Y, report_Z = _system_reports(field, cov, policy)
+    report_psi = rank_report(psi, policy)
     wrote = ""
     if args.out:
         meta = _dump_meta(manifold, field.d, args)
         out = Path(args.out)
-        _write_Y_and_Z(str(out), Y, field.d, meta)
+        _write_Y_and_Z(str(out), assemble_Y(field), field.d, meta)
         for name, data in (
             ("Psi", psi),
-            ("C", C.reshape(-1, 1)),
+            ("C", unfold_C(cov).reshape(-1, 1)),
             ("Sigma", cov.sigmas.reshape(args.k * field.d, field.d)),
             ("f0", f0.reshape(-1, 1)),
         ):
@@ -392,7 +389,9 @@ def cmd_tensor(args) -> str:
         wrote = f" out={out}.*.csv"
     return (
         f"tensor manifold={manifold} k={args.k} seed={args.seed} d={field.d}"
-        f" rank_Y={rank_Y} rank_Z={rank_Z} rank_Psi={rank_psi}{wrote}"
+        f" rank_Y={report_Y.numerical_rank} rank_Z={report_Z.numerical_rank}"
+        f" rank_Psi={report_psi.numerical_rank} borderline_Y={fmt17(report_Y.borderline)}"
+        f" borderline_Z={fmt17(report_Z.borderline)} borderline_Psi={fmt17(report_psi.borderline)}{wrote}"
     )
 
 

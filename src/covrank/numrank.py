@@ -160,12 +160,16 @@ def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
     return _report(_validated(matrix)[None], policy)[0]
 
 
-def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False) -> BatchedRankReport:
+def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False,
+            rows: int | None = None) -> BatchedRankReport:
+    """The reports of a (T, m, n) stack, thresholded for matrices of shape (rows, n):
+    rows defaults to m, and a caller whose stack is an orthogonally reduced copy of
+    taller matrices passes their row count, so tau is theirs."""
     if symmetric:
         s = -np.sort(-np.abs(np.linalg.eigvalsh(a)), axis=1)
     else:
         s = np.linalg.svd(a, compute_uv=False)
-    shape = a.shape[1:]
+    shape = a.shape[1:] if rows is None else (rows, a.shape[2])
     tol = policy.threshold(shape, s[:, 0])
     rank = np.count_nonzero(s > tol[:, None], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

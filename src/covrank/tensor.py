@@ -38,7 +38,9 @@ not negligible against the rank threshold keeps them, d(d+1)/2 k + 1 rows
 (O'Leary-Stewart, ``numrank``) solve either, thresholded for the shapes of
 the unreduced system; ``recovery_experiment`` runs the same path batched
 over trials.  The reduction stays inside the solve: Y, C and the layout-v1
-dump are unchanged.
+dump are unchanged.  The Y and Z ranks of ``covrank tensor`` are measured on
+such reductions too (``_system_reports``): Y on the Y rows of that system, Z
+on its nk columns along the tangent spaces, as rank Z <= nk on S^n.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import SampleSet, _ManifoldBase
-from .numrank import DEFAULT_TOLERANCE, Tolerance, _norms, _solve_augmented
+from .numrank import DEFAULT_TOLERANCE, RankReport, Tolerance, _norms, _report, _solve_augmented
 
 __all__ = [
     "LAYOUT_VERSION",
@@ -196,6 +198,15 @@ def _dropped_norms(V: np.ndarray, dims: int) -> np.ndarray:
     return np.sqrt((normal * (2.0 * tangent + normal)).sum(axis=(-2, -1)))
 
 
+def _ones_norms(V: np.ndarray) -> np.ndarray:
+    """||Y 1|| (T,) of log vectors V (T, k, k, d) in orthonormal frames: the norm of the
+    unfolded sums sum_i eta_ji eta_ji^T.  It bounds sigma_1 below with no SVD:
+    sigma_1(Y) >= ||Y 1|| / sqrt(k), and sigma_1(Z) >= ||Y 1|| / sqrt(dk), since
+    (1_k (x) I_d)^T Z / sqrt(k), of rank at most d, holds the same sums over r of the
+    blocks (r, s) = eta_sr eta_sr^T."""
+    return _norms((np.swapaxes(V, -1, -2) @ V).reshape(len(V), -1))
+
+
 def _system_rows(manifold: _ManifoldBase, k: int) -> int:
     """Rows of a k-point trial's reduced [Y | c] system at most: d(d+1)/2 k + 1."""
     d = manifold.coord_dim
@@ -221,8 +232,7 @@ def _recovery_systems(
     """
     n, d = manifold.n, manifold.coord_dim
     T, k = V.shape[:2]
-    ones = _norms((np.swapaxes(V, -1, -2) @ V).reshape(T, -1))
-    tau = policy.threshold((d * d * k, k), ones / math.sqrt(k))
+    tau = policy.threshold((d * d * k, k), _ones_norms(V) / math.sqrt(k))
     full = _dropped_norms(V, n) > tau / 10
     groups = []
     for dims, group in ((n, ~full), (d, full)):
@@ -231,6 +241,34 @@ def _recovery_systems(
         elif group.any():
             groups.append((np.flatnonzero(group), _reduced_systems(V[group], S[group], dims)))
     return groups
+
+
+def _system_reports(field: OperatorField, cov: CovField, policy: Tolerance) -> tuple[RankReport, RankReport]:
+    """The RankReports of assemble_Y(field) and assemble_Z(field), measured on
+    orthogonally equivalent reductions but thresholded for the full shapes.
+
+    Y is measured on the Y rows of recover's reduced system for (field, cov),
+    n(n+1)/2 k rows instead of d^2 k (``_recovery_systems``).  Column block s of Z,
+    whose blocks eta_sr eta_sr^T hold log vectors tangent at p_s, annihilates p_s, so
+    Z blockdiag(Q_s) with the frames of ``_frame_coordinates`` has the columns
+    eta_sr[a] V_sr[b], of which those with b >= n are round-off.  The reduced Z keeps
+    the nk others, dk x nk, and max(dk, nk) leaves tau as it is.  As in
+    _recovery_systems, Z keeps all dk where the dropped columns' norm exceeds tau_Z / 10,
+    tau_Z bounded below by ``_ones_norms``, so no singular value moves by more than
+    tau_Z / 10 and no verdict outside the borderline band.  On R^n nothing is dropped.
+    """
+    manifold, k, d, n = field.manifold, field.k, field.d, field.manifold.n
+    V, S = _frame_coordinates(manifold, field.sample.points[None], field.eta[None], cov.sigmas[None])
+    [(_, systems)] = _recovery_systems(manifold, V, S, policy)
+    report_Y = _report(systems[:, :-1, :k], policy, rows=d * d * k)[0]
+    # the dropped columns hold |eta_sr|^2 |V_sr[n:]|^2 for each pair
+    normal = np.einsum("...a,...a->...", V[..., n:], V[..., n:])
+    dropped = np.sqrt((normal * np.einsum("...a,...a->...", V, V)).sum(axis=(-2, -1)))
+    tau = policy.threshold((d * k, d * k), _ones_norms(V) / math.sqrt(d * k))
+    dims = d if dropped[0] > tau[0] / 10 else n
+    E, W = np.moveaxis(field.eta, 0, -1), np.swapaxes(V[0, ..., :dims], 0, 1)  # [r, a, s], [r, s, b]
+    Z = (E[..., None] * W[:, None]).reshape(d * k, dims * k)  # Z[r*d + a, s*dims + b]
+    return report_Y, _report(Z[None], policy)[0]
 
 
 def _forward_systems(

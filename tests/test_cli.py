@@ -9,8 +9,20 @@ import numpy as np
 import pytest
 
 from covrank.cli import build_parser, main, parse_manifold
-from covrank import Euclidean, UnitSphere, assemble_Y, assemble_Z, outer_field, rng_stream
+from covrank import (
+    Euclidean,
+    Tolerance,
+    UnitSphere,
+    assemble_Y,
+    assemble_Z,
+    outer_field,
+    rank_report,
+    rng_stream,
+    sigma_field,
+    trace_system,
+)
 from covrank.montecarlo import fmt17, sample_stream
+from covrank.tensor import _system_reports
 
 # a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
 GOLDEN_SIGMA = Path(__file__).parent / "golden" / "tensor.Sigma.csv"
@@ -288,6 +300,75 @@ class TestTensorAndRecover:
         assert (code, captured.err, caught) == (0, "", [])
         assert int(summary_value(captured.out, "rank_augmented")) == int(summary_value(captured.out, "rank_Y")) + 1
         assert summary_value(captured.out, "borderline") == "false"
+
+
+class TestTensorRanks:
+    """`tensor` measures Y and Z on orthogonally equivalent reductions; its verdicts must
+    be those of the full matrices wherever those are decided."""
+
+    KS = (1, 2, 3, 8, 20, 40)
+
+    @staticmethod
+    def summary(capsys, spec, k, seed):
+        code, out = run(capsys, "tensor", "--manifold", spec, "--k", str(k), "--seed", str(seed))
+        assert code == 0
+        return {key: summary_value(out, key) for key in
+                ("rank_Y", "rank_Z", "rank_Psi", "borderline_Y", "borderline_Z", "borderline_Psi")}
+
+    @pytest.mark.parametrize("spec", ["sphere:1", "sphere:2", "sphere:3", "euclid:2", "euclid:3"])
+    def test_ranks_are_those_of_the_full_matrices(self, capsys, spec):
+        manifold = parse_manifold(spec)
+        decided = runs = 0
+        for k in self.KS:
+            for seed in range(4):
+                out = self.summary(capsys, spec, k, seed)
+                field = outer_field(manifold, manifold.sample_uniform(k, seed, stream=sample_stream(k, 0)))
+                psi = rank_report(trace_system(field)[0])
+                assert (out["rank_Psi"], out["borderline_Psi"]) == (str(psi.numerical_rank), fmt17(psi.borderline))
+                for name, full in (("Y", assemble_Y(field)), ("Z", assemble_Z(field))):
+                    report = rank_report(full)
+                    runs += 1
+                    if not report.borderline:
+                        decided += 1
+                        assert out[f"rank_{name}"] == str(report.numerical_rank), (k, seed, name)
+        assert decided >= runs // 2
+
+    def test_near_antipodal_pair_keeps_the_full_Z(self, capsys):
+        # A pair of this circle sample lies pi - 6.4e-5 apart; the round-off normal
+        # parts of its log vectors give Z two noise singular values at 3.5 tau and
+        # 2.6 tau, so its rank exceeds the proven n k = 20.  Dropping Z's normal
+        # columns would hide them: the reduction is refused and the verdict is flagged.
+        manifold, k = UnitSphere(1), 20
+        sample = manifold.sample_uniform(k, 0, stream=sample_stream(k, 0))
+        assert np.pi - manifold.pairwise_distance(sample.points).max() < 1e-4
+        field = outer_field(manifold, sample)
+        report_Z = _system_reports(field, sigma_field(field, np.ones(k)), Tolerance())[1]
+        assert report_Z.singular_values.shape == (2 * k,)
+        full = rank_report(assemble_Z(field))
+        assert report_Z.numerical_rank == full.numerical_rank == 22
+        out = self.summary(capsys, "sphere:1", k, 0)
+        assert (out["rank_Z"], out["borderline_Z"]) == ("22", "true")
+
+    @pytest.mark.parametrize("spec, k, seed", [("sphere:2", 40, 1), ("sphere:3", 20, 2), ("euclid:3", 20, 0)])
+    def test_tau_is_that_of_the_full_matrices(self, spec, k, seed):
+        manifold = parse_manifold(spec)
+        field = outer_field(manifold, manifold.sample_uniform(k, seed, stream=sample_stream(k, 0)))
+        reports = _system_reports(field, sigma_field(field, np.ones(k)), Tolerance())
+        n, d = manifold.n, manifold.coord_dim
+        assert reports[1].singular_values.shape == (n * k,)  # the reduction was taken
+        for report, full in zip(reports, (assemble_Y(field), assemble_Z(field))):
+            assert report.tolerance_used == pytest.approx(rank_report(full).tolerance_used, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sphere_Z_rank_is_at_most_nk(self, capsys, n):
+        # k points span a great S^min(n, k-1); on S^2 and S^3 the bound is attained there
+        for k in self.KS:
+            for seed in range(6):
+                out = self.summary(capsys, f"sphere:{n}", k, seed)
+                if out["borderline_Z"] == "false":
+                    assert int(out["rank_Z"]) <= n * k
+                    if n > 1:
+                        assert int(out["rank_Z"]) == min(n, k - 1) * k
 
 
 class TestCondSweepCommand:

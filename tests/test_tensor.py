@@ -24,6 +24,7 @@ from covrank import (
     unfold_C,
 )
 from covrank.montecarlo import aux_stream, sample_stream
+from covrank.tensor import _system_reports
 
 
 def sample_of(manifold, points):
@@ -198,6 +199,24 @@ class TestRankLaws:
                 assert rank_report(assemble_Y(field)).numerical_rank <= y_bound
                 assert rank_report(assemble_Z(field)).numerical_rank <= z_bound
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sphere_Z_annihilates_each_normal(self, n):
+        # Z's column block s holds eta_sr eta_sr^T, tangent at p_s, so Z (e_s (x) p_s) is
+        # the round-off of eta_sr . p_s, which grows as eps theta / sin(theta) near the
+        # cut locus: |Z (e_s (x) p_s)| <= 4 eps (sum_r (theta_sr^2 / sin theta_sr)^2)^(1/2)
+        manifold, d, eps = UnitSphere(n), n + 1, np.finfo(float).eps
+        for k in (2, 3, 8, 20, 40):
+            for seed in range(6):
+                points = manifold.sample_uniform(k, seed).points
+                Z = assemble_Z(outer_field(manifold, sample_of(manifold, points)))
+                theta = manifold.pairwise_distance(points)
+                off = theta > 0
+                scale = np.where(off, theta**2 / np.sin(np.where(off, theta, 1.0)), 0.0)
+                for s in range(k):
+                    x = np.zeros(d * k)
+                    x[s * d:(s + 1) * d] = points[s]
+                    assert np.linalg.norm(Z @ x) <= 4 * eps * np.linalg.norm(scale[s]), (k, seed, s)
+
     def test_sphere_Y_full_rank(self):
         for k in (5, 20, 60, 100):
             field = random_field(UnitSphere(2), k, seed=k)
@@ -370,7 +389,9 @@ class TestReducedRecovery:
         near = field(1e-6 * math.sqrt(9 * k * (3 * k + 1)) * eps / (s[-1] / s[0]))
         report = rank_report(assemble_Y(near))
         assert 3 * k + 1 < report.singular_values[-1] / report.singular_values[0] / eps < 9 * k
-        assert recover(near, sigma_field(near, np.ones(k))).rank_Y == report.numerical_rank == k - 1
+        cov = sigma_field(near, np.ones(k))
+        assert recover(near, cov).rank_Y == report.numerical_rank == k - 1
+        assert _system_reports(near, cov, Tolerance())[0].numerical_rank == k - 1
 
     def test_huge_right_hand_side_does_not_overflow(self):
         # the row that carries c's antisymmetric and normal parts holds their norm,
