@@ -8,9 +8,13 @@ stream ``(k << 32) | t`` of q (auxiliary draws such as forward-model weights
 set the top stream bit).
 One trial engine serves every experiment: it stacks the same-shape samples and
 matrices of consecutive trials into chunks and measures each chunk with one
-stacked SVD, or one stacked symmetric eigensolve for most condition-sweep
-cells, which gives the same bits as factorizing each trial alone.  Results
-are therefore independent of the chunking, and aggregation is by trial index.
+stacked SVD, which gives the same bits as factorizing each trial alone.  A
+rank-law chunk that equals its transpose bit for bit (every kernel stack, and
+Z on R^n) is eigensolved first, and only the trials it flags borderline are
+settled by the SVD (``numrank._settled_report``); most condition-sweep cells
+take the eigensolve alone, since their rows report every trial's spectral
+ratio.  Results are therefore independent of the chunking, and aggregation is
+by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
 written with 17 significant digits so files round-trip exactly.
@@ -27,7 +31,7 @@ import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import _ManifoldBase, rng_streams
-from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, batched_rank_report
+from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _settled_report, batched_rank_report
 from .tensor import _forward_systems, _recoveries, _system_rows, _Y_array, _Z_of_Y
 
 __all__ = [
@@ -174,7 +178,7 @@ def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankRep
     else:
         build, width = (lambda P: _Z_of_Y(_Y_array(manifold.pairwise_log(P)))), d * d
     return BatchedRankReport.concatenate(
-        batched_rank_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, 8 * k * k * width)
+        _settled_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, 8 * k * k * width)
     )
 
 

@@ -10,7 +10,12 @@ misclassifying.
 ``batched_rank_report`` measures a stack of same-shape matrices with one
 stacked SVD, or, for matrices the caller declares symmetric, one stacked
 symmetric eigensolve whose |eigenvalues| are the singular values;
-``rank_report`` is its one-matrix SVD case.  Least squares (``_solve_augmented``,
+``rank_report`` is its one-matrix SVD case.  The trial engine's rank laws
+measure through ``_settled_report``, which eigensolves a stack that equals its
+transpose bit for bit and factors again by the SVD only the matrices the
+eigensolve flags borderline, so a decided verdict costs one eigensolve and a
+flagged one is the SVD's; the condition sweep keeps its own rule
+(``montecarlo.condition_sweep``).  Least squares (``_solve_augmented``,
 behind ``tensor.recover`` and the recovery experiments) follows Chan's R-SVD
 (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder QR of the augmented
 systems [A | b], then one SVD of the triangular factor's leading block plus an
@@ -158,6 +163,31 @@ def batched_rank_report(
 def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
     """Measure numerical rank, conditioning, and log-determinant in one SVD."""
     return _report(_validated(matrix)[None], policy)[0]
+
+
+def _settled_report(matrices, policy: Tolerance) -> BatchedRankReport:
+    """batched_rank_report of a (T, m, n) stack, eigensolving where that decides.
+
+    A square stack that equals its transpose bit for bit gets one stacked symmetric
+    eigensolve; only the matrices it flags borderline are factored again by the
+    stacked SVD, whose reports replace theirs.  Any other stack takes the SVD alone.
+    Both factorizations are backward stable, so their values differ by round-off of
+    order eps * sigma_1, which the 10x band around the threshold is there to absorb;
+    at a rank gap the eigensolve's round-off lands in the band more often than the
+    SVD's, and those trials pay for both.  That a verdict the eigensolve decides is
+    the SVD's is checked on fixed seeds (tests/test_engine.py), not proven.  Each
+    report equals, bit for bit, what this gives for the matrix alone.
+    """
+    a = _validated(matrices, ndim=3)
+    if a.shape[1] != a.shape[2] or not np.array_equal(a, np.swapaxes(a, 1, 2)):
+        return _report(a, policy)
+    report = _report(a, policy, symmetric=True)
+    flagged = np.flatnonzero(report.borderline)
+    if flagged.size:
+        settled = _report(a[flagged], policy)
+        for f in fields(report):
+            getattr(report, f.name)[flagged] = getattr(settled, f.name)
+    return report
 
 
 def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False,

@@ -564,9 +564,34 @@ class TestFailureReports:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        # a symmetric kernel stack is eigensolved first, and only flagged trials reach the SVD
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
         assert main(["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--trials", "2"]) == 2
         captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "covrank: numerical failure: SVD did not converge\n"
+
+    def test_linalg_error_in_an_escalated_trial_is_a_numerical_failure(self, capsys, monkeypatch):
+        # trial 3 of euclid:3 sqdist at k = 12, seed 3, is flagged by the eigensolve,
+        # so its SVD rung runs, and fails
+        eigensolves = []
+
+        def counted(a, *args, **kwargs):
+            eigensolves.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        argv = ["rank", "--manifold", "euclid:3", "--kernel", "sqdist", "--k", "12", "--trials", "4",
+                "--seed", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert eigensolves == [(4, 12, 12)]
         assert captured.out == ""
         assert captured.err == "covrank: numerical failure: SVD did not converge\n"
 

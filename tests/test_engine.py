@@ -1,10 +1,12 @@
 """The batched trial engine against a reference loop of per-trial calls.
 
 The reference draws each trial with ``sample_uniform``, builds its matrix
-with ``Kernel.matrix`` or ``outer_field`` and measures it with
-``rank_report`` (or, for eigensolved condition-sweep cells, a one-matrix
-symmetric ``batched_rank_report``), one trial at a time.  The engine stacks trials into chunks
-and must give the same bits, on inputs the benchmark does not cover.
+with ``Kernel.pairwise`` or ``outer_field`` and measures it one trial at a
+time: a symmetric matrix by the one-matrix ladder (a symmetric
+``batched_rank_report``, then ``rank_report`` if that flags it borderline),
+any other matrix by ``rank_report``, and eigensolved condition-sweep cells by
+a one-matrix symmetric ``batched_rank_report``.  The engine stacks trials into
+chunks and must give the same bits, on inputs the benchmark does not cover.
 """
 
 import math
@@ -32,7 +34,7 @@ from covrank import (
 )
 from covrank.manifold import rng_streams
 from covrank.montecarlo import _CHUNK_BYTES, _trial_reports, aux_stream, sample_stream
-from covrank.tensor import _system_rows
+from covrank.tensor import _system_rows, _Y_array, _Z_of_Y
 from reference import euclidean_distances
 
 
@@ -56,17 +58,37 @@ def make_config(manifold, kernel=None, k=8, trials=10, seed=3, tolerance=Toleran
     )
 
 
-def reference_reports(cfg, k, system):
-    reports = []
+def eigensolve_report(matrix, tolerance):
+    """The report of one symmetric eigensolve, or None when the matrix is not symmetric."""
+    if matrix.shape[0] != matrix.shape[1] or not np.array_equal(matrix, matrix.T):
+        return None
+    return batched_rank_report(matrix[None], tolerance, symmetric=True)[0]
+
+
+def reference_matrices(cfg, k, system):
     for t in range(cfg.trials):
         sample = cfg.manifold.sample_uniform(k, cfg.seed, stream=sample_stream(k, t))
         if system == "kernel":
-            matrix = cfg.kernel.pairwise(sample.points)
+            yield cfg.kernel.pairwise(sample.points)
         else:
             field = outer_field(cfg.manifold, sample)
-            matrix = assemble_Y(field) if system == "Y" else assemble_Z(field)
-        reports.append(rank_report(matrix, cfg.tolerance))
+            yield assemble_Y(field) if system == "Y" else assemble_Z(field)
+
+
+def reference_reports(cfg, k, system):
+    reports = []
+    for matrix in reference_matrices(cfg, k, system):
+        report = eigensolve_report(matrix, cfg.tolerance)
+        if report is None or report.borderline:
+            report = rank_report(matrix, cfg.tolerance)
+        reports.append(report)
     return reports
+
+
+def escalated_trials(cfg, k, system):
+    """Trials whose matrix the eigensolve flags, so that the SVD settles it."""
+    return [t for t, matrix in enumerate(reference_matrices(cfg, k, system))
+            if (report := eigensolve_report(matrix, cfg.tolerance)) is not None and report.borderline]
 
 
 def assert_reports_equal(batched, reference):
@@ -86,6 +108,8 @@ def assert_reports_equal(batched, reference):
 ODD_TRIALS = 2 * chunk_size(20, 2) + 1
 # the smallest k at which one chunk of sphere:2 kernel trials holds one trial
 ONE_PER_CHUNK_K = math.isqrt(_CHUNK_BYTES // (8 * 3)) + 1
+# euclid:3 sqdist at k = 12, seed 3: the eigensolve flags trials in the first two chunks
+ESCALATED_TRIALS = 2 * chunk_size(12, 3) + 1
 
 
 @pytest.mark.parametrize(
@@ -97,8 +121,9 @@ ONE_PER_CHUNK_K = math.isqrt(_CHUNK_BYTES // (8 * 3)) + 1
         (UnitSphere(2), "dot:arccos2", Tolerance(1e-9), 15, 30),
         (Euclidean(2), "sqdist", Tolerance(1e-12), 20, ODD_TRIALS),
         (UnitSphere(2), "dot:cos", Tolerance(), ONE_PER_CHUNK_K, 3),
+        (Euclidean(3), "sqdist", Tolerance(), 12, ESCALATED_TRIALS),
     ],
-    ids=["shifted", "dot-cos", "box", "factor", "odd-trials", "one-per-chunk"],
+    ids=["shifted", "dot-cos", "box", "factor", "odd-trials", "one-per-chunk", "escalated-chunks"],
 )
 def test_kernel_reports_match_reference(manifold, kernel, tolerance, k, trials):
     cfg = make_config(manifold, kernel, k=k, trials=trials, tolerance=tolerance)
@@ -108,6 +133,9 @@ def test_kernel_reports_match_reference(manifold, kernel, tolerance, k, trials):
 def test_chunking_cases_cross_chunk_boundaries():
     assert ODD_TRIALS % chunk_size(20, 2) != 0
     assert chunk_size(ONE_PER_CHUNK_K, 3) == 1
+    cfg = make_config(Euclidean(3), "sqdist", k=12, trials=ESCALATED_TRIALS)
+    chunks = {t // chunk_size(12, 3) for t in escalated_trials(cfg, 12, "kernel")}
+    assert {0, 1} <= chunks
 
 
 @pytest.mark.parametrize("system", ["Y", "Z"])
@@ -117,6 +145,71 @@ def test_chunking_cases_cross_chunk_boundaries():
 def test_system_reports_match_reference(system, manifold, k):
     cfg = make_config(manifold, k=k, trials=2 * chunk_size(k, manifold.n**2) + 3)
     assert_reports_equal(_trial_reports(cfg, k, system), reference_reports(cfg, k, system))
+
+
+@pytest.mark.parametrize("system", ["Y", "Z"])
+def test_sphere_systems_stay_on_the_svd(system, monkeypatch):
+    # on S^2, Y is tall and Z is not symmetric: eta_sr and eta_rs live in different tangent planes
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("a sphere system reached the eigensolve")
+
+    k = 6
+    cfg = make_config(UnitSphere(2), k=k, trials=2 * chunk_size(k, 9) + 3)
+    reference = reference_reports(cfg, k, system)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    assert_reports_equal(_trial_reports(cfg, k, system), reference)
+
+
+AGREEMENT_SEEDS, AGREEMENT_TRIALS = (1, 2), 40
+
+
+@pytest.mark.parametrize(
+    "manifold, kernel, ks, moved",
+    [
+        (Euclidean(1), "sqdist", range(4, 26), 6),
+        (Euclidean(2), "sqdist", range(5, 26), 1),
+        (Euclidean(3), "sqdist", range(6, 26), 0),
+        (Euclidean(2), None, range(1, 15), 3),
+        (UnitSphere(2), "dot:arccos2", (5, 25, 50, 100), 0),
+        (UnitSphere(2), "dot:cos", (5, 25, 50, 100), 0),
+    ],
+    ids=["euclid1-sqdist", "euclid2-sqdist", "euclid3-sqdist", "euclid2-Z", "sphere2-arccos2",
+         "sphere2-cos"],
+)
+def test_ladder_agrees_with_the_svd(manifold, kernel, ks, moved):
+    """Every verdict the eigensolve decides is the SVD's rank; every trial the SVD
+    decides stays decided; and `moved` SVD-borderline trials are decided instead."""
+    system = "kernel" if kernel else "Z"
+    settled = 0
+    for seed in AGREEMENT_SEEDS:
+        for k in ks:
+            cfg = make_config(manifold, kernel, k=k, trials=AGREEMENT_TRIALS, seed=seed)
+            P = manifold.sample_batch(k, seed, (sample_stream(k, t) for t in range(cfg.trials)))
+            stack = cfg.kernel.pairwise(P) if kernel else _Z_of_Y(_Y_array(manifold.pairwise_log(P)))
+            svd = batched_rank_report(stack, cfg.tolerance)
+            eig = batched_rank_report(stack, cfg.tolerance, symmetric=True)
+            ladder = _trial_reports(cfg, k, system)
+            decided = ~eig.borderline
+            assert np.array_equal(eig.numerical_rank[decided], svd.numerical_rank[decided]), (seed, k)
+            assert not (ladder.borderline & ~svd.borderline).any(), (seed, k)
+            settled += np.count_nonzero(svd.borderline & ~ladder.borderline)
+    assert settled == moved
+
+
+@pytest.mark.parametrize("manifold", [Euclidean(n) for n in (1, 2, 3)] + [UnitSphere(n) for n in (1, 2, 3)],
+                         ids=str)
+def test_engine_matrices_are_exactly_symmetric(manifold):
+    # the eigensolve is taken only where a stack equals its transpose bit for bit, so a
+    # builder that loses symmetry would silently fall back to the slower SVD
+    for k in (1, 2, 7, 25, 100):
+        P = manifold.sample_batch(k, 5, range(10))
+        for family in ("sqdist", "shifted:0.7", "dot:arccos", "dot:arccos2", "dot:cos"):
+            A = parse_kernel(family, manifold).pairwise(P)
+            assert np.array_equal(A, np.swapaxes(A, 1, 2)), (family, k)
+        if isinstance(manifold, Euclidean):
+            # eta_rs = p_s - p_r = -eta_sr exactly, so Z[(r,a),(s,b)] = eta_sr[a] eta_sr[b] is symmetric
+            Z = _Z_of_Y(_Y_array(manifold.pairwise_log(P)))
+            assert np.array_equal(Z, np.swapaxes(Z, 1, 2)), ("Z", k)
 
 
 def test_fullrank_probability_matches_reference():
