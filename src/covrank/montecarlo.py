@@ -9,12 +9,12 @@ set the top stream bit).
 One trial engine serves every experiment: it stacks the same-shape samples and
 matrices of consecutive trials into chunks and measures each chunk with one
 stacked SVD, which gives the same bits as factorizing each trial alone.  A
-rank-law chunk that equals its transpose bit for bit (every kernel stack, and
-Z on R^n) is eigensolved first, and only the trials it flags borderline are
-settled by the SVD (``numrank._settled_report``); most condition-sweep cells
-take the eigensolve alone, since their rows report every trial's spectral
-ratio.  Results are therefore independent of the chunking, and aggregation is
-by trial index.
+rank-law chunk is measured by ``numrank.batched_rank_report``: one that equals
+its transpose bit for bit (every kernel stack, and Z on R^n) is eigensolved
+first, and only the trials it flags borderline are settled by the SVD; Y,
+which is tall, takes the SVD.  Most condition-sweep cells take the eigensolve
+alone, since their rows report every trial's spectral ratio.  Results are
+therefore independent of the chunking, and aggregation is by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
 written with 17 significant digits so files round-trip exactly.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import _ManifoldBase, rng_streams
-from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _settled_report, batched_rank_report
+from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _report, _validated, batched_rank_report
 from .tensor import _forward_systems, _recoveries, _system_rows, _Y_array, _Z_of_Y
 
 __all__ = [
@@ -178,7 +178,7 @@ def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankRep
     else:
         build, width = (lambda P: _Z_of_Y(_Y_array(manifold.pairwise_log(P)))), d * d
     return BatchedRankReport.concatenate(
-        _settled_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, 8 * k * k * width)
+        batched_rank_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, 8 * k * k * width)
     )
 
 
@@ -270,7 +270,9 @@ def condition_sweep(
     eigensolve, its singular values being the |eigenvalues|, unless alpha = 0
     and the space proves sqdist finite-rank (``_proven_ranks``), as on R^n:
     then its noise singular values sit at a rank gap, where the SVD places
-    them further below the threshold, and the cell keeps the SVD.
+    them further below the threshold, and the cell keeps the SVD.  Unlike
+    ``batched_rank_report``, no SVD settles the trials the eigensolve flags: the
+    rows read every trial's spectrum, not only its verdict.
     """
     alphas = [float(a) for a in alphas]
     k_values = [int(k) for k in k_values]
@@ -291,7 +293,7 @@ def condition_sweep(
         for P in _sample_chunks(cfg, k, 8 * k * k * manifold.coord_dim):
             dist = manifold.pairwise_distance(P)
             for reports, alpha, sym in zip(per_alpha, alphas, symmetric):
-                reports.append(batched_rank_report((dist - alpha) ** 2, tolerance, symmetric=sym))
+                reports.append(_report(_validated((dist - alpha) ** 2, ndim=3), tolerance, symmetric=sym))
         for alpha, reports in zip(alphas, per_alpha):
             cells[alpha, k] = BatchedRankReport.concatenate(reports)
 
@@ -300,6 +302,8 @@ def condition_sweep(
         for k in cfg.k_values:
             cell = cells[alpha, k]
             conds = cell.spectral_ratio
+            with np.errstate(divide="ignore"):  # log 0 = -inf: a singular trial's log-det is -inf
+                log_abs_det = np.log(cell.singular_values).sum(axis=1)
             rows.append(
                 SweepRow(
                     k=k,
@@ -307,7 +311,7 @@ def condition_sweep(
                     mean_cond=float(np.mean(conds)),
                     min_cond=float(np.min(conds)),
                     max_cond=float(np.max(conds)),
-                    mean_log_abs_det=float(np.mean(cell.log_abs_det)),
+                    mean_log_abs_det=float(np.mean(log_abs_det)),
                     fullrank_fraction=float(np.mean(cell.numerical_rank == k)),
                     borderline_fraction=float(np.mean(cell.borderline)),
                 )

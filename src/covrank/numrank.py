@@ -7,14 +7,11 @@ borderline when any singular value lands within a factor of 10 of the
 threshold, so experiment drivers can report ambiguity instead of silently
 misclassifying.
 
-``batched_rank_report`` measures a stack of same-shape matrices with one
-stacked SVD, or, for matrices the caller declares symmetric, one stacked
-symmetric eigensolve whose |eigenvalues| are the singular values;
-``rank_report`` is its one-matrix SVD case.  The trial engine's rank laws
-measure through ``_settled_report``, which eigensolves a stack that equals its
-transpose bit for bit and factors again by the SVD only the matrices the
-eigensolve flags borderline, so a decided verdict costs one eigensolve and a
-flagged one is the SVD's; the condition sweep keeps its own rule
+``batched_rank_report`` is the one verdict rule, and ``rank_report`` its
+one-matrix case.  A square stack that equals its transpose bit for bit gets one
+stacked symmetric eigensolve, whose |eigenvalues| are the singular values, and
+only the matrices it flags borderline are factored again by the stacked SVD;
+any other stack takes the SVD alone.  The condition sweep keeps its own rule
 (``montecarlo.condition_sweep``).  Least squares (``_solve_augmented``,
 behind ``tensor.recover`` and the recovery experiments) follows Chan's R-SVD
 (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder QR of the augmented
@@ -67,19 +64,11 @@ DEFAULT_TOLERANCE = Tolerance()
 
 @dataclass(frozen=True)
 class RankReport:
-    """Singular values of one matrix and the decisions drawn from them.
-
-    condition_number is sigma_1 / sigma_min, reported as inf when the matrix
-    is numerically singular under the policy.  log_abs_det is the sum of log
-    singular values for square matrices (None otherwise) and is the usable
-    determinant diagnostic at scales where |det| itself underflows.
-    """
+    """Singular values of one matrix and the decisions drawn from them."""
 
     singular_values: np.ndarray
     numerical_rank: int
     tolerance_used: float
-    condition_number: float
-    log_abs_det: float | None
     borderline: bool
 
     def __post_init__(self):
@@ -105,9 +94,11 @@ class BatchedRankReport:
     singular_values: np.ndarray  # (T, min(m, n)), descending
     numerical_rank: np.ndarray  # (T,) int
     tolerance_used: np.ndarray  # (T,)
-    condition_number: np.ndarray  # (T,)
-    log_abs_det: np.ndarray | None  # (T,), None unless the matrices are square
     borderline: np.ndarray  # (T,) bool
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
     @property
     def spectral_ratio(self) -> np.ndarray:
@@ -121,20 +112,13 @@ class BatchedRankReport:
             singular_values=self.singular_values[t],
             numerical_rank=int(self.numerical_rank[t]),
             tolerance_used=float(self.tolerance_used[t]),
-            condition_number=float(self.condition_number[t]),
-            log_abs_det=None if self.log_abs_det is None else float(self.log_abs_det[t]),
             borderline=bool(self.borderline[t]),
         )
 
     @classmethod
     def concatenate(cls, reports) -> "BatchedRankReport":
         reports = list(reports)
-
-        def joined(name):
-            parts = [getattr(r, name) for r in reports]
-            return None if parts[0] is None else np.concatenate(parts)
-
-        return cls(**{f.name: joined(f.name) for f in fields(cls)})
+        return cls(**{f.name: np.concatenate([getattr(r, f.name) for r in reports]) for f in fields(cls)})
 
 
 def _validated(matrix, ndim: int = 2) -> np.ndarray:
@@ -146,74 +130,53 @@ def _validated(matrix, ndim: int = 2) -> np.ndarray:
     return a
 
 
-def batched_rank_report(
-    matrices, policy: Tolerance = DEFAULT_TOLERANCE, symmetric: bool = False
-) -> BatchedRankReport:
-    """rank_report of every matrix of a (T, m, n) stack, from one stacked SVD.
-
-    With symmetric=True the matrices must be square and symmetric, and the
-    singular values are the |eigenvalues| of one stacked symmetric
-    eigensolve, which reads only the lower triangle: the caller declares
-    symmetry, it is not checked.  On either path every field equals, bit for
-    bit, what that path gives for the matrix alone (rank_report, for the SVD).
-    """
-    return _report(_validated(matrices, ndim=3), policy, symmetric)
-
-
-def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
-    """Measure numerical rank, conditioning, and log-determinant in one SVD."""
-    return _report(_validated(matrix)[None], policy)[0]
-
-
-def _settled_report(matrices, policy: Tolerance) -> BatchedRankReport:
-    """batched_rank_report of a (T, m, n) stack, eigensolving where that decides.
+def batched_rank_report(matrices, policy: Tolerance = DEFAULT_TOLERANCE) -> BatchedRankReport:
+    """The reports of every matrix of a (T, m, n) stack, eigensolving where that decides.
 
     A square stack that equals its transpose bit for bit gets one stacked symmetric
     eigensolve; only the matrices it flags borderline are factored again by the
-    stacked SVD, whose reports replace theirs.  Any other stack takes the SVD alone.
-    Both factorizations are backward stable, so their values differ by round-off of
-    order eps * sigma_1, which the 10x band around the threshold is there to absorb;
-    at a rank gap the eigensolve's round-off lands in the band more often than the
-    SVD's, and those trials pay for both.  That a verdict the eigensolve decides is
-    the SVD's is checked on fixed seeds (tests/test_engine.py), not proven.  Each
-    report equals, bit for bit, what this gives for the matrix alone.
+    stacked SVD, whose singular values replace theirs.  Any other stack takes the SVD
+    alone.  Both factorizations are backward stable, so their values differ by
+    round-off of order eps * sigma_1, which the 10x band around the threshold is there
+    to absorb; at a rank gap the eigensolve's round-off lands in the band more often
+    than the SVD's, and those matrices pay for both.  That a verdict the eigensolve
+    decides is the SVD's is checked on fixed seeds (tests/test_engine.py), not proven.
+    Each report equals, bit for bit, what this gives for the matrix alone.
     """
     a = _validated(matrices, ndim=3)
     if a.shape[1] != a.shape[2] or not np.array_equal(a, np.swapaxes(a, 1, 2)):
         return _report(a, policy)
     report = _report(a, policy, symmetric=True)
-    flagged = np.flatnonzero(report.borderline)
-    if flagged.size:
-        settled = _report(a[flagged], policy)
-        for f in fields(report):
-            getattr(report, f.name)[flagged] = getattr(settled, f.name)
-    return report
+    if not report.borderline.any():
+        return report
+    s = report.singular_values.copy()
+    s[report.borderline] = np.linalg.svd(a[report.borderline], compute_uv=False)
+    return _verdicts(s, policy, a.shape[1:])
+
+
+def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
+    """batched_rank_report of one matrix."""
+    return batched_rank_report(_validated(matrix)[None], policy)[0]
 
 
 def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False,
             rows: int | None = None) -> BatchedRankReport:
-    """The reports of a (T, m, n) stack, thresholded for matrices of shape (rows, n):
-    rows defaults to m, and a caller whose stack is an orthogonally reduced copy of
-    taller matrices passes their row count, so tau is theirs."""
+    """The reports of a (T, m, n) stack from one stacked SVD or, with symmetric=True,
+    from the |eigenvalues| of one stacked symmetric eigensolve, which reads only the
+    lower triangle, thresholded for matrices of shape (rows, n): rows defaults to m,
+    and a caller whose stack is an orthogonally reduced copy of taller matrices
+    passes their row count, so tau is theirs."""
     if symmetric:
         s = -np.sort(-np.abs(np.linalg.eigvalsh(a)), axis=1)
     else:
         s = np.linalg.svd(a, compute_uv=False)
-    shape = a.shape[1:] if rows is None else (rows, a.shape[2])
+    return _verdicts(s, policy, a.shape[1:] if rows is None else (rows, a.shape[2]))
+
+
+def _verdicts(s: np.ndarray, policy: Tolerance, shape: tuple[int, int]) -> BatchedRankReport:
+    """The reports of matrices of the given shape whose singular values are s (T, r), descending."""
     tol = policy.threshold(shape, s[:, 0])
-    rank = np.count_nonzero(s > tol[:, None], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(rank < s.shape[1], np.inf, s[:, 0] / s[:, -1])
-        # log 0 = -inf, so a singular matrix gets log_abs_det = -inf
-        log_abs_det = np.log(s).sum(axis=1) if shape[0] == shape[1] else None
-    return BatchedRankReport(
-        singular_values=s,
-        numerical_rank=rank,
-        tolerance_used=tol,
-        condition_number=cond,
-        log_abs_det=log_abs_det,
-        borderline=_near(s, tol),
-    )
+    return BatchedRankReport(s, np.count_nonzero(s > tol[:, None], axis=1), tol, _near(s, tol))
 
 
 def _near(s: np.ndarray, tol: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import SampleSet, _ManifoldBase
-from .numrank import DEFAULT_TOLERANCE, RankReport, Tolerance, _norms, _report, _solve_augmented
+from .numrank import DEFAULT_TOLERANCE, RankReport, Tolerance, _norms, _report, _solve_augmented, rank_report
 
 __all__ = [
     "LAYOUT_VERSION",
@@ -256,6 +256,8 @@ def _system_reports(field: OperatorField, cov: CovField, policy: Tolerance) -> t
     _recovery_systems, Z keeps all dk where the dropped columns' norm exceeds tau_Z / 10,
     tau_Z bounded below by ``_ones_norms``, so no singular value moves by more than
     tau_Z / 10 and no verdict outside the borderline band.  On R^n nothing is dropped.
+    Z is measured by ``rank_report``, whose eigensolve decides first where Z equals
+    its transpose bit for bit, as on R^n; Y, which is tall, by the SVD.
     """
     manifold, k, d, n = field.manifold, field.k, field.d, field.manifold.n
     V, S = _frame_coordinates(manifold, field.sample.points[None], field.eta[None], cov.sigmas[None])
@@ -268,7 +270,7 @@ def _system_reports(field: OperatorField, cov: CovField, policy: Tolerance) -> t
     dims = d if dropped[0] > tau[0] / 10 else n
     E, W = np.moveaxis(field.eta, 0, -1), np.swapaxes(V[0, ..., :dims], 0, 1)  # [r, a, s], [r, s, b]
     Z = (E[..., None] * W[:, None]).reshape(d * k, dims * k)  # Z[r*d + a, s*dims + b]
-    return report_Y, _report(Z[None], policy)[0]
+    return report_Y, rank_report(Z, policy)
 
 
 def _forward_systems(
@@ -321,6 +323,9 @@ class RecoveryResult:
     rank_augmented: int
     unique: bool
     borderline: bool
+
+    def __post_init__(self):
+        self.f_hat.setflags(write=False)
 
 
 def recover(field: OperatorField, cov: CovField, policy: Tolerance = DEFAULT_TOLERANCE) -> RecoveryResult:

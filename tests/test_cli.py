@@ -349,6 +349,18 @@ class TestTensorRanks:
         out = self.summary(capsys, "sphere:1", k, 0)
         assert (out["rank_Z"], out["borderline_Z"]) == ("22", "true")
 
+    @pytest.mark.parametrize("spec", ["euclid:1", "euclid:2", "euclid:3"])
+    def test_euclidean_Z_takes_the_verdict_rule(self, spec):
+        # on R^n no column is dropped and Z equals its transpose bit for bit, so its
+        # report is rank_report's, whose eigensolve decides here
+        manifold, k = parse_manifold(spec), 12
+        field = outer_field(manifold, manifold.sample_uniform(k, 0, stream=sample_stream(k, 0)))
+        report = _system_reports(field, sigma_field(field, np.ones(k)), Tolerance())[1]
+        Z = assemble_Z(field)
+        assert not report.borderline
+        assert np.array_equal(report.singular_values, -np.sort(-np.abs(np.linalg.eigvalsh(Z))))
+        assert report.numerical_rank == rank_report(Z).numerical_rank
+
     @pytest.mark.parametrize("spec, k, seed", [("sphere:2", 40, 1), ("sphere:3", 20, 2), ("euclid:3", 20, 0)])
     def test_tau_is_that_of_the_full_matrices(self, spec, k, seed):
         manifold = parse_manifold(spec)

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -10,21 +11,25 @@ import pytest
 
 import covrank
 from covrank import (
+    BatchedRankReport,
     CovField,
     Euclidean,
     ExperimentConfig,
     Kernel,
+    RankReport,
     SampleSet,
     Tolerance,
     UnitSphere,
+    batched_rank_report,
     condition_sweep,
     fullrank_probability,
     rank_law_sweep,
+    rank_report,
     recovery_experiment,
     rows_to_csv,
     rows_to_jsonl,
 )
-from covrank.montecarlo import SweepRow
+from covrank.montecarlo import SweepRow, sample_stream
 
 
 def config(manifold, kernel_spec=None, k_values=(5,), trials=20, seed=1):
@@ -151,6 +156,22 @@ class TestConditionSweep:
         base, shifted = rows[0], rows[1]
         assert shifted.mean_cond < 1e-4 * base.mean_cond
 
+    def test_singular_cell_has_log_det_minus_inf(self):
+        # one point of R^2 at alpha = 0 gives the 1 x 1 zero matrix, and log 0 = -inf silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = condition_sweep(Euclidean(2), [0.0], [1], trials=3, seed=1)
+        assert row.mean_log_abs_det == -math.inf
+
+    def test_log_det_is_the_mean_of_log_singular_values(self):
+        manifold, alpha, k, trials, seed = UnitSphere(2), 0.5, 7, 6, 5
+        (row,) = condition_sweep(manifold, [alpha], [k], trials=trials, seed=seed)
+        P = manifold.sample_batch(k, seed, (sample_stream(k, t) for t in range(trials)))
+        dist = manifold.pairwise_distance(P)
+        # the cell is eigensolved, so its singular values are the sorted |eigenvalues|
+        spectra = [-np.sort(-np.abs(np.linalg.eigvalsh((d - alpha) ** 2))) for d in dist]
+        assert row.mean_log_abs_det == float(np.mean([np.log(s).sum() for s in spectra]))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             condition_sweep(UnitSphere(2), [], [5], trials=3, seed=1)
@@ -232,9 +253,11 @@ class TestLibrarySurface:
             (Euclidean.expected_distance, ["self", "trials", "seed"]),
             (condition_sweep, ["manifold", "alphas", "k_values", "trials", "seed", "tolerance"]),
             (recovery_experiment, ["manifold", "k", "trials", "seed", "tolerance"]),
+            (rank_report, ["matrix", "policy"]),
+            (batched_rank_report, ["matrices", "policy"]),
         ],
         ids=["sample_uniform", "sphere-sample_uniform", "sample_batch", "expected_distance",
-             "condition_sweep", "recovery_experiment"],
+             "condition_sweep", "recovery_experiment", "rank_report", "batched_rank_report"],
     )
     def test_parameters(self, call, params):
         assert list(inspect.signature(call).parameters) == params
@@ -248,8 +271,11 @@ class TestLibrarySurface:
             (Tolerance, ["factor"]),
             (SampleSet, ["manifold", "points"]),
             (CovField, ["sigmas"]),
+            (RankReport, ["singular_values", "numerical_rank", "tolerance_used", "borderline"]),
+            (BatchedRankReport, ["singular_values", "numerical_rank", "tolerance_used", "borderline"]),
         ],
-        ids=["ExperimentConfig", "Euclidean", "UnitSphere", "Tolerance", "SampleSet", "CovField"],
+        ids=["ExperimentConfig", "Euclidean", "UnitSphere", "Tolerance", "SampleSet", "CovField",
+             "RankReport", "BatchedRankReport"],
     )
     def test_fields(self, cls, names):
         assert [f.name for f in fields(cls)] == names

@@ -29,14 +29,12 @@ class TestRankReport:
     def test_zero_matrix(self):
         report = rank_report(np.zeros((5, 5)))
         assert report.numerical_rank == 0
-        assert report.condition_number == math.inf
-        assert report.log_abs_det == -math.inf
+        assert report.spectral_ratio == math.inf
 
     def test_identity(self):
         report = rank_report(np.eye(7))
         assert report.numerical_rank == 7
-        assert report.condition_number == 1.0
-        assert report.log_abs_det == pytest.approx(0.0, abs=1e-14)
+        assert report.spectral_ratio == 1.0
         assert not report.borderline
 
     def test_squared_difference_grid_has_rank_three(self):
@@ -68,14 +66,9 @@ class TestRankReport:
     def test_condition_number_scale_invariant(self):
         rng = rng_stream(23)
         a = rng.standard_normal((6, 6))
-        c0 = rank_report(a).condition_number
+        c0 = rank_report(a).spectral_ratio
         for scale in (1e-3, 7.0):
-            assert rank_report(scale * a).condition_number == pytest.approx(c0, rel=1e-10)
-
-    def test_log_abs_det_of_diagonal(self):
-        d = np.array([3.0, 0.5, 1e-4, 20.0])
-        report = rank_report(np.diag(d))
-        assert report.log_abs_det == pytest.approx(np.sum(np.log(d)), rel=1e-10)
+            assert rank_report(scale * a).spectral_ratio == pytest.approx(c0, rel=1e-10)
 
     def test_borderline_flag(self):
         # relative default: tau = 2 * eps * sigma_1 for a 2x2 matrix
@@ -97,9 +90,6 @@ class TestRankReport:
         assert rank_report(m, Tolerance(1e-6)).numerical_rank == 2
         assert rank_report(m, Tolerance(1e-12)).numerical_rank == 3
         assert rank_report(1e-200 * m, Tolerance(1e-6)).numerical_rank == 2  # tau scales with sigma_1
-
-    def test_nonsquare_has_no_determinant(self):
-        assert rank_report(np.ones((3, 5))).log_abs_det is None
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -390,19 +380,18 @@ def symmetric_stack(T, k, seed, rank=None):
 
 
 def report_fields(report):
-    return [report.singular_values, report.numerical_rank, report.tolerance_used,
-            report.condition_number, report.log_abs_det, report.borderline]
+    return [report.singular_values, report.numerical_rank, report.tolerance_used, report.borderline]
 
 
 @pytest.mark.parametrize("k, rank", [(1, None), (6, None), (9, 4), (12, 11)])
 @pytest.mark.parametrize("policy", [Tolerance(), Tolerance(1e-9)], ids=["relative", "factor"])
 def test_stacked_symmetric_report_equals_separate_reports(k, rank, policy):
     stack = symmetric_stack(5, k, seed=60 + k, rank=rank)
-    stack[3] = 0.0  # a singular member: cond inf, log_abs_det -inf
+    stack[3] = 0.0  # a singular member, which the eigensolve flags and the SVD settles
     stack[1] *= 1e-10  # a member at another scale, whose tau is its own
-    stacked = batched_rank_report(stack, policy, symmetric=True)
+    stacked = batched_rank_report(stack, policy)
     for t in range(len(stack)):
-        alone = batched_rank_report(stack[t : t + 1], policy, symmetric=True)
+        alone = batched_rank_report(stack[t : t + 1], policy)
         for got, want in zip(report_fields(stacked), report_fields(alone)):
             assert np.array_equal(got[t], want[0]), t
 
@@ -410,8 +399,8 @@ def test_stacked_symmetric_report_equals_separate_reports(k, rank, policy):
 @pytest.mark.parametrize("k", [2, 7, 40])
 def test_symmetric_spectrum_matches_svd(k):
     stack = symmetric_stack(6, k, seed=70 + k)
-    eig = batched_rank_report(stack, symmetric=True)
-    svd = batched_rank_report(stack)
+    eig = numrank._report(stack, Tolerance(), symmetric=True)
+    svd = numrank._report(stack, Tolerance())
     s1 = svd.singular_values[:, :1]
     assert np.all(np.diff(eig.singular_values, axis=1) <= 0)
     assert np.all(np.abs(eig.singular_values - svd.singular_values) <= 1e-12 * s1)
@@ -420,6 +409,74 @@ def test_symmetric_spectrum_matches_svd(k):
     assert np.all(eig.numerical_rank == k)
 
 
-def test_symmetric_path_needs_square_matrices():
-    with pytest.raises(ValueError, match="square"):
-        batched_rank_report(np.ones((2, 3, 4)), symmetric=True)
+def test_symmetric_path_needs_square_matrices(monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("a non-square stack reached the eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    report = batched_rank_report(np.ones((2, 3, 4)))
+    assert report.singular_values.shape == (2, 3)
+    assert list(report.numerical_rank) == [1, 1]
+
+
+def eigensolve_decides(matrix):
+    """A bitwise-symmetric matrix whose eigensolve leaves no value in the borderline band."""
+    report = numrank._report(matrix[None], Tolerance(), symmetric=True)[0]
+    return np.array_equal(matrix, matrix.T) and not report.borderline
+
+
+def near_threshold_matrix():
+    """A symmetric 9 x 9 matrix with sigma_1 = 2 and an eigenvalue at about 30 eps, within
+    10x of tau = 9 eps sigma_1, rotated so that the eigensolve's round-off is not the SVD's."""
+    Q, _ = np.linalg.qr(rng_stream(81).standard_normal((9, 9)))
+    lam = np.linspace(1.0, 2.0, 9)
+    lam[0] = 30 * np.finfo(float).eps
+    M = (Q * lam) @ Q.T
+    return (M + M.T) / 2
+
+
+class TestOneRule:
+    """rank_report and batched_rank_report decide by one rule: eigensolve a stack that
+    equals its transpose bit for bit, settle what it flags by the SVD, and factor any
+    other stack by the SVD."""
+
+    def test_symmetric_matrix_gets_its_sorted_absolute_eigenvalues(self):
+        A = symmetric_stack(1, 9, seed=80)[0]
+        assert eigensolve_decides(A)
+        want = -np.sort(-np.abs(np.linalg.eigvalsh(A)))
+        assert np.array_equal(rank_report(A).singular_values, want)
+
+    def test_one_ulp_off_symmetry_takes_the_svd(self):
+        A = symmetric_stack(1, 9, seed=80)[0]
+        A[0, 1] = np.nextafter(A[0, 1], np.inf)
+        assert not np.array_equal(A, A.T)
+        assert np.array_equal(rank_report(A).singular_values, np.linalg.svd(A, compute_uv=False))
+
+    def test_flagged_symmetric_matrix_is_settled_by_the_svd(self):
+        A = near_threshold_matrix()
+        assert np.array_equal(A, A.T) and not eigensolve_decides(A)
+        svd = np.linalg.svd(A, compute_uv=False)
+        assert not np.array_equal(numrank._report(A[None], Tolerance(), symmetric=True).singular_values[0], svd)
+        report = rank_report(A)
+        assert np.array_equal(report.singular_values, svd)
+        assert report.borderline
+
+    @pytest.mark.parametrize("name", ["decided", "flagged", "asymmetric", "tall"])
+    def test_rank_report_is_the_one_matrix_batch(self, name):
+        rng = rng_stream(82)
+        A = {
+            "decided": symmetric_stack(1, 9, seed=80)[0],
+            "flagged": near_threshold_matrix(),
+            "asymmetric": rng.standard_normal((6, 6)),
+            "tall": rng.standard_normal((8, 3)),
+        }[name]
+        alone, batch = rank_report(A), batched_rank_report(A[None])[0]
+        for got, want in zip(report_fields(alone), report_fields(batch)):
+            assert np.array_equal(got, want)
+
+
+def test_reports_are_read_only():
+    batch = batched_rank_report(np.eye(3)[None])
+    for array in report_fields(batch) + [rank_report(np.eye(3)).singular_values]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]

@@ -285,6 +285,12 @@ class TestRecovery:
         assert (result.rank_augmented, result.residual) == (0, 0.0)
         assert np.array_equal(result.f_hat, [0.0])
 
+    def test_f_hat_is_read_only(self):
+        field = random_field(UnitSphere(2), 6, seed=19)
+        result = recover(field, sigma_field(field, np.ones(6)))
+        with pytest.raises(ValueError, match="read-only"):
+            result.f_hat[0] = 0.0
+
     def test_shape_mismatch(self):
         field = random_field(UnitSphere(2), 6, seed=19)
         with pytest.raises(ValueError):
