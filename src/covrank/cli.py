@@ -368,14 +368,15 @@ def cmd_rank(args) -> str:
 def cmd_tensor(args) -> str:
     manifold = parse_manifold(args.manifold)
     field = outer_field(manifold, _trial0_sample(manifold, args))
-    f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)
-    cov = sigma_field(field, f0)
     psi, _ = trace_system(field)
     policy = Tolerance(args.tol_factor)
-    report_Y, report_Z = _system_reports(field, cov, policy)
+    P, eta = field.sample.points[None], field.eta[None]
+    report_Y, report_Z = (_system_reports(manifold, P, eta, policy, system)[0] for system in ("Y", "Z"))
     report_psi = rank_report(psi, policy)
     wrote = ""
     if args.out:
+        f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)
+        cov = sigma_field(field, f0)
         meta = _dump_meta(manifold, field.d, args)
         out = Path(args.out)
         _write_Y_and_Z(str(out), assemble_Y(field), field.d, meta)

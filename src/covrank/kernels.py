@@ -57,23 +57,19 @@ class Kernel:
         if self.alpha != 0.0 and self.family != "shifted":
             raise ValueError("alpha only applies to the shifted family")
 
-    def pairwise(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        """Values k(x_r, y_s) for point stacks X (..., r, c) and Y (..., s, c), batched
-        over leading axes.  Y = None pairs X with itself, where d(p, p) = 0 exactly."""
+    def pairwise(self, P: np.ndarray) -> np.ndarray:
+        """Kernel matrices k(p_r, p_s) of point stacks P (..., k, c), batched over leading
+        axes, where d(p, p) = 0 exactly; a single pair is a two-point stack."""
         if self.family in ("sqdist", "shifted"):
-            m = self.manifold
-            d = m.pairwise_distance(X) if Y is None else m.distance_matrix(X, Y)
+            d = self.manifold.pairwise_distance(P)
             d -= self.alpha
             d *= d
             return d
-        return self._apply_dot(X @ np.swapaxes(X if Y is None else Y, -1, -2))
-
-    def _apply_dot(self, g):
-        h = self.family.split(":", 1)[1]
-        if h == "cos":
+        g = P @ np.swapaxes(P, -1, -2)
+        if self.family == "dot:cos":
             return np.cos(g)
         a = np.arccos(np.clip(g, -1.0, 1.0))
-        return a * a if h == "arccos2" else a
+        return a * a if self.family == "dot:arccos2" else a
 
     def __str__(self):
         if self.family == "shifted":

@@ -55,14 +55,12 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     Distinct streams of the same seed are independent, so per-trial streams
     can be handed to parallel workers without coordination.
     """
-    _check_key_word(seed)
-    _check_key_word(stream)
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(rng_streams(seed, [stream]))
 
 
 def rng_streams(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
-    """Generators with the bits of ``rng_stream(seed, s)`` for each s in streams, in order.
+    """Generators for the pairs (seed, s), s in streams, in order: Philox keyed by
+    [seed, s] from counter 0.
 
     One Philox bit generator is re-keyed per stream (key [seed, s], counter 0,
     empty buffer) instead of constructed anew, because construction spends

@@ -9,10 +9,11 @@ set the top stream bit).
 One trial engine serves every experiment: it stacks the same-shape samples and
 matrices of consecutive trials into chunks and measures each chunk with one
 stacked SVD, which gives the same bits as factorizing each trial alone.  A
-rank-law chunk is measured by ``numrank.batched_rank_report``: one that equals
-its transpose bit for bit (every kernel stack, and Z on R^n) is eigensolved
-first, and only the trials it flags borderline are settled by the SVD; Y,
-which is tall, takes the SVD.  Most condition-sweep cells take the eigensolve
+rank-law chunk is measured by ``numrank.batched_rank_report``'s rule: a matrix
+equal to its transpose bit for bit (every kernel matrix, Z on R^n, Y on R^1)
+is eigensolved first, and the SVD settles the trials it flags.  Y and Z are
+measured on tangent-frame reductions, by the path of ``covrank tensor``
+(``tensor._system_reports``).  Most condition-sweep cells take the eigensolve
 alone, since their rows report every trial's spectral ratio.  Results are
 therefore independent of the chunking, and aggregation is by trial index.
 
@@ -32,7 +33,7 @@ import numpy as np
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import _ManifoldBase, rng_streams
 from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _report, _validated, batched_rank_report
-from .tensor import _forward_systems, _recoveries, _system_rows, _Y_array, _Z_of_Y
+from .tensor import _forward_systems, _recoveries, _system_reports, _system_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -172,14 +173,11 @@ def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankRep
     """Rank reports of the kernel, Y or Z matrix of every trial at size k."""
     manifold, d = cfg.manifold, cfg.manifold.coord_dim
     if system == "kernel":
-        build, width = cfg.kernel.pairwise, d
-    elif system == "Y":
-        build, width = (lambda P: _Y_array(manifold.pairwise_log(P))), d * d
+        measure, width = (lambda P: batched_rank_report(cfg.kernel.pairwise(P), cfg.tolerance)), d
     else:
-        build, width = (lambda P: _Z_of_Y(_Y_array(manifold.pairwise_log(P)))), d * d
-    return BatchedRankReport.concatenate(
-        batched_rank_report(build(P), cfg.tolerance) for P in _sample_chunks(cfg, k, 8 * k * k * width)
-    )
+        measure, width = (lambda P: _system_reports(manifold, P, manifold.pairwise_log(P), cfg.tolerance,
+                                                    system)), d * d
+    return BatchedRankReport.concatenate(measure(P) for P in _sample_chunks(cfg, k, 8 * k * k * width))
 
 
 # --- experiments -----------------------------------------------------------

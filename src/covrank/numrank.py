@@ -7,17 +7,18 @@ borderline when any singular value lands within a factor of 10 of the
 threshold, so experiment drivers can report ambiguity instead of silently
 misclassifying.
 
-``batched_rank_report`` is the one verdict rule, and ``rank_report`` its
-one-matrix case.  A square stack that equals its transpose bit for bit gets one
-stacked symmetric eigensolve, whose |eigenvalues| are the singular values, and
-only the matrices it flags borderline are factored again by the stacked SVD;
-any other stack takes the SVD alone.  The condition sweep keeps its own rule
-(``montecarlo.condition_sweep``).  Least squares (``_solve_augmented``,
-behind ``tensor.recover`` and the recovery experiments) follows Chan's R-SVD
-(T. F. Chan, ACM TOMS 8, 1982): one stacked Householder QR of the augmented
-systems [A | b], then one SVD of the triangular factor's leading block plus an
-arrowhead inertia count (O'Leary-Stewart): the SVD gives the rank of A and the
-minimum-norm solution, the count the rank of [A | b].
+``batched_rank_report`` is the one verdict rule, ``rank_report`` its
+one-matrix case, and ``tensor._system_reports`` takes it for reduced Y and Z
+with the full shapes' thresholds.  The matrices that equal their transposes
+bit for bit get one stacked symmetric eigensolve, whose |eigenvalues| are the
+singular values, and only those it flags borderline are factored again by the
+stacked SVD; every other matrix takes the SVD alone.  The condition sweep
+keeps its own rule (``montecarlo.condition_sweep``).  Least squares
+(``_solve_augmented``, behind ``tensor.recover`` and the recovery experiments)
+follows Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder
+QR of the augmented systems [A | b], then one SVD of the triangular factor's
+leading block plus an arrowhead inertia count (O'Leary-Stewart): the SVD gives
+the rank of A and the minimum-norm solution, the count the rank of [A | b].
 """
 
 from __future__ import annotations
@@ -133,25 +134,33 @@ def _validated(matrix, ndim: int = 2) -> np.ndarray:
 def batched_rank_report(matrices, policy: Tolerance = DEFAULT_TOLERANCE) -> BatchedRankReport:
     """The reports of every matrix of a (T, m, n) stack, eigensolving where that decides.
 
-    A square stack that equals its transpose bit for bit gets one stacked symmetric
-    eigensolve; only the matrices it flags borderline are factored again by the
-    stacked SVD, whose singular values replace theirs.  Any other stack takes the SVD
-    alone.  Both factorizations are backward stable, so their values differ by
+    The square matrices that equal their transposes bit for bit get one stacked
+    symmetric eigensolve; only those it flags borderline are factored again by the
+    stacked SVD, whose singular values replace theirs, and the SVD measures every other
+    matrix alone.  Both factorizations are backward stable, so their values differ by
     round-off of order eps * sigma_1, which the 10x band around the threshold is there
     to absorb; at a rank gap the eigensolve's round-off lands in the band more often
     than the SVD's, and those matrices pay for both.  That a verdict the eigensolve
     decides is the SVD's is checked on fixed seeds (tests/test_engine.py), not proven.
     Each report equals, bit for bit, what this gives for the matrix alone.
     """
-    a = _validated(matrices, ndim=3)
-    if a.shape[1] != a.shape[2] or not np.array_equal(a, np.swapaxes(a, 1, 2)):
-        return _report(a, policy)
-    report = _report(a, policy, symmetric=True)
-    if not report.borderline.any():
-        return report
-    s = report.singular_values.copy()
-    s[report.borderline] = np.linalg.svd(a[report.borderline], compute_uv=False)
-    return _verdicts(s, policy, a.shape[1:])
+    return _rank_reports(_validated(matrices, ndim=3), policy)
+
+
+def _rank_reports(a: np.ndarray, policy: Tolerance, rows: int | None = None) -> BatchedRankReport:
+    """batched_rank_report of a validated (T, m, n) stack, thresholded for matrices of
+    shape (rows, n) as in ``_report``."""
+    s = np.empty((len(a), min(a.shape[1:])))
+    svd = np.ones(len(a), bool)  # every matrix but the symmetric ones the eigensolve decides
+    if a.shape[1] == a.shape[2]:
+        symmetric = (a == np.swapaxes(a, 1, 2)).all(axis=(1, 2))
+        if symmetric.any():  # a mask that keeps every matrix would copy the stack
+            eig = _report(a if symmetric.all() else a[symmetric], policy, True, rows)
+            s[symmetric] = eig.singular_values
+            svd[symmetric] = eig.borderline
+    if svd.any():
+        s[svd] = np.linalg.svd(a if svd.all() else a[svd], compute_uv=False)
+    return _verdicts(s, policy, (a.shape[1] if rows is None else rows, a.shape[2]))
 
 
 def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:

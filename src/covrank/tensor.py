@@ -38,9 +38,10 @@ not negligible against the rank threshold keeps them, d(d+1)/2 k + 1 rows
 (O'Leary-Stewart, ``numrank``) solve either, thresholded for the shapes of
 the unreduced system; ``recovery_experiment`` runs the same path batched
 over trials.  The reduction stays inside the solve: Y, C and the layout-v1
-dump are unchanged.  The Y and Z ranks of ``covrank tensor`` are measured on
-such reductions too (``_system_reports``): Y on the Y rows of that system, Z
-on its nk columns along the tangent spaces, as rank Z <= nk on S^n.
+dump are unchanged.  The rank-law engine and ``covrank tensor`` measure the Y
+and Z ranks on such reductions too, by one batched path (``_system_reports``):
+Y on the Y rows of that system, Z on its nk columns along the tangent spaces,
+as rank Z <= nk on S^n.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import SampleSet, _ManifoldBase
-from .numrank import DEFAULT_TOLERANCE, RankReport, Tolerance, _norms, _report, _solve_augmented, rank_report
+from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _norms, _rank_reports, _solve_augmented, _verdicts
 
 __all__ = [
     "LAYOUT_VERSION",
@@ -123,35 +124,32 @@ def sigma_field(field: OperatorField, f) -> CovField:
 
 
 def assemble_Y(field: OperatorField) -> np.ndarray:
-    """Unfold the field into the (d^2 k) x k system matrix (layout v1)."""
-    return _Y_array(field.eta)
+    """Unfold the field into the (d^2 k) x k system matrix (layout v1): row
+    (l*d + m)*k + j, column i holds eta_ji[l] * eta_ji[m]."""
+    E = np.moveaxis(field.eta, -1, 0)  # E[l, j, i] = eta[j, i, l]
+    return (E[:, None] * E[None]).reshape(-1, field.k)
 
 
-def _Y_array(eta: np.ndarray) -> np.ndarray:
-    """The layout-v1 Y (..., d^2 k, k) of log vectors eta (..., k, k, d), batched over
-    leading axes: row (l*d + m)*k + j, column i holds eta[..., j, i, l] * eta[..., j, i, m]."""
+def _Z_array(eta: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Z (..., d k, m k) of log vectors eta (..., k, k, d) and their coordinates W (..., k, k, m),
+    batched over leading axes: entry (r*d + a, s*m + b) is eta[..., s, r, a] * W[..., s, r, b].
+    With W = eta it is layout-v1 Z, each entry the product of its Y entry."""
     *lead, k, _, d = eta.shape
-    E = np.moveaxis(eta, -1, -3)  # E[..., l, j, i] = eta[..., j, i, l]
-    return (E[..., :, None, :, :] * E[..., None, :, :, :]).reshape(*lead, d * d * k, k)
-
-
-def _unfold(sigmas: np.ndarray) -> np.ndarray:
-    """Layout-v1 right-hand sides of Sigma stacks (..., k, d, d): entry (l*d + m)*k + j."""
-    *lead, k, d, _ = sigmas.shape
-    return np.moveaxis(sigmas, -3, -1).reshape(*lead, d * d * k)
+    E, F = np.moveaxis(eta, -3, -1), np.swapaxes(W, -3, -2)  # [..., r, a, s], [..., r, s, b]
+    return (E[..., None] * F[..., None, :, :]).reshape(*lead, d * k, W.shape[-1] * k)
 
 
 def _frame_coordinates(
-    manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, sigmas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log vectors eta (T, k, k, d) and covariance stacks sigmas (T, k, d, d) of point
-    stacks P (T, k, d) in the frame Q_j of each point (``manifold._tangent_frames``),
+    manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, sigmas: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Log vectors eta (T, k, k, d) and covariance stacks sigmas (T, k, d, d), if any, of
+    point stacks P (T, k, d) in the frame Q_j of each point (``manifold._tangent_frames``),
     whose first n axes span the tangent space: V[t, j, i] = Q_j^T eta_ji and
     S[t, j] = Q_j^T Sigma_j Q_j.  On R^n the frames are the identity and nothing moves."""
     frames = manifold._tangent_frames(P)
     if frames is None:
         return eta, sigmas
-    return eta @ frames, np.swapaxes(frames, -1, -2) @ sigmas @ frames
+    return eta @ frames, None if sigmas is None else np.swapaxes(frames, -1, -2) @ sigmas @ frames
 
 
 def _reduced_systems(V: np.ndarray, S: np.ndarray, dims: int) -> np.ndarray:
@@ -176,11 +174,7 @@ def _reduced_systems(V: np.ndarray, S: np.ndarray, dims: int) -> np.ndarray:
     strict = a < b
     out = np.empty((T, len(a) * k + 1, k + 1))
     blocks = out[:, :-1].reshape(T, len(a), k, k + 1)  # a view: rows pair*k + j
-    W = np.moveaxis(V[..., :dims], -1, -3)  # W[t, a, j, i]: frame coordinate a of eta_ji
-    for row, (x, y) in enumerate(zip(a, b)):
-        np.multiply(W[:, x], W[:, y], out=blocks[:, row, :, :k])
-        if x != y:
-            blocks[:, row, :, :k] *= math.sqrt(2.0)
+    _reduced_Y(V, dims, blocks[..., :k])
     half = S * math.sqrt(0.5)
     blocks[..., k] = np.swapaxes(np.where(strict, half[..., a, b] + half[..., b, a], S[..., a, b]), 1, 2)
     out[:, -1, :k] = 0.0
@@ -189,28 +183,58 @@ def _reduced_systems(V: np.ndarray, S: np.ndarray, dims: int) -> np.ndarray:
     return out
 
 
-def _dropped_norms(V: np.ndarray, dims: int) -> np.ndarray:
-    """Frobenius norms (T,) of the Y entries (a, b), a or b >= dims, that
-    _reduced_systems(V, S, dims) drops: per log vector v = (v_T, v_N), split at dims,
-    they hold |v|^4 - |v_T|^4 = |v_N|^2 (2 |v_T|^2 + |v_N|^2), summed free of cancellation."""
+def _reduced_Y(V: np.ndarray, dims: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The Y rows (T, dims(dims+1)/2, k, k) of _reduced_systems(V, S, dims), written into out
+    if given: [t, pair, j, i] holds V_ji[a] V_ji[b], times sqrt(2) where a < b."""
+    a, b = np.triu_indices(dims)
+    W = np.moveaxis(V[..., :dims], -1, -3)  # W[t, a, j, i]: frame coordinate a of eta_ji
+    if out is None:
+        out = np.empty((len(V), len(a)) + V.shape[1:3])
+    for row, (x, y) in enumerate(zip(a, b)):
+        np.multiply(W[:, x], W[:, y], out=out[:, row])
+        if x != y:
+            out[:, row] *= math.sqrt(2.0)
+    return out
+
+
+def _dropped_norms(V: np.ndarray, dims: int, weight: float) -> np.ndarray:
+    """Frobenius norms (T,) of the entries that the reductions of Y (weight 2) or Z (weight 1)
+    to dims frame axes drop: per log vector v = (v_T, v_N), split at dims, they hold
+    |v_N|^2 (weight |v_T|^2 + |v_N|^2), summed free of cancellation."""
     tangent = np.einsum("...a,...a->...", V[..., :dims], V[..., :dims])
     normal = np.einsum("...a,...a->...", V[..., dims:], V[..., dims:])
-    return np.sqrt((normal * (2.0 * tangent + normal)).sum(axis=(-2, -1)))
-
-
-def _ones_norms(V: np.ndarray) -> np.ndarray:
-    """||Y 1|| (T,) of log vectors V (T, k, k, d) in orthonormal frames: the norm of the
-    unfolded sums sum_i eta_ji eta_ji^T.  It bounds sigma_1 below with no SVD:
-    sigma_1(Y) >= ||Y 1|| / sqrt(k), and sigma_1(Z) >= ||Y 1|| / sqrt(dk), since
-    (1_k (x) I_d)^T Z / sqrt(k), of rank at most d, holds the same sums over r of the
-    blocks (r, s) = eta_sr eta_sr^T."""
-    return _norms((np.swapaxes(V, -1, -2) @ V).reshape(len(V), -1))
+    return np.sqrt((normal * (weight * tangent + normal)).sum(axis=(-2, -1)))
 
 
 def _system_rows(manifold: _ManifoldBase, k: int) -> int:
     """Rows of a k-point trial's reduced [Y | c] system at most: d(d+1)/2 k + 1."""
     d = manifold.coord_dim
     return d * (d + 1) // 2 * k + 1
+
+
+def _split(manifold: _ManifoldBase, V: np.ndarray, policy: Tolerance, system: str) -> list[tuple]:
+    """(trials, dims) pairs that cover each trial of log vectors V (T, k, k, d) in the frames
+    of ``_frame_coordinates`` once, dims the frame axes its reduced Y or Z (system) keeps.
+
+    A trial keeps its n tangent axes where the entries they drop are negligible: their
+    norm is at most tau / 10, tau the threshold of the unreduced system.  No singular
+    value then moves by more than tau / 10, so no verdict outside the borderline band
+    (tau / 10, 10 tau).  Otherwise, as near the sphere's cut locus, where a log vector's
+    round-off normal part grows as eps / sin(theta), it keeps all d.  tau is bounded
+    below with no SVD by ||Y 1||, the norm of the unfolded sums sum_i eta_ji eta_ji^T:
+    sigma_1(Y) >= ||Y 1|| / sqrt(k), and sigma_1(Z) >= ||Y 1|| / sqrt(dk), since
+    (1_k (x) I_d)^T Z / sqrt(k), of rank at most d, holds the same sums over r of the
+    blocks (r, s) = eta_sr eta_sr^T.  trials is slice(None) where one pair covers all.
+    """
+    n, d, k = manifold.n, manifold.coord_dim, V.shape[1]
+    if n == d:  # R^n: the frames are the ambient axes, and nothing is dropped
+        return [(slice(None), n)]
+    rows, width, weight = (d * d * k, k, 2.0) if system == "Y" else (d * k, d * k, 1.0)
+    ones = _norms((np.swapaxes(V, -1, -2) @ V).reshape(len(V), -1))  # ||Y 1||, V's frames orthonormal
+    tau = policy.threshold((rows, width), ones / math.sqrt(width))
+    full = _dropped_norms(V, n, weight) > tau / 10
+    return [(slice(None) if group.all() else np.flatnonzero(group), dims)
+            for dims, group in ((n, ~full), (d, full)) if group.any()]
 
 
 def _recovery_systems(
@@ -221,56 +245,38 @@ def _recovery_systems(
     that cover each trial once.
 
     A trial gets the tangent system of _reduced_systems(V, S, n), n(n+1)/2 k + 1 rows,
-    when the Y entries it drops are negligible: their norm is at most tau_Y / 10, tau_Y
-    the threshold of the unreduced Y.  Dropping them then moves no singular value of
-    [Y | c] or of Y by more than tau_Y / 10, so no rank verdict changes unless a
-    singular value lies in the borderline band (tau / 10, 10 tau).  Otherwise, as near
-    the sphere's cut locus, where a log vector's round-off normal part grows as
-    eps / sin(theta), the trial keeps those entries: dims = d, d(d+1)/2 k + 1 rows.
-    tau_Y is bounded below from sigma_1(Y) >= ||Y 1|| / sqrt(k), Y 1 being the
-    unfolded sum_i eta_ji eta_ji^T, so the choice needs no SVD.
+    where the Y entries it drops are negligible (``_split``); otherwise dims = d.
     """
-    n, d = manifold.n, manifold.coord_dim
-    T, k = V.shape[:2]
-    tau = policy.threshold((d * d * k, k), _ones_norms(V) / math.sqrt(k))
-    full = _dropped_norms(V, n) > tau / 10
-    groups = []
-    for dims, group in ((n, ~full), (d, full)):
-        if group.all():  # spares V a copy
-            groups.append((np.arange(T), _reduced_systems(V, S, dims)))
-        elif group.any():
-            groups.append((np.flatnonzero(group), _reduced_systems(V[group], S[group], dims)))
-    return groups
+    return [(np.arange(len(V))[trials], _reduced_systems(V[trials], S[trials], dims))
+            for trials, dims in _split(manifold, V, policy, "Y")]
 
 
-def _system_reports(field: OperatorField, cov: CovField, policy: Tolerance) -> tuple[RankReport, RankReport]:
-    """The RankReports of assemble_Y(field) and assemble_Z(field), measured on
-    orthogonally equivalent reductions but thresholded for the full shapes.
+def _system_reports(
+    manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, policy: Tolerance, system: str
+) -> BatchedRankReport:
+    """The reports of layout-v1 Y or Z (system) of point stacks P (T, k, d) with log vectors
+    eta = manifold.pairwise_log(P), measured on orthogonally equivalent reductions
+    (``_split``) but thresholded for the full shapes.
 
-    Y is measured on the Y rows of recover's reduced system for (field, cov),
-    n(n+1)/2 k rows instead of d^2 k (``_recovery_systems``).  Column block s of Z,
-    whose blocks eta_sr eta_sr^T hold log vectors tangent at p_s, annihilates p_s, so
-    Z blockdiag(Q_s) with the frames of ``_frame_coordinates`` has the columns
-    eta_sr[a] V_sr[b], of which those with b >= n are round-off.  The reduced Z keeps
-    the nk others, dk x nk, and max(dk, nk) leaves tau as it is.  As in
-    _recovery_systems, Z keeps all dk where the dropped columns' norm exceeds tau_Z / 10,
-    tau_Z bounded below by ``_ones_norms``, so no singular value moves by more than
-    tau_Z / 10 and no verdict outside the borderline band.  On R^n nothing is dropped.
-    Z is measured by ``rank_report``, whose eigensolve decides first where Z equals
-    its transpose bit for bit, as on R^n; Y, which is tall, by the SVD.
+    Y is measured on the Y rows of recover's reduced system, n(n+1)/2 k rows instead of
+    d^2 k.  Column block s of Z, whose blocks hold log vectors tangent at p_s,
+    annihilates p_s, so Z blockdiag(Q_s) has the columns eta_sr[a] V_sr[b], of which
+    those with b >= n are round-off.  The reduced Z keeps the nk others, and reports the
+    k(d - n) dropped singular values as their exact value 0.  On R^n nothing is dropped.
+    Every stack takes the one verdict rule (``numrank._rank_reports``), and each trial's
+    report equals, bit for bit, that of a stack holding only that trial.
     """
-    manifold, k, d, n = field.manifold, field.k, field.d, field.manifold.n
-    V, S = _frame_coordinates(manifold, field.sample.points[None], field.eta[None], cov.sigmas[None])
-    [(_, systems)] = _recovery_systems(manifold, V, S, policy)
-    report_Y = _report(systems[:, :-1, :k], policy, rows=d * d * k)[0]
-    # the dropped columns hold |eta_sr|^2 |V_sr[n:]|^2 for each pair
-    normal = np.einsum("...a,...a->...", V[..., n:], V[..., n:])
-    dropped = np.sqrt((normal * np.einsum("...a,...a->...", V, V)).sum(axis=(-2, -1)))
-    tau = policy.threshold((d * k, d * k), _ones_norms(V) / math.sqrt(d * k))
-    dims = d if dropped[0] > tau[0] / 10 else n
-    E, W = np.moveaxis(field.eta, 0, -1), np.swapaxes(V[0, ..., :dims], 0, 1)  # [r, a, s], [r, s, b]
-    Z = (E[..., None] * W[:, None]).reshape(d * k, dims * k)  # Z[r*d + a, s*dims + b]
-    return report_Y, rank_report(Z, policy)
+    d, k = manifold.coord_dim, P.shape[1]
+    V, _ = _frame_coordinates(manifold, P, eta)
+    rows, width = (d * d * k, k) if system == "Y" else (d * k, d * k)
+    s = np.zeros((len(P), width))
+    for trials, dims in _split(manifold, V, policy, system):
+        if system == "Y":
+            a = _reduced_Y(V[trials], dims).reshape(-1, dims * (dims + 1) // 2 * k, k)
+        else:
+            a = _Z_array(eta[trials], V[trials, ..., :dims])
+        s[trials, :a.shape[2]] = _rank_reports(a, policy, rows).singular_values
+    return _verdicts(s, policy, (rows, width))
 
 
 def _forward_systems(
@@ -286,22 +292,14 @@ def _forward_systems(
 
 
 def unfold_C(cov: CovField) -> np.ndarray:
-    """Flatten Sigma_1..Sigma_k into the d^2 k right-hand-side vector (layout v1)."""
-    return _unfold(cov.sigmas)
+    """Flatten Sigma_1..Sigma_k into the d^2 k right-hand-side vector (layout v1):
+    entry (l*d + m)*k + j holds Sigma_j[l, m]."""
+    return np.moveaxis(cov.sigmas, 0, -1).reshape(-1)
 
 
 def assemble_Z(field: OperatorField) -> np.ndarray:
     """Arrange the blocks into the (d k) x (d k) matrix with block (r, s) = Y[s, r]."""
-    return _Z_of_Y(assemble_Y(field))
-
-
-def _Z_of_Y(Y: np.ndarray) -> np.ndarray:
-    """Layout-v1 Z (..., d k, d k) of layout-v1 Y stacks (..., d^2 k, k) of any dtype:
-    Z[..., r*d + a, s*d + b] = Y[..., (a*d + b)*k + s, r], batched over leading axes."""
-    *lead, rows, k = Y.shape
-    d = math.isqrt(rows // k)
-    Y4 = Y.reshape(*lead, d, d, k, k)  # [..., a, b, s, r]
-    return np.swapaxes(np.moveaxis(Y4, -1, -4), -1, -2).reshape(*lead, k * d, k * d)
+    return _Z_array(field.eta, field.eta)
 
 
 def trace_system(field: OperatorField, cov: CovField | None = None):

@@ -34,6 +34,12 @@ def run(capsys, *argv):
     return code, out
 
 
+def system_report(field, system):
+    """The report of tensor's Y/Z path for one field."""
+    P, eta = field.sample.points[None], field.eta[None]
+    return _system_reports(field.manifold, P, eta, Tolerance(), system)[0]
+
+
 def summary_value(line, key):
     for token in line.split():
         if token.startswith(key + "="):
@@ -342,7 +348,7 @@ class TestTensorRanks:
         sample = manifold.sample_uniform(k, 0, stream=sample_stream(k, 0))
         assert np.pi - manifold.pairwise_distance(sample.points).max() < 1e-4
         field = outer_field(manifold, sample)
-        report_Z = _system_reports(field, sigma_field(field, np.ones(k)), Tolerance())[1]
+        report_Z = system_report(field, "Z")
         assert report_Z.singular_values.shape == (2 * k,)
         full = rank_report(assemble_Z(field))
         assert report_Z.numerical_rank == full.numerical_rank == 22
@@ -355,7 +361,7 @@ class TestTensorRanks:
         # report is rank_report's, whose eigensolve decides here
         manifold, k = parse_manifold(spec), 12
         field = outer_field(manifold, manifold.sample_uniform(k, 0, stream=sample_stream(k, 0)))
-        report = _system_reports(field, sigma_field(field, np.ones(k)), Tolerance())[1]
+        report = system_report(field, "Z")
         Z = assemble_Z(field)
         assert not report.borderline
         assert np.array_equal(report.singular_values, -np.sort(-np.abs(np.linalg.eigvalsh(Z))))
@@ -365,9 +371,11 @@ class TestTensorRanks:
     def test_tau_is_that_of_the_full_matrices(self, spec, k, seed):
         manifold = parse_manifold(spec)
         field = outer_field(manifold, manifold.sample_uniform(k, seed, stream=sample_stream(k, 0)))
-        reports = _system_reports(field, sigma_field(field, np.ones(k)), Tolerance())
+        reports = [system_report(field, system) for system in ("Y", "Z")]
         n, d = manifold.n, manifold.coord_dim
-        assert reports[1].singular_values.shape == (n * k,)  # the reduction was taken
+        # the reduction was taken: Z's k(d - n) dropped singular values are reported as 0
+        assert reports[1].singular_values.shape == (d * k,)
+        assert reports[1].singular_values[n * k - 1] > 0 and not reports[1].singular_values[n * k:].any()
         for report, full in zip(reports, (assemble_Y(field), assemble_Z(field))):
             assert report.tolerance_used == pytest.approx(rank_report(full).tolerance_used, rel=1e-12)
 

@@ -5,8 +5,11 @@ with ``Kernel.pairwise`` or ``outer_field`` and measures it one trial at a
 time, spelling the verdict rule out: a matrix equal to its transpose bit for
 bit by a one-matrix symmetric eigensolve (``numrank._report``), then by the SVD
 if that flags it borderline, any other matrix by the SVD, and eigensolved
-condition-sweep cells by the eigensolve alone.  The engine stacks trials into
-chunks and must give the same bits, on inputs the benchmark does not cover.
+condition-sweep cells by the eigensolve alone.  Y, which the engine measures on
+tensor's reductions, is referenced by one-trial stacks of that path, and its
+verdicts are compared with the full matrices' separately.  The engine stacks
+trials into chunks and must give the same bits, on inputs the benchmark does
+not cover.
 """
 
 import math
@@ -21,6 +24,7 @@ from covrank import (
     UnitSphere,
     assemble_Y,
     assemble_Z,
+    batched_rank_report,
     condition_sweep,
     fullrank_probability,
     outer_field,
@@ -33,7 +37,7 @@ from covrank import (
 from covrank.manifold import rng_streams
 from covrank.montecarlo import _CHUNK_BYTES, _trial_reports, aux_stream, sample_stream
 from covrank.numrank import _report
-from covrank.tensor import _system_rows, _Y_array, _Z_of_Y
+from covrank.tensor import _frame_coordinates, _reduced_Y, _system_reports, _system_rows, _Z_array
 from reference import euclidean_distances
 
 
@@ -78,7 +82,19 @@ def reference_matrices(cfg, k, system):
             yield assemble_Y(field) if system == "Y" else assemble_Z(field)
 
 
+def one_trial_reports(cfg, k, system):
+    """The reports of tensor's Y/Z path on one-trial stacks."""
+    reports = []
+    for t in range(cfg.trials):
+        field = outer_field(cfg.manifold, cfg.manifold.sample_uniform(k, cfg.seed, stream=sample_stream(k, t)))
+        P, eta = field.sample.points[None], field.eta[None]
+        reports.append(_system_reports(cfg.manifold, P, eta, cfg.tolerance, system)[0])
+    return reports
+
+
 def reference_reports(cfg, k, system):
+    if system == "Y":
+        return one_trial_reports(cfg, k, system)
     reports = []
     for matrix in reference_matrices(cfg, k, system):
         report = eigensolve_report(matrix, cfg.tolerance)
@@ -150,15 +166,68 @@ def test_system_reports_match_reference(system, manifold, k):
 
 @pytest.mark.parametrize("system", ["Y", "Z"])
 def test_sphere_systems_stay_on_the_svd(system, monkeypatch):
-    # on S^2, Y is tall and Z is not symmetric: eta_sr and eta_rs live in different tangent planes
+    # on S^2 the reduced Y is tall, and Z is neither square nor, where it keeps its normal
+    # columns, symmetric: eta_sr and eta_rs live in different tangent planes
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("a sphere system reached the eigensolve")
 
     k = 6
     cfg = make_config(UnitSphere(2), k=k, trials=2 * chunk_size(k, 9) + 3)
-    reference = reference_reports(cfg, k, system)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-    assert_reports_equal(_trial_reports(cfg, k, system), reference)
+    assert_reports_equal(_trial_reports(cfg, k, system), one_trial_reports(cfg, k, system))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_trial_keeps_or_drops_its_own_Z_columns(n):
+    # A trial drops Z's normal columns only where their round-off is negligible, and
+    # reports their singular values as 0.  On sphere:2 at k = 20, seed 0, 10 of 41
+    # trials keep them, four of them in the first chunk of 9.  On sphere:1 all 41 do:
+    # at this k the normal parts' round-off exceeds tau / 10 in every trial.  Its trial
+    # 0 has a pair pi - 6.4e-5 apart, and two noise singular values of its Z at 3.5 and
+    # 2.6 tau lift its rank above the proven n k.
+    manifold, k = UnitSphere(n), 20
+    cfg = make_config(manifold, k=k, trials=41, seed=0)
+    reports = _trial_reports(cfg, k, "Z")
+    assert_reports_equal(reports, one_trial_reports(cfg, k, "Z"))
+    whole = reports.singular_values[:, n * k:].all(axis=1)
+    assert not reports.singular_values[~whole, n * k:].any()
+    if n == 1:
+        assert chunk_size(k, 4) == 20 and whole.all()
+        assert (reports.numerical_rank[0], reports.borderline[0]) == (22, True)
+    else:
+        assert np.count_nonzero(whole) == 10 and np.count_nonzero(whole[:chunk_size(k, 9)]) == 4
+
+
+def test_circle_Y_chunks_mix_symmetric_and_asymmetric_trials():
+    # on S^1 the reduced Y is k x k, and at k = 3 some trials equal their transposes bit
+    # for bit: each is eigensolved as it would be alone, whatever its chunk-mates
+    manifold, k = UnitSphere(1), 3
+    cfg = make_config(manifold, k=k, trials=chunk_size(k, 4) + 5, seed=0)
+    P = manifold.sample_batch(k, 0, (sample_stream(k, t) for t in range(chunk_size(k, 4))))
+    V, _ = _frame_coordinates(manifold, P, manifold.pairwise_log(P))
+    Y = _reduced_Y(V, manifold.n)[:, 0]
+    assert 0 < np.count_nonzero((Y == np.swapaxes(Y, 1, 2)).all(axis=(1, 2))) < len(Y)
+    assert_reports_equal(_trial_reports(cfg, k, "Y"), one_trial_reports(cfg, k, "Y"))
+
+
+@pytest.mark.parametrize("manifold, ks", [(Euclidean(1), range(1, 14)), (Euclidean(2), range(1, 17)),
+                                          (Euclidean(3), range(1, 21))], ids=str)
+def test_reduced_Y_verdicts_are_those_of_the_full_Y(manifold, ks):
+    # the reduction's Y is orthogonally equivalent to layout-v1 Y, thresholded for its shape
+    for k in ks:
+        cfg = make_config(manifold, k=k, trials=20, seed=1)
+        reports = _trial_reports(cfg, k, "Y")
+        full = batched_rank_report(np.stack(list(reference_matrices(cfg, k, "Y"))))
+        assert np.array_equal(reports.numerical_rank, full.numerical_rank), k
+        assert np.array_equal(reports.borderline, full.borderline), k
+        np.testing.assert_allclose(reports.tolerance_used, full.tolerance_used, rtol=1e-12)
+
+
+def test_montecarlo_builds_no_layout_v1_matrix():
+    # the rank-law engine measures Y and Z on tensor's reductions only
+    import covrank.montecarlo
+
+    assert not {"_Y_array", "_Z_of_Y", "_Z_array"} & set(vars(covrank.montecarlo))
 
 
 AGREEMENT_SEEDS, AGREEMENT_TRIALS = (1, 2), 40
@@ -186,7 +255,8 @@ def test_ladder_agrees_with_the_svd(manifold, kernel, ks, moved):
         for k in ks:
             cfg = make_config(manifold, kernel, k=k, trials=AGREEMENT_TRIALS, seed=seed)
             P = manifold.sample_batch(k, seed, (sample_stream(k, t) for t in range(cfg.trials)))
-            stack = cfg.kernel.pairwise(P) if kernel else _Z_of_Y(_Y_array(manifold.pairwise_log(P)))
+            eta = None if kernel else manifold.pairwise_log(P)
+            stack = cfg.kernel.pairwise(P) if kernel else _Z_array(eta, eta)
             svd = _report(stack, cfg.tolerance)
             eig = _report(stack, cfg.tolerance, symmetric=True)
             ladder = _trial_reports(cfg, k, system)
@@ -209,7 +279,8 @@ def test_engine_matrices_are_exactly_symmetric(manifold):
             assert np.array_equal(A, np.swapaxes(A, 1, 2)), (family, k)
         if isinstance(manifold, Euclidean):
             # eta_rs = p_s - p_r = -eta_sr exactly, so Z[(r,a),(s,b)] = eta_sr[a] eta_sr[b] is symmetric
-            Z = _Z_of_Y(_Y_array(manifold.pairwise_log(P)))
+            eta = manifold.pairwise_log(P)
+            Z = _Z_array(eta, eta)
             assert np.array_equal(Z, np.swapaxes(Z, 1, 2)), ("Z", k)
 
 
@@ -272,7 +343,7 @@ def test_rekeyed_streams_match_rng_stream():
     streams += [aux_stream(k, t) for k in (3, 600) for t in (0, 7)]
     streams += list(range(900))
     for rng, stream in zip(rng_streams(seed, streams), streams):
-        reference = rng_stream(seed, stream)
+        reference = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
         assert np.array_equal(rng.uniform(-1.0, 3.0, (5, 2)), reference.uniform(-1.0, 3.0, (5, 2)))
         assert np.array_equal(rng.standard_normal((4, 3)), reference.standard_normal((4, 3)))
         assert np.array_equal(rng.random(7), reference.random(7))

@@ -32,15 +32,15 @@ def sample_of(manifold, points):
 class TestEvaluate:
     def test_sqdist_vanishes_on_diagonal(self):
         k = Kernel(Euclidean(2), "sqdist")
-        assert k.pairwise(np.array([[0.3, 0.7]]), np.array([[0.3, 0.7]]))[0, 0] == 0.0
+        assert k.pairwise(np.array([[0.3, 0.7], [0.3, 0.7]]))[0, 1] == 0.0
 
     def test_shifted_plugin(self):
         k = Kernel(UnitSphere(2), "shifted", alpha=math.pi / 2)
-        assert k.pairwise(E1[None], -E1[None])[0, 0] == pytest.approx(math.pi**2 / 4)
+        assert k.pairwise(np.stack([E1, -E1]))[0, 1] == pytest.approx(math.pi**2 / 4)
 
     def test_arccos_of_orthogonal(self):
         k = Kernel(UnitSphere(2), "dot:arccos")
-        assert k.pairwise(E1[None], E2[None])[0, 0] == pytest.approx(math.pi / 2)
+        assert k.pairwise(np.stack([E1, E2]))[0, 1] == pytest.approx(math.pi / 2)
 
     def test_shift_zero_equals_sqdist(self):
         sphere = UnitSphere(2)

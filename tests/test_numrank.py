@@ -436,9 +436,9 @@ def near_threshold_matrix():
 
 
 class TestOneRule:
-    """rank_report and batched_rank_report decide by one rule: eigensolve a stack that
+    """rank_report and batched_rank_report decide by one rule: eigensolve a matrix that
     equals its transpose bit for bit, settle what it flags by the SVD, and factor any
-    other stack by the SVD."""
+    other matrix by the SVD."""
 
     def test_symmetric_matrix_gets_its_sorted_absolute_eigenvalues(self):
         A = symmetric_stack(1, 9, seed=80)[0]
@@ -473,6 +473,20 @@ class TestOneRule:
         alone, batch = rank_report(A), batched_rank_report(A[None])[0]
         for got, want in zip(report_fields(alone), report_fields(batch)):
             assert np.array_equal(got, want)
+
+
+def test_mixed_stack_reports_each_matrix_as_alone():
+    # symmetry is decided per matrix, so a matrix's report does not depend on its stack-mates
+    decided = symmetric_stack(1, 9, seed=80)[0]
+    off = decided.copy()
+    off[0, 1] = np.nextafter(off[0, 1], np.inf)
+    stack = np.stack([decided, off, near_threshold_matrix(), np.zeros((9, 9))])
+    batch = batched_rank_report(stack)
+    for t, A in enumerate(stack):
+        for got, want in zip(report_fields(batch), report_fields(batched_rank_report(A[None]))):
+            assert np.array_equal(got[t], want[0]), t
+    assert np.array_equal(batch.singular_values[0], -np.sort(-np.abs(np.linalg.eigvalsh(decided))))
+    assert np.array_equal(batch.singular_values[1], np.linalg.svd(off, compute_uv=False))
 
 
 def test_reports_are_read_only():

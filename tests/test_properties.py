@@ -37,7 +37,7 @@ from covrank import (  # noqa: E402
 from covrank.cli import _csv, _spell  # noqa: E402
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
 from covrank.numrank import _solve_augmented  # noqa: E402
-from covrank.tensor import _frame_coordinates, _recovery_systems, _Z_of_Y  # noqa: E402
+from covrank.tensor import _frame_coordinates, _recovery_systems  # noqa: E402
 from reference import euclidean_distances  # noqa: E402
 
 
@@ -151,17 +151,6 @@ def test_Z_is_an_index_map_of_Y(field):
     assert same_bits(Z[r * d + a, s * d + b], _blocks(field)[s, r, a, b])
 
 
-@given(operator_fields())
-def test_Z_map_keeps_any_dtype_and_batches(field):
-    k, d = field.k, field.d
-    labels = np.array([str(x) for x in range(d * d * k * k)], dtype=object).reshape(d * d * k, k)
-    r, a, s, b = np.indices((k, d, k, d))
-    assert np.array_equal(_Z_of_Y(labels)[r * d + a, s * d + b], labels[(a * d + b) * k + s, r])
-    Y = assemble_Y(field)
-    stacked = _Z_of_Y(np.stack([Y, -Y]))
-    assert same_bits(stacked[0], _Z_of_Y(Y)) and same_bits(stacked[1], _Z_of_Y(-Y))
-
-
 @given(operator_fields(), st.data())
 def test_C_entries_are_the_sigma_entries(field, data):
     # entry (l*d + m)*k + j holds Sigma_j[l, m]
@@ -240,14 +229,16 @@ def test_paired_distance_is_the_pair_distance(pairs):
 
 @given(paired_points(), st.floats(0, 4))
 def test_kernel_value_is_the_batched_value(pairs, alpha):
-    # the array formula of Kernel.pairwise; a Python-float ** 2 may round differently
+    # the array formula of Kernel.pairwise; a Python-float ** 2 may round differently.
+    # A pair is the off-diagonal entry of a two-point stack
     manifold, X, Y = pairs
+    P = np.stack([X, Y], axis=1)
     for kernel in (Kernel(manifold, "sqdist"), Kernel(manifold, "shifted", alpha=alpha)):
         expected = (manifold.paired_distance(X, Y) - kernel.alpha) ** 2
-        stacked = kernel.pairwise(X[:, None], Y[:, None])[:, 0, 0]
+        stacked = kernel.pairwise(P)[:, 0, 1]
         for t in range(len(X)):
             assert same_double(stacked[t], expected[t]), (str(kernel), t)
-            assert same_double(kernel.pairwise(X[t:t + 1], Y[t:t + 1])[0, 0], expected[t]), (str(kernel), t)
+            assert same_double(kernel.pairwise(P[t])[0, 1], expected[t]), (str(kernel), t)
 
 
 @st.composite

@@ -397,7 +397,8 @@ class TestReducedRecovery:
         assert 3 * k + 1 < report.singular_values[-1] / report.singular_values[0] / eps < 9 * k
         cov = sigma_field(near, np.ones(k))
         assert recover(near, cov).rank_Y == report.numerical_rank == k - 1
-        assert _system_reports(near, cov, Tolerance())[0].numerical_rank == k - 1
+        P, eta = near.sample.points[None], near.eta[None]
+        assert _system_reports(near.manifold, P, eta, Tolerance(), "Y").numerical_rank[0] == k - 1
 
     def test_huge_right_hand_side_does_not_overflow(self):
         # the row that carries c's antisymmetric and normal parts holds their norm,
