@@ -1,9 +1,10 @@
 """Command-line surface: sampling, rank measurement, tensor assembly,
 recovery, condition sweeps, and the shift recommendation.
 
-Every subcommand is deterministic given its argv (seeds default to 0), and
-numeric output uses 17 significant digits, so reruns produce byte-identical
-files.  Row tables spell each value with fmt17.  Matrix dumps spell whole arrays
+Every subcommand is deterministic given its argv (seeds default to 0) on one
+numpy/OpenBLAS build, CPU and BLAS thread count, and numeric output uses 17
+significant digits, so reruns there produce byte-identical files (see
+docs/formats.md for the scope).  Row tables spell each value with fmt17.  Matrix dumps spell whole arrays
 at once with a vectorised speller that gives the bytes of "%.17g", fmt17's, and
 hands the rare values it cannot settle exactly to "%.17g" itself.  Exit codes: 0
 success, 1 validation error, 2 numerical failure.
@@ -38,11 +39,12 @@ from .montecarlo import (
     rows_to_jsonl,
     sample_stream,
 )
-from .numrank import Tolerance, rank_report
+from .numrank import Tolerance, _verdicts, rank_report
 from .tensor import (
     LAYOUT_VERSION,
     CovField,
     _system_reports,
+    _system_shape,
     assemble_Y,
     outer_field,
     recover,
@@ -371,7 +373,8 @@ def cmd_tensor(args) -> str:
     psi, _ = trace_system(field)
     policy = Tolerance(args.tol_factor)
     P, eta = field.sample.points[None], field.eta[None]
-    report_Y, report_Z = (_system_reports(manifold, P, eta, policy, system)[0] for system in ("Y", "Z"))
+    report_Y, report_Z = (_verdicts(_system_reports(manifold, P, eta, policy, system), policy,
+                                    _system_shape(manifold, args.k, system))[0] for system in ("Y", "Z"))
     report_psi = rank_report(psi, policy)
     wrote = ""
     if args.out:

@@ -62,7 +62,8 @@ class Kernel:
         axes, where d(p, p) = 0 exactly; a single pair is a two-point stack."""
         if self.family in ("sqdist", "shifted"):
             d = self.manifold.pairwise_distance(P)
-            d -= self.alpha
+            if self.alpha:  # d - 0.0 has the bits of d
+                d -= self.alpha
             d *= d
             return d
         g = P @ np.swapaxes(P, -1, -2)

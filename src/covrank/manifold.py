@@ -60,26 +60,29 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 def rng_streams(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
     """Generators for the pairs (seed, s), s in streams, in order: Philox keyed by
-    [seed, s] from counter 0.
-
-    One Philox bit generator is re-keyed per stream (key [seed, s], counter 0,
-    empty buffer) instead of constructed anew, because construction spends
-    most of its time pulling SeedSequence entropy.  The state handed to the
-    setter holds plain ints, which it reads word by word faster than numpy
-    arrays.  The same Generator object is yielded each time: finish drawing
-    from it before advancing.
-    """
-    _check_key_word(seed)
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # a copy: counter 0, empty buffer
-    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
-    fresh["buffer"] = fresh["buffer"].tolist()
+    [seed, s] from counter 0, one re-keyed bit generator (``_philox``).  The same
+    Generator object is yielded each time: finish drawing from it before advancing."""
+    bitgen, gen, fresh = _philox(seed)
     for stream in streams:
         _check_key_word(stream)
         fresh["state"]["key"][1] = stream
         bitgen.state = fresh
         yield gen
+
+
+def _philox(seed: int) -> tuple[np.random.Philox, np.random.Generator, dict]:
+    """A Philox bit generator keyed [seed, 0], a Generator on it, and a copy of its
+    fresh state (counter 0, empty buffer) whose key word 1 a caller sets to a stream s
+    before handing the state to the bit generator.  That re-keys it to [seed, s] with
+    the bits of a Philox built with that key, and faster than building one, which
+    spends most of its time pulling SeedSequence entropy.  The state holds plain ints,
+    which the setter reads word by word faster than numpy arrays."""
+    _check_key_word(seed)
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    fresh = bitgen.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    return bitgen, np.random.Generator(bitgen), fresh
 
 
 def _zero_diagonal(a: np.ndarray) -> np.ndarray:
@@ -130,14 +133,22 @@ class _ManifoldBase:
 
     def sample_batch(self, k: int, seed: int, streams: Iterable[int]) -> np.ndarray:
         """The points of ``sample_uniform(k, seed, stream=s)`` for each s in streams,
-        stacked into shape (len(streams), k, coord_dim) with the same bits: each stream
-        fills its slice with raw draws, and one pass over the stack makes them points."""
+        stacked into shape (len(streams), k, coord_dim) with the same bits: one Philox,
+        re-keyed per stream, fills each slice with raw draws, and one pass over the
+        stack makes them points.  A seed or stream outside [0, 2**64) raises ValueError
+        before anything is drawn."""
         if k < 1:
             raise ValueError("k must be at least 1")
         streams = list(streams)
+        bitgen, gen, fresh = _philox(seed)
+        for stream in streams:  # refuse a bad key before any draw
+            _check_key_word(stream)
         out = np.empty((len(streams), k, self.coord_dim))
-        for rng, points in zip(rng_streams(seed, streams), out):
-            self._draw(rng, points)
+        key, draw = fresh["state"]["key"], self._draw
+        for stream, points in zip(streams, out):
+            key[1] = stream
+            bitgen.state = fresh
+            draw(gen, points)
         self._finish(out)
         return out
 

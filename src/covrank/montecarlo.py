@@ -6,16 +6,19 @@ sampling box (``Euclidean.box``).  Per-trial randomness comes from derived
 Philox streams: trial t of a size-k experiment with master seed q always uses
 stream ``(k << 32) | t`` of q (auxiliary draws such as forward-model weights
 set the top stream bit).
-One trial engine serves every experiment: it stacks the same-shape samples and
-matrices of consecutive trials into chunks and measures each chunk with one
-stacked SVD, which gives the same bits as factorizing each trial alone.  A
-rank-law chunk is measured by ``numrank.batched_rank_report``'s rule: a matrix
-equal to its transpose bit for bit (every kernel matrix, Z on R^n, Y on R^1)
-is eigensolved first, and the SVD settles the trials it flags.  Y and Z are
-measured on tangent-frame reductions, by the path of ``covrank tensor``
-(``tensor._system_reports``).  Most condition-sweep cells take the eigensolve
-alone, since their rows report every trial's spectral ratio.  Results are
-therefore independent of the chunking, and aggregation is by trial index.
+One trial engine serves every experiment.  A k's samples come from one
+``sample_batch`` call (or one per _CHUNK_BYTES of samples), which it cuts
+into chunks of consecutive trials whose matrices it stacks and measures with
+one stacked factorization, giving the same bits as factorizing each trial
+alone.  A rank-law chunk gives its settled spectra (``numrank._spectra``): a
+matrix equal to its transpose bit for bit (every kernel matrix, Z on R^n, Y on
+R^1) is eigensolved first, and the SVD settles the trials it flags.  Y and Z
+are measured on tangent-frame reductions, by the path of ``covrank tensor``
+(``tensor._system_reports``).  The spectra of all of a k's chunks fill one
+(trials, width) array, which gets one verdict (``numrank._verdicts``); a
+condition-sweep cell likewise, its chunks mostly taking the eigensolve alone,
+since its rows report every trial's spectral ratio.  Results are therefore
+independent of the chunking, and aggregation is by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
 written with 17 significant digits so files round-trip exactly.
@@ -32,8 +35,8 @@ import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import _ManifoldBase, rng_streams
-from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _report, _validated, batched_rank_report
-from .tensor import _forward_systems, _recoveries, _system_reports, _system_rows
+from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _singular_values, _spectra, _validated, _verdicts
+from .tensor import _forward_systems, _recoveries, _system_reports, _system_rows, _system_shape
 
 __all__ = [
     "ExperimentConfig",
@@ -154,30 +157,38 @@ class RecoveryTrial:
 # --- the trial engine ---------------------------------------------------
 
 
-def _sample_chunks(cfg: ExperimentConfig, k: int, trial_bytes: int) -> Iterator[np.ndarray]:
-    """Samples of trials 0..cfg.trials-1 at size k, stacked (T, k, coord_dim) per chunk.
+def _sample_chunks(cfg: ExperimentConfig, k: int, trial_bytes: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first trial, samples) of consecutive chunks of trials 0..cfg.trials-1 at size k,
+    the samples stacked (T, k, coord_dim).
 
     trial_bytes is the size of a trial's largest temporary: 8 k^2 d^2 for
     the Y/Z matrices, 8 (k+1) times tensor._system_rows for a recovery's
     reduced [Y | c] system, and 8 k^2 n (n = coord_dim) for a kernel matrix,
     whose trial holds a few k x k arrays at a time.  Chunks keep that
-    temporary within _CHUNK_BYTES, or hold one trial.
+    temporary within _CHUNK_BYTES, or hold one trial.  The samples of many chunks
+    come from one sample_batch call, as many as fit _CHUNK_BYTES themselves, so
+    a k of few small trials is drawn at once.
     """
     size = max(1, _CHUNK_BYTES // trial_bytes)
-    for start in range(0, cfg.trials, size):
-        streams = [sample_stream(k, t) for t in range(start, min(cfg.trials, start + size))]
-        yield cfg.manifold.sample_batch(k, cfg.seed, streams)
+    draw = size * max(1, _CHUNK_BYTES // (8 * k * cfg.manifold.coord_dim * size))
+    for first in range(0, cfg.trials, draw):
+        streams = [sample_stream(k, t) for t in range(first, min(cfg.trials, first + draw))]
+        samples = cfg.manifold.sample_batch(k, cfg.seed, streams)
+        for start in range(0, len(samples), size):
+            yield first + start, samples[start:start + size]
 
 
 def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankReport:
-    """Rank reports of the kernel, Y or Z matrix of every trial at size k."""
-    manifold, d = cfg.manifold, cfg.manifold.coord_dim
-    if system == "kernel":
-        measure, width = (lambda P: batched_rank_report(cfg.kernel.pairwise(P), cfg.tolerance)), d
-    else:
-        measure, width = (lambda P: _system_reports(manifold, P, manifold.pairwise_log(P), cfg.tolerance,
-                                                    system)), d * d
-    return BatchedRankReport.concatenate(measure(P) for P in _sample_chunks(cfg, k, 8 * k * k * width))
+    """Rank reports of the kernel, Y or Z matrix of every trial at size k: each chunk's
+    settled spectra are written into one (trials, width) array, which gets one verdict."""
+    manifold, d, tolerance = cfg.manifold, cfg.manifold.coord_dim, cfg.tolerance
+    kernel = system == "kernel"
+    shape = (k, k) if kernel else _system_shape(manifold, k, system)
+    s = np.empty((cfg.trials, min(shape)))
+    for start, P in _sample_chunks(cfg, k, 8 * k * k * (d if kernel else d * d)):
+        s[start:start + len(P)] = (_spectra(_validated(cfg.kernel.pairwise(P), ndim=3), tolerance) if kernel
+                                   else _system_reports(manifold, P, manifold.pairwise_log(P), tolerance, system))
+    return _verdicts(s, tolerance, shape)
 
 
 # --- experiments -----------------------------------------------------------
@@ -287,13 +298,13 @@ def condition_sweep(
     symmetric = [alpha != 0.0 or not finite for alpha in alphas]
     cells = {}
     for k in cfg.k_values:
-        per_alpha = [[] for _ in alphas]
-        for P in _sample_chunks(cfg, k, 8 * k * k * manifold.coord_dim):
+        per_alpha = [np.empty((trials, k)) for _ in alphas]
+        for start, P in _sample_chunks(cfg, k, 8 * k * k * manifold.coord_dim):
             dist = manifold.pairwise_distance(P)
-            for reports, alpha, sym in zip(per_alpha, alphas, symmetric):
-                reports.append(_report(_validated((dist - alpha) ** 2, ndim=3), tolerance, symmetric=sym))
-        for alpha, reports in zip(alphas, per_alpha):
-            cells[alpha, k] = BatchedRankReport.concatenate(reports)
+            for s, alpha, sym in zip(per_alpha, alphas, symmetric):
+                s[start:start + len(P)] = _singular_values(_validated((dist - alpha) ** 2, ndim=3), sym)
+        for alpha, s in zip(alphas, per_alpha):
+            cells[alpha, k] = _verdicts(s, tolerance, (k, k))
 
     rows = []
     for alpha in alphas:
@@ -338,7 +349,7 @@ def recovery_experiment(
     )
     weights = rng_streams(seed, (aux_stream(k, t) for t in range(trials)))
     rows = []
-    for P in _sample_chunks(cfg, k, 8 * _system_rows(manifold, k) * (k + 1)):
+    for _, P in _sample_chunks(cfg, k, 8 * _system_rows(manifold, k) * (k + 1)):
         f0 = np.stack([next(weights).random(k) for _ in P])
         systems = _forward_systems(manifold, P, f0, tolerance)
         for f, result in zip(f0, _recoveries(manifold, systems, tolerance)):

@@ -7,13 +7,17 @@ borderline when any singular value lands within a factor of 10 of the
 threshold, so experiment drivers can report ambiguity instead of silently
 misclassifying.
 
-``batched_rank_report`` is the one verdict rule, ``rank_report`` its
-one-matrix case, and ``tensor._system_reports`` takes it for reduced Y and Z
-with the full shapes' thresholds.  The matrices that equal their transposes
-bit for bit get one stacked symmetric eigensolve, whose |eigenvalues| are the
-singular values, and only those it flags borderline are factored again by the
-stacked SVD; every other matrix takes the SVD alone.  The condition sweep
-keeps its own rule (``montecarlo.condition_sweep``).  Least squares
+The one verdict rule is two steps: ``_spectra`` settles a stack's singular
+values, and ``_verdicts`` draws the reports from them.  In ``_spectra`` the
+matrices that equal their transposes bit for bit get one stacked symmetric
+eigensolve, whose |eigenvalues| are the singular values, and only those it
+flags borderline are factored again by the stacked SVD; every other matrix
+takes the SVD alone.  ``batched_rank_report`` and its one-matrix case
+``rank_report`` are the verdicts of one stack's spectra.  The rank-law engine
+(``montecarlo``) measures a k's trials in chunks, ``tensor._system_reports``
+settling the spectra of reduced Y and Z with the full shapes' thresholds, and
+takes one verdict per k.  The condition sweep keeps its own rule
+(``montecarlo.condition_sweep``).  Least squares
 (``_solve_augmented``, behind ``tensor.recover`` and the recovery experiments)
 follows Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder
 QR of the augmented systems [A | b], then one SVD of the triangular factor's
@@ -88,8 +92,7 @@ class RankReport:
 class BatchedRankReport:
     """RankReport fields for a stack of T same-shape matrices, one entry per matrix.
 
-    Indexing with a matrix number gives that matrix's RankReport;
-    ``concatenate`` joins reports of consecutive chunks of one stack.
+    Indexing with a matrix number gives that matrix's RankReport.
     """
 
     singular_values: np.ndarray  # (T, min(m, n)), descending
@@ -116,11 +119,6 @@ class BatchedRankReport:
             borderline=bool(self.borderline[t]),
         )
 
-    @classmethod
-    def concatenate(cls, reports) -> "BatchedRankReport":
-        reports = list(reports)
-        return cls(**{f.name: np.concatenate([getattr(r, f.name) for r in reports]) for f in fields(cls)})
-
 
 def _validated(matrix, ndim: int = 2) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
@@ -132,35 +130,11 @@ def _validated(matrix, ndim: int = 2) -> np.ndarray:
 
 
 def batched_rank_report(matrices, policy: Tolerance = DEFAULT_TOLERANCE) -> BatchedRankReport:
-    """The reports of every matrix of a (T, m, n) stack, eigensolving where that decides.
-
-    The square matrices that equal their transposes bit for bit get one stacked
-    symmetric eigensolve; only those it flags borderline are factored again by the
-    stacked SVD, whose singular values replace theirs, and the SVD measures every other
-    matrix alone.  Both factorizations are backward stable, so their values differ by
-    round-off of order eps * sigma_1, which the 10x band around the threshold is there
-    to absorb; at a rank gap the eigensolve's round-off lands in the band more often
-    than the SVD's, and those matrices pay for both.  That a verdict the eigensolve
-    decides is the SVD's is checked on fixed seeds (tests/test_engine.py), not proven.
-    Each report equals, bit for bit, what this gives for the matrix alone.
-    """
-    return _rank_reports(_validated(matrices, ndim=3), policy)
-
-
-def _rank_reports(a: np.ndarray, policy: Tolerance, rows: int | None = None) -> BatchedRankReport:
-    """batched_rank_report of a validated (T, m, n) stack, thresholded for matrices of
-    shape (rows, n) as in ``_report``."""
-    s = np.empty((len(a), min(a.shape[1:])))
-    svd = np.ones(len(a), bool)  # every matrix but the symmetric ones the eigensolve decides
-    if a.shape[1] == a.shape[2]:
-        symmetric = (a == np.swapaxes(a, 1, 2)).all(axis=(1, 2))
-        if symmetric.any():  # a mask that keeps every matrix would copy the stack
-            eig = _report(a if symmetric.all() else a[symmetric], policy, True, rows)
-            s[symmetric] = eig.singular_values
-            svd[symmetric] = eig.borderline
-    if svd.any():
-        s[svd] = np.linalg.svd(a if svd.all() else a[svd], compute_uv=False)
-    return _verdicts(s, policy, (a.shape[1] if rows is None else rows, a.shape[2]))
+    """The reports of every matrix of a (T, m, n) stack: the verdicts of its settled
+    spectra (``_spectra``).  Each report equals, bit for bit, what this gives for the
+    matrix alone."""
+    a = _validated(matrices, ndim=3)
+    return _verdicts(_spectra(a, policy), policy, a.shape[1:])
 
 
 def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
@@ -168,18 +142,50 @@ def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
     return batched_rank_report(_validated(matrix)[None], policy)[0]
 
 
-def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False,
-            rows: int | None = None) -> BatchedRankReport:
-    """The reports of a (T, m, n) stack from one stacked SVD or, with symmetric=True,
-    from the |eigenvalues| of one stacked symmetric eigensolve, which reads only the
-    lower triangle, thresholded for matrices of shape (rows, n): rows defaults to m,
-    and a caller whose stack is an orthogonally reduced copy of taller matrices
-    passes their row count, so tau is theirs."""
+def _spectra(a: np.ndarray, policy: Tolerance, rows: int | None = None) -> np.ndarray:
+    """Settled singular values (T, min(m, n)), descending, of a validated (T, m, n) stack:
+    the measurement of the one verdict rule.
+
+    The square matrices that equal their transposes bit for bit get one stacked
+    symmetric eigensolve; only those it flags borderline are factored again by the
+    stacked SVD, whose singular values replace theirs, and the SVD measures every other
+    matrix alone.  The flags use the threshold of matrices of shape (rows, n): rows
+    defaults to m, and a caller whose stack is an orthogonally reduced copy of taller
+    matrices passes their row count, so tau is theirs.  Both factorizations are
+    backward stable, so their values differ by round-off of order eps * sigma_1, which
+    the 10x band around the threshold is there to absorb; at a rank gap the
+    eigensolve's round-off lands in the band more often than the SVD's, and those
+    matrices pay for both.  That a verdict the eigensolve decides is the SVD's is
+    checked on fixed seeds (tests/test_engine.py), not proven.  A matrix's values do
+    not depend on the rest of its stack, so a caller may measure a stack in chunks and
+    take the verdicts (``_verdicts``) of all of them at once.
+    """
+    shape = (a.shape[1] if rows is None else rows, a.shape[2])
+    s = np.empty((len(a), min(a.shape[1:])))
+    svd = np.ones(len(a), bool)  # every matrix but the symmetric ones the eigensolve decides
+    if a.shape[1] == a.shape[2]:
+        symmetric = (a == np.swapaxes(a, 1, 2)).all(axis=(1, 2))
+        if symmetric.any():  # a mask that keeps every matrix would copy the stack
+            eig = _singular_values(a if symmetric.all() else a[symmetric], True)
+            s[symmetric] = eig
+            svd[symmetric] = _near(eig, policy.threshold(shape, eig[:, 0]))
+    if svd.any():
+        s[svd] = _singular_values(a if svd.all() else a[svd])
+    return s
+
+
+def _singular_values(a: np.ndarray, symmetric: bool = False) -> np.ndarray:
+    """Singular values (T, min(m, n)), descending, of a (T, m, n) stack from one stacked
+    SVD or, with symmetric=True, the |eigenvalues| of one stacked symmetric
+    eigensolve, which reads only the lower triangle."""
     if symmetric:
-        s = -np.sort(-np.abs(np.linalg.eigvalsh(a)), axis=1)
-    else:
-        s = np.linalg.svd(a, compute_uv=False)
-    return _verdicts(s, policy, a.shape[1:] if rows is None else (rows, a.shape[2]))
+        return -np.sort(-np.abs(np.linalg.eigvalsh(a)), axis=1)
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False) -> BatchedRankReport:
+    """The verdicts of ``_singular_values(a, symmetric)``: one factorization, no ladder."""
+    return _verdicts(_singular_values(a, symmetric), policy, a.shape[1:])
 
 
 def _verdicts(s: np.ndarray, policy: Tolerance, shape: tuple[int, int]) -> BatchedRankReport:

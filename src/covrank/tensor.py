@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import SampleSet, _ManifoldBase
-from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _norms, _rank_reports, _solve_augmented, _verdicts
+from .numrank import DEFAULT_TOLERANCE, Tolerance, _norms, _solve_augmented, _spectra
 
 __all__ = [
     "LAYOUT_VERSION",
@@ -212,6 +212,12 @@ def _system_rows(manifold: _ManifoldBase, k: int) -> int:
     return d * (d + 1) // 2 * k + 1
 
 
+def _system_shape(manifold: _ManifoldBase, k: int, system: str) -> tuple[int, int]:
+    """Shape of layout-v1 Y, (d^2 k, k), or Z, (d k, d k), of a k-point sample."""
+    d = manifold.coord_dim
+    return (d * d * k, k) if system == "Y" else (d * k, d * k)
+
+
 def _split(manifold: _ManifoldBase, V: np.ndarray, policy: Tolerance, system: str) -> list[tuple]:
     """(trials, dims) pairs that cover each trial of log vectors V (T, k, k, d) in the frames
     of ``_frame_coordinates`` once, dims the frame axes its reduced Y or Z (system) keeps.
@@ -229,10 +235,10 @@ def _split(manifold: _ManifoldBase, V: np.ndarray, policy: Tolerance, system: st
     n, d, k = manifold.n, manifold.coord_dim, V.shape[1]
     if n == d:  # R^n: the frames are the ambient axes, and nothing is dropped
         return [(slice(None), n)]
-    rows, width, weight = (d * d * k, k, 2.0) if system == "Y" else (d * k, d * k, 1.0)
+    shape = _system_shape(manifold, k, system)
     ones = _norms((np.swapaxes(V, -1, -2) @ V).reshape(len(V), -1))  # ||Y 1||, V's frames orthonormal
-    tau = policy.threshold((rows, width), ones / math.sqrt(width))
-    full = _dropped_norms(V, n, weight) > tau / 10
+    tau = policy.threshold(shape, ones / math.sqrt(shape[1]))
+    full = _dropped_norms(V, n, 2.0 if system == "Y" else 1.0) > tau / 10
     return [(slice(None) if group.all() else np.flatnonzero(group), dims)
             for dims, group in ((n, ~full), (d, full)) if group.any()]
 
@@ -253,30 +259,31 @@ def _recovery_systems(
 
 def _system_reports(
     manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, policy: Tolerance, system: str
-) -> BatchedRankReport:
-    """The reports of layout-v1 Y or Z (system) of point stacks P (T, k, d) with log vectors
-    eta = manifold.pairwise_log(P), measured on orthogonally equivalent reductions
-    (``_split``) but thresholded for the full shapes.
+) -> np.ndarray:
+    """The settled singular values (T, width) of layout-v1 Y or Z (system) of point stacks
+    P (T, k, d) with log vectors eta = manifold.pairwise_log(P), measured on orthogonally
+    equivalent reductions (``_split``) but thresholded for the full shapes
+    (``_system_shape``), whose ``numrank._verdicts`` are the trials' reports.
 
     Y is measured on the Y rows of recover's reduced system, n(n+1)/2 k rows instead of
     d^2 k.  Column block s of Z, whose blocks hold log vectors tangent at p_s,
     annihilates p_s, so Z blockdiag(Q_s) has the columns eta_sr[a] V_sr[b], of which
     those with b >= n are round-off.  The reduced Z keeps the nk others, and reports the
     k(d - n) dropped singular values as their exact value 0.  On R^n nothing is dropped.
-    Every stack takes the one verdict rule (``numrank._rank_reports``), and each trial's
-    report equals, bit for bit, that of a stack holding only that trial.
+    Every stack takes the one verdict rule's measurement (``numrank._spectra``), and
+    each trial's values equal, bit for bit, those of a stack holding only that trial.
     """
-    d, k = manifold.coord_dim, P.shape[1]
+    k = P.shape[1]
+    rows, width = _system_shape(manifold, k, system)
     V, _ = _frame_coordinates(manifold, P, eta)
-    rows, width = (d * d * k, k) if system == "Y" else (d * k, d * k)
     s = np.zeros((len(P), width))
     for trials, dims in _split(manifold, V, policy, system):
         if system == "Y":
             a = _reduced_Y(V[trials], dims).reshape(-1, dims * (dims + 1) // 2 * k, k)
         else:
             a = _Z_array(eta[trials], V[trials, ..., :dims])
-        s[trials, :a.shape[2]] = _rank_reports(a, policy, rows).singular_values
-    return _verdicts(s, policy, (rows, width))
+        s[trials, :a.shape[2]] = _spectra(a, policy, rows)
+    return s
 
 
 def _forward_systems(

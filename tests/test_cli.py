@@ -22,7 +22,8 @@ from covrank import (
     trace_system,
 )
 from covrank.montecarlo import fmt17, sample_stream
-from covrank.tensor import _system_reports
+from covrank.numrank import _verdicts
+from covrank.tensor import _system_reports, _system_shape
 
 # a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
 GOLDEN_SIGMA = Path(__file__).parent / "golden" / "tensor.Sigma.csv"
@@ -35,9 +36,10 @@ def run(capsys, *argv):
 
 
 def system_report(field, system):
-    """The report of tensor's Y/Z path for one field."""
+    """The report of tensor's Y/Z path for one field: the verdict of its spectra."""
     P, eta = field.sample.points[None], field.eta[None]
-    return _system_reports(field.manifold, P, eta, Tolerance(), system)[0]
+    spectra = _system_reports(field.manifold, P, eta, Tolerance(), system)
+    return _verdicts(spectra, Tolerance(), _system_shape(field.manifold, field.k, system))[0]
 
 
 def summary_value(line, key):

@@ -13,6 +13,7 @@ not cover.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,9 +36,11 @@ from covrank import (
     sigma_field,
 )
 from covrank.manifold import rng_streams
-from covrank.montecarlo import _CHUNK_BYTES, _trial_reports, aux_stream, sample_stream
-from covrank.numrank import _report
-from covrank.tensor import _frame_coordinates, _reduced_Y, _system_reports, _system_rows, _Z_array
+import covrank.montecarlo
+import covrank.numrank
+from covrank.montecarlo import _CHUNK_BYTES, _sample_chunks, _trial_reports, aux_stream, sample_stream
+from covrank.numrank import _report, _verdicts
+from covrank.tensor import _frame_coordinates, _reduced_Y, _system_reports, _system_rows, _system_shape, _Z_array
 from reference import euclidean_distances
 
 
@@ -83,12 +86,13 @@ def reference_matrices(cfg, k, system):
 
 
 def one_trial_reports(cfg, k, system):
-    """The reports of tensor's Y/Z path on one-trial stacks."""
+    """The reports of tensor's Y/Z path on one-trial stacks: the verdicts of their spectra."""
     reports = []
     for t in range(cfg.trials):
         field = outer_field(cfg.manifold, cfg.manifold.sample_uniform(k, cfg.seed, stream=sample_stream(k, t)))
         P, eta = field.sample.points[None], field.eta[None]
-        reports.append(_system_reports(cfg.manifold, P, eta, cfg.tolerance, system)[0])
+        spectra = _system_reports(cfg.manifold, P, eta, cfg.tolerance, system)
+        reports.append(_verdicts(spectra, cfg.tolerance, _system_shape(cfg.manifold, k, system))[0])
     return reports
 
 
@@ -153,6 +157,56 @@ def test_chunking_cases_cross_chunk_boundaries():
     cfg = make_config(Euclidean(3), "sqdist", k=12, trials=ESCALATED_TRIALS)
     chunks = {t // chunk_size(12, 3) for t in escalated_trials(cfg, 12, "kernel")}
     assert {0, 1} <= chunks
+
+
+def counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_a_k_takes_one_draw_and_one_verdict(monkeypatch):
+    # the escalated-chunks case: three chunks, and the SVD settles flagged trials in two
+    # of them, yet the k's samples come from one sample_batch call and its 151 spectra
+    # get one verdict
+    k = 12
+    cfg = make_config(Euclidean(3), "sqdist", k=k, trials=ESCALATED_TRIALS)
+    assert escalated_trials(cfg, k, "kernel") == [3, 12, 20, 112, 127]
+    reference = reference_reports(cfg, k, "kernel")
+    counts = Counter()
+    for module in (covrank.montecarlo, covrank.numrank):
+        monkeypatch.setattr(module, "_verdicts", counting(counts, "_verdicts", covrank.numrank._verdicts))
+    monkeypatch.setattr(Euclidean, "sample_batch", counting(counts, "sample_batch", Euclidean.sample_batch))
+    reports = _trial_reports(cfg, k, "kernel")
+    assert counts == {"_verdicts": 1, "sample_batch": 1}
+    assert_reports_equal(reports, reference)
+
+
+@pytest.mark.parametrize(
+    "manifold, k, trials, draws",
+    [(Euclidean(3), 12, ESCALATED_TRIALS, [ESCALATED_TRIALS]), (Euclidean(1), 2000, 40, [16, 16, 8])],
+    ids=["one-draw", "three-draws"],
+)
+def test_draws_are_cut_into_the_chunks_of_per_chunk_draws(manifold, k, trials, draws, monkeypatch):
+    # a draw of many chunks' samples gives each chunk the bits of a draw of its own;
+    # at k = 2000 on euclid:1 a kernel trial fills a chunk and 16 trials' samples a draw
+    cfg = make_config(manifold, "sqdist", k=k, trials=trials)
+    size = chunk_size(k, manifold.n)
+    own = [manifold.sample_batch(k, cfg.seed, [sample_stream(k, t) for t in range(start, min(trials, start + size))])
+           for start in range(0, trials, size)]
+    sizes, draw = [], type(manifold).sample_batch
+
+    def sample_batch(self, k, seed, streams):
+        sizes.append(len(streams))
+        return draw(self, k, seed, streams)
+
+    monkeypatch.setattr(type(manifold), "sample_batch", sample_batch)
+    chunks = list(_sample_chunks(cfg, k, 8 * k * k * manifold.n))
+    assert sizes == draws
+    assert [start for start, _ in chunks] == list(range(0, trials, size))
+    for (_, P), expected in zip(chunks, own, strict=True):
+        assert np.array_equal(P, expected)
 
 
 @pytest.mark.parametrize("system", ["Y", "Z"])

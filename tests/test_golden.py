@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -28,6 +29,7 @@ import pytest
 from covrank.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def dump_files(prefix: str) -> list[str]:
@@ -133,6 +135,21 @@ def test_output_matches_golden(name, runs, tmp_path):
         for filename, data in run_case(name, tmp_path).items():
             golden = (GOLDEN / filename).read_bytes()
             assert data == golden, f"{filename} differs from its golden in run {run + 1}"
+
+
+@pytest.mark.parametrize("name", ["cond_sweep", "recover_sphere"])
+def test_golden_bytes_do_not_depend_on_the_blas_thread_count(name, tmp_path):
+    # the goldens stop at k = 40, below the sizes where OpenBLAS's threaded kernels
+    # change bits, so one BLAS thread must write them too
+    argv, files = CASES[name]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = "import sys; from covrank.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    for filename in files:
+        assert (tmp_path / filename).read_bytes() == (GOLDEN / filename).read_bytes(), filename
 
 
 def _is_number(text: str) -> bool:

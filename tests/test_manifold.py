@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -248,6 +249,21 @@ def test_rng_streams_refuse_keys_outside_64_bits(seed, stream):
         rng_stream(seed, stream)
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         next(rng_streams(seed, [stream]))
+
+
+@pytest.mark.parametrize("space", [Euclidean(2), UnitSphere(2)], ids=["euclid", "sphere"])
+@pytest.mark.parametrize(
+    "seed, streams, bad",
+    [(2**64, [0, 1, 2], 2**64), (3, [2**64, 1, 2], 2**64), (3, [0, -1, 2], -1), (3, [0, 1, 2**64 + 5], 2**64 + 5)],
+    ids=["seed", "first-stream", "middle-stream", "last-stream"],
+)
+def test_sample_batch_refuses_a_bad_key_before_any_draw(space, seed, streams, bad, monkeypatch):
+    # rng_stream's refusal, raised before any stream of the list is drawn
+    drawn = []
+    monkeypatch.setattr(type(space), "_draw", lambda self, rng, out: drawn.append(out))
+    with pytest.raises(ValueError, match=re.escape(f"seed and stream must lie in [0, 2**64), got {bad}")):
+        space.sample_batch(4, seed, streams)
+    assert not drawn
 
 
 def test_rng_streams_take_the_largest_key():

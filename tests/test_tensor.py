@@ -24,7 +24,8 @@ from covrank import (
     unfold_C,
 )
 from covrank.montecarlo import aux_stream, sample_stream
-from covrank.tensor import _system_reports
+from covrank.numrank import _verdicts
+from covrank.tensor import _system_reports, _system_shape
 
 
 def sample_of(manifold, points):
@@ -398,7 +399,8 @@ class TestReducedRecovery:
         cov = sigma_field(near, np.ones(k))
         assert recover(near, cov).rank_Y == report.numerical_rank == k - 1
         P, eta = near.sample.points[None], near.eta[None]
-        assert _system_reports(near.manifold, P, eta, Tolerance(), "Y").numerical_rank[0] == k - 1
+        spectra = _system_reports(near.manifold, P, eta, Tolerance(), "Y")
+        assert _verdicts(spectra, Tolerance(), _system_shape(near.manifold, k, "Y")).numerical_rank[0] == k - 1
 
     def test_huge_right_hand_side_does_not_overflow(self):
         # the row that carries c's antisymmetric and normal parts holds their norm,
