@@ -43,6 +43,7 @@ from .numrank import Tolerance, _verdicts, rank_report
 from .tensor import (
     LAYOUT_VERSION,
     CovField,
+    OperatorField,
     _system_reports,
     _system_shape,
     assemble_Y,
@@ -280,20 +281,32 @@ def _write_matrix(path: str, name: str, meta: str, chunks: Iterable[bytes]) -> N
         fh.writelines(chunks)
 
 
-def _write_Y_and_Z(prefix: str, Y: np.ndarray, d: int, meta: str) -> None:
-    """Write layout-v1 Y and Z from one spelling of each of Y's d(d+1)/2 unique row
-    blocks: blocks (a, b) and (b, a) hold the same doubles, and Z[r*d + a, s*d + b] =
-    Y[(a*d + b)*k + s, r].  Z is written a few block rows at a time, gathered from
-    the blocks' fixed-width records, so those records (2.5x Y's bytes) are the most
-    the dump holds: a warm sphere:2 dump peaks at 6.2x Y's bytes at k = 120 and 4.8x
-    at k = 200 (tracemalloc)."""
-    k = Y.shape[1]
-    Y4 = Y.reshape(d, d, k, k)
+def _write_Y_and_Z(prefix: str, field: OperatorField, meta: str) -> None:
+    """Write layout-v1 Y and Z of a field from one spelling of each of Y's d(d+1)/2
+    unique row blocks: blocks (a, b) and (b, a) hold the same doubles, so Y's block
+    (b, a) reuses the text of (a, b), and Z[r*d + a, s*d + b] = Y[(a*d + b)*k + s, r].
+    Z is written a few block rows at a time, gathered from the blocks' fixed-width
+    records, so those records (2.5x Y's bytes), not Y, are the most the dump holds: a
+    warm sphere:2 dump peaks at 6.2x Y's bytes at k = 120 and 4.8x at k = 200
+    (tracemalloc)."""
+    d, k = field.d, field.k
+    Y4 = assemble_Y(field).reshape(d, d, k, k)
     blocks = {}
     for a in range(d):
         for b in range(a, d):
             blocks[a, b] = blocks[b, a] = _spell(Y4[a, b])  # record [s, r] is Y4[a, b, s, r]
-    _write_matrix(f"{prefix}.Y.csv", "Y", meta, (_csv(blocks[a, b]) for a in range(d) for b in range(d)))
+    del Y4  # the records hold all that is written
+
+    def Y_rows():
+        texts = {}  # the text of block (a, b), a < b, kept until its twin (b, a) is written
+        for a in range(d):
+            for b in range(d):
+                text = texts.pop((b, a)) if b < a else _csv(blocks[a, b])
+                if b > a:
+                    texts[a, b] = text
+                yield text
+
+    _write_matrix(f"{prefix}.Y.csv", "Y", meta, Y_rows())
     step = max(1, _SLAB // (d * d * k))
 
     def Z_rows():
@@ -315,14 +328,18 @@ def _trial0_sample(manifold, args):
     return manifold.sample_uniform(args.k, args.seed, stream=sample_stream(args.k, 0))
 
 
-def _read_matrix_csv(path: str) -> np.ndarray:
+def _read_matrix_csv(path: str) -> tuple[dict[str, str], np.ndarray]:
+    """The key=value fields of a matrix CSV's `# covrank` header line, {} when it has
+    none, and its matrix."""
     try:
-        rows = []
+        header, rows = {}, []
         for line in Path(path).read_text().splitlines():
+            if line.startswith("# covrank ") and not rows:
+                header = dict(token.partition("=")[::2] for token in line.split() if "=" in token)
             if not line or line.startswith("#"):
                 continue
             rows.append([float(x) for x in line.split(",")])
-        return np.array(rows)
+        return header, np.array(rows)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     except ValueError:
@@ -382,7 +399,7 @@ def cmd_tensor(args) -> str:
         cov = sigma_field(field, f0)
         meta = _dump_meta(manifold, field.d, args)
         out = Path(args.out)
-        _write_Y_and_Z(str(out), assemble_Y(field), field.d, meta)
+        _write_Y_and_Z(str(out), field, meta)
         for name, data in (
             ("Psi", psi),
             ("C", unfold_C(cov).reshape(-1, 1)),
@@ -407,7 +424,11 @@ def cmd_recover(args) -> str:
             raise CliError("recover --sigma-file writes CSV only; --format jsonl is not supported")
         field = outer_field(manifold, _trial0_sample(manifold, args))
         d = field.d
-        sigmas = _read_matrix_csv(args.sigma_file)
+        header, sigmas = _read_matrix_csv(args.sigma_file)
+        wanted = {"layout": LAYOUT_VERSION, "manifold": str(manifold), "k": str(args.k), "seed": str(args.seed)}
+        for key, value in wanted.items():
+            if header.get(key, value) != value:
+                raise CliError(f"{args.sigma_file} was dumped with {key}={header[key]}, not {key}={value}")
         if sigmas.shape != (args.k * d, d):
             raise CliError(
                 f"sigma file must hold k*d x d = {args.k * d} x {d} values, got {sigmas.shape}"

@@ -338,10 +338,11 @@ def recovery_experiment(
     """Forward-generate f0 ~ Unif[0,1]^k, build its covariance field, solve back.
 
     Each chunk of trials from the engine is written as stacks of reduced
-    [Y | c] systems (see tensor.recover), each solved with one stacked QR, one
-    stacked SVD plus an arrowhead inertia count (O'Leary-Stewart); every row
-    equals, bit for bit,
-    recover(field, sigma_field(field, f0)) on that trial's sample.
+    [Y | c] systems (see tensor.recover), each solved with one stacked QR and
+    the values-first ladder: one stacked values-only SVD certifies the
+    full-rank systems, and only the rest take one stacked SVD with vectors plus
+    an arrowhead inertia count (O'Leary-Stewart); every row equals, bit for
+    bit, recover(field, sigma_field(field, f0)) on that trial's sample.
     """
     cfg = ExperimentConfig(
         manifold=manifold, kernel=None, k_values=(k,), trials=trials, seed=seed,

@@ -20,9 +20,13 @@ takes one verdict per k.  The condition sweep keeps its own rule
 (``montecarlo.condition_sweep``).  Least squares
 (``_solve_augmented``, behind ``tensor.recover`` and the recovery experiments)
 follows Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder
-QR of the augmented systems [A | b], then one SVD of the triangular factor's
-leading block plus an arrowhead inertia count (O'Leary-Stewart): the SVD gives
-the rank of A and the minimum-norm solution, the count the rank of [A | b].
+QR of the augmented systems [A | b], then a values-first ladder on the
+triangular factor.  A values-only SVD of its leading block certifies, by
+interlacing and norm bounds, the systems whose A has full rank and whose
+[A | b] has a rank no round-off can flip; they are solved on the triangle.
+Only the rest pay for singular vectors: one SVD of the leading block with U
+and V^T plus an arrowhead inertia count (O'Leary-Stewart), the SVD giving the
+rank of A and the minimum-norm solution, the count the rank of [A | b].
 """
 
 from __future__ import annotations
@@ -303,22 +307,27 @@ def _rank_augmented(s: np.ndarray, z: np.ndarray, rho: np.ndarray, policy: Toler
     return rank, low > high
 
 
+_MARGIN = 20  # a certificate's bounds clear the 10x band by this factor, 2x to spare
+
+
 def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None) -> _AugmentedSolution:
     """Minimum-norm least squares of every system [A | b] of a (T, m, n+1) stack.
 
     One stacked QR gives [A | b] = Q R, R padded with zero rows to n+1 when m is
-    smaller, which changes neither its singular values nor the solution.  The SVD
-    R[:n, :n] = U S V^T gives the singular values of A, and solves R[:, :n] x = R[:, n],
-    which is A x = b in the coordinates of Q.  It also gives rank([A | b]) without a
-    second SVD: R is orthogonally equivalent to M = [[S, z], [0, rho]], z = U^T R[:n, n]
-    and rho = R[n, n], whose singular values an arrowhead inertia count measures
-    (``_rank_augmented``).  The thresholds use the shapes (rows, n+1) and (rows, n) of
-    the original matrices: rows defaults to m, and a caller whose stack is an
-    orthogonally reduced copy of taller systems passes their row count, so tau is
-    theirs.  A solution is borderline when a singular value of A or of [A | b] lies
-    within 10x of its threshold, or when rank([A | b]) is neither rank(A) nor
-    rank(A) + 1.  Every result for a system equals, bit for bit, what a stack holding
-    only that system gives.
+    smaller, which changes neither its singular values nor the solution.  x solves
+    R[:, :n] x = R[:, n], which is A x = b in the coordinates of Q.  The thresholds
+    use the shapes (rows, n+1) and (rows, n) of the original matrices: rows defaults
+    to m, and a caller whose stack is an orthogonally reduced copy of taller systems
+    passes their row count, so tau is theirs.  A solution is borderline when a
+    singular value of A or of [A | b] lies within 10x of its threshold, or when
+    rank([A | b]) is neither rank(A) nor rank(A) + 1.
+
+    The solve is a two-step ladder.  A values-only SVD of R[:n, :n] certifies the
+    systems whose verdicts cheap bounds settle (``_certify``): A of rank n and [A | b] of
+    rank n or n + 1, nothing near a threshold; their x comes from the triangle.  The
+    rest, and every system of a stack with fewer than n+1 rows, take the vectors path
+    (``_solve_by_vectors``), run on the gathered subset.  Every result for a system
+    equals, bit for bit, what a stack holding only that system gives.
 
     rank([A | b]) does not depend on the scale of b, but a threshold set by
     sigma_1([A | b]) would: a b far larger than A puts every singular value of
@@ -332,6 +341,55 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     R = np.linalg.qr(Ab, mode="r")  # (T, min(Ab.shape[1], n+1), n+1)
     if R.shape[1] <= n:
         R = np.concatenate([R, np.zeros((R.shape[0], n + 1 - R.shape[1], n + 1))], axis=1)
+        return _solve_by_vectors(R, policy, m)
+    certified, solution = _certify(R, policy, m)
+    if not certified.all():
+        rest = ~certified
+        for out, got in zip(solution, _solve_by_vectors(R[rest], policy, m)):
+            out[rest] = got
+    return solution
+
+
+def _certify(R: np.ndarray, policy: Tolerance, m: int) -> tuple[np.ndarray, _AugmentedSolution]:
+    """Step 1 of ``_solve_augmented``: which systems of a stack of (n+1) x (n+1) triangles
+    R = [[R_A, r], [0, rho]] bounds certify, and the solutions of the stack, of which
+    only the certified systems' hold.
+
+    One values-only SVD of R_A gives s.  The threshold t of [A | b] lies in [t_lo, t_hi],
+    those of sigma_1 = s_1 and of ||(s_1, r, rho)||, which bound sigma_1(R) below and above.
+    A system is certified when (a) s_n > 20 t_hi: by interlacing sigma_i(R) >= s_i, so A
+    has rank n and none of s and sigma_1..sigma_n(R) lies in the 10x band; and (b), with x
+    = R_A^-1 r solved on the triangle (its LU makes no row exchange) and w = (x, -1),
+    either u = ||R w|| / ||w|| < t_lo / 20, so sigma_n+1(R) <= u puts rank([A | b]) at n,
+    or l = 1 / (1/s_n + ||w|| / |rho|) > 20 t_hi, so sigma_n+1(R) = 1 / ||R^-1|| >= l puts
+    it at n + 1.  The factor 20 leaves 2x of room for the round-off of every bound.  R is
+    not written."""
+    n = R.shape[2] - 1
+    s = np.linalg.svd(R[:, :n, :n], compute_uv=False)
+    e = _scale_exponents(_norms(s) / math.sqrt(n), R[:, :, n])
+    Rb = np.ldexp(R[:, :, n], -e[:, None])
+    t_hi = policy.threshold((m, n + 1), np.hypot(s[:, 0], _norms(Rb)))
+    full = s[:, -1] > _MARGIN * t_hi
+    x = np.zeros((len(R), n))
+    x[full] = np.linalg.solve(R[full, :n, :n], Rb[full, :n, None])[..., 0]
+    residual = _norms((R[:, :, :n] @ x[..., None])[..., 0] - Rb)  # ||R w||
+    w = np.hypot(_norms(x), 1.0)
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite 1/l fails the test below
+        low = 1 / (1 / s[:, -1] + w / np.abs(Rb[:, n]))
+    spanned = residual / w < policy.threshold((m, n + 1), s[:, 0]) / _MARGIN
+    certified = full & (spanned | (low > _MARGIN * t_hi))
+    return certified, _AugmentedSolution(np.ldexp(x, e[:, None]), np.ldexp(residual, e), np.full(len(R), n),
+                                         np.where(spanned, n, n + 1), np.zeros(len(R), bool))
+
+
+def _solve_by_vectors(R: np.ndarray, policy: Tolerance, m: int) -> _AugmentedSolution:
+    """Step 2 of ``_solve_augmented``: the solutions of a stack of (n+1) x (n+1) triangles R
+    from the SVD R[:n, :n] = U S V^T, which gives the singular values of A and the
+    minimum-norm x.  It also gives rank([A | b]) without a second SVD: R is orthogonally
+    equivalent to M = [[S, z], [0, rho]], z = U^T R[:n, n] and rho = R[n, n], whose
+    singular values an arrowhead inertia count measures (``_rank_augmented``).  R's last
+    column is scaled in place."""
+    n = R.shape[2] - 1
     RA, Rb = R[:, :, :n], R[:, :, n]
     U, s, Vt = np.linalg.svd(RA[:, :n], full_matrices=False)
     e = _scale_exponents(_norms(s) / math.sqrt(n), Rb)

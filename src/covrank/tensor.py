@@ -34,9 +34,10 @@ that the fold and the projection drop.  The Y rows the projection drops
 vanish only up to the round-off normal parts of the log vectors, which grow
 as eps / sin(theta) near the sphere's cut locus; a trial on which they are
 not negligible against the rank threshold keeps them, d(d+1)/2 k + 1 rows
-(``_recovery_systems``).  One QR, one SVD plus an arrowhead inertia count
-(O'Leary-Stewart, ``numrank``) solve either, thresholded for the shapes of
-the unreduced system; ``recovery_experiment`` runs the same path batched
+(``_recovery_systems``).  One QR and the values-first ladder of ``numrank``
+(a values-only SVD certifies full-rank systems; the rest take an SVD with
+vectors plus an arrowhead inertia count) solve either, thresholded for the
+shapes of the unreduced system; ``recovery_experiment`` runs the same path batched
 over trials.  The reduction stays inside the solve: Y, C and the layout-v1
 dump are unchanged.  The rank-law engine and ``covrank tensor`` measure the Y
 and Z ranks on such reductions too, by one batched path (``_system_reports``):
@@ -346,8 +347,10 @@ def recover(field: OperatorField, cov: CovField, policy: Tolerance = DEFAULT_TOL
     The solve runs on the reduced system of ``_recovery_systems``, orthogonally
     equivalent to [Y | C] but n(n+1)/2 k + 1 rows tall instead of d^2 k (or
     d(d+1)/2 k + 1 where Y's dropped normal part is not negligible), with one
-    QR, then one SVD plus an arrowhead inertia count (O'Leary-Stewart) of its
-    triangular factor, at most (k+1) x (k+1).
+    QR, then the values-first ladder of ``numrank._solve_augmented`` on its
+    triangular factor, at most (k+1) x (k+1): a values-only SVD certifies a
+    full-rank system, and only a system it leaves pays for an SVD with vectors
+    plus an arrowhead inertia count (O'Leary-Stewart).
     Ranks are thresholded for the shapes of [Y | C] and Y, so the tolerance is
     that of the unreduced system.
     """

@@ -533,6 +533,13 @@ class TestFailureReports:
             # a seed is one 64-bit Philox key word
             (["sample", "--manifold", "sphere:2", "--k", "3", "--seed", str(2**64)], 1),
             (["rank", "--manifold", "sphere:2", "--kernel", "sqdist", "--k", "5", "--seed", str(2**64)], 1),
+            # a Sigma dump of another sample: its header names another seed, k or space
+            (["recover", "--manifold", "sphere:2", "--k", "8", "--seed", "2",
+              "--sigma-file", str(GOLDEN_SIGMA)], 1),
+            (["recover", "--manifold", "sphere:2", "--k", "9", "--seed", "3",
+              "--sigma-file", str(GOLDEN_SIGMA)], 1),
+            (["recover", "--manifold", "euclid:3", "--k", "8", "--seed", "3",
+              "--sigma-file", str(GOLDEN_SIGMA)], 1),
             # overflow in a finite box or kernel shift is a numerical failure, not a warning
             (["recover", "--manifold", "euclid:2:box=-1e200,1e200", "--k", "4", "--trials", "2"], 2),
             (["alpha", "--manifold", "euclid:2:box=0,1e308", "--trials", "3"], 2),
@@ -544,7 +551,8 @@ class TestFailureReports:
              "cond-alpha-pair", "recover-file-trials", "alpha-out", "tensor-jsonl",
              "recover-file-jsonl", "rank-tol-nan", "sample-box-inf", "rank-box-inf", "alpha-box-inf",
              "rank-box-nan", "recover-file-trials-1", "rank-out-missing-dir", "tensor-out-missing-dir",
-             "sample-out-dir", "sample-seed-2**64", "rank-seed-2**64", "recover-overflow",
+             "sample-out-dir", "sample-seed-2**64", "rank-seed-2**64", "recover-file-seed",
+             "recover-file-k", "recover-file-manifold", "recover-overflow",
              "alpha-overflow", "rank-shift-overflow", "tensor-overflow"],
     )
     def test_one_line_and_exit_code(self, capsys, monkeypatch, tmp_path, argv, code):
@@ -557,6 +565,20 @@ class TestFailureReports:
         assert captured.err.count("\n") == 1 and captured.err.startswith("covrank: ")
         assert "Traceback" not in captured.err
         assert caught == []
+
+    @pytest.mark.parametrize("field, value, want", [("layout", "v0", "v1"), ("seed", "2", "3")])
+    def test_sigma_file_of_another_dump_names_the_field(self, capsys, tmp_path, field, value, want):
+        # the dump's header says which sample its Sigma belongs to; a recover of another
+        # sample would solve a system that is no covariance field of it
+        header, body = GOLDEN_SIGMA.read_text().split("\n", 1)
+        header = " ".join(f"{field}={value}" if t.startswith(f"{field}=") else t for t in header.split())
+        sigma = tmp_path / "Sigma.csv"
+        sigma.write_text(header + "\n" + body)
+        argv = ["recover", "--manifold", "sphere:2", "--k", "8", "--seed", "3", "--sigma-file", str(sigma)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"covrank: error: {sigma} was dumped with {field}={value}, not {field}={want}\n"
 
     @pytest.mark.parametrize(
         "argv",

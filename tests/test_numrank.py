@@ -238,20 +238,96 @@ def test_solve_thresholds_for_the_row_count_it_is_given():
     assert taller.residual[0] == 30 * eps and alone.residual[0] == 0.0
 
 
-def test_solve_runs_one_svd(monkeypatch):
-    # rank([A | b]) comes from the SVD of A's block by an inertia count, not a second SVD
+def counted_svds(monkeypatch):
+    """The (input, compute_uv) of every np.linalg.svd call made from now on."""
     calls = []
     svd = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append((np.array(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    rng = rng_stream(45)
-    sol = _solve_augmented(rng.standard_normal((4, 40, 7)), Tolerance())
-    assert calls == [(4, 6, 6)]
+    return calls
+
+
+def test_solve_runs_one_svd(monkeypatch):
+    # a full-rank stack is certified by one values-only SVD of A's block
+    calls = counted_svds(monkeypatch)
+    sol = _solve_augmented(rng_stream(45).standard_normal((4, 40, 7)), Tolerance())
+    assert [(a.shape, uv) for a, uv in calls] == [((4, 6, 6), False)]
     assert list(sol.rank_augmented) == [7] * 4
+
+
+def test_mixed_stack_pays_for_vectors_only_on_what_is_left(monkeypatch):
+    # rank([A | b]) of the deficient members comes from the SVD of A's block by an
+    # inertia count, not a second SVD, and only they reach that SVD
+    rng = rng_stream(45)
+    stack = rng.standard_normal((6, 40, 7))
+    left = [1, 4]
+    stack[left, :, :6] = np.stack([deficient(40, 6, 4, seed=60 + t) for t in left])
+    calls = counted_svds(monkeypatch)
+    sol = _solve_augmented(stack, Tolerance())
+    assert [(a.shape, uv) for a, uv in calls] == [((6, 6, 6), False), ((2, 6, 6), True)]
+    assert np.array_equal(calls[1][0], np.linalg.qr(stack[left], mode="r")[:, :6, :6])
+    assert list(sol.rank) == [6, 4, 6, 6, 4, 6] and list(sol.rank_augmented) == [7, 5, 7, 7, 5, 7]
+
+
+CERTIFY = numrank._certify
+
+
+def certify_nothing(R, policy, m):
+    """numrank._certify with every certificate dropped: the vectors path alone."""
+    certified, solution = CERTIFY(R, policy, m)
+    return np.zeros_like(certified), solution
+
+
+def solve_path(monkeypatch, Ab):
+    """The path one system takes ("values" when only the values-only SVD ran, else
+    "vectors"), its solution, and its solution by the vectors path alone."""
+    with monkeypatch.context() as patch:
+        calls = counted_svds(patch)
+        sol = _solve_augmented(Ab[None], Tolerance())
+    with monkeypatch.context() as patch:
+        patch.setattr(numrank, "_certify", certify_nothing)
+        vectors = _solve_augmented(Ab[None], Tolerance())
+    return ("vectors" if any(uv for _, uv in calls) else "values"), sol, vectors
+
+
+def certificate_edges():
+    """(bound, system just inside it, system just outside it) for each of the three bounds
+    of the certificate, on triangles that the QR keeps bit for bit: A = R[:, :2], b = R[:, 2]."""
+    t = Tolerance().threshold((3, 3), 1.0)  # 3 eps
+    inside, outside = 1 + 1 / 16, 1 - 1 / 16
+
+    def triangle(s2, r1, rho):
+        return np.array([[1.0, 0.0, r1], [0.0, s2, 0.0], [0.0, 0.0, rho]])
+
+    # (a) s_2 > 20 t_hi, with b = 0: t_hi = t
+    yield "a", triangle(20 * t * inside, 0.0, 0.0), triangle(20 * t * outside, 0.0, 0.0)
+    # b = (0.75, 0, rho) keeps the scale 2^0, and w = (0.75, 0, -1) has norm 1.25
+    # (b) u = |rho| / 1.25 < t_lo / 20, t_lo = t
+    yield "u", triangle(1.0, 0.75, 1.25 * t / 20 / inside), triangle(1.0, 0.75, 1.25 * t / 20 / outside)
+    # (b) l = 1 / (1 + 1.25 / rho) > 20 t_hi, t_hi = 1.25 t up to eps rho^2
+    edge = 1.25 / (1 / (20 * 1.25 * t) - 1)
+    yield "l", triangle(1.0, 0.75, edge * inside), triangle(1.0, 0.75, edge * outside)
+
+
+CERTIFICATE_EDGES = list(certificate_edges())
+
+
+@pytest.mark.parametrize("bound, inside, outside", CERTIFICATE_EDGES, ids=[c[0] for c in CERTIFICATE_EDGES])
+def test_systems_outside_a_bound_take_the_vectors_path(monkeypatch, bound, inside, outside):
+    path, sol, vectors = solve_path(monkeypatch, inside)
+    assert path == "values"
+    assert [f[0] for f in sol[2:]] == [f[0] for f in vectors[2:]]  # the same verdicts
+    np.testing.assert_allclose(sol.x, vectors.x, rtol=1e-12)
+    path, sol, vectors = solve_path(monkeypatch, outside)
+    assert path == "vectors"
+    for got, want in zip(sol, vectors):
+        assert np.array_equal(got, want)  # today's bits
+    # neither edge lies in the 10x band: the verdicts are decided either way
+    assert not sol.borderline[0] and sol.rank[0] == 2 and sol.rank_augmented[0] == (3 if bound == "l" else 2)
 
 
 def bordered(s, z, rho):
@@ -332,8 +408,10 @@ def test_arrowhead_sigma1_of_a_stack_equals_separate_ones():
 
 def test_impossible_rank_augmented_is_borderline(monkeypatch):
     # appending a column keeps rank([A | b]) in {rank(A), rank(A) + 1} in exact arithmetic;
-    # a count outside those, which only round-off could give, must not read as decided
-    A, b = np.eye(3)[:, :2], np.array([0.0, 0.0, 1.0])
+    # a count outside those, which only round-off could give, must not read as decided.
+    # A's small singular value, 45 eps, is decided (tau = 3 eps) but too close to the
+    # threshold for the certificate (20 t_hi = 67 eps), so the count is reached
+    A, b = np.diag([1.0, 45 * np.finfo(float).eps, 0.0])[:, :2], np.array([0.0, 0.0, 1.0])
     assert solve_one(A, b)[2:] == [2, 3, False]
     for rank_augmented, borderline in ((1, True), (2, False), (3, False), (4, True)):
         monkeypatch.setattr(numrank, "_rank_augmented",

@@ -23,6 +23,7 @@ from covrank import (
     trace_system,
     unfold_C,
 )
+from covrank import numrank
 from covrank.montecarlo import aux_stream, sample_stream
 from covrank.numrank import _verdicts
 from covrank.tensor import _system_reports, _system_shape
@@ -360,6 +361,40 @@ class TestReducedRecovery:
         # at 0.998 tau, so the verdict is round-off and must not read as decided
         row = recovery_experiment(UnitSphere(1), 12, trials=50, seed=1)[7]
         assert (row.rank_Y, row.rank_augmented, row.borderline) == (8, 7, True)
+
+    # the recover_large benchmark's cells, then circle, 3-sphere and line/space ones
+    LADDER_CELLS = [(UnitSphere(2), 200, 1), (UnitSphere(2), 600, 1), (UnitSphere(2), 20, 100),
+                    (Euclidean(2), 10, 100), (UnitSphere(1), 12, 50), (UnitSphere(3), 10, 50),
+                    (Euclidean(1), 6, 50), (Euclidean(3), 12, 50)]
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_values_first_solve_keeps_the_vectors_paths_verdicts(self, seed, monkeypatch):
+        # the certificate only settles verdicts the vectors path reaches too; x moves by
+        # round-off of the triangular solve
+        certify, certified = numrank._certify, []
+
+        def counted(R, policy, m):
+            mask, solution = certify(R, policy, m)
+            certified.append((mask.sum(), len(mask)))
+            return mask, solution
+
+        def none_certified(R, policy, m):
+            mask, solution = certify(R, policy, m)
+            return np.zeros_like(mask), solution
+
+        for manifold, k, trials in self.LADDER_CELLS:
+            with monkeypatch.context() as patch:
+                patch.setattr(numrank, "_certify", counted)
+                ladder = recovery_experiment(manifold, k, trials, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(numrank, "_certify", none_certified)
+                vectors = recovery_experiment(manifold, k, trials, seed)
+            for got, want in zip(ladder, vectors, strict=True):
+                verdict = (got.rank_Y, got.rank_augmented, got.unique, got.borderline)
+                assert verdict == (want.rank_Y, want.rank_augmented, want.unique, want.borderline)
+                assert got.rel_error <= max(10 * want.rel_error, 1e-13), (str(manifold), k, got.trial)
+        # both steps of the ladder ran
+        assert 0 < sum(c for c, _ in certified) < sum(n for _, n in certified)
 
     @pytest.mark.parametrize("seed, trial", [(4, 21), (8, 1)])
     def test_covariance_field_near_the_cut_locus_is_consistent(self, seed, trial):
