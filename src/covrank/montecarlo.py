@@ -339,9 +339,10 @@ def recovery_experiment(
 
     Each chunk of trials from the engine is written as stacks of reduced
     [Y | c] systems (see tensor.recover), each solved with one stacked QR and
-    the values-first ladder: one stacked values-only SVD certifies the
-    full-rank systems, and only the rest take one stacked SVD with vectors plus
-    an arrowhead inertia count (O'Leary-Stewart); every row equals, bit for
+    the two-step ladder: norm bounds and one stacked triangular inverse certify
+    the full-rank systems, a diagonal screen sending the deficient ones past the
+    inverse, and only the rest take one stacked SVD with vectors plus an
+    arrowhead inertia count (O'Leary-Stewart); every row equals, bit for
     bit, recover(field, sigma_field(field, f0)) on that trial's sample.
     """
     cfg = ExperimentConfig(

@@ -20,10 +20,13 @@ takes one verdict per k.  The condition sweep keeps its own rule
 (``montecarlo.condition_sweep``).  Least squares
 (``_solve_augmented``, behind ``tensor.recover`` and the recovery experiments)
 follows Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder
-QR of the augmented systems [A | b], then a values-first ladder on the
-triangular factor.  A values-only SVD of its leading block certifies, by
-interlacing and norm bounds, the systems whose A has full rank and whose
-[A | b] has a rank no round-off can flip; they are solved on the triangle.
+QR of the augmented systems [A | b], then a two-step ladder on the
+triangular factor.  No singular value is computed to certify, by interlacing,
+the systems whose A has full rank and whose [A | b] has a rank no round-off
+can flip: norm bounds of the leading block R_A bound sigma_1, and 1/||R_A^-1||_F,
+from one stacked inverse, bounds sigma_n from below, after the diagonal's
+min |r_ii| bounds it from above and screens out the systems that cannot pass;
+the certified systems are solved on the triangle.
 Only the rest pay for singular vectors: one SVD of the leading block with U
 and V^T plus an arrowhead inertia count (O'Leary-Stewart), the SVD giving the
 rank of A and the minimum-norm solution, the count the rank of [A | b].
@@ -322,9 +325,10 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     singular value of A or of [A | b] lies within 10x of its threshold, or when
     rank([A | b]) is neither rank(A) nor rank(A) + 1.
 
-    The solve is a two-step ladder.  A values-only SVD of R[:n, :n] certifies the
-    systems whose verdicts cheap bounds settle (``_certify``): A of rank n and [A | b] of
-    rank n or n + 1, nothing near a threshold; their x comes from the triangle.  The
+    The solve is a two-step ladder.  Bounds on the singular values of R[:n, :n], from
+    its norms, its diagonal and its inverse, certify the systems whose verdicts they
+    settle (``_certify``): A of rank n and [A | b] of rank n or n + 1, nothing near a
+    threshold; their x comes from the triangle.  The
     rest, and every system of a stack with fewer than n+1 rows, take the vectors path
     (``_solve_by_vectors``), run on the gathered subset.  Every result for a system
     equals, bit for bit, what a stack holding only that system gives.
@@ -333,9 +337,9 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     sigma_1([A | b]) would: a b far larger than A puts every singular value of
     A below it.  So R[:, n] = Q^T b, which is linear in b, is scaled by the
     power of two 2^-e that brings ||b|| into [g/2, g), g = ||A||_F / sqrt(n)
-    <= sigma_1(A) (from A's singular values, so no copy of R is made), and x
-    and the residual are scaled back by 2^e.  Scaling by a power of two is
-    exact, so they keep their bits, and Ab is not touched.
+    <= sigma_1(A) (from R[:n, :n], whose norms each step measures), and x and
+    the residual are scaled back by 2^e.  Scaling by a power of two is exact,
+    so they keep their bits, and Ab is not touched.
     """
     m, n = Ab.shape[1] if rows is None else rows, Ab.shape[2] - 1
     R = np.linalg.qr(Ab, mode="r")  # (T, min(Ab.shape[1], n+1), n+1)
@@ -355,31 +359,80 @@ def _certify(R: np.ndarray, policy: Tolerance, m: int) -> tuple[np.ndarray, _Aug
     R = [[R_A, r], [0, rho]] bounds certify, and the solutions of the stack, of which
     only the certified systems' hold.
 
-    One values-only SVD of R_A gives s.  The threshold t of [A | b] lies in [t_lo, t_hi],
-    those of sigma_1 = s_1 and of ||(s_1, r, rho)||, which bound sigma_1(R) below and above.
-    A system is certified when (a) s_n > 20 t_hi: by interlacing sigma_i(R) >= s_i, so A
-    has rank n and none of s and sigma_1..sigma_n(R) lies in the 10x band; and (b), with x
-    = R_A^-1 r solved on the triangle (its LU makes no row exchange) and w = (x, -1),
-    either u = ||R w|| / ||w|| < t_lo / 20, so sigma_n+1(R) <= u puts rank([A | b]) at n,
-    or l = 1 / (1/s_n + ||w|| / |rho|) > 20 t_hi, so sigma_n+1(R) = 1 / ||R^-1|| >= l puts
-    it at n + 1.  The factor 20 leaves 2x of room for the round-off of every bound.  R is
-    not written."""
+    No singular value is computed; every one the certificate reads is bounded instead.
+    sigma_1(R_A) lies in [g_lo, g_hi], g_lo = max(largest column norm, ||R_A 1|| /
+    sqrt(n)) and g_hi = min(||R_A||_F, sqrt(||R_A||_1 ||R_A||_inf)), so the threshold t
+    of [A | b] lies in [t_lo, t_hi], those of g_lo and of ||(g_hi, r, rho)||, which
+    bound sigma_1(R) below and above.  sigma_n(R_A) lies in [1 / ||R_A^-1||_F, min_i
+    |r_ii|].  A system is certified when (a) 1 / ||R_A^-1||_F > 20 t_hi: by interlacing
+    sigma_i(R) >= sigma_i(R_A), so A has rank n and none of sigma_1..sigma_n of R_A
+    and of R lies in the 10x band; and (b), with x = R_A^-1 r solved on the triangle
+    and w = (x, -1), either u = ||R w|| / ||w|| < t_lo / 20, so sigma_n+1(R) <= u puts
+    rank([A | b]) at n, or l = 1 / (||R_A^-1||_F + ||w|| / |rho|) > 20 t_hi, so
+    sigma_n+1(R) = 1 / ||R^-1|| >= l puts it at n + 1.  The upper bound of sigma_n
+    screens first, for free: a system with min_i |r_ii| <= 20 t_hi fails (a) and is
+    never inverted, so no exactly singular triangle is.
+
+    The factor 20 leaves 2x of room for the round-off of every bound.  The norms and
+    the bounds of sigma_1 are sums of |entries|, within a relative n eps of their
+    values.  The triangle takes LU with no row exchange, so the computed inverse, and
+    x, are within about n eps cond(R_A) relative of theirs; (a) passes only when
+    cond(R_A) < sigma_1(R) / (20 t_hi), at most 1 / (20 m eps) under the default
+    tolerance, m >= n, which puts that error below 1/20.  An inverse that overflows
+    certifies nothing.  The scale 2^-e of b uses g = ||R_A||_F / sqrt(n).  R is not
+    written."""
     n = R.shape[2] - 1
-    s = np.linalg.svd(R[:, :n, :n], compute_uv=False)
-    e = _scale_exponents(_norms(s) / math.sqrt(n), R[:, :, n])
-    Rb = np.ldexp(R[:, :, n], -e[:, None])
-    t_hi = policy.threshold((m, n + 1), np.hypot(s[:, 0], _norms(Rb)))
-    full = s[:, -1] > _MARGIN * t_hi
+    RA, Rb = R[:, :n, :n], R[:, :, n]
+    g_lo, g_hi, frobenius = _sigma1_bounds(RA)
+    e = _scale_exponents(frobenius / math.sqrt(n), Rb)
+    Rb = np.ldexp(Rb, -e[:, None])
+    t_hi = policy.threshold((m, n + 1), np.hypot(g_hi, _norms(Rb)))
+    screened = np.abs(np.diagonal(RA, axis1=1, axis2=2)).min(axis=1) > _MARGIN * t_hi
+    s_n = np.zeros(len(R))  # 1 / ||R_A^-1||_F <= sigma_n(R_A), on the systems the screen passes
+    if screened.any():
+        s_n[screened] = _sigma_n_bound(RA if screened.all() else RA[screened])
+    full = s_n > _MARGIN * t_hi
     x = np.zeros((len(R), n))
-    x[full] = np.linalg.solve(R[full, :n, :n], Rb[full, :n, None])[..., 0]
+    x[full] = np.linalg.solve(RA if full.all() else RA[full], Rb[full, :n, None])[..., 0]
     residual = _norms((R[:, :, :n] @ x[..., None])[..., 0] - Rb)  # ||R w||
     w = np.hypot(_norms(x), 1.0)
     with np.errstate(divide="ignore", over="ignore"):  # an infinite 1/l fails the test below
-        low = 1 / (1 / s[:, -1] + w / np.abs(Rb[:, n]))
-    spanned = residual / w < policy.threshold((m, n + 1), s[:, 0]) / _MARGIN
+        low = 1 / (1 / s_n + w / np.abs(Rb[:, n]))
+    spanned = residual / w < policy.threshold((m, n + 1), g_lo) / _MARGIN
     certified = full & (spanned | (low > _MARGIN * t_hi))
     return certified, _AugmentedSolution(np.ldexp(x, e[:, None]), np.ldexp(residual, e), np.full(len(R), n),
                                          np.where(spanned, n, n + 1), np.zeros(len(R), bool))
+
+
+def _sigma1_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds g_lo <= sigma_1 <= g_hi (T,) of a (T, n, n) stack, and its Frobenius norms:
+    g_lo = max(largest column norm, ||a 1|| / sqrt(n)) and g_hi = min(||a||_F,
+    sqrt(||a||_1 ||a||_inf)).  Made from one |a|, scaled so that no square overflows."""
+    absolute = a.copy()
+    columns, e = _column_norms(absolute)
+    frobenius = _norms(columns)
+    sums = np.sqrt(absolute.sum(axis=1).max(axis=1) * absolute.sum(axis=2).max(axis=1))
+    g_lo = np.maximum(columns.max(axis=1), _norms(a.sum(axis=2)) / math.sqrt(a.shape[2]))
+    return g_lo, np.minimum(frobenius, np.ldexp(sums, e)), frobenius
+
+
+def _sigma_n_bound(a: np.ndarray) -> np.ndarray:
+    """1 / ||a^-1||_F <= sigma_n (T,) of a stack of nonsingular (n, n) matrices, from one
+    stacked inverse; 0 or nan where the inverse overflows, so no comparison passes."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return 1 / _norms(_column_norms(np.linalg.inv(a))[0])
+
+
+def _column_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean norms (T, q) of the columns of a (T, p, q) stack, and exponents e (T,).
+    a is overwritten by |a| 2^-e, e putting each matrix's largest |entry| in [1/2, 1)
+    (e = 0 for a zero matrix) so that no square overflows; the scaling is exact but for
+    entries it takes below the normal range, which lie far below the norms."""
+    np.abs(a, out=a)
+    e = np.frexp(a.max(axis=(1, 2)))[1]
+    with np.errstate(under="ignore"):
+        np.ldexp(a, -e[:, None, None], out=a)
+        return np.ldexp(np.sqrt(np.einsum("tij,tij->tj", a, a)), e[:, None]), e
 
 
 def _solve_by_vectors(R: np.ndarray, policy: Tolerance, m: int) -> _AugmentedSolution:

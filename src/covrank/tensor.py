@@ -34,9 +34,9 @@ that the fold and the projection drop.  The Y rows the projection drops
 vanish only up to the round-off normal parts of the log vectors, which grow
 as eps / sin(theta) near the sphere's cut locus; a trial on which they are
 not negligible against the rank threshold keeps them, d(d+1)/2 k + 1 rows
-(``_recovery_systems``).  One QR and the values-first ladder of ``numrank``
-(a values-only SVD certifies full-rank systems; the rest take an SVD with
-vectors plus an arrowhead inertia count) solve either, thresholded for the
+(``_recovery_systems``).  One QR and the two-step ladder of ``numrank``
+(norm bounds and one triangular inverse certify full-rank systems; the rest
+take an SVD with vectors plus an arrowhead inertia count) solve either, thresholded for the
 shapes of the unreduced system; ``recovery_experiment`` runs the same path batched
 over trials.  The reduction stays inside the solve: Y, C and the layout-v1
 dump are unchanged.  The rank-law engine and ``covrank tensor`` measure the Y
@@ -341,16 +341,18 @@ def recover(field: OperatorField, cov: CovField, policy: Tolerance = DEFAULT_TOL
     Euclidean samples), so deficient systems are solved and reported with
     unique=False instead of raising.  rank_augmented is the rank of [Y | C];
     it equals rank_Y whenever cov really is a covariance field of the sample.
+    unique holds when exactly one f solves Y f = C: rank_Y == k and
+    rank_augmented == rank_Y, so a C outside Y's range is never unique.
     borderline flags a verdict that a small perturbation could flip: a singular
     value of Y or of [Y | C] within 10x of its threshold, or a rank_augmented other
     than rank_Y or rank_Y + 1.
     The solve runs on the reduced system of ``_recovery_systems``, orthogonally
     equivalent to [Y | C] but n(n+1)/2 k + 1 rows tall instead of d^2 k (or
     d(d+1)/2 k + 1 where Y's dropped normal part is not negligible), with one
-    QR, then the values-first ladder of ``numrank._solve_augmented`` on its
-    triangular factor, at most (k+1) x (k+1): a values-only SVD certifies a
-    full-rank system, and only a system it leaves pays for an SVD with vectors
-    plus an arrowhead inertia count (O'Leary-Stewart).
+    QR, then the two-step ladder of ``numrank._solve_augmented`` on its
+    triangular factor, at most (k+1) x (k+1): norm bounds and one triangular
+    inverse certify a full-rank system, and only a system they leave pays for an
+    SVD with vectors plus an arrowhead inertia count (O'Leary-Stewart).
     Ranks are thresholded for the shapes of [Y | C] and Y, so the tolerance is
     that of the unreduced system.
     """
@@ -375,6 +377,7 @@ def _recoveries(
         solution = _solve_augmented(systems, policy, manifold.coord_dim ** 2 * k)
         for t, x, residual, rank, rank_augmented, borderline in zip(trials, *solution):
             results[t] = RecoveryResult(f_hat=x, residual=float(residual), rank_Y=int(rank),
-                                        rank_augmented=int(rank_augmented), unique=bool(rank == k),
+                                        rank_augmented=int(rank_augmented),
+                                        unique=bool(rank == k and rank_augmented == rank),
                                         borderline=bool(borderline))
     return [results[t] for t in sorted(results)]

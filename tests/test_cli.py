@@ -274,6 +274,19 @@ class TestTensorAndRecover:
         assert float(summary_value(out, "residual")) == pytest.approx(residual, rel=1e-10)
         assert np.linalg.norm(read_matrix(tmp_path / "fhat.csv").ravel() - x) <= 1e-10 * np.linalg.norm(x)
 
+    def test_sigma_of_another_sample_is_not_unique(self, capsys, tmp_path):
+        # a headerless Sigma dumped at seed 1 is no covariance field of seed 2's sample:
+        # Y has full rank, but c leaves its range, so no f solves Y f = c
+        run(capsys, "tensor", "--manifold", "sphere:2", "--k", "8", "--seed", "1", "--out", str(tmp_path / "s1"))
+        sigma = tmp_path / "stripped.Sigma.csv"
+        lines = (tmp_path / "s1.Sigma.csv").read_text().splitlines(keepends=True)
+        sigma.write_text("".join(line for line in lines if not line.startswith("#")))
+        code, out = run(capsys, "recover", "--manifold", "sphere:2", "--k", "8", "--seed", "2",
+                        "--sigma-file", str(sigma))
+        assert code == 0
+        assert (summary_value(out, "rank_Y"), summary_value(out, "rank_augmented")) == ("8", "9")
+        assert summary_value(out, "unique") == "false"
+
     def test_forward_recovery_on_plane_is_never_unique(self, capsys):
         code, out = run(
             capsys,

@@ -251,25 +251,43 @@ def counted_svds(monkeypatch):
     return calls
 
 
-def test_solve_runs_one_svd(monkeypatch):
-    # a full-rank stack is certified by one values-only SVD of A's block
-    calls = counted_svds(monkeypatch)
-    sol = _solve_augmented(rng_stream(45).standard_normal((4, 40, 7)), Tolerance())
-    assert [(a.shape, uv) for a, uv in calls] == [((4, 6, 6), False)]
+def counted_inverses(monkeypatch):
+    """The input of every np.linalg.inv call made from now on."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(np.array(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+def test_full_rank_stack_runs_no_svd(monkeypatch):
+    # a full-rank stack is certified by bounds: one stacked inverse of A's block, no SVD
+    stack = rng_stream(45).standard_normal((4, 40, 7))
+    svds, inverses = counted_svds(monkeypatch), counted_inverses(monkeypatch)
+    sol = _solve_augmented(stack, Tolerance())
+    assert svds == []
+    assert len(inverses) == 1 and np.array_equal(inverses[0], np.linalg.qr(stack, mode="r")[:, :6, :6])
     assert list(sol.rank_augmented) == [7] * 4
 
 
 def test_mixed_stack_pays_for_vectors_only_on_what_is_left(monkeypatch):
     # rank([A | b]) of the deficient members comes from the SVD of A's block by an
-    # inertia count, not a second SVD, and only they reach that SVD
+    # inertia count, not a second SVD, and only they reach that SVD; the diagonal
+    # screen sends them there without inverting them
     rng = rng_stream(45)
     stack = rng.standard_normal((6, 40, 7))
-    left = [1, 4]
+    left, kept = [1, 4], [0, 2, 3, 5]
     stack[left, :, :6] = np.stack([deficient(40, 6, 4, seed=60 + t) for t in left])
-    calls = counted_svds(monkeypatch)
+    svds, inverses = counted_svds(monkeypatch), counted_inverses(monkeypatch)
     sol = _solve_augmented(stack, Tolerance())
-    assert [(a.shape, uv) for a, uv in calls] == [((6, 6, 6), False), ((2, 6, 6), True)]
-    assert np.array_equal(calls[1][0], np.linalg.qr(stack[left], mode="r")[:, :6, :6])
+    R = np.linalg.qr(stack, mode="r")
+    assert [(a.shape, uv) for a, uv in svds] == [((2, 6, 6), True)]
+    assert np.array_equal(svds[0][0], R[left, :6, :6])
+    assert len(inverses) == 1 and np.array_equal(inverses[0], R[kept, :6, :6])
     assert list(sol.rank) == [6, 4, 6, 6, 4, 6] and list(sol.rank_augmented) == [7, 5, 7, 7, 5, 7]
 
 
@@ -283,51 +301,134 @@ def certify_nothing(R, policy, m):
 
 
 def solve_path(monkeypatch, Ab):
-    """The path one system takes ("values" when only the values-only SVD ran, else
-    "vectors"), its solution, and its solution by the vectors path alone."""
+    """The path one system takes, its solution, and its solution by the vectors path
+    alone.  The path is "certified" when no SVD ran, else "screened" or "inverted" by
+    whether A's block was inverted before the vectors path."""
     with monkeypatch.context() as patch:
-        calls = counted_svds(patch)
+        svds, inverses = counted_svds(patch), counted_inverses(patch)
         sol = _solve_augmented(Ab[None], Tolerance())
     with monkeypatch.context() as patch:
         patch.setattr(numrank, "_certify", certify_nothing)
         vectors = _solve_augmented(Ab[None], Tolerance())
-    return ("vectors" if any(uv for _, uv in calls) else "values"), sol, vectors
+    if not any(uv for _, uv in svds):
+        return "certified", sol, vectors
+    return ("inverted" if inverses else "screened"), sol, vectors
+
+
+def triangle(RA, r, rho):
+    """The (n+1) x (n+1) triangle [[RA, r], [0, rho]], which the QR keeps bit for bit."""
+    n = len(RA)
+    R = np.zeros((n + 1, n + 1))
+    R[:n, :n], R[:n, n], R[n, n] = RA, r, rho
+    return R
 
 
 def certificate_edges():
-    """(bound, system just inside it, system just outside it) for each of the three bounds
-    of the certificate, on triangles that the QR keeps bit for bit: A = R[:, :2], b = R[:, 2]."""
-    t = Tolerance().threshold((3, 3), 1.0)  # 3 eps
+    """(bound, system just inside it, system just outside it, the ranks of A and [A | b])
+    for the diagonal screen and each of the three bounds of the certificate, on triangles
+    A = R[:, :n], b = R[:, n].  The two systems of an edge differ by 1/16 either way in
+    one entry; the edge itself is exact up to terms far below that."""
     inside, outside = 1 + 1 / 16, 1 - 1 / 16
+    t2, t3 = Tolerance().threshold((3, 3), 1.0), Tolerance().threshold((4, 4), 1.0)  # 3 and 4 eps
+    # screen: min |r_ii| > 20 t_hi, with b = 0 and A = diag(1, 1, d): t_hi = t3, as g_hi is
+    # sqrt(||A||_1 ||A||_inf) = 1, not ||A||_F = sqrt(2), and 1 / ||A^-1||_F = d up to d^2
+    # passes (a) where d passes the screen
+    yield ("screen", triangle(np.diag([1.0, 1.0, 20 * t3 * inside]), 0.0, 0.0),
+           triangle(np.diag([1.0, 1.0, 20 * t3 * outside]), 0.0, 0.0), (3, 3))
+    # (a) 1 / ||A^-1||_F > 20 t_hi, with b = 0 and A = diag(1, d, d): t_hi = t3, and
+    # 1 / ||A^-1||_F = d / sqrt(2) up to d^2, while min |r_ii| = d passes the screen either way
+    edge = 20 * t3 * math.sqrt(2)
+    yield ("a", triangle(np.diag([1.0, edge * inside, edge * inside]), 0.0, 0.0),
+           triangle(np.diag([1.0, edge * outside, edge * outside]), 0.0, 0.0), (3, 3))
+    # (b) u = |rho| / 1.25 < t_lo / 20, with A = [[1, -1], [0, 1]] and b = (0.75, 0, rho):
+    # x = (0.75, 0) and w = (0.75, 0, -1) has norm 1.25; ||b|| ~ 0.75 lies in [g/2, g),
+    # g = ||A||_F / sqrt(2), so the scale is 2^0; t_lo = sqrt(2) t2, as g_lo is the second
+    # column's norm, 1/8 below sigma_1, the golden ratio
+    A, r = np.array([[1.0, -1.0], [0.0, 1.0]]), [0.75, 0.0]
+    edge = 1.25 * math.sqrt(2) * t2 / 20
+    yield "u", triangle(A, r, edge / inside), triangle(A, r, edge / outside), (2, 2)
+    # (b) l = 1 / (||A^-1||_F + 1.25 / rho) > 20 t_hi, with A = [[1, -1, 0], [0, 1, 0], [0, 0, d]]
+    # and b = (0.75, 0, 0, rho), rho = d: x = (0.75, 0, 0), ||w|| = 1.25, ||b|| ~ 0.75 keeps
+    # the scale 2^0, and ||A^-1||_F = 1 / d up to d^2, so l = d / 2.25; t_hi = t3 hypot(sqrt(3),
+    # 0.75) up to d^2, as g_hi is ||A||_F = sqrt(3), not sqrt(||A||_1 ||A||_inf) = 2
 
-    def triangle(s2, r1, rho):
-        return np.array([[1.0, 0.0, r1], [0.0, s2, 0.0], [0.0, 0.0, rho]])
+    def system(d):
+        return triangle(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, d]]), [0.75, 0.0, 0.0], d)
 
-    # (a) s_2 > 20 t_hi, with b = 0: t_hi = t
-    yield "a", triangle(20 * t * inside, 0.0, 0.0), triangle(20 * t * outside, 0.0, 0.0)
-    # b = (0.75, 0, rho) keeps the scale 2^0, and w = (0.75, 0, -1) has norm 1.25
-    # (b) u = |rho| / 1.25 < t_lo / 20, t_lo = t
-    yield "u", triangle(1.0, 0.75, 1.25 * t / 20 / inside), triangle(1.0, 0.75, 1.25 * t / 20 / outside)
-    # (b) l = 1 / (1 + 1.25 / rho) > 20 t_hi, t_hi = 1.25 t up to eps rho^2
-    edge = 1.25 / (1 / (20 * 1.25 * t) - 1)
-    yield "l", triangle(1.0, 0.75, edge * inside), triangle(1.0, 0.75, edge * outside)
+    edge = 2.25 * 20 * t3 * math.hypot(math.sqrt(3), 0.75)
+    yield "l", system(edge * inside), system(edge * outside), (3, 4)
 
 
 CERTIFICATE_EDGES = list(certificate_edges())
 
 
-@pytest.mark.parametrize("bound, inside, outside", CERTIFICATE_EDGES, ids=[c[0] for c in CERTIFICATE_EDGES])
-def test_systems_outside_a_bound_take_the_vectors_path(monkeypatch, bound, inside, outside):
+@pytest.mark.parametrize("bound, inside, outside, ranks", CERTIFICATE_EDGES, ids=[c[0] for c in CERTIFICATE_EDGES])
+def test_systems_outside_a_bound_take_the_vectors_path(monkeypatch, bound, inside, outside, ranks):
     path, sol, vectors = solve_path(monkeypatch, inside)
-    assert path == "values"
+    assert path == "certified"
     assert [f[0] for f in sol[2:]] == [f[0] for f in vectors[2:]]  # the same verdicts
-    np.testing.assert_allclose(sol.x, vectors.x, rtol=1e-12)
+    np.testing.assert_allclose(sol.x, vectors.x, rtol=1e-12, atol=1e-15)
     path, sol, vectors = solve_path(monkeypatch, outside)
-    assert path == "vectors"
+    assert path == ("screened" if bound == "screen" else "inverted")
     for got, want in zip(sol, vectors):
-        assert np.array_equal(got, want)  # today's bits
+        assert np.array_equal(got, want)  # the vectors path's bits
     # neither edge lies in the 10x band: the verdicts are decided either way
-    assert not sol.borderline[0] and sol.rank[0] == 2 and sol.rank_augmented[0] == (3 if bound == "l" else 2)
+    assert not sol.borderline[0] and (sol.rank[0], sol.rank_augmented[0]) == ranks
+
+
+def random_triangles(n, cond, seed, T=8):
+    """R factors of T random n x n matrices whose singular values run from 1 down to 1/cond."""
+    rng = rng_stream(seed)
+    s = np.logspace(0, -math.log10(cond), n)
+    U = np.linalg.qr(rng.standard_normal((T, n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((T, n, n)))[0]
+    return np.linalg.qr((U * s) @ V, mode="r")
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 40])
+def test_certificate_bounds_bracket_the_singular_values(n):
+    # the round-off slack is the one _certify states: a relative n eps for the norm bounds
+    # of sigma_1, and n eps cond for the inverse's bound of sigma_n (which also covers
+    # the reference SVD's own error in sigma_n, eps sigma_1)
+    eps = np.finfo(float).eps
+    for c, cond in enumerate([1.0, 1e3, 1e6, 1e9, 1e12]):
+        R = random_triangles(n, cond, seed=90 + c)
+        for e in (-600, 0, 600):
+            Re = np.ldexp(R, e)
+            s = np.linalg.svd(Re, compute_uv=False)
+            s1, sn = s[:, 0], s[:, -1]
+            with np.errstate(all="raise"):  # no square of an entry near 2^+-600 may overflow
+                g_lo, g_hi, frobenius = numrank._sigma1_bounds(Re)
+                s_n = numrank._sigma_n_bound(Re)
+            diagonal = np.abs(np.diagonal(Re, axis1=1, axis2=2)).min(axis=1)
+            slack, slack_n = n * eps, n * eps * max(cond, s1.max() / sn.min())
+            assert np.all(g_lo <= s1 * (1 + slack)) and np.all(s1 <= g_hi * (1 + slack))
+            assert np.all(s_n <= sn * (1 + slack_n)) and np.all(sn <= diagonal * (1 + slack_n))
+            # and none is vacuous: each lies within sqrt(n) of what it bounds
+            root = math.sqrt(n) * (1 + slack_n)
+            assert np.all(g_lo * root >= s1) and np.all(g_hi <= s1 * root) and np.all(s_n * root >= sn)
+            np.testing.assert_allclose(frobenius, np.ldexp(np.linalg.norm(R, axis=(1, 2)), e), rtol=slack)
+
+
+@pytest.mark.parametrize("n", [33, 60])
+def test_an_inverse_that_overflows_certifies_nothing(monkeypatch, n):
+    # a unit diagonal passes the screen, but the inverse of I - 1e10 N has entries up to
+    # 1e10^(n-1): infinite entries (n = 33), or nan ones too (n = 60, on OpenBLAS); the
+    # system takes the vectors path, and no floating-point error is raised
+    R = np.eye(n + 1)
+    R[np.arange(n - 1), np.arange(1, n)] = -1e10
+    R[0, n] = 1.0
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.linalg.inv(R[:n, :n])).all()
+    with monkeypatch.context() as patch:
+        svds, inverses = counted_svds(patch), counted_inverses(patch)
+        with np.errstate(all="raise"):
+            sol = _solve_augmented(R[None], Tolerance())
+    assert [a.shape for a in inverses] == [(1, n, n)]
+    assert [(a.shape, uv) for a, uv in svds] == [((1, n, n), True)]
+    monkeypatch.setattr(numrank, "_certify", certify_nothing)
+    for got, want in zip(sol, _solve_augmented(R[None], Tolerance())):
+        assert np.array_equal(got, want)
 
 
 def bordered(s, z, rho):
