@@ -28,7 +28,6 @@ from .kernels import parse_kernel
 from .manifold import Euclidean, UnitSphere, rng_stream
 from .montecarlo import (
     ExperimentConfig,
-    RankBoundError,
     _table,
     aux_stream,
     condition_sweep,
@@ -44,6 +43,8 @@ from .tensor import (
     LAYOUT_VERSION,
     CovField,
     OperatorField,
+    RankBoundError,
+    _enforce_bound,
     _system_reports,
     _system_shape,
     assemble_Y,
@@ -393,6 +394,9 @@ def cmd_tensor(args) -> str:
     report_Y, report_Z = (_verdicts(_system_reports(manifold, P, eta, policy, system), policy,
                                     _system_shape(manifold, args.k, system))[0] for system in ("Y", "Z"))
     report_psi = rank_report(psi, policy)
+    proven = manifold._proven_ranks()
+    for name, system, report in (("Y", "Y", report_Y), ("Z", "Z", report_Z), ("Psi", "sqdist", report_psi)):
+        _enforce_bound(name, report.numerical_rank, proven.get(system), args.k)
     wrote = ""
     if args.out:
         f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)

@@ -21,6 +21,7 @@ with the same bits as computing each sample on its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -37,6 +38,10 @@ __all__ = [
 
 # Log map on the sphere is refused this close to the cut locus.
 ANTIPODAL_MARGIN = 1e-8
+
+# The smallest side of a Euclidean sampling box, about 1.0e-146: below it the round-off
+# of a squared distance, eps side^2, falls below the smallest normal double.
+_MIN_SIDE = math.sqrt(sys.float_info.min / sys.float_info.epsilon)
 
 
 class AntipodalPairError(ValueError):
@@ -181,7 +186,9 @@ class Euclidean(_ManifoldBase):
     """Flat R^n, sampled uniformly from the cube [lo, hi]^n given by ``box``.
 
     The box is part of the space, so a sample's manifold records the box it was
-    drawn from; ``str`` prints ``euclid:<n>`` whatever the box.
+    drawn from; ``str`` prints ``euclid:<n>`` whatever the box.  Its side must be at
+    least about 1.0e-146 (``_MIN_SIDE``): below that, eps times a squared distance
+    underflows, and the rank thresholds lose the round-off they are set against.
     """
 
     box: tuple[float, float] = (0.0, 1.0)
@@ -196,6 +203,9 @@ class Euclidean(_ManifoldBase):
             raise ValueError("degenerate sampling box: bounds and side length must be finite")
         if hi <= lo:
             raise ValueError("degenerate sampling box: the box needs hi > lo")
+        if hi - lo < _MIN_SIDE:
+            raise ValueError(f"sampling box side {hi - lo:.3g} is below {_MIN_SIDE:.3g}, where the "
+                             "round-off of squared distances underflows")
         object.__setattr__(self, "box", (lo, hi))
 
     @property

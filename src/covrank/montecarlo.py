@@ -36,7 +36,15 @@ import numpy as np
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import _ManifoldBase, rng_streams
 from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _singular_values, _spectra, _validated, _verdicts
-from .tensor import _forward_systems, _recoveries, _system_reports, _system_rows, _system_shape
+from .tensor import (
+    RankBoundError,
+    _enforce_bound,
+    _forward_systems,
+    _recoveries,
+    _system_reports,
+    _system_rows,
+    _system_shape,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -72,10 +80,6 @@ def aux_stream(k: int, trial: int) -> int:
 
 # Byte budget of a chunk's largest temporary; see _sample_chunks.
 _CHUNK_BYTES = 256 * 1024
-
-
-class RankBoundError(RuntimeError):
-    """A measured rank exceeded its proven bound: the tolerance policy is too tight."""
 
 
 @dataclass(frozen=True)
@@ -234,11 +238,7 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
     for k in cfg.k_values:
         reports = _trial_reports(cfg, k, system)
         ranks, borderline = reports.numerical_rank, reports.borderline
-        if bound is not None and ranks.max() > bound:
-            raise RankBoundError(
-                f"{system} system exceeded its proven rank bound: "
-                f"rank {ranks.max()} > {bound} at k={k}"
-            )
+        _enforce_bound(system, int(ranks.max()), bound, k)
         expected = expected_for(k)
         solid = ~borderline
         equality = None
@@ -339,7 +339,7 @@ def recovery_experiment(
 
     Each chunk of trials from the engine is written as stacks of reduced
     [Y | c] systems (see tensor.recover), each solved with one stacked QR and
-    the two-step ladder: norm bounds and one stacked triangular inverse certify
+    the two-step ladder: norm bounds and one blocked triangular inverse certify
     the full-rank systems, a diagonal screen sending the deficient ones past the
     inverse, and only the rest take one stacked SVD with vectors plus an
     arrowhead inertia count (O'Leary-Stewart); every row equals, bit for

@@ -23,10 +23,12 @@ follows Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder
 QR of the augmented systems [A | b], then a two-step ladder on the
 triangular factor.  No singular value is computed to certify, by interlacing,
 the systems whose A has full rank and whose [A | b] has a rank no round-off
-can flip: norm bounds of the leading block R_A bound sigma_1, and 1/||R_A^-1||_F,
-from one stacked inverse, bounds sigma_n from below, after the diagonal's
-min |r_ii| bounds it from above and screens out the systems that cannot pass;
-the certified systems are solved on the triangle.
+can flip: norm bounds of the leading block R_A bound sigma_1, and 1/||R_A^-1||_F
+bounds sigma_n from below, after the diagonal's min |r_ii| bounds it from above
+and screens out the systems that cannot pass.  One blocked triangular inverse
+of R_A gives both that bound and the certified systems' solutions, x = R_A^-1 r
+refined once.  No LU of R_A is formed: np.linalg.inv sees only its diagonal
+blocks of at most 64, where LU with no row exchange is back substitution.
 Only the rest pay for singular vectors: one SVD of the leading block with U
 and V^T plus an arrowhead inertia count (O'Leary-Stewart), the SVD giving the
 rank of A and the minimum-norm solution, the count the rank of [A | b].
@@ -328,7 +330,7 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     The solve is a two-step ladder.  Bounds on the singular values of R[:n, :n], from
     its norms, its diagonal and its inverse, certify the systems whose verdicts they
     settle (``_certify``): A of rank n and [A | b] of rank n or n + 1, nothing near a
-    threshold; their x comes from the triangle.  The
+    threshold; their x comes from that inverse.  The
     rest, and every system of a stack with fewer than n+1 rows, take the vectors path
     (``_solve_by_vectors``), run on the gathered subset.  Every result for a system
     equals, bit for bit, what a stack holding only that system gives.
@@ -366,21 +368,27 @@ def _certify(R: np.ndarray, policy: Tolerance, m: int) -> tuple[np.ndarray, _Aug
     bound sigma_1(R) below and above.  sigma_n(R_A) lies in [1 / ||R_A^-1||_F, min_i
     |r_ii|].  A system is certified when (a) 1 / ||R_A^-1||_F > 20 t_hi: by interlacing
     sigma_i(R) >= sigma_i(R_A), so A has rank n and none of sigma_1..sigma_n of R_A
-    and of R lies in the 10x band; and (b), with x = R_A^-1 r solved on the triangle
-    and w = (x, -1), either u = ||R w|| / ||w|| < t_lo / 20, so sigma_n+1(R) <= u puts
-    rank([A | b]) at n, or l = 1 / (||R_A^-1||_F + ||w|| / |rho|) > 20 t_hi, so
-    sigma_n+1(R) = 1 / ||R^-1|| >= l puts it at n + 1.  The upper bound of sigma_n
+    and of R lies in the 10x band; and (b), with x = R_A^-1 r and w = (x, -1), either
+    u = ||R w|| / ||w|| < t_lo / 20, so sigma_n+1(R) <= u puts rank([A | b]) at n, or
+    l = 1 / (||R_A^-1||_F + ||w|| / |rho|) > 20 t_hi, so sigma_n+1(R) = 1 / ||R^-1||
+    >= l puts it at n + 1.  The upper bound of sigma_n
     screens first, for free: a system with min_i |r_ii| <= 20 t_hi fails (a) and is
     never inverted, so no exactly singular triangle is.
 
     The factor 20 leaves 2x of room for the round-off of every bound.  The norms and
     the bounds of sigma_1 are sums of |entries|, within a relative n eps of their
-    values.  The triangle takes LU with no row exchange, so the computed inverse, and
-    x, are within about n eps cond(R_A) relative of theirs; (a) passes only when
-    cond(R_A) < sigma_1(R) / (20 t_hi), at most 1 / (20 m eps) under the default
-    tolerance, m >= n, which puts that error below 1/20.  An inverse that overflows
-    certifies nothing.  The scale 2^-e of b uses g = ||R_A||_F / sqrt(n).  R is not
-    written."""
+    values.  One blocked inverse X of R_A (``_invert``) gives both 1 / ||R_A^-1||_F and
+    x.  Its leaves are inverted by back substitution, its off-diagonal blocks are
+    -(X11 R12) X22, a method whose computed inverse is within about n eps cond(R_A)
+    relative of R_A^-1, as the unblocked one is (Du Croz and Higham, "Stability of
+    methods for matrix inversion", IMA J. Numer. Anal. 12, 1992).  x = X r, refined
+    once by x += X (r - R_A x), a step of fixed-precision iterative refinement that
+    keeps x's forward error at about n eps cond(R_A) and brings its residual down to
+    what a backward-stable solve leaves (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 12).  (a) passes only when cond(R_A) < sigma_1(R) /
+    (20 t_hi), at most 1 / (20 m eps) under the default tolerance, m >= n, which puts
+    those errors below 1/20.  An inverse that overflows certifies nothing.  The scale
+    2^-e of b uses g = ||R_A||_F / sqrt(n).  R is not written."""
     n = R.shape[2] - 1
     RA, Rb = R[:, :n, :n], R[:, :, n]
     g_lo, g_hi, frobenius = _sigma1_bounds(RA)
@@ -389,11 +397,12 @@ def _certify(R: np.ndarray, policy: Tolerance, m: int) -> tuple[np.ndarray, _Aug
     t_hi = policy.threshold((m, n + 1), np.hypot(g_hi, _norms(Rb)))
     screened = np.abs(np.diagonal(RA, axis1=1, axis2=2)).min(axis=1) > _MARGIN * t_hi
     s_n = np.zeros(len(R))  # 1 / ||R_A^-1||_F <= sigma_n(R_A), on the systems the screen passes
-    if screened.any():
-        s_n[screened] = _sigma_n_bound(RA if screened.all() else RA[screened])
-    full = s_n > _MARGIN * t_hi
     x = np.zeros((len(R), n))
-    x[full] = np.linalg.solve(RA if full.all() else RA[full], Rb[full, :n, None])[..., 0]
+    if screened.any():
+        pick = slice(None) if screened.all() else screened
+        s_n[pick], x[pick] = _invert(RA[pick], Rb[pick, :n])
+    full = s_n > _MARGIN * t_hi
+    x[~full] = 0.0  # an inverse that overflowed leaves x non-finite
     residual = _norms((R[:, :, :n] @ x[..., None])[..., 0] - Rb)  # ||R w||
     w = np.hypot(_norms(x), 1.0)
     with np.errstate(divide="ignore", over="ignore"):  # an infinite 1/l fails the test below
@@ -416,11 +425,36 @@ def _sigma1_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g_lo, np.minimum(frobenius, np.ldexp(sums, e)), frobenius
 
 
-def _sigma_n_bound(a: np.ndarray) -> np.ndarray:
-    """1 / ||a^-1||_F <= sigma_n (T,) of a stack of nonsingular (n, n) matrices, from one
-    stacked inverse; 0 or nan where the inverse overflows, so no comparison passes."""
+_LEAF = 64  # the largest diagonal block ``_triangular_inverse`` hands to np.linalg.inv
+
+
+def _invert(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 / ||a^-1||_F <= sigma_n (T,) and x = a^-1 r (T, n) of a stack of nonsingular upper
+    triangles a (T, n, n) and vectors r (T, n), both from one blocked inverse X
+    (``_triangular_inverse``): x = X r, refined once by x += X (r - a x).  Where the
+    inverse overflows the bound is 0 or nan, so no comparison passes, and x is not
+    finite; nothing raises."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return 1 / _norms(_column_norms(np.linalg.inv(a))[0])
+        X = _triangular_inverse(a)
+        x = X @ r[..., None]
+        x += X @ (r[..., None] - a @ x)
+        return 1 / _norms(_column_norms(X)[0]), x[..., 0]
+
+
+def _triangular_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack (T, n, n) of nonsingular upper triangles, upper triangles with
+    exact zeros below the diagonal.  Split at h = n // 2, X11 = R11^-1 and X22 = R22^-1
+    recursively, and X12 = -(X11 R12) X22, a product of two matmuls; np.linalg.inv
+    inverts only the diagonal blocks of at most _LEAF, where the recursion stops."""
+    n = a.shape[-1]
+    if n <= _LEAF:
+        return np.linalg.inv(a)
+    h = n // 2
+    x = np.zeros_like(a)
+    x[:, :h, :h] = _triangular_inverse(a[:, :h, :h])
+    x[:, h:, h:] = _triangular_inverse(a[:, h:, h:])
+    x[:, :h, h:] = np.negative(x[:, :h, :h] @ a[:, :h, h:]) @ x[:, h:, h:]
+    return x
 
 
 def _column_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,6 +57,7 @@ from .numrank import DEFAULT_TOLERANCE, Tolerance, _norms, _solve_augmented, _sp
 
 __all__ = [
     "LAYOUT_VERSION",
+    "RankBoundError",
     "OperatorField",
     "CovField",
     "RecoveryResult",
@@ -70,6 +71,17 @@ __all__ = [
 ]
 
 LAYOUT_VERSION = "v1"
+
+
+class RankBoundError(RuntimeError):
+    """A measured rank exceeded its proven bound: the tolerance policy is too tight."""
+
+
+def _enforce_bound(system: str, rank: int, bound: int | None, k: int) -> None:
+    """Raise RankBoundError when the rank of a k-point system exceeds its proven bound;
+    None proves none."""
+    if bound is not None and rank > bound:
+        raise RankBoundError(f"{system} system exceeded its proven rank bound: rank {rank} > {bound} at k={k}")
 
 
 @dataclass(frozen=True)
@@ -370,11 +382,14 @@ def _recoveries(
     manifold: _ManifoldBase, groups: list[tuple[np.ndarray, np.ndarray]], policy: Tolerance
 ) -> list[RecoveryResult]:
     """The RecoveryResult of every trial of the (trials, systems) pairs of
-    _recovery_systems, thresholded for the shapes of the unreduced [Y | c] and Y."""
+    _recovery_systems, thresholded for the shapes of the unreduced [Y | c] and Y.
+    A rank_Y above the Y bound the space proves raises RankBoundError."""
     results = {}
+    bound = manifold._proven_ranks().get("Y")
     for trials, systems in groups:
         k = systems.shape[-1] - 1
         solution = _solve_augmented(systems, policy, manifold.coord_dim ** 2 * k)
+        _enforce_bound("Y", int(solution.rank.max()), bound, k)
         for t, x, residual, rank, rank_augmented, borderline in zip(trials, *solution):
             results[t] = RecoveryResult(f_hat=x, residual=float(residual), rank_Y=int(rank),
                                         rank_augmented=int(rank_augmented),

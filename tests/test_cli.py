@@ -558,6 +558,16 @@ class TestFailureReports:
             (["alpha", "--manifold", "euclid:2:box=0,1e308", "--trials", "3"], 2),
             (["rank", "--manifold", "sphere:2", "--kernel", "shifted:1e200", "--k", "5"], 2),
             (["tensor", "--manifold", "euclid:2:box=-1e200,1e200", "--k", "4"], 2),
+            # a box side whose eps side^2 underflows: every distance's round-off is lost
+            (["sample", "--manifold", "euclid:2:box=0,1e-155", "--k", "3"], 1),
+            (["rank", "--manifold", "euclid:2:box=0,1e-155", "--kernel", "sqdist", "--k", "5"], 1),
+            (["tensor", "--manifold", "euclid:2:box=0,1e-155", "--k", "8"], 1),
+            (["recover", "--manifold", "euclid:2:box=0,1e-170", "--k", "8"], 1),
+            (["cond-sweep", "--manifold", "euclid:2:box=0,1e-155", "--alpha", "0", "--k", "5"], 1),
+            (["alpha", "--manifold", "euclid:2:box=0,1e-155", "--trials", "10"], 1),
+            # ranks above the bounds the space proves, under a tolerance far below round-off
+            (["tensor", "--manifold", "euclid:2", "--k", "20", "--tol-factor", "1e-30"], 2),
+            (["recover", "--manifold", "euclid:2", "--k", "20", "--tol-factor", "1e-30", "--out", "r.csv"], 2),
         ],
         ids=["rank-bound", "recover-trials", "cond-trials", "cond-threads", "recover-threads",
              "rank-threads", "sample-threads", "sample-tol", "alpha-tol", "rank-k-pair",
@@ -566,7 +576,9 @@ class TestFailureReports:
              "rank-box-nan", "recover-file-trials-1", "rank-out-missing-dir", "tensor-out-missing-dir",
              "sample-out-dir", "sample-seed-2**64", "rank-seed-2**64", "recover-file-seed",
              "recover-file-k", "recover-file-manifold", "recover-overflow",
-             "alpha-overflow", "rank-shift-overflow", "tensor-overflow"],
+             "alpha-overflow", "rank-shift-overflow", "tensor-overflow", "sample-box-tiny",
+             "rank-box-tiny", "tensor-box-tiny", "recover-box-tiny", "cond-box-tiny", "alpha-box-tiny",
+             "tensor-bound", "recover-bound"],
     )
     def test_one_line_and_exit_code(self, capsys, monkeypatch, tmp_path, argv, code):
         monkeypatch.chdir(tmp_path)  # a wrongly accepted --out writes here
@@ -578,6 +590,17 @@ class TestFailureReports:
         assert captured.err.count("\n") == 1 and captured.err.startswith("covrank: ")
         assert "Traceback" not in captured.err
         assert caught == []
+
+    def test_recover_file_above_the_bound_is_a_numerical_failure(self, capsys, monkeypatch, tmp_path):
+        # a Y of rank 6 on euclid:2, read back under a tolerance that counts round-off
+        monkeypatch.chdir(tmp_path)
+        assert main(["tensor", "--manifold", "euclid:2", "--k", "20", "--out", "p"]) == 0
+        capsys.readouterr()
+        assert main(["recover", "--manifold", "euclid:2", "--k", "20", "--sigma-file", "p.Sigma.csv",
+                     "--tol-factor", "1e-30", "--out", "f.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "f.csv").exists()
+        assert captured.err == "covrank: numerical failure: Y system exceeded its proven rank bound: rank 20 > 6 at k=20\n"
 
     @pytest.mark.parametrize("field, value, want", [("layout", "v0", "v1"), ("seed", "2", "3")])
     def test_sigma_file_of_another_dump_names_the_field(self, capsys, tmp_path, field, value, want):

@@ -139,6 +139,16 @@ class TestSampling:
         with pytest.raises(ValueError, match="degenerate"):
             Euclidean(2, box=box)
 
+    @pytest.mark.parametrize("box", [(0.0, 1e-147), (0.0, 1e-155), (-3e-170, 2e-170)])
+    def test_box_too_small_for_squared_distances_rejected(self, box):
+        # eps side^2 below the smallest normal double: a squared distance's round-off underflows
+        with pytest.raises(ValueError, match="below 1e-146"):
+            Euclidean(2, box=box)
+
+    def test_smallest_boxes_accepted(self):
+        assert Euclidean(2, box=(0.0, 1e-140)).box == (0.0, 1e-140)
+        assert Euclidean(2, box=(-1e-146, 1e-146)).box == (-1e-146, 1e-146)
+
     @pytest.mark.parametrize("box", [(0.0,), (0.0, 1.0, 2.0), "ab", None, [[0.0, 1.0], [0.0, 2.0]]])
     def test_box_must_be_one_pair(self, box):
         with pytest.raises(ValueError, match="pair"):

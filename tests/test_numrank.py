@@ -264,14 +264,44 @@ def counted_inverses(monkeypatch):
     return calls
 
 
+def counted_solves(monkeypatch):
+    """The input of every np.linalg.solve call made from now on."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(np.array(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def assert_leaf_inverses(inverses, RA):
+    """The inputs of np.linalg.inv are diagonal blocks of the triangles RA (T, n, n), each
+    at most numrank._LEAF wide, that cover the diagonal once, in order."""
+    start = 0
+    for a in inverses:
+        width = a.shape[-1]
+        assert 1 <= width <= numrank._LEAF
+        assert np.array_equal(a, RA[:, start:start + width, start:start + width])
+        start += width
+    assert start == RA.shape[-1]
+
+
 def test_full_rank_stack_runs_no_svd(monkeypatch):
-    # a full-rank stack is certified by bounds: one stacked inverse of A's block, no SVD
-    stack = rng_stream(45).standard_normal((4, 40, 7))
-    svds, inverses = counted_svds(monkeypatch), counted_inverses(monkeypatch)
-    sol = _solve_augmented(stack, Tolerance())
-    assert svds == []
-    assert len(inverses) == 1 and np.array_equal(inverses[0], np.linalg.qr(stack, mode="r")[:, :6, :6])
-    assert list(sol.rank_augmented) == [7] * 4
+    # a full-rank stack is certified by bounds: one blocked inverse of A's block, its
+    # diagonal leaves inverted by np.linalg.inv, no SVD and no solve; above the leaf
+    # size the inverse recurses
+    for shape in [(4, 40, 7), (2, 300, 150)]:
+        stack = rng_stream(45).standard_normal(shape)
+        n = shape[2] - 1
+        with monkeypatch.context() as patch:
+            svds, inverses, solves = counted_svds(patch), counted_inverses(patch), counted_solves(patch)
+            sol = _solve_augmented(stack, Tolerance())
+        assert svds == [] and solves == []
+        assert_leaf_inverses(inverses, np.linalg.qr(stack, mode="r")[:, :n, :n])
+        assert list(sol.rank_augmented) == [n + 1] * shape[0]
 
 
 def test_mixed_stack_pays_for_vectors_only_on_what_is_left(monkeypatch):
@@ -385,7 +415,7 @@ def random_triangles(n, cond, seed, T=8):
     return np.linalg.qr((U * s) @ V, mode="r")
 
 
-@pytest.mark.parametrize("n", [1, 3, 12, 40])
+@pytest.mark.parametrize("n", [1, 3, 12, 40, 130])
 def test_certificate_bounds_bracket_the_singular_values(n):
     # the round-off slack is the one _certify states: a relative n eps for the norm bounds
     # of sigma_1, and n eps cond for the inverse's bound of sigma_n (which also covers
@@ -399,7 +429,7 @@ def test_certificate_bounds_bracket_the_singular_values(n):
             s1, sn = s[:, 0], s[:, -1]
             with np.errstate(all="raise"):  # no square of an entry near 2^+-600 may overflow
                 g_lo, g_hi, frobenius = numrank._sigma1_bounds(Re)
-                s_n = numrank._sigma_n_bound(Re)
+                s_n = numrank._invert(Re, np.zeros(Re.shape[:2]))[0]
             diagonal = np.abs(np.diagonal(Re, axis1=1, axis2=2)).min(axis=1)
             slack, slack_n = n * eps, n * eps * max(cond, s1.max() / sn.min())
             assert np.all(g_lo <= s1 * (1 + slack)) and np.all(s1 <= g_hi * (1 + slack))
@@ -410,25 +440,44 @@ def test_certificate_bounds_bracket_the_singular_values(n):
             np.testing.assert_allclose(frobenius, np.ldexp(np.linalg.norm(R, axis=(1, 2)), e), rtol=slack)
 
 
-@pytest.mark.parametrize("n", [33, 60])
+@pytest.mark.parametrize("n", [33, 60, 130])
 def test_an_inverse_that_overflows_certifies_nothing(monkeypatch, n):
     # a unit diagonal passes the screen, but the inverse of I - 1e10 N has entries up to
-    # 1e10^(n-1): infinite entries (n = 33), or nan ones too (n = 60, on OpenBLAS); the
-    # system takes the vectors path, and no floating-point error is raised
+    # 1e10^(n-1): infinite entries (n = 33), or nan ones too (n = 60, on OpenBLAS); at
+    # n = 130 the leaves overflow and the blocked inverse's matmuls carry inf and nan on;
+    # the system takes the vectors path, and no floating-point error is raised
     R = np.eye(n + 1)
     R[np.arange(n - 1), np.arange(1, n)] = -1e10
     R[0, n] = 1.0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(np.linalg.inv(R[:n, :n])).all()
     with monkeypatch.context() as patch:
         svds, inverses = counted_svds(patch), counted_inverses(patch)
         with np.errstate(all="raise"):
             sol = _solve_augmented(R[None], Tolerance())
-    assert [a.shape for a in inverses] == [(1, n, n)]
+    assert_leaf_inverses(inverses, R[None, :n, :n])
     assert [(a.shape, uv) for a, uv in svds] == [((1, n, n), True)]
     monkeypatch.setattr(numrank, "_certify", certify_nothing)
     for got, want in zip(sol, _solve_augmented(R[None], Tolerance())):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 601])
+def test_triangular_inverse_matches_the_lu_inverse(n):
+    # both inverses are within a relative c eps cond(R) of the exact one (Du Croz and
+    # Higham 1992), so of each other within n eps cond(R); each member of a stack gets
+    # the bits it gets alone, and nothing is left below the diagonal
+    eps = np.finfo(float).eps
+    R = random_triangles(n, 1e6, seed=n, T=3 if n < 600 else 2)
+    cond = np.linalg.cond(R)
+    with np.errstate(all="raise"):
+        X = numrank._triangular_inverse(R)
+    want = np.linalg.inv(R)
+    error = np.linalg.norm(X - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.all(error <= n * eps * cond)
+    assert np.all(np.tril(X, -1) == 0.0)
+    for t in range(len(R)):
+        assert np.array_equal(numrank._triangular_inverse(R[t:t + 1])[0], X[t])
 
 
 def bordered(s, z, rho):
