@@ -38,15 +38,14 @@ from .montecarlo import (
     rows_to_jsonl,
     sample_stream,
 )
-from .numrank import Tolerance, _verdicts, rank_report
+from .numrank import Tolerance, rank_report
 from .tensor import (
     LAYOUT_VERSION,
     CovField,
     OperatorField,
     RankBoundError,
     _enforce_bound,
-    _system_reports,
-    _system_shape,
+    _system_verdicts,
     assemble_Y,
     outer_field,
     recover,
@@ -390,13 +389,13 @@ def cmd_tensor(args) -> str:
     field = outer_field(manifold, _trial0_sample(manifold, args))
     psi, _ = trace_system(field)
     policy = Tolerance(args.tol_factor)
-    P, eta = field.sample.points[None], field.eta[None]
-    report_Y, report_Z = (_verdicts(_system_reports(manifold, P, eta, policy, system), policy,
-                                    _system_shape(manifold, args.k, system))[0] for system in ("Y", "Z"))
+    verdicts = _system_verdicts(manifold, field.sample.points[None], field.eta[None], policy)
+    (rank_Y, borderline_Y), (rank_Z, borderline_Z) = (
+        (int(rank[0]), bool(borderline[0])) for rank, borderline in (verdicts["Y"], verdicts["Z"]))
     report_psi = rank_report(psi, policy)
     proven = manifold._proven_ranks()
-    for name, system, report in (("Y", "Y", report_Y), ("Z", "Z", report_Z), ("Psi", "sqdist", report_psi)):
-        _enforce_bound(name, report.numerical_rank, proven.get(system), args.k)
+    for name, system, rank in (("Y", "Y", rank_Y), ("Z", "Z", rank_Z), ("Psi", "sqdist", report_psi.numerical_rank)):
+        _enforce_bound(name, rank, proven.get(system), args.k)
     wrote = ""
     if args.out:
         f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)
@@ -414,9 +413,9 @@ def cmd_tensor(args) -> str:
         wrote = f" out={out}.*.csv"
     return (
         f"tensor manifold={manifold} k={args.k} seed={args.seed} d={field.d}"
-        f" rank_Y={report_Y.numerical_rank} rank_Z={report_Z.numerical_rank}"
-        f" rank_Psi={report_psi.numerical_rank} borderline_Y={fmt17(report_Y.borderline)}"
-        f" borderline_Z={fmt17(report_Z.borderline)} borderline_Psi={fmt17(report_psi.borderline)}{wrote}"
+        f" rank_Y={rank_Y} rank_Z={rank_Z}"
+        f" rank_Psi={report_psi.numerical_rank} borderline_Y={fmt17(borderline_Y)}"
+        f" borderline_Z={fmt17(borderline_Z)} borderline_Psi={fmt17(report_psi.borderline)}{wrote}"
     )
 
 

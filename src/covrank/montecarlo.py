@@ -14,7 +14,8 @@ alone.  A rank-law chunk gives its settled spectra (``numrank._spectra``): a
 matrix equal to its transpose bit for bit (every kernel matrix, Z on R^n, Y on
 R^1) is eigensolved first, and the SVD settles the trials it flags.  Y and Z
 are measured on tangent-frame reductions, by the path of ``covrank tensor``
-(``tensor._system_reports``).  The spectra of all of a k's chunks fill one
+without its certificate (``tensor._system_reports``), since the engine reads
+spectra.  The spectra of all of a k's chunks fill one
 (trials, width) array, which gets one verdict (``numrank._verdicts``); a
 condition-sweep cell likewise, its chunks mostly taking the eigensolve alone,
 since its rows report every trial's spectral ratio.  Results are therefore

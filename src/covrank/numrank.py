@@ -16,8 +16,10 @@ takes the SVD alone.  ``batched_rank_report`` and its one-matrix case
 ``rank_report`` are the verdicts of one stack's spectra.  The rank-law engine
 (``montecarlo``) measures a k's trials in chunks, ``tensor._system_reports``
 settling the spectra of reduced Y and Z with the full shapes' thresholds, and
-takes one verdict per k.  The condition sweep keeps its own rule
-(``montecarlo.condition_sweep``).  Least squares
+takes one verdict per k.  ``covrank tensor`` certifies its tall reduced Y and Z
+first, by test (a) of the recovery certificate below (``_certify_columns``),
+and only the trials left take the spectra and their verdicts.  The condition
+sweep keeps its own rule (``montecarlo.condition_sweep``).  Least squares
 (``_solve_augmented``, behind ``tensor.recover`` and the recovery experiments)
 follows Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder
 QR of the augmented systems [A | b], then a two-step ladder on the
@@ -190,11 +192,6 @@ def _singular_values(a: np.ndarray, symmetric: bool = False) -> np.ndarray:
     if symmetric:
         return -np.sort(-np.abs(np.linalg.eigvalsh(a)), axis=1)
     return np.linalg.svd(a, compute_uv=False)
-
-
-def _report(a: np.ndarray, policy: Tolerance, symmetric: bool = False) -> BatchedRankReport:
-    """The verdicts of ``_singular_values(a, symmetric)``: one factorization, no ladder."""
-    return _verdicts(_singular_values(a, symmetric), policy, a.shape[1:])
 
 
 def _verdicts(s: np.ndarray, policy: Tolerance, shape: tuple[int, int]) -> BatchedRankReport:
@@ -395,13 +392,7 @@ def _certify(R: np.ndarray, policy: Tolerance, m: int) -> tuple[np.ndarray, _Aug
     e = _scale_exponents(frobenius / math.sqrt(n), Rb)
     Rb = np.ldexp(Rb, -e[:, None])
     t_hi = policy.threshold((m, n + 1), np.hypot(g_hi, _norms(Rb)))
-    screened = np.abs(np.diagonal(RA, axis1=1, axis2=2)).min(axis=1) > _MARGIN * t_hi
-    s_n = np.zeros(len(R))  # 1 / ||R_A^-1||_F <= sigma_n(R_A), on the systems the screen passes
-    x = np.zeros((len(R), n))
-    if screened.any():
-        pick = slice(None) if screened.all() else screened
-        s_n[pick], x[pick] = _invert(RA[pick], Rb[pick, :n])
-    full = s_n > _MARGIN * t_hi
+    full, s_n, x = _full_rank(RA, t_hi, Rb[:, :n])
     x[~full] = 0.0  # an inverse that overflowed leaves x non-finite
     residual = _norms((R[:, :, :n] @ x[..., None])[..., 0] - Rb)  # ||R w||
     w = np.hypot(_norms(x), 1.0)
@@ -411,6 +402,38 @@ def _certify(R: np.ndarray, policy: Tolerance, m: int) -> tuple[np.ndarray, _Aug
     certified = full & (spanned | (low > _MARGIN * t_hi))
     return certified, _AugmentedSolution(np.ldexp(x, e[:, None]), np.ldexp(residual, e), np.full(len(R), n),
                                          np.where(spanned, n, n + 1), np.zeros(len(R), bool))
+
+
+def _full_rank(RA: np.ndarray, t_hi: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Test (a) of the certificate, shared by ``_certify`` and ``_certify_columns``: which
+    of a stack of upper triangles RA (T, n, n) have every singular value above _MARGIN
+    t_hi (T,), the bounds 1 / ||RA^-1||_F <= sigma_n (T,) that decide it, and x = RA^-1 r
+    (T, n) of vectors r (T, n), of which only the passing triangles' hold.  The diagonal
+    screens first, as min_i |r_ii| >= sigma_n: a triangle at or below the margin there
+    fails and is never inverted, so no exactly singular one is; the others get one
+    blocked inverse each (``_invert``)."""
+    screened = np.abs(np.diagonal(RA, axis1=1, axis2=2)).min(axis=1) > _MARGIN * t_hi
+    s_n = np.zeros(len(RA))  # 0 where the screen fails
+    x = np.zeros(r.shape)
+    if screened.any():
+        pick = slice(None) if screened.all() else screened
+        s_n[pick], x[pick] = _invert(RA[pick], r[pick])
+    return s_n > _MARGIN * t_hi, s_n, x
+
+
+def _certify_columns(a: np.ndarray, policy: Tolerance, shape: tuple[int, int]) -> np.ndarray:
+    """Which matrices of a stack a (T, m, n), m > n, bounds certify to have rank n with no
+    singular value within 10x of the threshold of matrices of the given shape, with no
+    singular value computed: one stacked QR a = Q R, sigma_1(R) <= g_hi (``_sigma1_bounds``)
+    and t_hi the threshold of g_hi, then the test (a) of ``_certify`` on R, 1 / ||R^-1||_F
+    > 20 t_hi (``_full_rank``).  The verdicts it certifies are those of ``_verdicts`` of
+    the singular values, up to round-off the factor 20 absorbs.  A threshold or bound
+    that overflows certifies nothing and raises nothing, so it leaves the verdict, and
+    any overflow of its threshold, to the singular values."""
+    R = np.linalg.qr(a, mode="r")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # no right-hand side: the x of a zero vector costs three matrix-vector products
+        return _full_rank(R, policy.threshold(shape, _sigma1_bounds(R)[1]), np.zeros(R.shape[:2]))[0]
 
 
 def _sigma1_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

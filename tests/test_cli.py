@@ -22,8 +22,10 @@ from covrank import (
     trace_system,
 )
 from covrank.montecarlo import fmt17, sample_stream
+from covrank import tensor
 from covrank.numrank import _verdicts
-from covrank.tensor import _system_reports, _system_shape
+from covrank.tensor import _frame_coordinates, _reduced_stacks, _system_reports, _system_shape
+from counting import assert_leaf_inverses, counted_inverses, counted_svds
 
 # a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
 GOLDEN_SIGMA = Path(__file__).parent / "golden" / "tensor.Sigma.csv"
@@ -404,6 +406,61 @@ class TestTensorRanks:
                     assert int(out["rank_Z"]) <= n * k
                     if n > 1:
                         assert int(out["rank_Z"]) == min(n, k - 1) * k
+
+
+class TestTensorCertificate:
+    """`tensor` settles tall full-rank Y and Z reductions by the recovery certificate's
+    test (a), one QR and one blocked triangular inverse, and asks the SVD only of the rest."""
+
+    def test_sphere_Y_and_Z_take_no_svd(self, capsys, monkeypatch):
+        manifold, k = UnitSphere(2), 200
+        svds, inverses = counted_svds(monkeypatch), counted_inverses(monkeypatch)
+        code, out = run(capsys, "tensor", "--manifold", "sphere:2", "--k", str(k))
+        monkeypatch.undo()
+        assert code == 0
+        assert "rank_Y=200 rank_Z=400" in out and "borderline_Y=false borderline_Z=false" in out
+        field = outer_field(manifold, manifold.sample_uniform(k, 0, stream=sample_stream(k, 0)))
+        # an SVD settles Psi where its eigensolve flags it, as it does here; none runs on Y or Z
+        psi = trace_system(field)[0]
+        assert len(svds) <= 1 and all(np.array_equal(a, psi[None]) for a, _ in svds)
+        P, eta = field.sample.points[None], field.eta[None]
+        V, _ = _frame_coordinates(manifold, P, eta)
+        R = [np.linalg.qr(a, mode="r") for system in ("Y", "Z")
+             for _, a in _reduced_stacks(manifold, V, eta, Tolerance(), system)]
+        assert [r.shape for r in R] == [(1, k, k), (1, 2 * k, 2 * k)]
+        first = int(np.searchsorted(np.cumsum([a.shape[-1] for a in inverses]), k)) + 1
+        assert_leaf_inverses(inverses[:first], R[0])
+        assert_leaf_inverses(inverses[first:], R[1])
+
+    @pytest.mark.parametrize("spec, k, tried", [("sphere:2", 1, 2), ("euclid:2", 10, 0)])
+    def test_ruled_out_systems_are_never_inverted(self, capsys, monkeypatch, spec, k, tried):
+        # k = 1 gives all-zero systems, which the diagonal screen stops; on the plane past
+        # k = 6 the proven bound rules Y's certificate out, and Z is square
+        certify, calls = tensor._certify_columns, []
+
+        def counted(a, policy, shape):
+            calls.append(a.shape)
+            return certify(a, policy, shape)
+
+        monkeypatch.setattr(tensor, "_certify_columns", counted)
+        inverses = counted_inverses(monkeypatch)
+        code, out = run(capsys, "tensor", "--manifold", spec, "--k", str(k))
+        assert code == 0
+        assert (len(calls), inverses) == (tried, [])
+
+    @pytest.mark.parametrize("spec, k, factor", [
+        ("sphere:2", 200, "1e308"),  # tau overflows before any certificate
+        ("sphere:1", 6, "1e306"),  # 20 t_hi overflows, tau does not
+        ("euclid:2", 5, "1e307"),
+        ("euclid:3", 8, "1e308"),  # t_hi itself overflows
+    ])
+    def test_huge_tol_factor_ends_as_without_the_certificate(self, capsys, monkeypatch, spec, k, factor):
+        argv = ["tensor", "--manifold", spec, "--k", str(k), "--tol-factor", factor]
+        code = main(argv)
+        got = (code, *capsys.readouterr())
+        monkeypatch.setattr(tensor, "_certify_columns", lambda a, policy, shape: np.zeros(len(a), bool))
+        assert got == (main(argv), *capsys.readouterr())
+        assert code == (2 if factor == "1e308" else 0)
 
 
 class TestCondSweepCommand:

@@ -3,9 +3,9 @@
 The reference draws each trial with ``sample_uniform``, builds its matrix
 with ``Kernel.pairwise`` or ``outer_field`` and measures it one trial at a
 time, spelling the verdict rule out: a matrix equal to its transpose bit for
-bit by a one-matrix symmetric eigensolve (``numrank._report``), then by the SVD
-if that flags it borderline, any other matrix by the SVD, and eigensolved
-condition-sweep cells by the eigensolve alone.  Y, which the engine measures on
+bit by a one-matrix symmetric eigensolve (``reference.factorization_report``),
+then by the SVD if that flags it borderline, any other matrix by the SVD, and
+eigensolved condition-sweep cells by the eigensolve alone.  Y, which the engine measures on
 tensor's reductions, is referenced by one-trial stacks of that path, and its
 verdicts are compared with the full matrices' separately.  The engine stacks
 trials into chunks and must give the same bits, on inputs the benchmark does
@@ -39,9 +39,9 @@ from covrank.manifold import rng_streams
 import covrank.montecarlo
 import covrank.numrank
 from covrank.montecarlo import _CHUNK_BYTES, _sample_chunks, _trial_reports, aux_stream, sample_stream
-from covrank.numrank import _report, _verdicts
+from covrank.numrank import _verdicts
 from covrank.tensor import _frame_coordinates, _reduced_Y, _system_reports, _system_rows, _system_shape, _Z_array
-from reference import euclidean_distances
+from reference import euclidean_distances, factorization_report
 
 
 def chunk_size(k, width):
@@ -65,14 +65,14 @@ def make_config(manifold, kernel=None, k=8, trials=10, seed=3, tolerance=Toleran
 
 
 def svd_report(matrix, tolerance):
-    return _report(matrix[None], tolerance)[0]
+    return factorization_report(matrix[None], tolerance)[0]
 
 
 def eigensolve_report(matrix, tolerance):
     """The report of one symmetric eigensolve, or None when the matrix is not symmetric."""
     if matrix.shape[0] != matrix.shape[1] or not np.array_equal(matrix, matrix.T):
         return None
-    return _report(matrix[None], tolerance, symmetric=True)[0]
+    return factorization_report(matrix[None], tolerance, symmetric=True)[0]
 
 
 def reference_matrices(cfg, k, system):
@@ -311,8 +311,8 @@ def test_ladder_agrees_with_the_svd(manifold, kernel, ks, moved):
             P = manifold.sample_batch(k, seed, (sample_stream(k, t) for t in range(cfg.trials)))
             eta = None if kernel else manifold.pairwise_log(P)
             stack = cfg.kernel.pairwise(P) if kernel else _Z_array(eta, eta)
-            svd = _report(stack, cfg.tolerance)
-            eig = _report(stack, cfg.tolerance, symmetric=True)
+            svd = factorization_report(stack, cfg.tolerance)
+            eig = factorization_report(stack, cfg.tolerance, symmetric=True)
             ladder = _trial_reports(cfg, k, system)
             decided = ~eig.borderline
             assert np.array_equal(eig.numerical_rank[decided], svd.numerical_rank[decided]), (seed, k)
@@ -358,7 +358,7 @@ def test_condition_sweep_matches_reference():
             # the oracle proves only alpha = 0 on R^n finite-rank; every other cell is eigensolved
             per_trial.append([
                 svd_report(dist**2, Tolerance()) if a == 0.0
-                else _report(((dist - a) ** 2)[None], Tolerance(), symmetric=True)[0]
+                else factorization_report(((dist - a) ** 2)[None], Tolerance(), symmetric=True)[0]
                 for a in alphas
             ])
         expected[k] = per_trial

@@ -7,6 +7,8 @@ import pytest
 from covrank import Tolerance, batched_rank_report, rank_report, rng_stream
 from covrank import numrank
 from covrank.numrank import _arrowhead_count, _arrowhead_sigma1, _rank_augmented, _solve_augmented
+from counting import assert_leaf_inverses, counted_inverses, counted_solves, counted_svds
+from reference import factorization_report
 
 
 def exact_rank(matrix) -> int:
@@ -236,57 +238,6 @@ def test_solve_thresholds_for_the_row_count_it_is_given():
     # b lies outside the numerical range of A, so [A | b] keeps a rank above A's
     assert (taller.rank[0], taller.rank_augmented[0]) == (1, 2)
     assert taller.residual[0] == 30 * eps and alone.residual[0] == 0.0
-
-
-def counted_svds(monkeypatch):
-    """The (input, compute_uv) of every np.linalg.svd call made from now on."""
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(a, *args, **kwargs):
-        calls.append((np.array(a), kwargs.get("compute_uv", True)))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
-
-
-def counted_inverses(monkeypatch):
-    """The input of every np.linalg.inv call made from now on."""
-    calls = []
-    inv = np.linalg.inv
-
-    def counted(a):
-        calls.append(np.array(a))
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
-    return calls
-
-
-def counted_solves(monkeypatch):
-    """The input of every np.linalg.solve call made from now on."""
-    calls = []
-    solve = np.linalg.solve
-
-    def counted(a, b):
-        calls.append(np.array(a))
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    return calls
-
-
-def assert_leaf_inverses(inverses, RA):
-    """The inputs of np.linalg.inv are diagonal blocks of the triangles RA (T, n, n), each
-    at most numrank._LEAF wide, that cover the diagonal once, in order."""
-    start = 0
-    for a in inverses:
-        width = a.shape[-1]
-        assert 1 <= width <= numrank._LEAF
-        assert np.array_equal(a, RA[:, start:start + width, start:start + width])
-        start += width
-    assert start == RA.shape[-1]
 
 
 def test_full_rank_stack_runs_no_svd(monkeypatch):
@@ -627,8 +578,8 @@ def test_stacked_symmetric_report_equals_separate_reports(k, rank, policy):
 @pytest.mark.parametrize("k", [2, 7, 40])
 def test_symmetric_spectrum_matches_svd(k):
     stack = symmetric_stack(6, k, seed=70 + k)
-    eig = numrank._report(stack, Tolerance(), symmetric=True)
-    svd = numrank._report(stack, Tolerance())
+    eig = factorization_report(stack, Tolerance(), symmetric=True)
+    svd = factorization_report(stack, Tolerance())
     s1 = svd.singular_values[:, :1]
     assert np.all(np.diff(eig.singular_values, axis=1) <= 0)
     assert np.all(np.abs(eig.singular_values - svd.singular_values) <= 1e-12 * s1)
@@ -649,7 +600,7 @@ def test_symmetric_path_needs_square_matrices(monkeypatch):
 
 def eigensolve_decides(matrix):
     """A bitwise-symmetric matrix whose eigensolve leaves no value in the borderline band."""
-    report = numrank._report(matrix[None], Tolerance(), symmetric=True)[0]
+    report = factorization_report(matrix[None], Tolerance(), symmetric=True)[0]
     return np.array_equal(matrix, matrix.T) and not report.borderline
 
 
@@ -684,7 +635,7 @@ class TestOneRule:
         A = near_threshold_matrix()
         assert np.array_equal(A, A.T) and not eigensolve_decides(A)
         svd = np.linalg.svd(A, compute_uv=False)
-        assert not np.array_equal(numrank._report(A[None], Tolerance(), symmetric=True).singular_values[0], svd)
+        assert not np.array_equal(factorization_report(A[None], Tolerance(), symmetric=True).singular_values[0], svd)
         report = rank_report(A)
         assert np.array_equal(report.singular_values, svd)
         assert report.borderline

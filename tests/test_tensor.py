@@ -23,10 +23,11 @@ from covrank import (
     trace_system,
     unfold_C,
 )
-from covrank import numrank
+from covrank import numrank, tensor
 from covrank.montecarlo import aux_stream, sample_stream
 from covrank.numrank import _verdicts
-from covrank.tensor import _system_reports, _system_shape
+from covrank.tensor import (_frame_coordinates, _reduced_stacks, _split, _system_reports, _system_shape,
+                            _system_verdicts)
 
 
 def sample_of(manifold, points):
@@ -471,3 +472,109 @@ class TestReducedRecovery:
             assert np.array_equal(scaled.f_hat, scale * one.f_hat)
             assert scaled.residual == scale * one.residual
 
+
+
+def near_antipodal_sample(k=12, delta=1e-4):
+    """A sphere:2 sample whose second point lies pi - delta from its first, so that its
+    log vectors' round-off normal parts are not negligible against tau."""
+    points = UnitSphere(2).sample_uniform(k, 3, stream=sample_stream(k, 0)).points.copy()
+    v = np.cross(points[0], [0.0, 0.0, 1.0])
+    v /= np.linalg.norm(v)
+    points[1] = -math.cos(delta) * points[0] + math.sin(delta) * v
+    return points
+
+
+class TestCertifiedSystemVerdicts:
+    """`tensor`'s Y and Z verdicts (``_system_verdicts``): a tall reduced stack that the
+    bounds certify has full column rank and is not borderline, with no singular value
+    computed; every other trial takes the verdicts of its spectra.  Both must be the
+    verdicts of ``_system_reports``."""
+
+    SPACES = [UnitSphere(1), UnitSphere(2), UnitSphere(3), Euclidean(1), Euclidean(2), Euclidean(3)]
+    KS = (1, 2, 3, 4, 6, 8, 12, 20, 40)
+    FACTORS = (None, 1e-9, 1e-3)
+    # the verdicts certified, left by the certificate, and never put to it, of
+    # SPACES x KS x FACTORS x seeds 1-8 x (Y, Z), then the near-antipodal trial's
+    COUNTS = {"certified": 841, "not certified": 429, "not tried": 1322}
+    NEAR_COUNTS = {"certified": 4, "not certified": 1, "not tried": 1}
+
+    @staticmethod
+    def compare(manifold, P, policy, counts, monkeypatch):
+        """Assert that the certified verdicts of point stacks P are those of the spectra,
+        counting each verdict by how it was reached."""
+        certify, tried = tensor._certify_columns, [0]
+
+        def counted(a, policy, shape):
+            mask = certify(a, policy, shape)
+            tried[0] += len(a)
+            counts["certified"] += int(mask.sum())
+            counts["not certified"] += int((~mask).sum())
+            return mask
+
+        eta = manifold.pairwise_log(P)
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor, "_certify_columns", counted)
+            verdicts = _system_verdicts(manifold, P, eta, policy)
+        counts["not tried"] += 2 * len(P) - tried[0]
+        for system in ("Y", "Z"):
+            want = _verdicts(_system_reports(manifold, P, eta, policy, system), policy,
+                             _system_shape(manifold, P.shape[1], system))
+            rank, borderline = verdicts[system]
+            assert np.array_equal(rank, want.numerical_rank), (str(manifold), P.shape[1], system)
+            assert np.array_equal(borderline, want.borderline), (str(manifold), P.shape[1], system)
+
+    def test_certified_verdicts_are_those_of_the_spectra(self, monkeypatch):
+        counts = dict.fromkeys(self.COUNTS, 0)
+        for manifold in self.SPACES:
+            for k in self.KS:
+                P = np.stack([manifold.sample_uniform(k, seed, stream=sample_stream(k, 0)).points
+                              for seed in range(1, 9)])
+                for factor in self.FACTORS:
+                    self.compare(manifold, P, Tolerance(factor), counts, monkeypatch)
+        assert counts == self.COUNTS
+
+    def test_trial_that_keeps_every_axis_is_certified_whole(self, monkeypatch):
+        # under the default tolerance the near-antipodal pair keeps Y's normal rows, 6k x k
+        # instead of 3k x k, and Z's normal columns, square: Y is certified on the
+        # unreduced rows and Z is not tried; the larger thresholds drop Z's normal columns
+        manifold, P = UnitSphere(2), near_antipodal_sample()[None]
+        V, _ = _frame_coordinates(manifold, P, manifold.pairwise_log(P))
+        for system in ("Y", "Z"):
+            assert [dims for _, dims in _split(manifold, V, Tolerance(), system)] == [3]
+        counts = dict.fromkeys(self.NEAR_COUNTS, 0)
+        for factor in self.FACTORS:
+            self.compare(manifold, P, Tolerance(factor), counts, monkeypatch)
+        assert counts == self.NEAR_COUNTS
+
+    def test_stacked_verdicts_are_those_of_each_trial_alone(self):
+        manifold, k = UnitSphere(2), 20
+        P = np.stack([manifold.sample_uniform(k, seed, stream=sample_stream(k, 0)).points for seed in range(4)]
+                     + [near_antipodal_sample(k)])
+        stacked = _system_verdicts(manifold, P, manifold.pairwise_log(P), Tolerance())
+        for t in range(len(P)):
+            alone = _system_verdicts(manifold, P[t:t + 1], manifold.pairwise_log(P[t:t + 1]), Tolerance())
+            for system in ("Y", "Z"):
+                assert [int(v[t]) for v in stacked[system]] == [int(v[0]) for v in alone[system]]
+
+    def test_certificate_is_thresholded_for_the_full_shape(self):
+        # Two points an angle delta apart give Y a smallest singular value linear in delta.
+        # Put it at 85 k eps sigma_1: within 10x of tau = 9k eps sigma_1 of Y's (9k, k)
+        # shape, so the verdict is borderline, yet above 20x the threshold of the reduced
+        # (3k, k) stack, which would certify it.
+        manifold, k, eps = UnitSphere(2), 6, np.finfo(float).eps
+        base = manifold.sample_uniform(k, 3).points
+        v = np.cross(base[0], [0.0, 0.0, 1.0])
+        v /= np.linalg.norm(v)
+
+        def stack(delta):
+            points = base.copy()
+            points[1] = math.cos(delta) * base[0] + math.sin(delta) * v
+            return points[None], manifold.pairwise_log(points[None])
+
+        s = _system_reports(manifold, *stack(1e-6), Tolerance(), "Y")[0]
+        P, eta = stack(1e-6 * 85 * k * eps / (s[-1] / s[0]))
+        V, _ = _frame_coordinates(manifold, P, eta)
+        [(_, a)] = _reduced_stacks(manifold, V, eta, Tolerance(), "Y")
+        assert a.shape == (1, 3 * k, k) and numrank._certify_columns(a, Tolerance(), a.shape[1:]).all()
+        rank, borderline = _system_verdicts(manifold, P, eta, Tolerance())["Y"]
+        assert (int(rank[0]), bool(borderline[0])) == (k, True)
