@@ -342,9 +342,10 @@ def recovery_experiment(
     [Y | c] systems (see tensor.recover), each solved with one stacked QR and
     the two-step ladder: norm bounds and one blocked triangular inverse certify
     the full-rank systems, a diagonal screen sending the deficient ones past the
-    inverse, and only the rest take one stacked SVD with vectors plus an
-    arrowhead inertia count (O'Leary-Stewart); every row equals, bit for
-    bit, recover(field, sigma_field(field, f0)) on that trial's sample.
+    inverse, and only the rest take one stacked SVD with vectors of Y's block,
+    and one values-only SVD of the triangle for rank [Y | c]; every row
+    equals, bit for bit, recover(field, sigma_field(field, f0)) on that
+    trial's sample.
     """
     cfg = ExperimentConfig(
         manifold=manifold, kernel=None, k_values=(k,), trials=trials, seed=seed,

@@ -31,9 +31,9 @@ and screens out the systems that cannot pass.  One blocked triangular inverse
 of R_A gives both that bound and the certified systems' solutions, x = R_A^-1 r
 refined once.  No LU of R_A is formed: np.linalg.inv sees only its diagonal
 blocks of at most 64, where LU with no row exchange is back substitution.
-Only the rest pay for singular vectors: one SVD of the leading block with U
-and V^T plus an arrowhead inertia count (O'Leary-Stewart), the SVD giving the
-rank of A and the minimum-norm solution, the count the rank of [A | b].
+Only the rest pay for singular vectors: one stacked SVD with vectors of A's
+block, which gives the rank of A and the minimum-norm solution, and one
+values-only SVD of the triangle for rank [A | b].
 """
 
 from __future__ import annotations
@@ -234,81 +234,6 @@ class _AugmentedSolution(NamedTuple):
     borderline: np.ndarray  # (T,) bool: either rank may flip under a small perturbation
 
 
-_NEWTON_STEPS = 64  # a cap only: from its start below the root Newton converges in a few steps
-
-
-def _arrowhead_sigma1(s: np.ndarray, z: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sigma_1 (T,) of the bordered matrices M = [[diag(s), z], [0, rho]], s (T, n) >= 0.
-
-    M^T M is a symmetric arrowhead matrix: diagonal s_i^2, border s_i z_i and corner
-    alpha = |z|^2 + rho^2.  Its largest eigenvalue is the largest root of
-    phi(lam) = lam - alpha - sum_i s_i^2 z_i^2 / (lam - s_i^2), or, where every border
-    entry of the largest s_i^2 is 0, that s_i^2 itself (O'Leary and Stewart, J. Comput.
-    Phys. 90, 1990).  Newton's method starts from the largest eigenvalue of the 2 x 2
-    principal blocks [[s_i^2, s_i z_i], [s_i z_i, alpha]], which is at most lam_1 by
-    interlacing and lies above every pole; phi is increasing and concave there, so
-    every step moves up and none passes the root.  A step is never taken downwards,
-    which keeps the deflated case at its start, and a trial stops at its own
-    convergence, so its result does not depend on the other trials of the stack.
-    """
-    d, w2 = s * s, (s * z) ** 2
-    alpha = (z * z).sum(axis=1) + rho * rho
-    lam = ((d + alpha[:, None]) / 2 + np.hypot((d - alpha[:, None]) / 2, s * z)).max(axis=1)
-    poles = w2 > 0
-    # the 2 x 2 start rounds onto its pole when s_i z_i is tiny; start one ulp above it
-    lam = np.maximum(lam, np.nextafter(np.where(poles, d, -np.inf).max(axis=1), np.inf))
-    active = np.arange(len(lam))
-    for _ in range(_NEWTON_STEPS):
-        if not active.size:
-            break
-        at, where = lam[active], poles[active]
-        gap = at[:, None] - d[active]
-        q = np.divide(w2[active], gap, out=np.zeros_like(gap), where=where)
-        slope = 1.0 + np.divide(q, gap, out=np.zeros_like(gap), where=where).sum(axis=1)
-        step = np.maximum((alpha[active] + q.sum(axis=1) - at) / slope, 0.0)
-        lam[active] = at + step
-        active = active[step > 2 * np.finfo(float).eps * at]
-    return np.sqrt(lam)
-
-
-def _arrowhead_count(s: np.ndarray, z: np.ndarray, rho: np.ndarray, x: np.ndarray,
-                     sigma1: np.ndarray) -> np.ndarray:
-    """Number of singular values above x (T,) of M = [[diag(s), z], [0, rho]], whose
-    largest singular value is sigma1 (T,), without an SVD.
-
-    By Sylvester's law of inertia the eigenvalues of M^T M - x^2 above 0 are as many as
-    the positive pivots s_i^2 - x^2 plus the positive Schur complement
-    rho^2 - x^2 - x^2 sum_i z_i^2 / (s_i^2 - x^2), written so that |z|^2 does not
-    cancel.  A zero pivot with z_i != 0 pairs with the last row into a block of
-    inertia (1, 1) and leaves the other such rows singular; x >= sigma1 counts none.
-    """
-    below = x < sigma1
-    x = np.where(below, x, 0.0)[:, None]  # a huge x would overflow x^2
-    pivot = (s - x) * (s + x)
-    coupled = (pivot == 0) & (z != 0)
-    terms = np.divide((z * x) ** 2, pivot, out=np.zeros_like(pivot), where=pivot != 0)
-    last = rho * rho - x[:, 0] ** 2 - terms.sum(axis=1) > 0
-    count = np.count_nonzero((s > x) & ~coupled, axis=1) + np.where(coupled.any(axis=1), 1, last)
-    return np.where(below, count, 0)
-
-
-def _rank_augmented(s: np.ndarray, z: np.ndarray, rho: np.ndarray, policy: Tolerance,
-                    shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical rank (T,) of M = [[diag(s), z], [0, rho]] under policy, for matrices of
-    the given shape, and whether any singular value of M lies within 10x of the threshold
-    t, from three arrowhead inertia counts: at t, t/10 and 10 t.  M is first scaled by the
-    power of two of its largest entry, so no square below overflows, and the scaling is
-    exact."""
-    big = np.maximum(s[:, 0], np.maximum(np.abs(z).max(axis=1), np.abs(rho)))
-    e = -np.frexp(big)[1]
-    with np.errstate(under="ignore"):  # what underflows lies far below the threshold
-        s, z, rho = np.ldexp(s, e[:, None]), np.ldexp(z, e[:, None]), np.ldexp(rho, e)
-        sigma1 = _arrowhead_sigma1(s, z, rho)
-        t = policy.threshold(shape, sigma1)
-        low, rank, high = (_arrowhead_count(s, z, rho, x, sigma1) for x in (t / 10, t, t * 10))
-    return rank, low > high
-
-
 _MARGIN = 20  # a certificate's bounds clear the 10x band by this factor, 2x to spare
 
 
@@ -494,23 +419,23 @@ def _column_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve_by_vectors(R: np.ndarray, policy: Tolerance, m: int) -> _AugmentedSolution:
     """Step 2 of ``_solve_augmented``: the solutions of a stack of (n+1) x (n+1) triangles R
-    from the SVD R[:n, :n] = U S V^T, which gives the singular values of A and the
-    minimum-norm x.  It also gives rank([A | b]) without a second SVD: R is orthogonally
-    equivalent to M = [[S, z], [0, rho]], z = U^T R[:n, n] and rho = R[n, n], whose
-    singular values an arrowhead inertia count measures (``_rank_augmented``).  R's last
-    column is scaled in place."""
+    from one stacked SVD with vectors of A's block, R[:n, :n] = U S V^T, which gives the
+    singular values of A and the minimum-norm x, and one values-only SVD of the triangle,
+    whose singular values are those of [A | b 2^-e], for rank([A | b]).  R's last column
+    is scaled in place."""
     n = R.shape[2] - 1
     RA, Rb = R[:, :, :n], R[:, :, n]
     U, s, Vt = np.linalg.svd(RA[:, :n], full_matrices=False)
     e = _scale_exponents(_norms(s) / math.sqrt(n), Rb)
     np.ldexp(Rb, -e[:, None], out=Rb)
     z = (np.swapaxes(U, 1, 2) @ Rb[:, :n, None])[..., 0]
-    rank_augmented, near_augmented = _rank_augmented(s, z, Rb[:, n], policy, (m, n + 1))
+    augmented = _verdicts(np.linalg.svd(R, compute_uv=False), policy, (m, n + 1))
+    rank_augmented = augmented.numerical_rank
     tau = policy.threshold((m, n), s[:, 0])
     keep = s > tau[:, None]
     rank = np.count_nonzero(keep, axis=1)
     # appending a column raises the rank by 0 or 1, so any other verdict is round-off
-    borderline = near_augmented | _near(s, tau) | (rank_augmented < rank) | (rank_augmented > rank + 1)
+    borderline = augmented.borderline | _near(s, tau) | (rank_augmented < rank) | (rank_augmented > rank + 1)
     coeff = np.divide(z, s, out=np.zeros_like(s), where=keep)
     x = (np.swapaxes(Vt, 1, 2) @ coeff[..., None])[..., 0]
     # Q has orthonormal columns spanning A's and b's, so ||A x - b|| = ||R[:, :n] x - R[:, n]||

@@ -36,7 +36,8 @@ as eps / sin(theta) near the sphere's cut locus; a trial on which they are
 not negligible against the rank threshold keeps them, d(d+1)/2 k + 1 rows
 (``_recovery_systems``).  One QR and the two-step ladder of ``numrank``
 (norm bounds and one triangular inverse certify full-rank systems; the rest
-take an SVD with vectors plus an arrowhead inertia count) solve either, thresholded for the
+take one stacked SVD with vectors of Y's block, and one values-only SVD of the
+triangle for rank [Y | c]) solve either, thresholded for the
 shapes of the unreduced system; ``recovery_experiment`` runs the same path batched
 over trials.  The reduction stays inside the solve: Y, C and the layout-v1
 dump are unchanged.  The rank-law engine and ``covrank tensor`` measure the Y
@@ -427,8 +428,9 @@ def recover(field: OperatorField, cov: CovField, policy: Tolerance = DEFAULT_TOL
     d(d+1)/2 k + 1 where Y's dropped normal part is not negligible), with one
     QR, then the two-step ladder of ``numrank._solve_augmented`` on its
     triangular factor, at most (k+1) x (k+1): norm bounds and one triangular
-    inverse certify a full-rank system, and only a system they leave pays for an
-    SVD with vectors plus an arrowhead inertia count (O'Leary-Stewart).
+    inverse certify a full-rank system, and only a system they leave pays for
+    one stacked SVD with vectors of Y's block, and one values-only SVD of the
+    triangle for rank [Y | C].
     Ranks are thresholded for the shapes of [Y | C] and Y, so the tolerance is
     that of the unreduced system.
     """

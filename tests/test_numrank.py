@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covrank import Tolerance, batched_rank_report, rank_report, rng_stream
+from covrank import Euclidean, Tolerance, UnitSphere, batched_rank_report, rank_report, rng_stream
 from covrank import numrank
-from covrank.numrank import _arrowhead_count, _arrowhead_sigma1, _rank_augmented, _solve_augmented
+from covrank.montecarlo import aux_stream, sample_stream
+from covrank.numrank import _solve_augmented
+from covrank.tensor import _forward_systems
 from counting import assert_leaf_inverses, counted_inverses, counted_solves, counted_svds
 from reference import factorization_report
 
@@ -216,8 +218,8 @@ def test_stacked_solve_equals_separate_solves(m, n, rank, policy):
         np.column_stack([deficient(m, n, rank, seed=50 + t), rng.standard_normal(m)]) for t in range(7)
     ])
     stack[2, :, -1] = stack[2, :, :-1] @ rng.standard_normal(n)  # one consistent system
-    # members that take different numbers of Newton steps for sigma_1([A | b]): the zero
-    # system, a copy of the consistent one and one scaled by 2^600
+    # members of other kinds: the zero system, a copy of the consistent one and one
+    # scaled by 2^600
     stack = np.concatenate([stack, np.zeros_like(stack[:1]), stack[2:3], np.ldexp(stack[1:2], 600)])
     stacked = _solve_augmented(stack, policy)
     for t in range(len(stack)):
@@ -256,9 +258,9 @@ def test_full_rank_stack_runs_no_svd(monkeypatch):
 
 
 def test_mixed_stack_pays_for_vectors_only_on_what_is_left(monkeypatch):
-    # rank([A | b]) of the deficient members comes from the SVD of A's block by an
-    # inertia count, not a second SVD, and only they reach that SVD; the diagonal
-    # screen sends them there without inverting them
+    # only the deficient members reach the vectors path: one SVD with vectors of A's
+    # block, and one values-only SVD of the triangle, whose last column is scaled, for
+    # rank([A | b]); the diagonal screen sends them there without inverting them
     rng = rng_stream(45)
     stack = rng.standard_normal((6, 40, 7))
     left, kept = [1, 4], [0, 2, 3, 5]
@@ -266,8 +268,8 @@ def test_mixed_stack_pays_for_vectors_only_on_what_is_left(monkeypatch):
     svds, inverses = counted_svds(monkeypatch), counted_inverses(monkeypatch)
     sol = _solve_augmented(stack, Tolerance())
     R = np.linalg.qr(stack, mode="r")
-    assert [(a.shape, uv) for a, uv in svds] == [((2, 6, 6), True)]
-    assert np.array_equal(svds[0][0], R[left, :6, :6])
+    assert [(a.shape, uv) for a, uv in svds] == [((2, 6, 6), True), ((2, 7, 7), False)]
+    assert np.array_equal(svds[0][0], R[left, :6, :6]) and np.array_equal(svds[1][0][..., :6], R[left, :, :6])
     assert len(inverses) == 1 and np.array_equal(inverses[0], R[kept, :6, :6])
     assert list(sol.rank) == [6, 4, 6, 6, 4, 6] and list(sol.rank_augmented) == [7, 5, 7, 7, 5, 7]
 
@@ -407,7 +409,7 @@ def test_an_inverse_that_overflows_certifies_nothing(monkeypatch, n):
         with np.errstate(all="raise"):
             sol = _solve_augmented(R[None], Tolerance())
     assert_leaf_inverses(inverses, R[None, :n, :n])
-    assert [(a.shape, uv) for a, uv in svds] == [((1, n, n), True)]
+    assert [(a.shape, uv) for a, uv in svds] == [((1, n, n), True), ((1, n + 1, n + 1), False)]
     monkeypatch.setattr(numrank, "_certify", certify_nothing)
     for got, want in zip(sol, _solve_augmented(R[None], Tolerance())):
         assert np.array_equal(got, want)
@@ -431,93 +433,121 @@ def test_triangular_inverse_matches_the_lu_inverse(n):
         assert np.array_equal(numrank._triangular_inverse(R[t:t + 1])[0], X[t])
 
 
-def bordered(s, z, rho):
-    """M = [[diag(s), z], [0, rho]], whose singular values those of [A | b] equal."""
-    n = len(s)
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n], M[:n, n], M[n, n] = np.diag(s), z, rho
-    return M
-
-
-def arrowhead_count(s, z, rho, x):
-    """Singular values of bordered(s, z, rho) above x, and its sigma_1, as stacks of one."""
-    s, z, rho = np.asarray(s, dtype=float)[None], np.asarray(z, dtype=float)[None], np.array([rho], dtype=float)
-    sigma1 = _arrowhead_sigma1(s, z, rho)
-    return int(_arrowhead_count(s, z, rho, np.array([x], dtype=float), sigma1)[0]), float(sigma1[0])
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 30])
-def test_arrowhead_count_matches_svd(n):
-    rng = rng_stream(80 + n)
-    for _ in range(25):
-        s = -np.sort(-(10.0 ** rng.uniform(-6, 0, n)))
-        z = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 0, n)
-        rho = rng.standard_normal() * 10.0 ** rng.uniform(-6, 0)
-        sv = np.linalg.svd(bordered(s, z, rho), compute_uv=False)
-        # thresholds at least 2x away from every singular value, well above the SVD's round-off
-        xs = [(0, 2 * sv[0])] + [(i + 1, math.sqrt(sv[i] * sv[i + 1]))
-                                 for i in range(n) if sv[i] >= 4 * sv[i + 1] and sv[i + 1] > 1e-10 * sv[0]]
-        if sv[-1] > 1e-10 * sv[0]:
-            xs.append((n + 1, sv[-1] / 2))
-        for want, x in xs:
-            count, sigma1 = arrowhead_count(s, z, rho, x)
-            assert count == want
-            assert sigma1 == pytest.approx(sv[0], rel=1e-13)
-
-
-def test_arrowhead_count_at_ties_and_on_the_threshold():
+@pytest.mark.parametrize("factor", [1.0, 1e300])
+def test_a_threshold_at_or_above_sigma1_counts_nothing(monkeypatch, factor):
+    # the certificate leaves the system, so the values-only SVD of its triangle gives
+    # rank([A | b]); sigma_1 of A and of [A | b] is 2, and tau = factor * 2 counts nothing
+    svds = counted_svds(monkeypatch)
     with np.errstate(all="raise"):
-        # tied s_i, one of them with a zero border entry
-        s, z, rho = [1.0, 1.0, 0.5], [0.3, 0.0, 0.4], 0.1
-        sv = np.linalg.svd(bordered(s, z, rho), compute_uv=False)
-        for x in (0.05, 0.2, 0.75, 1.02, 2.0):
-            count, sigma1 = arrowhead_count(s, z, rho, x)
-            assert count == np.count_nonzero(sv > x)
-            assert sigma1 == pytest.approx(sv[0], rel=1e-14)
-        # a border entry too small to move the 2 x 2 start off its pole s_1^2
-        assert arrowhead_count([1.0, 0.5], [1e-9, 0.0], 0.0, 0.7) == (1, 1.0)
-        # no border at all: sigma_1 is the largest of s and rho, exactly
-        assert arrowhead_count([1.0, 1.0], [0.0, 0.0], 2.0, 0.5) == (3, 2.0)
-        assert arrowhead_count([1.0, 1.0], [0.0, 0.0], 0.5, 0.7) == (2, 1.0)
-        # x == s_i: a coupled zero pivot, and an uncoupled one, which is not above x
-        s, z, rho = [1.0, 0.25], [0.1, 0.2], 0.05
-        sv = np.linalg.svd(bordered(s, z, rho), compute_uv=False)
-        assert arrowhead_count(s, z, rho, 0.25)[0] == np.count_nonzero(sv > 0.25) == 2
-        assert arrowhead_count(s, [0.1, 0.0], rho, 0.25)[0] == 1
-        # two coupled zero pivots leave one row singular
-        s, z = [1.0, 0.25, 0.25], [0.1, 0.2, 0.3]
-        sv = np.linalg.svd(bordered(s, z, 0.0), compute_uv=False)
-        assert arrowhead_count(s, z, 0.0, 0.25)[0] == np.count_nonzero(sv > 0.25) == 2
-        # a threshold at or above sigma_1 counts nothing, however large
-        assert arrowhead_count([1.0], [0.0], 0.0, 1.0)[0] == 0
-        assert arrowhead_count([1.0], [1.0], 1.0, 1e300)[0] == 0
-        assert _rank_augmented(np.ones((1, 1)), np.ones((1, 1)), np.ones(1), Tolerance(1e300), (2, 2))[0] == 0
-
-
-def test_arrowhead_sigma1_of_a_stack_equals_separate_ones():
-    # trials converge after different numbers of Newton steps; each stops at its own
-    rng = rng_stream(81)
-    n, T = 12, 40
-    s = -np.sort(-(10.0 ** rng.uniform(-8, 0, (T, n))), axis=1)
-    z = rng.standard_normal((T, n)) * 10.0 ** rng.uniform(-8, 0, (T, 1))
-    rho = rng.standard_normal(T) * 10.0 ** rng.uniform(-8, 0, T)
-    z[::5] = 0.0  # no border: the start is the root
-    stacked = _arrowhead_sigma1(s, z, rho)
-    for t in range(T):
-        assert stacked[t] == _arrowhead_sigma1(s[t : t + 1], z[t : t + 1], rho[t : t + 1])[0], t
+        sol = _solve_augmented(np.array([[[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]]), Tolerance(factor))
+    assert [uv for _, uv in svds] == [True, False]
+    assert (sol.rank[0], sol.rank_augmented[0]) == (0, 0)
 
 
 def test_impossible_rank_augmented_is_borderline(monkeypatch):
     # appending a column keeps rank([A | b]) in {rank(A), rank(A) + 1} in exact arithmetic;
     # a count outside those, which only round-off could give, must not read as decided.
     # A's small singular value, 45 eps, is decided (tau = 3 eps) but too close to the
-    # threshold for the certificate (20 t_hi = 67 eps), so the count is reached
+    # threshold for the certificate (20 t_hi = 67 eps), so the vectors path is reached;
+    # its values-only SVD is made to return r unit singular values, a count of r
     A, b = np.diag([1.0, 45 * np.finfo(float).eps, 0.0])[:, :2], np.array([0.0, 0.0, 1.0])
     assert solve_one(A, b)[2:] == [2, 3, False]
+    svd = np.linalg.svd
     for rank_augmented, borderline in ((1, True), (2, False), (3, False), (4, True)):
-        monkeypatch.setattr(numrank, "_rank_augmented",
-                            lambda *args, r=rank_augmented: (np.array([r]), np.array([False])))
+        def forced(a, *args, r=rank_augmented, **kwargs):
+            return svd(a, *args, **kwargs) if kwargs.get("compute_uv", True) else np.ones((len(a), r))
+
+        monkeypatch.setattr(np.linalg, "svd", forced)
         assert solve_one(A, b)[2:] == [2, rank_augmented, borderline]
+
+
+def engine_system(manifold, k, seed, trial, f=None):
+    """The reduced [Y | c] system that recovery_experiment(manifold, k, ..., seed) solves
+    for a trial, or with the weights f in place of the trial's own."""
+    P = manifold.sample_batch(k, seed, [sample_stream(k, trial)])
+    f = rng_stream(seed, aux_stream(k, trial)).random(k) if f is None else f
+    (_, systems), = _forward_systems(manifold, P, f[None], Tolerance())
+    return systems[0]
+
+
+def vectors_path(Ab, rows):
+    """The solution of one system [A | b] standing for one of the given row count, and the
+    inputs of its two vectors-path SVDs: A's block and the scaled triangle (None, None
+    where the system is certified)."""
+    with pytest.MonkeyPatch.context() as patch:
+        svds = counted_svds(patch)
+        sol = _solve_augmented(Ab[None], Tolerance(), rows)
+    if not svds:
+        return sol, None, None
+    (block, _), (R, _) = svds
+    return sol, block[0], R[0]
+
+
+# sphere:1 systems at k = 30 with a singular value of the scaled triangle near the
+# threshold t: (rank of A, rank of [A | b], borderline), the value's index and its
+# ratio to t, which 50-digit singular values confirm.  The first, trial 25 of seed 2,
+# has sigma_24 inside the 10x band; the second, trial 175 of seed 3 with the weights
+# default_rng(0).random((200, 30))[175], has sigma_21 just below t
+NEAR_ROWS = 4 * 30  # the d^2 k rows of [Y | c] on sphere:1 at k = 30
+NEAR_THRESHOLD = [
+    ("seed2-trial25", lambda: engine_system(UnitSphere(1), 30, 2, 25), (23, 23, True), 23, 0.1025),
+    ("seed3-trial175", lambda: engine_system(UnitSphere(1), 30, 3, 175, np.random.default_rng(0).random((200, 30))[175]),
+     (21, 20, True), 20, 0.978),
+]
+
+
+@pytest.mark.parametrize("name, system, verdict, index, ratio", NEAR_THRESHOLD, ids=[c[0] for c in NEAR_THRESHOLD])
+def test_rank_augmented_near_the_threshold(name, system, verdict, index, ratio):
+    sol, _, R = vectors_path(system(), NEAR_ROWS)
+    assert (sol.rank[0], sol.rank_augmented[0], sol.borderline[0]) == verdict
+    s = np.linalg.svd(R, compute_uv=False)
+    assert s[index] / Tolerance().threshold((NEAR_ROWS, 31), s[0]) == pytest.approx(ratio, rel=1e-3)
+
+
+def reference_verdict(mpmath, R, rows):
+    """The rank and near flag of the 50-digit singular values of a triangle R under the
+    default tolerance for rows x (n+1) matrices, or None where one lies within 1e-8
+    relative of t/10, t or 10 t, which round-off in double could put either side."""
+    with mpmath.workdps(50):
+        s = mpmath.svd_r(mpmath.matrix(R.tolist()), compute_uv=False)
+        s = [s[i] for i in range(len(s))]
+        t = max(rows, len(R)) * mpmath.mpf(np.finfo(float).eps) * max(s)
+        if any(abs(v - edge) <= 1e-8 * edge for v in s for edge in (t / 10, t, 10 * t)):
+            return None
+        return sum(v > t for v in s), any(t / 10 < v < 10 * t for v in s)
+
+
+def reference_systems():
+    """(name, rows, vectors_path of the system): the first six vectors-path systems of
+    seed 1 in four cells, and the near-threshold systems."""
+    for manifold, k in ((Euclidean(1), 6), (Euclidean(2), 10), (Euclidean(3), 12), (UnitSphere(1), 12)):
+        rows, found = manifold.coord_dim ** 2 * k, 0
+        for trial in range(40):
+            path = vectors_path(engine_system(manifold, k, 1, trial), rows)
+            if path[2] is not None:
+                yield f"{manifold} k={k} trial {trial}", rows, path
+                found += 1
+                if found == 6:
+                    break
+    for name, system, *_ in NEAR_THRESHOLD:
+        yield name, NEAR_ROWS, vectors_path(system(), NEAR_ROWS)
+
+
+def test_vectors_path_verdicts_match_50_digit_singular_values():
+    mpmath = pytest.importorskip("mpmath")
+    compared = 0
+    for name, rows, (sol, block, R) in reference_systems():
+        want = reference_verdict(mpmath, R, rows)
+        if want is None:
+            continue
+        rank, near = want
+        # A's part of the flag, from the values of the solve's own SVD of A's block
+        s = np.linalg.svd(block, full_matrices=False)[1][None]
+        near_A = numrank._near(s, Tolerance().threshold((rows, len(block)), s[:, 0]))[0]
+        assert sol.rank_augmented[0] == rank, name
+        assert sol.borderline[0] == (near or near_A or rank not in (sol.rank[0], sol.rank[0] + 1)), name
+        compared += 1
+    assert compared >= 24
 
 
 def edge_systems():
@@ -526,6 +556,7 @@ def edge_systems():
     yield "zero-k1", np.zeros((5, 1)), rng.standard_normal(5), (0, 1)
     yield "zero-k1-b0", np.zeros((5, 1)), np.zeros(5), (0, 0)
     yield "b0", A, np.zeros(6), (3, 3)
+    yield "deficient-b0", np.diag([1.0, 0.5, 0.0]), np.zeros(3), (2, 2)  # the vectors path
     A = rng.integers(-4, 5, (6, 3)).astype(float)
     yield "b-in-range", A, A @ np.array([1.0, -2.0, 3.0]), (3, 3)  # exact: small integers
     yield "general", A, rng.standard_normal(6), (3, 4)

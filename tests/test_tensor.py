@@ -363,6 +363,12 @@ class TestReducedRecovery:
         row = recovery_experiment(UnitSphere(1), 12, trials=50, seed=1)[7]
         assert (row.rank_Y, row.rank_augmented, row.borderline) == (8, 7, True)
 
+    def test_value_in_the_band_is_borderline(self):
+        # sigma_24 of [Y | c] on this circle trial sits at 0.1025 tau, inside the 10x band
+        # (test_numrank checks it against 50-digit singular values)
+        row = recovery_experiment(UnitSphere(1), 30, trials=40, seed=2)[25]
+        assert (row.rank_Y, row.rank_augmented, row.unique, row.borderline) == (23, 23, False, True)
+
     # the recover_large benchmark's cells, then circle, 3-sphere and line/space ones
     LADDER_CELLS = [(UnitSphere(2), 200, 1), (UnitSphere(2), 600, 1), (UnitSphere(2), 20, 100),
                     (Euclidean(2), 10, 100), (UnitSphere(1), 12, 50), (UnitSphere(3), 10, 50),
