@@ -78,19 +78,21 @@ class _Parser(argparse.ArgumentParser):
 def parse_manifold(text: str):
     """Parse 'sphere:<n>' or 'euclid:<n>[:box=a,b]' into a manifold."""
     kind, *rest = text.split(":")
+    options = {}
     try:
-        if kind == "sphere" and len(rest) == 1:
-            return UnitSphere(int(rest[0]))
-        if kind == "euclid" and len(rest) == 1:
-            return Euclidean(int(rest[0]))
-        if kind != "euclid" or len(rest) != 2 or not rest[1].startswith("box="):
+        if kind not in ("sphere", "euclid") or not 1 <= len(rest) <= (1 if kind == "sphere" else 2):
             raise ValueError
-        n, box = int(rest[0]), tuple(float(x) for x in rest[1][4:].split(","))
+        n = int(rest[0])
+        if len(rest) == 2:
+            if not rest[1].startswith("box="):
+                raise ValueError
+            options["box"] = tuple(float(x) for x in rest[1][4:].split(","))
     except ValueError:
         raise CliError(
             f"bad manifold spec {text!r}; expected sphere:<n> or euclid:<n>[:box=a,b]"
         ) from None
-    return Euclidean(n, box=box)  # a degenerate box raises its own ValueError
+    # a dimension below 1 or a degenerate box raises the space's own ValueError
+    return (UnitSphere if kind == "sphere" else Euclidean)(n, **options)
 
 
 def _int_list(text: str) -> list[int]:
@@ -389,7 +391,7 @@ def cmd_tensor(args) -> str:
     field = outer_field(manifold, _trial0_sample(manifold, args))
     psi, _ = trace_system(field)
     policy = Tolerance(args.tol_factor)
-    verdicts = _system_verdicts(manifold, field.sample.points[None], field.eta[None], policy)
+    verdicts = _system_verdicts(manifold, field.sample.points[None], field.eta[None], policy, ("Y", "Z"))
     (rank_Y, borderline_Y), (rank_Z, borderline_Z) = (
         (int(rank[0]), bool(borderline[0])) for rank, borderline in (verdicts["Y"], verdicts["Z"]))
     report_psi = rank_report(psi, policy)

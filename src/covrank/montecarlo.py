@@ -10,16 +10,16 @@ One trial engine serves every experiment.  A k's samples come from one
 ``sample_batch`` call (or one per _CHUNK_BYTES of samples), which it cuts
 into chunks of consecutive trials whose matrices it stacks and measures with
 one stacked factorization, giving the same bits as factorizing each trial
-alone.  A rank-law chunk gives its settled spectra (``numrank._spectra``): a
-matrix equal to its transpose bit for bit (every kernel matrix, Z on R^n, Y on
-R^1) is eigensolved first, and the SVD settles the trials it flags.  Y and Z
-are measured on tangent-frame reductions, by the path of ``covrank tensor``
-without its certificate (``tensor._system_reports``), since the engine reads
-spectra.  The spectra of all of a k's chunks fill one
-(trials, width) array, which gets one verdict (``numrank._verdicts``); a
-condition-sweep cell likewise, its chunks mostly taking the eigensolve alone,
-since its rows report every trial's spectral ratio.  Results are therefore
-independent of the chunking, and aggregation is by trial index.
+alone.  A kernel chunk gives its settled spectra (``numrank._spectra``): a
+matrix equal to its transpose bit for bit, as every kernel matrix is, is
+eigensolved first, and the SVD settles the trials it flags.  The spectra of all
+of a k's chunks fill one (trials, k) array, which gets one verdict
+(``numrank._verdicts``); a condition-sweep cell likewise, its chunks mostly
+taking the eigensolve alone, since its rows report every trial's spectral
+ratio.  A Y or Z chunk takes its verdicts from ``covrank tensor``'s path
+(``tensor._system_verdicts``: tangent-frame reductions, the tall ones certified
+first).  Results are therefore independent of the chunking, and aggregation is
+by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
 written with 17 significant digits so files round-trip exactly.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -36,15 +37,15 @@ import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import _ManifoldBase, rng_streams
-from .numrank import DEFAULT_TOLERANCE, BatchedRankReport, Tolerance, _singular_values, _spectra, _validated, _verdicts
+from .numrank import DEFAULT_TOLERANCE, Tolerance, _singular_values, _spectra, _validated, _verdicts
 from .tensor import (
     RankBoundError,
     _enforce_bound,
     _forward_systems,
     _recoveries,
-    _system_reports,
     _system_rows,
     _system_shape,
+    _system_verdicts,
 )
 
 __all__ = [
@@ -98,8 +99,12 @@ class ExperimentConfig:
     tolerance: Tolerance = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.k_values)
+        try:  # numpy integers pass; 7.9 is refused, which int() would run as k = 7
+            ks, trials = tuple(map(operator.index, self.k_values)), operator.index(self.trials)
+        except TypeError:
+            raise ValueError(f"k_values and trials must be integers: {self.k_values!r}, {self.trials!r}") from None
         object.__setattr__(self, "k_values", ks)
+        object.__setattr__(self, "trials", trials)
         if not ks or any(k < 1 for k in ks):
             raise ValueError("k_values must be non-empty with every k >= 1")
         if self.trials < 1:
@@ -183,17 +188,20 @@ def _sample_chunks(cfg: ExperimentConfig, k: int, trial_bytes: int) -> Iterator[
             yield first + start, samples[start:start + size]
 
 
-def _trial_reports(cfg: ExperimentConfig, k: int, system: str) -> BatchedRankReport:
-    """Rank reports of the kernel, Y or Z matrix of every trial at size k: each chunk's
-    settled spectra are written into one (trials, width) array, which gets one verdict."""
+def _trial_verdicts(cfg: ExperimentConfig, k: int, system: str) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical ranks and borderline flags (trials,) of the kernel, Y or Z matrix of every
+    trial at size k: the Y or Z chunks' verdicts in trial order, or the one verdict of a
+    (trials, k) array that each kernel chunk's settled spectra fill."""
     manifold, d, tolerance = cfg.manifold, cfg.manifold.coord_dim, cfg.tolerance
-    kernel = system == "kernel"
-    shape = (k, k) if kernel else _system_shape(manifold, k, system)
-    s = np.empty((cfg.trials, min(shape)))
-    for start, P in _sample_chunks(cfg, k, 8 * k * k * (d if kernel else d * d)):
-        s[start:start + len(P)] = (_spectra(_validated(cfg.kernel.pairwise(P), ndim=3), tolerance) if kernel
-                                   else _system_reports(manifold, P, manifold.pairwise_log(P), tolerance, system))
-    return _verdicts(s, tolerance, shape)
+    if system != "kernel":
+        chunks = [_system_verdicts(manifold, P, manifold.pairwise_log(P), tolerance, (system,))[system]
+                  for _, P in _sample_chunks(cfg, k, 8 * k * k * d * d)]
+        return tuple(np.concatenate(verdicts) for verdicts in zip(*chunks))
+    s = np.empty((cfg.trials, k))
+    for start, P in _sample_chunks(cfg, k, 8 * k * k * d):
+        s[start:start + len(P)] = _spectra(_validated(cfg.kernel.pairwise(P), ndim=3), tolerance)
+    report = _verdicts(s, tolerance, (k, k))
+    return report.numerical_rank, report.borderline
 
 
 # --- experiments -----------------------------------------------------------
@@ -203,7 +211,7 @@ def fullrank_probability(cfg: ExperimentConfig, k: int) -> float:
     """Fraction of trials whose k x k kernel matrix has numerical rank k."""
     if cfg.kernel is None:
         raise ValueError("config needs a kernel for kernel-matrix experiments")
-    return float(np.mean(_trial_reports(cfg, k, "kernel").numerical_rank == k))
+    return float(np.mean(_trial_verdicts(cfg, k, "kernel")[0] == k))
 
 
 def _system_bound(cfg: ExperimentConfig, system: str):
@@ -237,8 +245,8 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
     bound, expected_for = _system_bound(cfg, system)
     rows = []
     for k in cfg.k_values:
-        reports = _trial_reports(cfg, k, system)
-        ranks, borderline = reports.numerical_rank, reports.borderline
+        ranks, borderline = _trial_verdicts(cfg, k, system)
+        width = k if system == "kernel" else min(_system_shape(cfg.manifold, k, system))
         _enforce_bound(system, int(ranks.max()), bound, k)
         expected = expected_for(k)
         solid = ~borderline
@@ -255,7 +263,7 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
                 rank_min=int(ranks.min()),
                 rank_max=int(ranks.max()),
                 equality_fraction=equality,
-                fullrank_fraction=float(np.mean(ranks == reports.singular_values.shape[1])),
+                fullrank_fraction=float(np.mean(ranks == width)),
                 borderline_fraction=float(np.mean(borderline)),
             )
         )
@@ -285,21 +293,21 @@ def condition_sweep(
     rows read every trial's spectrum, not only its verdict.
     """
     alphas = [float(a) for a in alphas]
-    k_values = [int(k) for k in k_values]
+    k_values = tuple(k_values)
     if not alphas or not k_values:
         raise ValueError("need at least one alpha and one k")
     for alpha in alphas:
         if not math.isfinite(alpha):
             raise ValueError(f"distance shift alpha must be finite, got {alpha!r}")
     cfg = ExperimentConfig(
-        manifold=manifold, kernel=None, k_values=tuple(k_values), trials=trials, seed=seed,
+        manifold=manifold, kernel=None, k_values=k_values, trials=trials, seed=seed,
         tolerance=tolerance,
     )
     finite = manifold._proven_ranks().get("sqdist") is not None
     symmetric = [alpha != 0.0 or not finite for alpha in alphas]
     cells = {}
     for k in cfg.k_values:
-        per_alpha = [np.empty((trials, k)) for _ in alphas]
+        per_alpha = [np.empty((cfg.trials, k)) for _ in alphas]
         for start, P in _sample_chunks(cfg, k, 8 * k * k * manifold.coord_dim):
             dist = manifold.pairwise_distance(P)
             for s, alpha, sym in zip(per_alpha, alphas, symmetric):
@@ -351,7 +359,8 @@ def recovery_experiment(
         manifold=manifold, kernel=None, k_values=(k,), trials=trials, seed=seed,
         tolerance=tolerance,
     )
-    weights = rng_streams(seed, (aux_stream(k, t) for t in range(trials)))
+    (k,) = cfg.k_values
+    weights = rng_streams(seed, (aux_stream(k, t) for t in range(cfg.trials)))
     rows = []
     for _, P in _sample_chunks(cfg, k, 8 * _system_rows(manifold, k) * (k + 1)):
         f0 = np.stack([next(weights).random(k) for _ in P])

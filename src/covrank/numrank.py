@@ -14,12 +14,12 @@ eigensolve, whose |eigenvalues| are the singular values, and only those it
 flags borderline are factored again by the stacked SVD; every other matrix
 takes the SVD alone.  ``batched_rank_report`` and its one-matrix case
 ``rank_report`` are the verdicts of one stack's spectra.  The rank-law engine
-(``montecarlo``) measures a k's trials in chunks, ``tensor._system_reports``
-settling the spectra of reduced Y and Z with the full shapes' thresholds, and
-takes one verdict per k.  ``covrank tensor`` certifies its tall reduced Y and Z
-first, by test (a) of the recovery certificate below (``_certify_columns``),
-and only the trials left take the spectra and their verdicts.  The condition
-sweep keeps its own rule (``montecarlo.condition_sweep``).  Least squares
+(``montecarlo``) measures a k's kernel trials in chunks and takes one verdict
+per k.  Its Y and Z verdicts and those of ``covrank tensor`` come from one path
+(``tensor._system_verdicts``), which certifies tall reduced Y and Z first, by
+test (a) of the recovery certificate below (``_certify_columns``), and gives
+only the trials left the spectra, with the full shapes' thresholds, and their
+verdicts.  The condition sweep keeps its own rule (``montecarlo.condition_sweep``).  Least squares
 (``_solve_augmented``, behind ``tensor.recover`` and the recovery experiments)
 follows Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder
 QR of the augmented systems [A | b], then a two-step ladder on the

@@ -40,13 +40,13 @@ take one stacked SVD with vectors of Y's block, and one values-only SVD of the
 triangle for rank [Y | c]) solve either, thresholded for the
 shapes of the unreduced system; ``recovery_experiment`` runs the same path batched
 over trials.  The reduction stays inside the solve: Y, C and the layout-v1
-dump are unchanged.  The rank-law engine and ``covrank tensor`` measure the Y
-and Z ranks on such reductions too, by one batched path (``_system_reports``):
+dump are unchanged.  The rank-law engine and ``covrank tensor`` take their Y
+and Z verdicts on such reductions too, from one batched path (``_system_verdicts``):
 Y on the Y rows of that system, Z on its nk columns along the tangent spaces,
-as rank Z <= nk on S^n.  ``covrank tensor`` certifies its tall reductions first
-(``_system_verdicts``): one QR and one triangular inverse, the test recover's
-certificate makes of A, settle a full-rank Y or Z with no singular value, and
-the SVD measures only the trials the certificate leaves.
+as rank Z <= nk on S^n.  A tall reduction is certified first: one QR and one
+triangular inverse, the test recover's certificate makes of A, settle a
+full-rank Y or Z with no singular value, and the SVD measures only the trials
+the certificate leaves.
 """
 
 from __future__ import annotations
@@ -305,46 +305,28 @@ def _reduced_stacks(
             yield trials, _Z_array(eta[trials], V[trials, ..., :dims])
 
 
-def _system_reports(
-    manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, policy: Tolerance, system: str
-) -> np.ndarray:
-    """The settled singular values (T, width) of layout-v1 Y or Z (system) of point stacks
-    P (T, k, d) with log vectors eta = manifold.pairwise_log(P), measured on orthogonally
-    equivalent reductions (``_reduced_stacks``) but thresholded for the full shapes
-    (``_system_shape``), whose ``numrank._verdicts`` are the trials' reports.  Z's
-    dropped singular values are reported as their exact value 0.  Every stack takes the
-    one verdict rule's measurement (``numrank._spectra``), and each trial's values
-    equal, bit for bit, those of a stack holding only that trial.
-    """
-    rows, width = _system_shape(manifold, P.shape[1], system)
-    V, _ = _frame_coordinates(manifold, P, eta)
-    s = np.zeros((len(P), width))
-    for trials, a in _reduced_stacks(manifold, V, eta, policy, system):
-        s[trials, :a.shape[2]] = _spectra(a, policy, rows)
-    return s
-
-
 def _system_verdicts(
-    manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, policy: Tolerance
+    manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, policy: Tolerance, systems: tuple[str, ...]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Ranks and borderline flags (T,) of layout-v1 Y and Z, keyed by system, of point stacks
-    P (T, k, d) with log vectors eta = manifold.pairwise_log(P): the verdicts of
-    ``_system_reports``, with a certificate in front.
+    """Ranks and borderline flags (T,) of layout-v1 Y or Z, keyed by each system of systems,
+    of point stacks P (T, k, d) with log vectors eta = manifold.pairwise_log(P), measured
+    on orthogonally equivalent reductions (``_reduced_stacks``) but thresholded for the
+    full shapes (``_system_shape``); each trial's are those of a stack of it alone.
 
-    A tall reduced stack (``_reduced_stacks``) goes through ``numrank._certify_columns``
-    first, thresholded for the full shape, unless the space's proven bound lies below its
-    width, as Y's does on R^n past k = (n+1)(n+2)/2.  A certified trial has the reduced
-    width as its rank, Z's dropped values being 0, and no value near the threshold, so
-    it is not borderline; it takes no SVD.  Every other trial, and every square stack
-    (whole Z, Y on S^1 and R^1), takes the verdicts of its settled singular values
-    (``numrank._spectra``).  The frames and ||Y 1|| are computed once for both systems.
+    A tall reduced stack goes through ``numrank._certify_columns`` first, unless the
+    space's proven bound lies below its width, as Y's does on R^n past k = (n+1)(n+2)/2.
+    A certified trial has the reduced width as its rank, Z's dropped values being 0, and
+    no value near the threshold, so it is not borderline; it takes no SVD.  Every other
+    trial, and every square stack (whole Z, Y on S^1 and R^1), takes the verdicts
+    (``numrank._verdicts``) of its settled singular values (``numrank._spectra``).  The
+    frames and ||Y 1|| are computed once per call.
     """
     k = P.shape[1]
     V, _ = _frame_coordinates(manifold, P, eta)
     ones = None if manifold.n == manifold.coord_dim else _sum_norms(V)
     proven = manifold._proven_ranks()
     verdicts = {}
-    for system in ("Y", "Z"):
+    for system in systems:
         shape = _system_shape(manifold, k, system)
         bound = proven.get(system)
         rank, borderline = np.empty(len(P), int), np.zeros(len(P), bool)

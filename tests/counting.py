@@ -44,6 +44,19 @@ def counted_solves(monkeypatch):
     return calls
 
 
+def counted_qrs(monkeypatch):
+    """The input of every np.linalg.qr call made from now on."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
 def assert_leaf_inverses(inverses, RA):
     """The inputs of np.linalg.inv are diagonal blocks of the triangles RA (T, n, n), each
     at most numrank._LEAF wide, that cover the diagonal once, in order."""

@@ -23,9 +23,9 @@ from covrank import (
 )
 from covrank.montecarlo import fmt17, sample_stream
 from covrank import tensor
-from covrank.numrank import _verdicts
-from covrank.tensor import _frame_coordinates, _reduced_stacks, _system_reports, _system_shape
+from covrank.tensor import _frame_coordinates, _reduced_stacks
 from counting import assert_leaf_inverses, counted_inverses, counted_svds
+import reference
 
 # a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
 GOLDEN_SIGMA = Path(__file__).parent / "golden" / "tensor.Sigma.csv"
@@ -38,10 +38,9 @@ def run(capsys, *argv):
 
 
 def system_report(field, system):
-    """The report of tensor's Y/Z path for one field: the verdict of its spectra."""
-    P, eta = field.sample.points[None], field.eta[None]
-    spectra = _system_reports(field.manifold, P, eta, Tolerance(), system)
-    return _verdicts(spectra, Tolerance(), _system_shape(field.manifold, field.k, system))[0]
+    """The reference report of one field's Y or Z: the verdict of its spectra."""
+    return reference.system_report(field.manifold, field.sample.points[None], field.eta[None], Tolerance(),
+                                   system)[0]
 
 
 def summary_value(line, key):
@@ -74,6 +73,12 @@ class TestManifoldGrammar:
     def test_rejects(self, bad):
         with pytest.raises(Exception):
             parse_manifold(bad)
+
+    @pytest.mark.parametrize("spec", ["sphere:0", "euclid:0", "euclid:-1", "euclid:0:box=0,1"])
+    def test_a_bad_dimension_is_the_space_s_own_error(self, spec):
+        # the grammar is fine; the space refuses the dimension, with its own message
+        with pytest.raises(ValueError, match="^dimension must be positive$"):
+            parse_manifold(spec)
 
 
 class TestRankCommand:
@@ -625,6 +630,9 @@ class TestFailureReports:
             # ranks above the bounds the space proves, under a tolerance far below round-off
             (["tensor", "--manifold", "euclid:2", "--k", "20", "--tol-factor", "1e-30"], 2),
             (["recover", "--manifold", "euclid:2", "--k", "20", "--tol-factor", "1e-30", "--out", "r.csv"], 2),
+            # a dimension the space refuses
+            (["sample", "--manifold", "sphere:0", "--k", "3"], 1),
+            (["rank", "--manifold", "euclid:0", "--kernel", "sqdist", "--k", "5"], 1),
         ],
         ids=["rank-bound", "recover-trials", "cond-trials", "cond-threads", "recover-threads",
              "rank-threads", "sample-threads", "sample-tol", "alpha-tol", "rank-k-pair",
@@ -635,7 +643,7 @@ class TestFailureReports:
              "recover-file-k", "recover-file-manifold", "recover-overflow",
              "alpha-overflow", "rank-shift-overflow", "tensor-overflow", "sample-box-tiny",
              "rank-box-tiny", "tensor-box-tiny", "recover-box-tiny", "cond-box-tiny", "alpha-box-tiny",
-             "tensor-bound", "recover-bound"],
+             "tensor-bound", "recover-bound", "sample-sphere-0", "rank-euclid-0"],
     )
     def test_one_line_and_exit_code(self, capsys, monkeypatch, tmp_path, argv, code):
         monkeypatch.chdir(tmp_path)  # a wrongly accepted --out writes here

@@ -5,11 +5,11 @@ with ``Kernel.pairwise`` or ``outer_field`` and measures it one trial at a
 time, spelling the verdict rule out: a matrix equal to its transpose bit for
 bit by a one-matrix symmetric eigensolve (``reference.factorization_report``),
 then by the SVD if that flags it borderline, any other matrix by the SVD, and
-eigensolved condition-sweep cells by the eigensolve alone.  Y, which the engine measures on
-tensor's reductions, is referenced by one-trial stacks of that path, and its
-verdicts are compared with the full matrices' separately.  The engine stacks
-trials into chunks and must give the same bits, on inputs the benchmark does
-not cover.
+eigensolved condition-sweep cells by the eigensolve alone.  Y, whose verdicts the
+engine takes from tensor's certified path on its reductions, is referenced by the
+verdicts of one-trial stacks of those reductions' spectra (``reference.system_spectra``),
+and compared with the full matrices' verdicts separately.  The engine stacks trials
+into chunks and must give the same bits, on inputs the benchmark does not cover.
 """
 
 import math
@@ -30,6 +30,7 @@ from covrank import (
     fullrank_probability,
     outer_field,
     parse_kernel,
+    rank_law_sweep,
     recover,
     recovery_experiment,
     rng_stream,
@@ -38,10 +39,10 @@ from covrank import (
 from covrank.manifold import rng_streams
 import covrank.montecarlo
 import covrank.numrank
-from covrank.montecarlo import _CHUNK_BYTES, _sample_chunks, _trial_reports, aux_stream, sample_stream
-from covrank.numrank import _verdicts
-from covrank.tensor import _frame_coordinates, _reduced_Y, _system_reports, _system_rows, _system_shape, _Z_array
-from reference import euclidean_distances, factorization_report
+from covrank.montecarlo import _CHUNK_BYTES, _sample_chunks, _trial_verdicts, aux_stream, sample_stream
+from covrank.tensor import _frame_coordinates, _reduced_Y, _system_rows, _system_verdicts, _Z_array
+from counting import counted_qrs, counted_svds
+from reference import euclidean_distances, factorization_report, system_report, system_spectra
 
 
 def chunk_size(k, width):
@@ -75,6 +76,11 @@ def eigensolve_report(matrix, tolerance):
     return factorization_report(matrix[None], tolerance, symmetric=True)[0]
 
 
+def trial_points(cfg, k):
+    """The point stacks (trials, k, d) of every trial of cfg at size k."""
+    return cfg.manifold.sample_batch(k, cfg.seed, (sample_stream(k, t) for t in range(cfg.trials)))
+
+
 def reference_matrices(cfg, k, system):
     for t in range(cfg.trials):
         sample = cfg.manifold.sample_uniform(k, cfg.seed, stream=sample_stream(k, t))
@@ -86,13 +92,12 @@ def reference_matrices(cfg, k, system):
 
 
 def one_trial_reports(cfg, k, system):
-    """The reports of tensor's Y/Z path on one-trial stacks: the verdicts of their spectra."""
+    """The reports of the reduced Y or Z of one-trial stacks: the verdicts of their spectra."""
     reports = []
     for t in range(cfg.trials):
         field = outer_field(cfg.manifold, cfg.manifold.sample_uniform(k, cfg.seed, stream=sample_stream(k, t)))
         P, eta = field.sample.points[None], field.eta[None]
-        spectra = _system_reports(cfg.manifold, P, eta, cfg.tolerance, system)
-        reports.append(_verdicts(spectra, cfg.tolerance, _system_shape(cfg.manifold, k, system))[0])
+        reports.append(system_report(cfg.manifold, P, eta, cfg.tolerance, system)[0])
     return reports
 
 
@@ -112,6 +117,31 @@ def escalated_trials(cfg, k, system):
     """Trials whose matrix the eigensolve flags, so that the SVD settles it."""
     return [t for t, matrix in enumerate(reference_matrices(cfg, k, system))
             if (report := eigensolve_report(matrix, cfg.tolerance)) is not None and report.borderline]
+
+
+def engine_kernel_report(cfg, k, monkeypatch):
+    """The engine's kernel verdicts at size k, as the one report of all trials' spectra
+    that they were read from."""
+    seen = []
+
+    def verdicts(s, policy, shape):
+        seen.append(covrank.numrank._verdicts(s, policy, shape))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(covrank.montecarlo, "_verdicts", verdicts)
+        rank, borderline = _trial_verdicts(cfg, k, "kernel")
+    [report] = seen
+    assert np.array_equal(rank, report.numerical_rank) and np.array_equal(borderline, report.borderline)
+    return report
+
+
+def assert_verdicts_equal(verdicts, reference):
+    """The engine's (ranks, borderline flags) are the reference reports', trial by trial."""
+    rank, borderline = verdicts
+    assert rank.shape == borderline.shape == (len(reference),)
+    assert rank.tolist() == [ref.numerical_rank for ref in reference]
+    assert borderline.tolist() == [ref.borderline for ref in reference]
 
 
 def assert_reports_equal(batched, reference):
@@ -146,9 +176,9 @@ ESCALATED_TRIALS = 2 * chunk_size(12, 3) + 1
     ],
     ids=["shifted", "dot-cos", "box", "factor", "odd-trials", "one-per-chunk", "escalated-chunks"],
 )
-def test_kernel_reports_match_reference(manifold, kernel, tolerance, k, trials):
+def test_kernel_reports_match_reference(manifold, kernel, tolerance, k, trials, monkeypatch):
     cfg = make_config(manifold, kernel, k=k, trials=trials, tolerance=tolerance)
-    assert_reports_equal(_trial_reports(cfg, k, "kernel"), reference_reports(cfg, k, "kernel"))
+    assert_reports_equal(engine_kernel_report(cfg, k, monkeypatch), reference_reports(cfg, k, "kernel"))
 
 
 def test_chunking_cases_cross_chunk_boundaries():
@@ -178,9 +208,9 @@ def test_a_k_takes_one_draw_and_one_verdict(monkeypatch):
     for module in (covrank.montecarlo, covrank.numrank):
         monkeypatch.setattr(module, "_verdicts", counting(counts, "_verdicts", covrank.numrank._verdicts))
     monkeypatch.setattr(Euclidean, "sample_batch", counting(counts, "sample_batch", Euclidean.sample_batch))
-    reports = _trial_reports(cfg, k, "kernel")
+    verdicts = _trial_verdicts(cfg, k, "kernel")
     assert counts == {"_verdicts": 1, "sample_batch": 1}
-    assert_reports_equal(reports, reference)
+    assert_verdicts_equal(verdicts, reference)
 
 
 @pytest.mark.parametrize(
@@ -215,7 +245,7 @@ def test_draws_are_cut_into_the_chunks_of_per_chunk_draws(manifold, k, trials, d
 )
 def test_system_reports_match_reference(system, manifold, k):
     cfg = make_config(manifold, k=k, trials=2 * chunk_size(k, manifold.n**2) + 3)
-    assert_reports_equal(_trial_reports(cfg, k, system), reference_reports(cfg, k, system))
+    assert_verdicts_equal(_trial_verdicts(cfg, k, system), reference_reports(cfg, k, system))
 
 
 @pytest.mark.parametrize("system", ["Y", "Z"])
@@ -228,7 +258,7 @@ def test_sphere_systems_stay_on_the_svd(system, monkeypatch):
     k = 6
     cfg = make_config(UnitSphere(2), k=k, trials=2 * chunk_size(k, 9) + 3)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-    assert_reports_equal(_trial_reports(cfg, k, system), one_trial_reports(cfg, k, system))
+    assert_verdicts_equal(_trial_verdicts(cfg, k, system), one_trial_reports(cfg, k, system))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -241,13 +271,15 @@ def test_each_trial_keeps_or_drops_its_own_Z_columns(n):
     # 2.6 tau lift its rank above the proven n k.
     manifold, k = UnitSphere(n), 20
     cfg = make_config(manifold, k=k, trials=41, seed=0)
-    reports = _trial_reports(cfg, k, "Z")
-    assert_reports_equal(reports, one_trial_reports(cfg, k, "Z"))
-    whole = reports.singular_values[:, n * k:].all(axis=1)
-    assert not reports.singular_values[~whole, n * k:].any()
+    rank, borderline = _trial_verdicts(cfg, k, "Z")
+    assert_verdicts_equal((rank, borderline), one_trial_reports(cfg, k, "Z"))
+    P = trial_points(cfg, k)
+    spectra = system_spectra(manifold, P, manifold.pairwise_log(P), cfg.tolerance, "Z")
+    whole = spectra[:, n * k:].all(axis=1)
+    assert not spectra[~whole, n * k:].any()
     if n == 1:
         assert chunk_size(k, 4) == 20 and whole.all()
-        assert (reports.numerical_rank[0], reports.borderline[0]) == (22, True)
+        assert (rank[0], borderline[0]) == (22, True)
     else:
         assert np.count_nonzero(whole) == 10 and np.count_nonzero(whole[:chunk_size(k, 9)]) == 4
 
@@ -261,7 +293,7 @@ def test_circle_Y_chunks_mix_symmetric_and_asymmetric_trials():
     V, _ = _frame_coordinates(manifold, P, manifold.pairwise_log(P))
     Y = _reduced_Y(V, manifold.n)[:, 0]
     assert 0 < np.count_nonzero((Y == np.swapaxes(Y, 1, 2)).all(axis=(1, 2))) < len(Y)
-    assert_reports_equal(_trial_reports(cfg, k, "Y"), one_trial_reports(cfg, k, "Y"))
+    assert_verdicts_equal(_trial_verdicts(cfg, k, "Y"), one_trial_reports(cfg, k, "Y"))
 
 
 @pytest.mark.parametrize("manifold, ks", [(Euclidean(1), range(1, 14)), (Euclidean(2), range(1, 17)),
@@ -270,11 +302,45 @@ def test_reduced_Y_verdicts_are_those_of_the_full_Y(manifold, ks):
     # the reduction's Y is orthogonally equivalent to layout-v1 Y, thresholded for its shape
     for k in ks:
         cfg = make_config(manifold, k=k, trials=20, seed=1)
-        reports = _trial_reports(cfg, k, "Y")
+        rank, borderline = _trial_verdicts(cfg, k, "Y")
         full = batched_rank_report(np.stack(list(reference_matrices(cfg, k, "Y"))))
-        assert np.array_equal(reports.numerical_rank, full.numerical_rank), k
-        assert np.array_equal(reports.borderline, full.borderline), k
-        np.testing.assert_allclose(reports.tolerance_used, full.tolerance_used, rtol=1e-12)
+        assert np.array_equal(rank, full.numerical_rank), k
+        assert np.array_equal(borderline, full.borderline), k
+        P = trial_points(cfg, k)
+        reduced = system_report(manifold, P, manifold.pairwise_log(P), cfg.tolerance, "Y")
+        np.testing.assert_allclose(reduced.tolerance_used, full.tolerance_used, rtol=1e-12)
+
+
+@pytest.mark.parametrize("system", ["Y", "Z"])
+@pytest.mark.parametrize("manifold, ks", [(Euclidean(1), None), (Euclidean(2), None), (Euclidean(3), None),
+                                          (UnitSphere(1), range(1, 9)), (UnitSphere(2), range(1, 7))], ids=str)
+def test_engine_verdicts_are_those_of_tensor_on_one_trial(manifold, ks, system):
+    # the engine and `covrank tensor` share one Y/Z verdict path: every trial's verdict is
+    # that of its one-trial stack; on R^n k runs 3 past the proven bound, which rules
+    # the certificate out for Y there
+    for k in ks or range(1, manifold._proven_ranks()[system] + 4):
+        cfg = make_config(manifold, k=k, trials=25, seed=1)
+        P = trial_points(cfg, k)
+        alone = [_system_verdicts(manifold, P[t:t + 1], manifold.pairwise_log(P[t:t + 1]), cfg.tolerance,
+                                  (system,))[system] for t in range(cfg.trials)]
+        rank, borderline = _trial_verdicts(cfg, k, system)
+        assert rank.tolist() == [int(r[0]) for r, _ in alone], k
+        assert borderline.tolist() == [bool(b[0]) for _, b in alone], k
+
+
+@pytest.mark.parametrize("k, qrs", [(8, 1), (12, 0)])
+def test_engine_certifies_Y_only_within_the_proven_bound(k, qrs, monkeypatch):
+    # euclid:3 proves rank Y <= 10: at k = 8 one QR of the chunk's reduced Y, 6k x k,
+    # certifies all 50 trials and no SVD runs; at k = 12 the bound rules the
+    # certificate out, and the SVD measures every trial
+    cfg = make_config(Euclidean(3), k=k, trials=50, seed=5)
+    qr, svd = counted_qrs(monkeypatch), counted_svds(monkeypatch)
+    [row] = rank_law_sweep(cfg, "Y")
+    assert [a.shape for a in qr] == [(50, 6 * k, k)] * qrs
+    if qrs:
+        assert svd == [] and (row.rank_min, row.borderline_fraction) == (k, 0.0)
+    else:
+        assert sum(len(a) for a, _ in svd) == 50 and row.rank_max == 10
 
 
 def test_montecarlo_builds_no_layout_v1_matrix():
@@ -313,11 +379,11 @@ def test_ladder_agrees_with_the_svd(manifold, kernel, ks, moved):
             stack = cfg.kernel.pairwise(P) if kernel else _Z_array(eta, eta)
             svd = factorization_report(stack, cfg.tolerance)
             eig = factorization_report(stack, cfg.tolerance, symmetric=True)
-            ladder = _trial_reports(cfg, k, system)
+            _, ladder = _trial_verdicts(cfg, k, system)
             decided = ~eig.borderline
             assert np.array_equal(eig.numerical_rank[decided], svd.numerical_rank[decided]), (seed, k)
-            assert not (ladder.borderline & ~svd.borderline).any(), (seed, k)
-            settled += np.count_nonzero(svd.borderline & ~ladder.borderline)
+            assert not (ladder & ~svd.borderline).any(), (seed, k)
+            settled += np.count_nonzero(svd.borderline & ~ladder)
     assert settled == moved
 
 

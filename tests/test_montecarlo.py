@@ -224,6 +224,35 @@ class TestConfigValidation:
                 config(UnitSphere(2), trials=trials)
 
     @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: config(Euclidean(2), k_values=(7.9,)),
+            lambda: config(Euclidean(2), trials=2.5),
+            lambda: config(Euclidean(2), k_values=(7.0,)),
+            lambda: rank_law_sweep(config(Euclidean(2), k_values=(5, 7.9)), "Y"),
+            lambda: condition_sweep(Euclidean(2), [0.0], [7.9], trials=3, seed=1),
+            lambda: condition_sweep(Euclidean(2), [0.0], [7], trials=2.5, seed=1),
+            lambda: recovery_experiment(Euclidean(2), 7.9, trials=3, seed=1),
+            lambda: recovery_experiment(Euclidean(2), 7, trials=2.5, seed=1),
+        ],
+        ids=["config-k", "config-trials", "config-float-k", "rank-law-k", "cond-k", "cond-trials",
+             "recovery-k", "recovery-trials"],
+    )
+    def test_rejects_non_integral_k_and_trials(self, run):
+        # int() would run k = 7 for 7.9; range and << would raise a bare TypeError
+        with pytest.raises(ValueError, match="k_values and trials must be integers"):
+            run()
+
+    def test_numpy_integers_pass(self):
+        cfg = config(Euclidean(2), k_values=np.array([5, 7]), trials=np.int32(3))
+        assert cfg.k_values == (5, 7) and cfg.trials == 3
+        assert all(type(k) is int for k in cfg.k_values) and type(cfg.trials) is int
+        rows = condition_sweep(Euclidean(2), [0.0], np.array([4, 6]), trials=np.int64(2), seed=1)
+        assert [r.k for r in rows] == [4, 6]
+        rows = recovery_experiment(Euclidean(2), np.int64(4), trials=np.int64(2), seed=1)
+        assert [(r.trial, r.k) for r in rows] == [(0, 4), (1, 4)] and type(rows[0].k) is int
+
+    @pytest.mark.parametrize(
         "kernel_space, space",
         [(UnitSphere(2), Euclidean(3)), (Euclidean(2, box=(0.0, 2.0)), Euclidean(2)), (UnitSphere(3), UnitSphere(2))],
         ids=["sphere-on-cube", "other-box", "other-dimension"],

@@ -25,9 +25,8 @@ from covrank import (
 )
 from covrank import numrank, tensor
 from covrank.montecarlo import aux_stream, sample_stream
-from covrank.numrank import _verdicts
-from covrank.tensor import (_frame_coordinates, _reduced_stacks, _split, _system_reports, _system_shape,
-                            _system_verdicts)
+from covrank.tensor import _frame_coordinates, _reduced_stacks, _split, _system_verdicts
+from reference import system_report, system_spectra
 
 
 def sample_of(manifold, points):
@@ -447,8 +446,7 @@ class TestReducedRecovery:
         cov = sigma_field(near, np.ones(k))
         assert recover(near, cov).rank_Y == report.numerical_rank == k - 1
         P, eta = near.sample.points[None], near.eta[None]
-        spectra = _system_reports(near.manifold, P, eta, Tolerance(), "Y")
-        assert _verdicts(spectra, Tolerance(), _system_shape(near.manifold, k, "Y")).numerical_rank[0] == k - 1
+        assert system_report(near.manifold, P, eta, Tolerance(), "Y").numerical_rank[0] == k - 1
 
     def test_huge_right_hand_side_does_not_overflow(self):
         # the row that carries c's antisymmetric and normal parts holds their norm,
@@ -494,7 +492,7 @@ class TestCertifiedSystemVerdicts:
     """`tensor`'s Y and Z verdicts (``_system_verdicts``): a tall reduced stack that the
     bounds certify has full column rank and is not borderline, with no singular value
     computed; every other trial takes the verdicts of its spectra.  Both must be the
-    verdicts of ``_system_reports``."""
+    verdicts of the reference spectra (``reference.system_spectra``)."""
 
     SPACES = [UnitSphere(1), UnitSphere(2), UnitSphere(3), Euclidean(1), Euclidean(2), Euclidean(3)]
     KS = (1, 2, 3, 4, 6, 8, 12, 20, 40)
@@ -520,11 +518,10 @@ class TestCertifiedSystemVerdicts:
         eta = manifold.pairwise_log(P)
         with monkeypatch.context() as patch:
             patch.setattr(tensor, "_certify_columns", counted)
-            verdicts = _system_verdicts(manifold, P, eta, policy)
+            verdicts = _system_verdicts(manifold, P, eta, policy, ("Y", "Z"))
         counts["not tried"] += 2 * len(P) - tried[0]
         for system in ("Y", "Z"):
-            want = _verdicts(_system_reports(manifold, P, eta, policy, system), policy,
-                             _system_shape(manifold, P.shape[1], system))
+            want = system_report(manifold, P, eta, policy, system)
             rank, borderline = verdicts[system]
             assert np.array_equal(rank, want.numerical_rank), (str(manifold), P.shape[1], system)
             assert np.array_equal(borderline, want.borderline), (str(manifold), P.shape[1], system)
@@ -556,9 +553,10 @@ class TestCertifiedSystemVerdicts:
         manifold, k = UnitSphere(2), 20
         P = np.stack([manifold.sample_uniform(k, seed, stream=sample_stream(k, 0)).points for seed in range(4)]
                      + [near_antipodal_sample(k)])
-        stacked = _system_verdicts(manifold, P, manifold.pairwise_log(P), Tolerance())
+        stacked = _system_verdicts(manifold, P, manifold.pairwise_log(P), Tolerance(), ("Y", "Z"))
         for t in range(len(P)):
-            alone = _system_verdicts(manifold, P[t:t + 1], manifold.pairwise_log(P[t:t + 1]), Tolerance())
+            alone = _system_verdicts(manifold, P[t:t + 1], manifold.pairwise_log(P[t:t + 1]), Tolerance(),
+                                     ("Y", "Z"))
             for system in ("Y", "Z"):
                 assert [int(v[t]) for v in stacked[system]] == [int(v[0]) for v in alone[system]]
 
@@ -577,10 +575,10 @@ class TestCertifiedSystemVerdicts:
             points[1] = math.cos(delta) * base[0] + math.sin(delta) * v
             return points[None], manifold.pairwise_log(points[None])
 
-        s = _system_reports(manifold, *stack(1e-6), Tolerance(), "Y")[0]
+        s = system_spectra(manifold, *stack(1e-6), Tolerance(), "Y")[0]
         P, eta = stack(1e-6 * 85 * k * eps / (s[-1] / s[0]))
         V, _ = _frame_coordinates(manifold, P, eta)
         [(_, a)] = _reduced_stacks(manifold, V, eta, Tolerance(), "Y")
         assert a.shape == (1, 3 * k, k) and numrank._certify_columns(a, Tolerance(), a.shape[1:]).all()
-        rank, borderline = _system_verdicts(manifold, P, eta, Tolerance())["Y"]
+        rank, borderline = _system_verdicts(manifold, P, eta, Tolerance(), ("Y",))["Y"]
         assert (int(rank[0]), bool(borderline[0])) == (k, True)
