@@ -7,7 +7,9 @@ significant digits, so reruns there produce byte-identical files (see
 docs/formats.md for the scope).  Row tables spell each value with fmt17.  Matrix dumps spell whole arrays
 at once with a vectorised speller that gives the bytes of "%.17g", fmt17's, and
 hands the rare values it cannot settle exactly to "%.17g" itself.  Exit codes: 0
-success, 1 validation error, 2 numerical failure.
+success, 1 validation error, 2 numerical failure, which includes a rank above its
+proven bound: ``tensor`` enforces Psi's sqdist bound here, and its Y and Z verdicts
+(``tensor._system_verdicts``) and every recovery enforce their own.
 File formats and layouts are documented in docs/formats.md.
 """
 
@@ -391,13 +393,12 @@ def cmd_tensor(args) -> str:
     field = outer_field(manifold, _trial0_sample(manifold, args))
     psi, _ = trace_system(field)
     policy = Tolerance(args.tol_factor)
-    verdicts = _system_verdicts(manifold, field.sample.points[None], field.eta[None], policy, ("Y", "Z"))
+    P, eta = field.sample.points[None], field.eta[None]
     (rank_Y, borderline_Y), (rank_Z, borderline_Z) = (
-        (int(rank[0]), bool(borderline[0])) for rank, borderline in (verdicts["Y"], verdicts["Z"]))
+        (int(rank[0]), bool(borderline[0]))
+        for rank, borderline in (_system_verdicts(manifold, P, eta, policy, system) for system in ("Y", "Z")))
     report_psi = rank_report(psi, policy)
-    proven = manifold._proven_ranks()
-    for name, system, rank in (("Y", "Y", rank_Y), ("Z", "Z", rank_Z), ("Psi", "sqdist", report_psi.numerical_rank)):
-        _enforce_bound(name, rank, proven.get(system), args.k)
+    _enforce_bound("Psi", report_psi.numerical_rank, manifold._proven_ranks().get("sqdist"), args.k)
     wrote = ""
     if args.out:
         f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)

@@ -18,7 +18,8 @@ of a k's chunks fill one (trials, k) array, which gets one verdict
 taking the eigensolve alone, since its rows report every trial's spectral
 ratio.  A Y or Z chunk takes its verdicts from ``covrank tensor``'s path
 (``tensor._system_verdicts``: tangent-frame reductions, the tall ones certified
-first).  Results are therefore independent of the chunking, and aggregation is
+first), which also enforces the space's Y and Z bounds; ``rank_law_sweep`` enforces
+the kernel's.  Results are therefore independent of the chunking, and aggregation is
 by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
@@ -194,7 +195,7 @@ def _trial_verdicts(cfg: ExperimentConfig, k: int, system: str) -> tuple[np.ndar
     (trials, k) array that each kernel chunk's settled spectra fill."""
     manifold, d, tolerance = cfg.manifold, cfg.manifold.coord_dim, cfg.tolerance
     if system != "kernel":
-        chunks = [_system_verdicts(manifold, P, manifold.pairwise_log(P), tolerance, (system,))[system]
+        chunks = [_system_verdicts(manifold, P, manifold.pairwise_log(P), tolerance, system)
                   for _, P in _sample_chunks(cfg, k, 8 * k * k * d * d)]
         return tuple(np.concatenate(verdicts) for verdicts in zip(*chunks))
     s = np.empty((cfg.trials, k))
@@ -214,41 +215,45 @@ def fullrank_probability(cfg: ExperimentConfig, k: int) -> float:
     return float(np.mean(_trial_verdicts(cfg, k, "kernel")[0] == k))
 
 
-def _system_bound(cfg: ExperimentConfig, system: str):
-    """Upper rank bound and per-k expected generic rank for a system kind."""
-    if system == "kernel":
-        if cfg.kernel is None:
-            raise ValueError("config needs a kernel for kernel-matrix experiments")
-        try:
-            rank = theoretical_rank(cfg.kernel)
-        except UnclassifiedKernelError:
-            return None, lambda k: None
-    elif system in ("Y", "Z"):
-        ranks = cfg.manifold._proven_ranks()
-        if system not in ranks:
-            raise ValueError(f"no {system} rank law is proven on {cfg.manifold}")
-        rank = ranks[system]
-    else:
-        raise ValueError(f"unknown system {system!r}; expected 'kernel', 'Y' or 'Z'")
-    if rank is None:
-        return None, lambda k: k
-    return rank, lambda k: min(k, rank)
-
-
 def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLawRow]:
     """Measure numerical ranks across cfg.k_values for one system kind.
 
     Proven upper bounds are enforced, not just recorded: a trial exceeding
-    its bound raises RankBoundError.  Equality with the generic expected
-    rank is reported as a fraction of the non-borderline trials.
+    its bound raises RankBoundError, the kernel's here and Y's or Z's in the
+    verdict path (``tensor._system_verdicts``).  Equality with the generic
+    expected rank is reported as a fraction of the non-borderline trials.
+
+    The expected rank is min(bound, k min(c, k - own)).  Each point adds at most c to
+    the rank: 1 for a kernel and Y, and n for Z, whose column block s stacks
+    eta_sr eta_sr^T over r != s and so lies in span{eta_sr}.  own is 1 where a point's
+    own entries vanish, as in Y, Z and sqdist (shifted:0), which then draw on the
+    other k - 1 points alone and expect 0 at k = 1.
     """
-    bound, expected_for = _system_bound(cfg, system)
+    if system == "kernel":
+        if cfg.kernel is None:
+            raise ValueError("config needs a kernel for kernel-matrix experiments")
+        kernel = cfg.kernel
+        try:
+            bound, per_point = theoretical_rank(kernel), 1
+        except UnclassifiedKernelError:
+            bound, per_point = None, None  # no law, so no expected rank
+        own = 1 if kernel.family in ("sqdist", "shifted") and not kernel.alpha else 0
+    elif system in ("Y", "Z"):
+        ranks = cfg.manifold._proven_ranks()
+        if system not in ranks:
+            raise ValueError(f"no {system} rank law is proven on {cfg.manifold}")
+        bound, per_point, own = ranks[system], 1 if system == "Y" else cfg.manifold.n, 1
+    else:
+        raise ValueError(f"unknown system {system!r}; expected 'kernel', 'Y' or 'Z'")
     rows = []
     for k in cfg.k_values:
         ranks, borderline = _trial_verdicts(cfg, k, system)
         width = k if system == "kernel" else min(_system_shape(cfg.manifold, k, system))
-        _enforce_bound(system, int(ranks.max()), bound, k)
-        expected = expected_for(k)
+        if system == "kernel":
+            _enforce_bound(system, int(ranks.max()), bound, k)
+        expected = None if per_point is None else k * min(per_point, k - own)
+        if bound is not None:
+            expected = min(bound, expected)
         solid = ~borderline
         equality = None
         if expected is not None and solid.any():

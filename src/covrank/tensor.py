@@ -41,9 +41,10 @@ triangle for rank [Y | c]) solve either, thresholded for the
 shapes of the unreduced system; ``recovery_experiment`` runs the same path batched
 over trials.  The reduction stays inside the solve: Y, C and the layout-v1
 dump are unchanged.  The rank-law engine and ``covrank tensor`` take their Y
-and Z verdicts on such reductions too, from one batched path (``_system_verdicts``):
-Y on the Y rows of that system, Z on its nk columns along the tangent spaces,
-as rank Z <= nk on S^n.  A tall reduction is certified first: one QR and one
+and Z verdicts on such reductions too, from one batched path (``_system_verdicts``),
+which enforces the spaces' Y and Z bounds for both, as ``_recoveries`` enforces Y's
+for recovery: Y on the Y rows of that system, Z on its nk columns along the tangent
+spaces, as rank Z <= nk on S^n.  A tall reduction is certified first: one QR and one
 triangular inverse, the test recover's certificate makes of A, settle a
 full-rank Y or Z with no singular value, and the SVD measures only the trials
 the certificate leaves.
@@ -235,14 +236,7 @@ def _system_shape(manifold: _ManifoldBase, k: int, system: str) -> tuple[int, in
     return (d * d * k, k) if system == "Y" else (d * k, d * k)
 
 
-def _sum_norms(V: np.ndarray) -> np.ndarray:
-    """||Y 1|| (T,) of log vectors V (T, k, k, d) in orthonormal frames: the norms of the
-    unfolded sums sum_i eta_ji eta_ji^T, which ``_split`` reads."""
-    return _norms((np.swapaxes(V, -1, -2) @ V).reshape(len(V), -1))
-
-
-def _split(manifold: _ManifoldBase, V: np.ndarray, policy: Tolerance, system: str,
-           ones: np.ndarray | None = None) -> list[tuple]:
+def _split(manifold: _ManifoldBase, V: np.ndarray, policy: Tolerance, system: str) -> list[tuple]:
     """(trials, dims) pairs that cover each trial of log vectors V (T, k, k, d) in the frames
     of ``_frame_coordinates`` once, dims the frame axes its reduced Y or Z (system) keeps.
 
@@ -254,15 +248,13 @@ def _split(manifold: _ManifoldBase, V: np.ndarray, policy: Tolerance, system: st
     below with no SVD by ||Y 1||, the norm of the unfolded sums sum_i eta_ji eta_ji^T:
     sigma_1(Y) >= ||Y 1|| / sqrt(k), and sigma_1(Z) >= ||Y 1|| / sqrt(dk), since
     (1_k (x) I_d)^T Z / sqrt(k), of rank at most d, holds the same sums over r of the
-    blocks (r, s) = eta_sr eta_sr^T.  A caller that splits V for both systems passes
-    ||Y 1|| (``_sum_norms``) as ones.  trials is slice(None) where one pair covers all.
+    blocks (r, s) = eta_sr eta_sr^T.  trials is slice(None) where one pair covers all.
     """
     n, d, k = manifold.n, manifold.coord_dim, V.shape[1]
     if n == d:  # R^n: the frames are the ambient axes, and nothing is dropped
         return [(slice(None), n)]
     shape = _system_shape(manifold, k, system)
-    if ones is None:
-        ones = _sum_norms(V)
+    ones = _norms((np.swapaxes(V, -1, -2) @ V).reshape(len(V), -1))  # ||Y 1||, V's frames being orthonormal
     tau = policy.threshold(shape, ones / math.sqrt(shape[1]))
     full = _dropped_norms(V, n, 2.0 if system == "Y" else 1.0) > tau / 10
     return [(slice(None) if group.all() else np.flatnonzero(group), dims)
@@ -283,13 +275,10 @@ def _recovery_systems(
             for trials, dims in _split(manifold, V, policy, "Y")]
 
 
-def _reduced_stacks(
-    manifold: _ManifoldBase, V: np.ndarray, eta: np.ndarray, policy: Tolerance, system: str,
-    ones: np.ndarray | None = None
-):
+def _reduced_stacks(manifold: _ManifoldBase, V: np.ndarray, eta: np.ndarray, policy: Tolerance, system: str):
     """(trials, stack) pairs that cover each trial of log vectors eta (T, k, k, d), V in the
     frames of ``_frame_coordinates``, once: the stacks of the reductions of Y or Z (system)
-    that ``_split`` chooses, ones passed on to it.
+    that ``_split`` chooses.
 
     Y is reduced to the Y rows of recover's reduced system, n(n+1)/2 k rows instead of
     d^2 k.  Column block s of Z, whose blocks hold log vectors tangent at p_s,
@@ -298,7 +287,7 @@ def _reduced_stacks(
     dropped singular values are exactly 0.  On R^n nothing is dropped.
     """
     k = V.shape[1]
-    for trials, dims in _split(manifold, V, policy, system, ones):
+    for trials, dims in _split(manifold, V, policy, system):
         if system == "Y":
             yield trials, _reduced_Y(V[trials], dims).reshape(-1, dims * (dims + 1) // 2 * k, k)
         else:
@@ -306,44 +295,41 @@ def _reduced_stacks(
 
 
 def _system_verdicts(
-    manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, policy: Tolerance, systems: tuple[str, ...]
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Ranks and borderline flags (T,) of layout-v1 Y or Z, keyed by each system of systems,
-    of point stacks P (T, k, d) with log vectors eta = manifold.pairwise_log(P), measured
-    on orthogonally equivalent reductions (``_reduced_stacks``) but thresholded for the
-    full shapes (``_system_shape``); each trial's are those of a stack of it alone.
+    manifold: _ManifoldBase, P: np.ndarray, eta: np.ndarray, policy: Tolerance, system: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and borderline flags (T,) of layout-v1 Y or Z (system) of point stacks
+    P (T, k, d) with log vectors eta = manifold.pairwise_log(P), measured on orthogonally
+    equivalent reductions (``_reduced_stacks``) but thresholded for the full shapes
+    (``_system_shape``); each trial's are those of a stack of it alone.  A rank above the
+    bound the space proves for the system (``_proven_ranks``) raises RankBoundError, so
+    neither the rank-law engine nor ``covrank tensor`` reads the Y or Z law again.
 
     A tall reduced stack goes through ``numrank._certify_columns`` first, unless the
-    space's proven bound lies below its width, as Y's does on R^n past k = (n+1)(n+2)/2.
-    A certified trial has the reduced width as its rank, Z's dropped values being 0, and
-    no value near the threshold, so it is not borderline; it takes no SVD.  Every other
-    trial, and every square stack (whole Z, Y on S^1 and R^1), takes the verdicts
-    (``numrank._verdicts``) of its settled singular values (``numrank._spectra``).  The
-    frames and ||Y 1|| are computed once per call.
+    bound lies below its width, as Y's does on R^n past k = (n+1)(n+2)/2.  A certified
+    trial has the reduced width as its rank, Z's dropped values being 0, and no value
+    near the threshold, so it is not borderline; it takes no SVD.  Every other trial,
+    and every square stack (whole Z, Y on S^1 and R^1), takes the verdicts
+    (``numrank._verdicts``) of its settled singular values (``numrank._spectra``), read
+    against the full width: the values the reduction drops are 0, which count neither
+    above the threshold nor near it.
     """
     k = P.shape[1]
     V, _ = _frame_coordinates(manifold, P, eta)
-    ones = None if manifold.n == manifold.coord_dim else _sum_norms(V)
-    proven = manifold._proven_ranks()
-    verdicts = {}
-    for system in systems:
-        shape = _system_shape(manifold, k, system)
-        bound = proven.get(system)
-        rank, borderline = np.empty(len(P), int), np.zeros(len(P), bool)
-        for trials, a in _reduced_stacks(manifold, V, eta, policy, system, ones):
-            trials, width = np.arange(len(P))[trials], a.shape[2]
-            certified = np.zeros(len(a), bool)
-            if a.shape[1] > width and (bound is None or bound >= width):
-                certified = _certify_columns(a, policy, shape)
-            rank[trials[certified]] = width
-            rest = ~certified
-            if rest.any():
-                s = np.zeros((np.count_nonzero(rest), shape[1]))
-                s[:, :width] = _spectra(a if rest.all() else a[rest], policy, shape[0])
-                report = _verdicts(s, policy, shape)
-                rank[trials[rest]], borderline[trials[rest]] = report.numerical_rank, report.borderline
-        verdicts[system] = rank, borderline
-    return verdicts
+    shape = _system_shape(manifold, k, system)
+    bound = manifold._proven_ranks().get(system)
+    rank, borderline = np.empty(len(P), int), np.zeros(len(P), bool)
+    for trials, a in _reduced_stacks(manifold, V, eta, policy, system):
+        trials, width = np.arange(len(P))[trials], a.shape[2]
+        certified = np.zeros(len(a), bool)
+        if a.shape[1] > width and (bound is None or bound >= width):
+            certified = _certify_columns(a, policy, shape)
+        rank[trials[certified]] = width
+        rest = ~certified
+        if rest.any():
+            report = _verdicts(_spectra(a if rest.all() else a[rest], policy, shape[0]), policy, shape)
+            rank[trials[rest]], borderline[trials[rest]] = report.numerical_rank, report.borderline
+    _enforce_bound(system, int(rank.max()), bound, k)
+    return rank, borderline
 
 
 def _forward_systems(

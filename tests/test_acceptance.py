@@ -97,7 +97,7 @@ def test_criterion_2_sphere_full_rank():
 
 
 def test_criterion_3_unfolded_system_rank_law():
-    with criterion(3, "rank(Y) = min{k, (n+1)(n+2)/2} on Euclidean samples"):
+    with criterion(3, "rank(Y) = min{k, (n+1)(n+2)/2} on Euclidean samples, 0 at k = 1"):
         for n in (1, 2, 3):
             bound = (n + 1) * (n + 2) // 2
             cfg = ExperimentConfig(
@@ -109,13 +109,13 @@ def test_criterion_3_unfolded_system_rank_law():
             )
             rows = rank_law_sweep(cfg, "Y")  # raises if any trial exceeds the bound
             for row in rows:
-                assert row.rank_max <= bound
-                if row.k > bound:
-                    assert row.rank_min == row.rank_max == bound, (n, row.k)
+                assert row.expected_rank == (min(row.k, bound) if row.k > 1 else 0), (n, row.k)
+                assert row.rank_min == row.rank_max == row.expected_rank, (n, row.k)
+                assert row.equality_fraction == 1.0, (n, row.k)
 
 
 def test_criterion_4_block_matrix_rank_law():
-    with criterion(4, "rank(Z) = n(n+2) on Euclidean samples beyond the bound"):
+    with criterion(4, "rank(Z) = min{k min(n, k-1), n(n+2)} on Euclidean samples"):
         for n in (1, 2, 3):
             bound = n * (n + 2)
             cfg = ExperimentConfig(
@@ -125,11 +125,11 @@ def test_criterion_4_block_matrix_rank_law():
                 trials=50,
                 seed=SEED,
             )
-            rows = rank_law_sweep(cfg, "Z")
+            rows = rank_law_sweep(cfg, "Z")  # raises if any trial exceeds the bound
             for row in rows:
-                assert row.rank_max <= bound
-                if row.k >= bound + 2:
-                    assert row.rank_min == row.rank_max == bound, (n, row.k)
+                assert row.expected_rank == min(row.k * min(n, row.k - 1), bound), (n, row.k)
+                assert row.rank_min == row.rank_max == row.expected_rank, (n, row.k)
+                assert row.equality_fraction == 1.0, (n, row.k)
 
 
 def test_criterion_5_recovery_dichotomy():

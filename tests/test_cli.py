@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -540,6 +543,22 @@ class TestExitCodes:
     def test_success_exits_zero(self, capsys):
         assert main(["sample", "--manifold", "sphere:2", "--k", "3"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["tensor", "--manifold", "euclid:2", "--k", "5"], 0, ""),
+        (["sample", "--manifold", "sphere:0", "--k", "3"], 1, "covrank: error: dimension must be positive\n"),
+        # rank Y = 20 under the tiny threshold, above the plane's bound 6
+        (["tensor", "--manifold", "euclid:2", "--k", "20", "--tol-factor", "1e-30"], 2,
+         "covrank: numerical failure: Y system exceeded its proven rank bound: rank 20 > 6 at k=20\n"),
+    ])
+    def test_process_exits_with_mains_code(self, tmp_path, argv, code, err):
+        # `python -m covrank.cli` runs entry(), as the installed `covrank` script does
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "covrank.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (code, err)
+        assert proc.stdout.startswith(argv[0]) == (code == 0)
 
 
 class TestCliSurface:

@@ -321,8 +321,8 @@ def test_engine_verdicts_are_those_of_tensor_on_one_trial(manifold, ks, system):
     for k in ks or range(1, manifold._proven_ranks()[system] + 4):
         cfg = make_config(manifold, k=k, trials=25, seed=1)
         P = trial_points(cfg, k)
-        alone = [_system_verdicts(manifold, P[t:t + 1], manifold.pairwise_log(P[t:t + 1]), cfg.tolerance,
-                                  (system,))[system] for t in range(cfg.trials)]
+        alone = [_system_verdicts(manifold, P[t:t + 1], manifold.pairwise_log(P[t:t + 1]), cfg.tolerance, system)
+                 for t in range(cfg.trials)]
         rank, borderline = _trial_verdicts(cfg, k, system)
         assert rank.tolist() == [int(r[0]) for r, _ in alone], k
         assert borderline.tolist() == [bool(b[0]) for _, b in alone], k

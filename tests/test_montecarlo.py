@@ -94,6 +94,24 @@ class TestRankLawSweep:
         assert row.bound == 3
         assert row.rank_min == row.rank_max == 3
 
+    def test_expected_rank_counts_what_k_points_give(self):
+        # a point's own entries vanish, so it adds at most min(c, k - 1) to the rank from
+        # the others, c = 1 for Y and n for Z: Z on the plane expects 6 at k = 3, 8 at k = 4
+        cfg = config(Euclidean(2), k_values=(1, 3, 4), trials=30, seed=8)
+        rows = rank_law_sweep(cfg, "Z") + rank_law_sweep(cfg, "Y")
+        assert [(r.system, r.k, r.expected_rank) for r in rows] == [
+            ("Z", 1, 0), ("Z", 3, 6), ("Z", 4, 8), ("Y", 1, 0), ("Y", 3, 3), ("Y", 4, 4)]
+        assert all(r.rank_min == r.rank_max == r.expected_rank and r.equality_fraction == 1.0 for r in rows)
+
+    @pytest.mark.parametrize("manifold", [Euclidean(2), UnitSphere(2)], ids=str)
+    def test_one_point_kernel_expects_its_diagonal(self, manifold):
+        # the 1 x 1 matrix is k(p, p): exactly 0 for sqdist and shifted:0, as d(p, p) = 0
+        # exactly, and cos(p.p) != 0 for dot:cos
+        for spec, expected in ((("sqdist",), 0), (("shifted", 0.0), 0), (("dot:cos",), 1)):
+            (row,) = rank_law_sweep(config(manifold, spec, k_values=(1,), trials=5), "kernel")
+            assert row.expected_rank == row.rank_min == row.rank_max == expected, spec
+            assert row.equality_fraction == 1.0, spec
+
     def test_plane_kernel_law(self):
         cfg = config(Euclidean(2), ("sqdist",), k_values=(10,), trials=100, seed=4)
         (row,) = rank_law_sweep(cfg, "kernel")

@@ -518,7 +518,7 @@ class TestCertifiedSystemVerdicts:
         eta = manifold.pairwise_log(P)
         with monkeypatch.context() as patch:
             patch.setattr(tensor, "_certify_columns", counted)
-            verdicts = _system_verdicts(manifold, P, eta, policy, ("Y", "Z"))
+            verdicts = {system: _system_verdicts(manifold, P, eta, policy, system) for system in ("Y", "Z")}
         counts["not tried"] += 2 * len(P) - tried[0]
         for system in ("Y", "Z"):
             want = system_report(manifold, P, eta, policy, system)
@@ -553,12 +553,11 @@ class TestCertifiedSystemVerdicts:
         manifold, k = UnitSphere(2), 20
         P = np.stack([manifold.sample_uniform(k, seed, stream=sample_stream(k, 0)).points for seed in range(4)]
                      + [near_antipodal_sample(k)])
-        stacked = _system_verdicts(manifold, P, manifold.pairwise_log(P), Tolerance(), ("Y", "Z"))
-        for t in range(len(P)):
-            alone = _system_verdicts(manifold, P[t:t + 1], manifold.pairwise_log(P[t:t + 1]), Tolerance(),
-                                     ("Y", "Z"))
-            for system in ("Y", "Z"):
-                assert [int(v[t]) for v in stacked[system]] == [int(v[0]) for v in alone[system]]
+        for system in ("Y", "Z"):
+            stacked = _system_verdicts(manifold, P, manifold.pairwise_log(P), Tolerance(), system)
+            for t in range(len(P)):
+                alone = _system_verdicts(manifold, P[t:t + 1], manifold.pairwise_log(P[t:t + 1]), Tolerance(), system)
+                assert [int(v[t]) for v in stacked] == [int(v[0]) for v in alone]
 
     def test_certificate_is_thresholded_for_the_full_shape(self):
         # Two points an angle delta apart give Y a smallest singular value linear in delta.
@@ -580,5 +579,5 @@ class TestCertifiedSystemVerdicts:
         V, _ = _frame_coordinates(manifold, P, eta)
         [(_, a)] = _reduced_stacks(manifold, V, eta, Tolerance(), "Y")
         assert a.shape == (1, 3 * k, k) and numrank._certify_columns(a, Tolerance(), a.shape[1:]).all()
-        rank, borderline = _system_verdicts(manifold, P, eta, Tolerance(), ("Y",))["Y"]
+        rank, borderline = _system_verdicts(manifold, P, eta, Tolerance(), "Y")
         assert (int(rank[0]), bool(borderline[0])) == (k, True)
