@@ -23,14 +23,7 @@ from .montecarlo import (
     rows_to_csv,
     rows_to_jsonl,
 )
-from .numrank import (
-    DEFAULT_TOLERANCE,
-    BatchedRankReport,
-    RankReport,
-    Tolerance,
-    batched_rank_report,
-    rank_report,
-)
+from .numrank import DEFAULT_TOLERANCE, RankReport, Tolerance, rank_report
 from .tensor import (
     CovField,
     OperatorField,
@@ -48,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntipodalPairError",
-    "BatchedRankReport",
     "CovField",
     "DEFAULT_TOLERANCE",
     "Euclidean",
@@ -69,7 +61,6 @@ __all__ = [
     "arccos_taylor_eval",
     "assemble_Y",
     "assemble_Z",
-    "batched_rank_report",
     "condition_sweep",
     "fullrank_probability",
     "outer_field",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import _ManifoldBase
+from .manifold import _ManifoldBase, _zero_diagonal
 
 __all__ = [
     "Kernel",
@@ -57,9 +57,18 @@ class Kernel:
         if self.alpha != 0.0 and self.family != "shifted":
             raise ValueError("alpha only applies to the shifted family")
 
+    @property
+    def _own_zero(self) -> bool:
+        """Whether k(p, p) = 0: d(p, p) = 0 for sqdist and shifted:0, and arccos(p.p) =
+        arccos(1) = 0 for dot:arccos and dot:arccos2 on a space of unit points."""
+        if self.family.startswith("dot:arccos"):
+            return self.manifold._unit_points
+        return self.family in ("sqdist", "shifted") and not self.alpha
+
     def pairwise(self, P: np.ndarray) -> np.ndarray:
         """Kernel matrices k(p_r, p_s) of point stacks P (..., k, c), batched over leading
-        axes, where d(p, p) = 0 exactly; a single pair is a two-point stack."""
+        axes, where d(p, p) = 0 exactly, and so is arccos(p.p) on unit points, which
+        spares the round-off of p.p just below 1; a single pair is a two-point stack."""
         if self.family in ("sqdist", "shifted"):
             d = self.manifold.pairwise_distance(P)
             if self.alpha:  # d - 0.0 has the bits of d
@@ -70,6 +79,8 @@ class Kernel:
         if self.family == "dot:cos":
             return np.cos(g)
         a = np.arccos(np.clip(g, -1.0, 1.0))
+        if self._own_zero:
+            _zero_diagonal(a)
         return a * a if self.family == "dot:arccos2" else a
 
     def __str__(self):

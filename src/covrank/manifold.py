@@ -65,29 +65,25 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 def rng_streams(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
     """Generators for the pairs (seed, s), s in streams, in order: Philox keyed by
-    [seed, s] from counter 0, one re-keyed bit generator (``_philox``).  The same
-    Generator object is yielded each time: finish drawing from it before advancing."""
-    bitgen, gen, fresh = _philox(seed)
-    for stream in streams:
-        _check_key_word(stream)
-        fresh["state"]["key"][1] = stream
-        bitgen.state = fresh
-        yield gen
-
-
-def _philox(seed: int) -> tuple[np.random.Philox, np.random.Generator, dict]:
-    """A Philox bit generator keyed [seed, 0], a Generator on it, and a copy of its
-    fresh state (counter 0, empty buffer) whose key word 1 a caller sets to a stream s
-    before handing the state to the bit generator.  That re-keys it to [seed, s] with
-    the bits of a Philox built with that key, and faster than building one, which
-    spends most of its time pulling SeedSequence entropy.  The state holds plain ints,
-    which the setter reads word by word faster than numpy arrays."""
+    [seed, s] from counter 0.  One bit generator, keyed [seed, 0], is re-keyed per
+    stream by setting key word 1 of a copy of its fresh state (counter 0, empty buffer)
+    and handing that state back: the bits of a Philox built with that key, and faster
+    than building one, which spends most of its time pulling SeedSequence entropy.  The
+    state holds plain ints, which the setter reads word by word faster than numpy
+    arrays.  The same Generator object is yielded each time: finish drawing from it
+    before advancing.  Keys are checked lazily: the seed as the first generator is
+    asked for, each stream as its own is."""
     _check_key_word(seed)
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     fresh = bitgen.state
     fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
     fresh["buffer"] = fresh["buffer"].tolist()
-    return bitgen, np.random.Generator(bitgen), fresh
+    gen = np.random.Generator(bitgen)
+    for stream in streams:
+        _check_key_word(stream)
+        fresh["state"]["key"][1] = stream
+        bitgen.state = fresh
+        yield gen
 
 
 def _zero_diagonal(a: np.ndarray) -> np.ndarray:
@@ -116,7 +112,8 @@ class _ManifoldBase:
     ``_tangent_frames``, ``_draw``, ``_finish`` and ``__str__``, and declares
     what is proven about it: ``_proven_ranks()``, the ranks of kernel families and
     of the systems "Y" and "Z" keyed by name, an int for a finite rank and None for
-    full rank almost everywhere, a missing key unsettled; and ``mean_distance``.
+    full rank almost everywhere, a missing key unsettled; ``mean_distance``; and
+    ``_unit_points``, whether every point has norm 1, so that arccos(p.p) = 0.
     The rank oracle, the Y/Z rank laws and the CLI read those, not the class.
     Each space spells its distance once, in the batched ``distance_matrix``;
     ``pairwise_distance`` and ``paired_distance`` are read off it, so a pair gets
@@ -126,6 +123,7 @@ class _ManifoldBase:
 
     n: int
     mean_distance = None  # exact E d(X, Y) of independent uniform X, Y, None if unknown
+    _unit_points = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -138,22 +136,18 @@ class _ManifoldBase:
 
     def sample_batch(self, k: int, seed: int, streams: Iterable[int]) -> np.ndarray:
         """The points of ``sample_uniform(k, seed, stream=s)`` for each s in streams,
-        stacked into shape (len(streams), k, coord_dim) with the same bits: one Philox,
-        re-keyed per stream, fills each slice with raw draws, and one pass over the
-        stack makes them points.  A seed or stream outside [0, 2**64) raises ValueError
-        before anything is drawn."""
+        stacked into shape (len(streams), k, coord_dim) with the same bits: the re-keyed
+        generators of ``rng_streams`` fill each slice with raw draws, and one pass over
+        the stack makes them points.  A seed or stream outside [0, 2**64) raises
+        ValueError before anything is drawn."""
         if k < 1:
             raise ValueError("k must be at least 1")
         streams = list(streams)
-        bitgen, gen, fresh = _philox(seed)
-        for stream in streams:  # refuse a bad key before any draw
-            _check_key_word(stream)
+        for key in [seed, *streams]:  # refuse a bad key before any draw
+            _check_key_word(key)
         out = np.empty((len(streams), k, self.coord_dim))
-        key, draw = fresh["state"]["key"], self._draw
-        for stream, points in zip(streams, out):
-            key[1] = stream
-            bitgen.state = fresh
-            draw(gen, points)
+        for gen, points in zip(rng_streams(seed, streams), out):
+            self._draw(gen, points)
         self._finish(out)
         return out
 
@@ -260,6 +254,7 @@ class UnitSphere(_ManifoldBase):
     """Unit n-sphere in R^{n+1} with the arc-length (geodesic) distance."""
 
     mean_distance = math.pi / 2  # in every dimension, by the symmetry p -> -p
+    _unit_points = True
 
     @property
     def coord_dim(self) -> int:

@@ -19,8 +19,9 @@ taking the eigensolve alone, since its rows report every trial's spectral
 ratio.  A Y or Z chunk takes its verdicts from ``covrank tensor``'s path
 (``tensor._system_verdicts``: tangent-frame reductions, the tall ones certified
 first), which also enforces the space's Y and Z bounds; ``rank_law_sweep`` enforces
-the kernel's.  Results are therefore independent of the chunking, and aggregation is
-by trial index.
+the kernel's.  A recovery chunk is solved by ``tensor._forward_recoveries``, one
+stacked solve per frame group.  Results are therefore independent of the chunking,
+and aggregation is by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
 written with 17 significant digits so files round-trip exactly.
@@ -38,12 +39,11 @@ import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import _ManifoldBase, rng_streams
-from .numrank import DEFAULT_TOLERANCE, Tolerance, _singular_values, _spectra, _validated, _verdicts
+from .numrank import DEFAULT_TOLERANCE, Tolerance, _singular_values, _spectra, _spectral_ratios, _validated, _verdicts
 from .tensor import (
     RankBoundError,
     _enforce_bound,
-    _forward_systems,
-    _recoveries,
+    _forward_recoveries,
     _system_rows,
     _system_shape,
     _system_verdicts,
@@ -226,8 +226,8 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
     The expected rank is min(bound, k min(c, k - own)).  Each point adds at most c to
     the rank: 1 for a kernel and Y, and n for Z, whose column block s stacks
     eta_sr eta_sr^T over r != s and so lies in span{eta_sr}.  own is 1 where a point's
-    own entries vanish, as in Y, Z and sqdist (shifted:0), which then draw on the
-    other k - 1 points alone and expect 0 at k = 1.
+    own entries vanish, as in Y, Z, sqdist (shifted:0), and dot:arccos and dot:arccos2
+    on the sphere, which then draw on the other k - 1 points alone and expect 0 at k = 1.
     """
     if system == "kernel":
         if cfg.kernel is None:
@@ -237,7 +237,7 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
             bound, per_point = theoretical_rank(kernel), 1
         except UnclassifiedKernelError:
             bound, per_point = None, None  # no law, so no expected rank
-        own = 1 if kernel.family in ("sqdist", "shifted") and not kernel.alpha else 0
+        own = int(kernel._own_zero)
     elif system in ("Y", "Z"):
         ranks = cfg.manifold._proven_ranks()
         if system not in ranks:
@@ -294,7 +294,7 @@ def condition_sweep(
     and the space proves sqdist finite-rank (``_proven_ranks``), as on R^n:
     then its noise singular values sit at a rank gap, where the SVD places
     them further below the threshold, and the cell keeps the SVD.  Unlike
-    ``batched_rank_report``, no SVD settles the trials the eigensolve flags: the
+    ``numrank._spectra``, no SVD settles the trials the eigensolve flags: the
     rows read every trial's spectrum, not only its verdict.
     """
     alphas = [float(a) for a in alphas]
@@ -310,23 +310,23 @@ def condition_sweep(
     )
     finite = manifold._proven_ranks().get("sqdist") is not None
     symmetric = [alpha != 0.0 or not finite for alpha in alphas]
-    cells = {}
+    spectra = {}
     for k in cfg.k_values:
         per_alpha = [np.empty((cfg.trials, k)) for _ in alphas]
         for start, P in _sample_chunks(cfg, k, 8 * k * k * manifold.coord_dim):
             dist = manifold.pairwise_distance(P)
             for s, alpha, sym in zip(per_alpha, alphas, symmetric):
                 s[start:start + len(P)] = _singular_values(_validated((dist - alpha) ** 2, ndim=3), sym)
-        for alpha, s in zip(alphas, per_alpha):
-            cells[alpha, k] = _verdicts(s, tolerance, (k, k))
+        spectra.update(((alpha, k), s) for alpha, s in zip(alphas, per_alpha))
 
     rows = []
     for alpha in alphas:
         for k in cfg.k_values:
-            cell = cells[alpha, k]
-            conds = cell.spectral_ratio
+            s = spectra[alpha, k]
+            cell = _verdicts(s, tolerance, (k, k))
+            conds = _spectral_ratios(s)
             with np.errstate(divide="ignore"):  # log 0 = -inf: a singular trial's log-det is -inf
-                log_abs_det = np.log(cell.singular_values).sum(axis=1)
+                log_abs_det = np.log(s).sum(axis=1)
             rows.append(
                 SweepRow(
                     k=k,
@@ -369,8 +369,7 @@ def recovery_experiment(
     rows = []
     for _, P in _sample_chunks(cfg, k, 8 * _system_rows(manifold, k) * (k + 1)):
         f0 = np.stack([next(weights).random(k) for _ in P])
-        systems = _forward_systems(manifold, P, f0, tolerance)
-        for f, result in zip(f0, _recoveries(manifold, systems, tolerance)):
+        for f, result in zip(f0, _forward_recoveries(manifold, P, f0, tolerance)):
             rows.append(
                 RecoveryTrial(
                     trial=len(rows),

@@ -8,18 +8,18 @@ threshold, so experiment drivers can report ambiguity instead of silently
 misclassifying.
 
 The one verdict rule is two steps: ``_spectra`` settles a stack's singular
-values, and ``_verdicts`` draws the reports from them.  In ``_spectra`` the
+values, and ``_verdicts`` draws the verdicts from them.  In ``_spectra`` the
 matrices that equal their transposes bit for bit get one stacked symmetric
 eigensolve, whose |eigenvalues| are the singular values, and only those it
 flags borderline are factored again by the stacked SVD; every other matrix
-takes the SVD alone.  ``batched_rank_report`` and its one-matrix case
-``rank_report`` are the verdicts of one stack's spectra.  The rank-law engine
-(``montecarlo``) measures a k's kernel trials in chunks and takes one verdict
-per k.  Its Y and Z verdicts and those of ``covrank tensor`` come from one path
-(``tensor._system_verdicts``), which certifies tall reduced Y and Z first, by
-test (a) of the recovery certificate below (``_certify_columns``), and gives
-only the trials left the spectra, with the full shapes' thresholds, and their
-verdicts.  The condition sweep keeps its own rule (``montecarlo.condition_sweep``).  Least squares
+takes the SVD alone.  ``rank_report`` is row 0 of the verdicts of a one-matrix
+stack's spectra.  The rank-law engine (``montecarlo``) measures a k's kernel
+trials in chunks and takes one verdict per k.  Its Y and Z verdicts and those
+of ``covrank tensor`` come from one path (``tensor._system_verdicts``), which
+certifies tall reduced Y and Z first, by test (a) of the recovery certificate
+below (``_certify_columns``), and gives only the trials left the spectra, with
+the full shapes' thresholds, and their verdicts.  The condition sweep keeps
+its own rule (``montecarlo.condition_sweep``).  Least squares
 (``_solve_augmented``, behind ``tensor.recover`` and the recovery experiments)
 follows Chan's R-SVD (T. F. Chan, ACM TOMS 8, 1982): one stacked Householder
 QR of the augmented systems [A | b], then a two-step ladder on the
@@ -39,7 +39,7 @@ values-only SVD of the triangle for rank [A | b].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,9 +47,7 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "RankReport",
-    "BatchedRankReport",
     "rank_report",
-    "batched_rank_report",
 ]
 
 
@@ -93,42 +91,14 @@ class RankReport:
     @property
     def spectral_ratio(self) -> float:
         """Raw sigma_1 / sigma_min, ignoring the tolerance policy."""
-        s = self.singular_values
-        if s[-1] == 0.0:
-            return float("inf")
-        return float(s[0] / s[-1])
+        return float(_spectral_ratios(self.singular_values))
 
 
-@dataclass(frozen=True)
-class BatchedRankReport:
-    """RankReport fields for a stack of T same-shape matrices, one entry per matrix.
-
-    Indexing with a matrix number gives that matrix's RankReport.
-    """
-
-    singular_values: np.ndarray  # (T, min(m, n)), descending
-    numerical_rank: np.ndarray  # (T,) int
-    tolerance_used: np.ndarray  # (T,)
-    borderline: np.ndarray  # (T,) bool
-
-    def __post_init__(self):
-        for f in fields(self):
-            getattr(self, f.name).setflags(write=False)
-
-    @property
-    def spectral_ratio(self) -> np.ndarray:
-        """Raw sigma_1 / sigma_min per matrix, ignoring the tolerance policy."""
-        s = self.singular_values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
-
-    def __getitem__(self, t: int) -> RankReport:
-        return RankReport(
-            singular_values=self.singular_values[t],
-            numerical_rank=int(self.numerical_rank[t]),
-            tolerance_used=float(self.tolerance_used[t]),
-            borderline=bool(self.borderline[t]),
-        )
+def _spectral_ratios(s: np.ndarray) -> np.ndarray:
+    """Raw sigma_1 / sigma_min of singular values s (..., r), descending, ignoring the
+    tolerance policy: inf where sigma_min is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s[..., -1] == 0.0, np.inf, s[..., 0] / s[..., -1])
 
 
 def _validated(matrix, ndim: int = 2) -> np.ndarray:
@@ -140,17 +110,13 @@ def _validated(matrix, ndim: int = 2) -> np.ndarray:
     return a
 
 
-def batched_rank_report(matrices, policy: Tolerance = DEFAULT_TOLERANCE) -> BatchedRankReport:
-    """The reports of every matrix of a (T, m, n) stack: the verdicts of its settled
-    spectra (``_spectra``).  Each report equals, bit for bit, what this gives for the
-    matrix alone."""
-    a = _validated(matrices, ndim=3)
-    return _verdicts(_spectra(a, policy), policy, a.shape[1:])
-
-
 def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
-    """batched_rank_report of one matrix."""
-    return batched_rank_report(_validated(matrix)[None], policy)[0]
+    """The report of one matrix: its settled spectrum (``_spectra``) and that spectrum's
+    verdicts (``_verdicts``), row 0 of those of a stack holding it alone."""
+    a = _validated(matrix)[None]
+    s = _spectra(a, policy)
+    rank, tolerance, borderline = _verdicts(s, policy, a.shape[1:])
+    return RankReport(s[0], int(rank[0]), float(tolerance[0]), bool(borderline[0]))
 
 
 def _spectra(a: np.ndarray, policy: Tolerance, rows: int | None = None) -> np.ndarray:
@@ -194,10 +160,18 @@ def _singular_values(a: np.ndarray, symmetric: bool = False) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _verdicts(s: np.ndarray, policy: Tolerance, shape: tuple[int, int]) -> BatchedRankReport:
-    """The reports of matrices of the given shape whose singular values are s (T, r), descending."""
+class _Verdicts(NamedTuple):
+    """The verdicts of a stack of T matrices, one entry per matrix."""
+
+    numerical_rank: np.ndarray  # (T,) int
+    tolerance_used: np.ndarray  # (T,)
+    borderline: np.ndarray  # (T,) bool
+
+
+def _verdicts(s: np.ndarray, policy: Tolerance, shape: tuple[int, int]) -> _Verdicts:
+    """The verdicts of matrices of the given shape whose singular values are s (T, r), descending."""
     tol = policy.threshold(shape, s[:, 0])
-    return BatchedRankReport(s, np.count_nonzero(s > tol[:, None], axis=1), tol, _near(s, tol))
+    return _Verdicts(np.count_nonzero(s > tol[:, None], axis=1), tol, _near(s, tol))
 
 
 def _near(s: np.ndarray, tol: np.ndarray) -> np.ndarray:

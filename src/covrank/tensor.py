@@ -34,7 +34,7 @@ that the fold and the projection drop.  The Y rows the projection drops
 vanish only up to the round-off normal parts of the log vectors, which grow
 as eps / sin(theta) near the sphere's cut locus; a trial on which they are
 not negligible against the rank threshold keeps them, d(d+1)/2 k + 1 rows
-(``_recovery_systems``).  One QR and the two-step ladder of ``numrank``
+(``_split``, then ``_recoveries``).  One QR and the two-step ladder of ``numrank``
 (norm bounds and one triangular inverse certify full-rank systems; the rest
 take one stacked SVD with vectors of Y's block, and one values-only SVD of the
 triangle for rank [Y | c]) solve either, thresholded for the
@@ -261,20 +261,6 @@ def _split(manifold: _ManifoldBase, V: np.ndarray, policy: Tolerance, system: st
             for dims, group in ((n, ~full), (d, full)) if group.any()]
 
 
-def _recovery_systems(
-    manifold: _ManifoldBase, V: np.ndarray, S: np.ndarray, policy: Tolerance
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The reduced [Y | c] systems of log vectors V (T, k, k, d) and covariance stacks
-    S (T, k, d, d) in the frames of ``_frame_coordinates``, as (trials, systems) pairs
-    that cover each trial once.
-
-    A trial gets the tangent system of _reduced_systems(V, S, n), n(n+1)/2 k + 1 rows,
-    where the Y entries it drops are negligible (``_split``); otherwise dims = d.
-    """
-    return [(np.arange(len(V))[trials], _reduced_systems(V[trials], S[trials], dims))
-            for trials, dims in _split(manifold, V, policy, "Y")]
-
-
 def _reduced_stacks(manifold: _ManifoldBase, V: np.ndarray, eta: np.ndarray, policy: Tolerance, system: str):
     """(trials, stack) pairs that cover each trial of log vectors eta (T, k, k, d), V in the
     frames of ``_frame_coordinates``, once: the stacks of the reductions of Y or Z (system)
@@ -332,16 +318,16 @@ def _system_verdicts(
     return rank, borderline
 
 
-def _forward_systems(
+def _forward_recoveries(
     manifold: _ManifoldBase, P: np.ndarray, f: np.ndarray, policy: Tolerance
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_recovery_systems of point stacks P (T, k, d) and the covariance fields of weights
+) -> list[RecoveryResult]:
+    """_recoveries of point stacks P (T, k, d) and the covariance fields of weights
     f (T, k); each trial's bits equal recover's for that sample and
     sigma_field(outer_field(...), f)."""
     eta = manifold.pairwise_log(P)
     V, S = _frame_coordinates(manifold, P, eta, _weighted_sigmas(eta, f[..., None, :]))
     del eta  # V holds all the systems need; spare the memory while they are built
-    return _recovery_systems(manifold, V, S, policy)
+    return _recoveries(manifold, V, S, policy)
 
 
 def unfold_C(cov: CovField) -> np.ndarray:
@@ -391,7 +377,7 @@ def recover(field: OperatorField, cov: CovField, policy: Tolerance = DEFAULT_TOL
     borderline flags a verdict that a small perturbation could flip: a singular
     value of Y or of [Y | C] within 10x of its threshold, or a rank_augmented other
     than rank_Y or rank_Y + 1.
-    The solve runs on the reduced system of ``_recovery_systems``, orthogonally
+    The solve runs on the reduced system of ``_recoveries``, orthogonally
     equivalent to [Y | C] but n(n+1)/2 k + 1 rows tall instead of d^2 k (or
     d(d+1)/2 k + 1 where Y's dropped normal part is not negligible), with one
     QR, then the two-step ladder of ``numrank._solve_augmented`` on its
@@ -409,24 +395,26 @@ def recover(field: OperatorField, cov: CovField, policy: Tolerance = DEFAULT_TOL
     if not np.all(np.isfinite(sigmas)):
         raise ValueError("covariance field has non-finite entries")
     V, S = _frame_coordinates(field.manifold, field.sample.points[None], field.eta[None], sigmas[None])
-    return _recoveries(field.manifold, _recovery_systems(field.manifold, V, S, policy), policy)[0]
+    return _recoveries(field.manifold, V, S, policy)[0]
 
 
-def _recoveries(
-    manifold: _ManifoldBase, groups: list[tuple[np.ndarray, np.ndarray]], policy: Tolerance
-) -> list[RecoveryResult]:
-    """The RecoveryResult of every trial of the (trials, systems) pairs of
-    _recovery_systems, thresholded for the shapes of the unreduced [Y | c] and Y.
-    A rank_Y above the Y bound the space proves raises RankBoundError."""
-    results = {}
+def _recoveries(manifold: _ManifoldBase, V: np.ndarray, S: np.ndarray, policy: Tolerance) -> list[RecoveryResult]:
+    """The RecoveryResult of every trial of log vectors V (T, k, k, d) and covariance stacks
+    S (T, k, d, d) in the frames of ``_frame_coordinates``, in trial order.
+
+    Each group of trials ``_split`` makes of Y is solved in place: a trial gets the tangent
+    system of _reduced_systems(V, S, n), n(n+1)/2 k + 1 rows, where the Y entries it drops
+    are negligible, and dims = d otherwise, thresholded for the shapes of the unreduced
+    [Y | c] and Y.  A rank_Y above the Y bound the space proves raises RankBoundError."""
+    k = V.shape[1]
     bound = manifold._proven_ranks().get("Y")
-    for trials, systems in groups:
-        k = systems.shape[-1] - 1
-        solution = _solve_augmented(systems, policy, manifold.coord_dim ** 2 * k)
+    results = [None] * len(V)
+    for trials, dims in _split(manifold, V, policy, "Y"):
+        solution = _solve_augmented(_reduced_systems(V[trials], S[trials], dims), policy, manifold.coord_dim ** 2 * k)
         _enforce_bound("Y", int(solution.rank.max()), bound, k)
-        for t, x, residual, rank, rank_augmented, borderline in zip(trials, *solution):
+        for t, x, residual, rank, rank_augmented, borderline in zip(np.arange(len(V))[trials], *solution):
             results[t] = RecoveryResult(f_hat=x, residual=float(residual), rank_Y=int(rank),
                                         rank_augmented=int(rank_augmented),
                                         unique=bool(rank == k and rank_augmented == rank),
                                         borderline=bool(borderline))
-    return [results[t] for t in sorted(results)]
+    return results

@@ -1,10 +1,13 @@
 """Reference computations for tests to compare against: formulas that share no code
 with covrank; the report of one factorization, which covrank's verdict rule
 (eigensolve, then SVD where it flags) is checked against; and the settled spectra of
-the reduced Y and Z, which their certified verdicts are checked against."""
+the reduced Y and Z, which their certified verdicts are checked against.  The
+helpers of stacks return their spectra or their verdicts (``numrank._verdicts``);
+``spectrum_report`` makes one matrix's RankReport of both."""
 
 import numpy as np
 
+from covrank import RankReport
 from covrank.numrank import _spectra, _verdicts
 from covrank.tensor import _frame_coordinates, _reduced_stacks, _system_shape
 
@@ -16,15 +19,25 @@ def euclidean_distances(X, Y):
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def factorization_report(a, policy, symmetric=False):
-    """The verdicts (``numrank._verdicts``) of one stacked factorization of a (T, m, n),
-    with no ladder: its SVD's singular values or, with symmetric=True, the sorted
-    |eigenvalues| of its symmetric eigensolve, which reads only the lower triangle."""
+def factorization_spectra(a, symmetric=False):
+    """The singular values (T, min(m, n)) of one stacked factorization of a (T, m, n), with
+    no ladder: its SVD's or, with symmetric=True, the sorted |eigenvalues| of its
+    symmetric eigensolve, which reads only the lower triangle."""
     if symmetric:
-        s = -np.sort(-np.abs(np.linalg.eigvalsh(a)), axis=1)
-    else:
-        s = np.linalg.svd(a, compute_uv=False)
-    return _verdicts(s, policy, a.shape[1:])
+        return -np.sort(-np.abs(np.linalg.eigvalsh(a)), axis=1)
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def factorization_report(a, policy, symmetric=False):
+    """The verdicts (``numrank._verdicts``) of factorization_spectra."""
+    return _verdicts(factorization_spectra(a, symmetric), policy, a.shape[1:])
+
+
+def spectrum_report(s, policy, shape):
+    """The RankReport of one matrix of the given shape whose singular values are s (r,),
+    descending: row 0 of the verdicts (``numrank._verdicts``) of a stack of it alone."""
+    rank, tolerance, borderline = _verdicts(s[None], policy, shape)
+    return RankReport(s, int(rank[0]), float(tolerance[0]), bool(borderline[0]))
 
 
 def system_spectra(manifold, P, eta, policy, system):

@@ -26,7 +26,7 @@ from covrank import (
 )
 from covrank.montecarlo import fmt17, sample_stream
 from covrank import tensor
-from covrank.tensor import _frame_coordinates, _reduced_stacks
+from covrank.tensor import _frame_coordinates, _reduced_stacks, _system_shape
 from counting import assert_leaf_inverses, counted_inverses, counted_svds
 import reference
 
@@ -41,9 +41,9 @@ def run(capsys, *argv):
 
 
 def system_report(field, system):
-    """The reference report of one field's Y or Z: the verdict of its spectra."""
-    return reference.system_report(field.manifold, field.sample.points[None], field.eta[None], Tolerance(),
-                                   system)[0]
+    """The reference report of one field's Y or Z: its spectra and their verdict."""
+    s = reference.system_spectra(field.manifold, field.sample.points[None], field.eta[None], Tolerance(), system)
+    return reference.spectrum_report(s[0], Tolerance(), _system_shape(field.manifold, field.k, system))
 
 
 def summary_value(line, key):

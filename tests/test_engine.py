@@ -3,7 +3,7 @@
 The reference draws each trial with ``sample_uniform``, builds its matrix
 with ``Kernel.pairwise`` or ``outer_field`` and measures it one trial at a
 time, spelling the verdict rule out: a matrix equal to its transpose bit for
-bit by a one-matrix symmetric eigensolve (``reference.factorization_report``),
+bit by a one-matrix symmetric eigensolve (``reference.factorization_spectra``),
 then by the SVD if that flags it borderline, any other matrix by the SVD, and
 eigensolved condition-sweep cells by the eigensolve alone.  Y, whose verdicts the
 engine takes from tensor's certified path on its reductions, is referenced by the
@@ -25,7 +25,6 @@ from covrank import (
     UnitSphere,
     assemble_Y,
     assemble_Z,
-    batched_rank_report,
     condition_sweep,
     fullrank_probability,
     outer_field,
@@ -40,9 +39,24 @@ from covrank.manifold import rng_streams
 import covrank.montecarlo
 import covrank.numrank
 from covrank.montecarlo import _CHUNK_BYTES, _sample_chunks, _trial_verdicts, aux_stream, sample_stream
-from covrank.tensor import _frame_coordinates, _reduced_Y, _system_rows, _system_verdicts, _Z_array
+from covrank.tensor import (
+    _frame_coordinates,
+    _reduced_Y,
+    _split,
+    _system_rows,
+    _system_shape,
+    _system_verdicts,
+    _Z_array,
+)
 from counting import counted_qrs, counted_svds
-from reference import euclidean_distances, factorization_report, system_report, system_spectra
+from reference import (
+    euclidean_distances,
+    factorization_report,
+    factorization_spectra,
+    spectrum_report,
+    system_report,
+    system_spectra,
+)
 
 
 def chunk_size(k, width):
@@ -65,15 +79,17 @@ def make_config(manifold, kernel=None, k=8, trials=10, seed=3, tolerance=Toleran
     )
 
 
-def svd_report(matrix, tolerance):
-    return factorization_report(matrix[None], tolerance)[0]
+def matrix_report(matrix, tolerance, symmetric=False):
+    """The report of one factorization of one matrix: its SVD or, with symmetric=True,
+    its symmetric eigensolve."""
+    return spectrum_report(factorization_spectra(matrix[None], symmetric)[0], tolerance, matrix.shape)
 
 
 def eigensolve_report(matrix, tolerance):
     """The report of one symmetric eigensolve, or None when the matrix is not symmetric."""
     if matrix.shape[0] != matrix.shape[1] or not np.array_equal(matrix, matrix.T):
         return None
-    return factorization_report(matrix[None], tolerance, symmetric=True)[0]
+    return matrix_report(matrix, tolerance, symmetric=True)
 
 
 def trial_points(cfg, k):
@@ -96,8 +112,8 @@ def one_trial_reports(cfg, k, system):
     reports = []
     for t in range(cfg.trials):
         field = outer_field(cfg.manifold, cfg.manifold.sample_uniform(k, cfg.seed, stream=sample_stream(k, t)))
-        P, eta = field.sample.points[None], field.eta[None]
-        reports.append(system_report(cfg.manifold, P, eta, cfg.tolerance, system)[0])
+        s = system_spectra(cfg.manifold, field.sample.points[None], field.eta[None], cfg.tolerance, system)[0]
+        reports.append(spectrum_report(s, cfg.tolerance, _system_shape(cfg.manifold, k, system)))
     return reports
 
 
@@ -108,7 +124,7 @@ def reference_reports(cfg, k, system):
     for matrix in reference_matrices(cfg, k, system):
         report = eigensolve_report(matrix, cfg.tolerance)
         if report is None or report.borderline:
-            report = svd_report(matrix, cfg.tolerance)
+            report = matrix_report(matrix, cfg.tolerance)
         reports.append(report)
     return reports
 
@@ -120,20 +136,20 @@ def escalated_trials(cfg, k, system):
 
 
 def engine_kernel_report(cfg, k, monkeypatch):
-    """The engine's kernel verdicts at size k, as the one report of all trials' spectra
-    that they were read from."""
+    """The engine's kernel verdicts at size k, with the one (trials, k) array of all trials'
+    spectra that they were read from: (spectra, verdicts)."""
     seen = []
 
     def verdicts(s, policy, shape):
-        seen.append(covrank.numrank._verdicts(s, policy, shape))
-        return seen[-1]
+        seen.append((s.copy(), covrank.numrank._verdicts(s, policy, shape)))
+        return seen[-1][1]
 
     with monkeypatch.context() as patch:
         patch.setattr(covrank.montecarlo, "_verdicts", verdicts)
         rank, borderline = _trial_verdicts(cfg, k, "kernel")
-    [report] = seen
+    [(s, report)] = seen
     assert np.array_equal(rank, report.numerical_rank) and np.array_equal(borderline, report.borderline)
-    return report
+    return s, report
 
 
 def assert_verdicts_equal(verdicts, reference):
@@ -144,15 +160,16 @@ def assert_verdicts_equal(verdicts, reference):
     assert borderline.tolist() == [ref.borderline for ref in reference]
 
 
-def assert_reports_equal(batched, reference):
-    assert batched.numerical_rank.shape == (len(reference),)
+def assert_reports_equal(engine, reference):
+    """The engine's (spectra, verdicts) are the reference reports', trial by trial."""
+    s, verdicts = engine
+    assert verdicts.numerical_rank.shape == (len(reference),)
     for t, ref in enumerate(reference):
-        got = batched[t]
-        assert np.array_equal(got.singular_values, ref.singular_values), f"trial {t}"
-        assert got.numerical_rank == ref.numerical_rank
-        assert got.tolerance_used == ref.tolerance_used
-        assert got.borderline == ref.borderline
-        assert got.spectral_ratio == ref.spectral_ratio
+        assert np.array_equal(s[t], ref.singular_values), f"trial {t}"
+        assert verdicts.numerical_rank[t] == ref.numerical_rank
+        assert verdicts.tolerance_used[t] == ref.tolerance_used
+        assert verdicts.borderline[t] == ref.borderline
+        assert covrank.numrank._spectral_ratios(s[t]) == ref.spectral_ratio
 
 
 # one chunk of euclid:2 kernel trials at k = 20 holds chunk_size(20, 2) trials
@@ -303,7 +320,8 @@ def test_reduced_Y_verdicts_are_those_of_the_full_Y(manifold, ks):
     for k in ks:
         cfg = make_config(manifold, k=k, trials=20, seed=1)
         rank, borderline = _trial_verdicts(cfg, k, "Y")
-        full = batched_rank_report(np.stack(list(reference_matrices(cfg, k, "Y"))))
+        Y = np.stack(list(reference_matrices(cfg, k, "Y")))
+        full = covrank.numrank._verdicts(covrank.numrank._spectra(Y, cfg.tolerance), cfg.tolerance, Y.shape[1:])
         assert np.array_equal(rank, full.numerical_rank), k
         assert np.array_equal(borderline, full.borderline), k
         P = trial_points(cfg, k)
@@ -423,8 +441,7 @@ def test_condition_sweep_matches_reference():
             np.fill_diagonal(dist, 0.0)
             # the oracle proves only alpha = 0 on R^n finite-rank; every other cell is eigensolved
             per_trial.append([
-                svd_report(dist**2, Tolerance()) if a == 0.0
-                else factorization_report(((dist - a) ** 2)[None], Tolerance(), symmetric=True)[0]
+                matrix_report((dist - a) ** 2, Tolerance(), symmetric=a != 0.0)
                 for a in alphas
             ])
         expected[k] = per_trial
@@ -452,9 +469,18 @@ def test_recovery_experiment_matches_reference(manifold):
         field = outer_field(manifold, sample)
         result = recover(field, sigma_field(field, f0))
         assert row.rel_error == float(np.linalg.norm(result.f_hat - f0) / np.linalg.norm(f0))
-        assert (row.residual, row.rank_Y, row.rank_augmented, row.unique) == (
-            result.residual, result.rank_Y, result.rank_augmented, result.unique,
+        assert (row.residual, row.rank_Y, row.rank_augmented, row.unique, row.borderline) == (
+            result.residual, result.rank_Y, result.rank_augmented, result.unique, result.borderline,
         )
+    if manifold.n < manifold.coord_dim:
+        # a chunk mixes trials that keep their tangent axes with trials that keep all d,
+        # so each chunk's results are written back by trial index across two solves
+        P = manifold.sample_batch(k, seed, (sample_stream(k, t) for t in range(trials)))
+        V, _ = _frame_coordinates(manifold, P, manifold.pairwise_log(P))
+        size = recovery_chunk_size(manifold, k)
+        groups = [[dims for _, dims in _split(manifold, V[start:start + size], Tolerance(), "Y")]
+                  for start in range(0, trials, size)]
+        assert [manifold.n, manifold.coord_dim] in groups
 
 
 def test_rekeyed_streams_match_rng_stream():

@@ -9,17 +9,18 @@ from covrank import (
     ExperimentConfig,
     Kernel,
     SampleSet,
+    Tolerance,
     UnclassifiedKernelError,
     UnitSphere,
     arccos_taylor_coeffs,
     arccos_taylor_eval,
-    batched_rank_report,
     parse_kernel,
     rank_law_sweep,
     rank_report,
     theoretical_rank,
 )
 from covrank.cli import parse_manifold
+from covrank.numrank import _spectra, _verdicts
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -76,8 +77,19 @@ class TestMatrix:
         for spec in ("sqdist", "shifted:0.8", "dot:arccos", "dot:arccos2", "dot:cos"):
             m = parse_kernel(spec, sphere).pairwise(pts.points)
             assert np.max(np.abs(m - m.T)) <= 1e-12
-        sq = parse_kernel("sqdist", sphere).pairwise(pts.points)
-        assert np.all(np.diag(sq) == 0.0)
+        # d(p, p) = 0, and arccos(p.p) = arccos(1) = 0 on unit points, though p.p rounds
+        # to just below 1 for some of them
+        assert (np.diag(pts.points @ pts.points.T) < 1.0).any()
+        for spec in ("sqdist", "dot:arccos", "dot:arccos2"):
+            assert np.all(np.diag(parse_kernel(spec, sphere).pairwise(pts.points)) == 0.0), spec
+
+    def test_euclidean_arccos_keeps_its_diagonal(self):
+        # off the sphere p.p is no 1, and the diagonal keeps arccos(clip(p.p))
+        box = Euclidean(2, box=(-0.8, 0.8))
+        P = box.sample_batch(12, 4, range(5))
+        a = np.arccos(np.clip(P @ np.swapaxes(P, 1, 2), -1.0, 1.0))
+        assert np.array_equal(Kernel(box, "dot:arccos").pairwise(P), a)
+        assert np.array_equal(Kernel(box, "dot:arccos2").pairwise(P), a * a)
 
     def test_rotation_invariance(self):
         sphere = UnitSphere(2)
@@ -169,9 +181,23 @@ class TestRankOracle:
         trials, wendel = 4000, k / 2 ** (k - 1)
         circle = UnitSphere(1)
         P = circle.sample_batch(k, 11, range(trials))
-        ranks = batched_rank_report(Kernel(circle, "sqdist").pairwise(P)).numerical_rank
+        A = Kernel(circle, "sqdist").pairwise(P)
+        ranks = _verdicts(_spectra(A, Tolerance()), Tolerance(), A.shape[1:]).numerical_rank
         sd = math.sqrt(wendel * (1 - wendel) / trials)
         assert abs(np.mean(ranks == 3) - wendel) <= 4 * sd
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("spec", ["dot:arccos", "dot:arccos2"])
+    def test_sphere_arccos_one_point_has_rank_zero(self, n, spec):
+        # a point's own entry arccos(p.p) = 0, so one point draws on no other and has
+        # rank 0, as sqdist does
+        sphere = UnitSphere(n)
+        for seed in (1, 2, 3, 31):
+            cfg = ExperimentConfig(manifold=sphere, kernel=parse_kernel(spec, sphere), k_values=(1,),
+                                   trials=100, seed=seed)
+            (row,) = rank_law_sweep(cfg, "kernel")
+            assert (row.rank_min, row.rank_max, row.expected_rank) == (0, 0, 0), seed
+            assert row.equality_fraction == 1.0, seed
 
     def test_circle_sqdist_is_never_full_rank_at_k40(self):
         circle = UnitSphere(1)

@@ -11,7 +11,6 @@ import pytest
 
 import covrank
 from covrank import (
-    BatchedRankReport,
     CovField,
     Euclidean,
     ExperimentConfig,
@@ -20,7 +19,6 @@ from covrank import (
     SampleSet,
     Tolerance,
     UnitSphere,
-    batched_rank_report,
     condition_sweep,
     fullrank_probability,
     rank_law_sweep,
@@ -301,10 +299,9 @@ class TestLibrarySurface:
             (condition_sweep, ["manifold", "alphas", "k_values", "trials", "seed", "tolerance"]),
             (recovery_experiment, ["manifold", "k", "trials", "seed", "tolerance"]),
             (rank_report, ["matrix", "policy"]),
-            (batched_rank_report, ["matrices", "policy"]),
         ],
         ids=["sample_uniform", "sphere-sample_uniform", "sample_batch", "expected_distance",
-             "condition_sweep", "recovery_experiment", "rank_report", "batched_rank_report"],
+             "condition_sweep", "recovery_experiment", "rank_report"],
     )
     def test_parameters(self, call, params):
         assert list(inspect.signature(call).parameters) == params
@@ -319,10 +316,9 @@ class TestLibrarySurface:
             (SampleSet, ["manifold", "points"]),
             (CovField, ["sigmas"]),
             (RankReport, ["singular_values", "numerical_rank", "tolerance_used", "borderline"]),
-            (BatchedRankReport, ["singular_values", "numerical_rank", "tolerance_used", "borderline"]),
         ],
         ids=["ExperimentConfig", "Euclidean", "UnitSphere", "Tolerance", "SampleSet", "CovField",
-             "RankReport", "BatchedRankReport"],
+             "RankReport"],
     )
     def test_fields(self, cls, names):
         assert [f.name for f in fields(cls)] == names
@@ -347,11 +343,11 @@ class TestLibrarySurface:
 
     def test_package_exports(self):
         assert covrank.__all__ == [
-            "AntipodalPairError", "BatchedRankReport", "CovField", "DEFAULT_TOLERANCE", "Euclidean",
+            "AntipodalPairError", "CovField", "DEFAULT_TOLERANCE", "Euclidean",
             "ExperimentConfig", "Kernel", "OperatorField", "RankBoundError", "RankLawRow",
             "RankReport", "RecoveryResult", "RecoveryTrial", "SampleSet", "SweepRow", "Tolerance",
             "UnclassifiedKernelError", "UnitSphere", "arccos_taylor_coeffs",
-            "arccos_taylor_eval", "assemble_Y", "assemble_Z", "batched_rank_report", "condition_sweep",
+            "arccos_taylor_eval", "assemble_Y", "assemble_Z", "condition_sweep",
             "fullrank_probability", "outer_field", "parse_kernel", "rank_law_sweep", "rank_report",
             "recover", "recovery_experiment", "rng_stream", "rows_to_csv", "rows_to_jsonl", "sigma_field",
             "theoretical_rank", "trace_system", "unfold_C",

@@ -4,13 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covrank import Euclidean, Tolerance, UnitSphere, batched_rank_report, rank_report, rng_stream
-from covrank import numrank
+from covrank import Euclidean, Tolerance, UnitSphere, rank_report, rng_stream
+from covrank import numrank, tensor
 from covrank.montecarlo import aux_stream, sample_stream
-from covrank.numrank import _solve_augmented
-from covrank.tensor import _forward_systems
+from covrank.numrank import _solve_augmented, _spectra, _verdicts
 from counting import assert_leaf_inverses, counted_inverses, counted_solves, counted_svds
-from reference import factorization_report
+from reference import factorization_report, factorization_spectra
 
 
 def exact_rank(matrix) -> int:
@@ -466,8 +465,17 @@ def engine_system(manifold, k, seed, trial, f=None):
     for a trial, or with the weights f in place of the trial's own."""
     P = manifold.sample_batch(k, seed, [sample_stream(k, trial)])
     f = rng_stream(seed, aux_stream(k, trial)).random(k) if f is None else f
-    (_, systems), = _forward_systems(manifold, P, f[None], Tolerance())
-    return systems[0]
+    systems = []
+
+    def solve(Ab, *args):
+        systems.append(Ab)
+        return _solve_augmented(Ab, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor, "_solve_augmented", solve)
+        tensor._forward_recoveries(manifold, P, f[None], Tolerance())
+    [Ab] = systems
+    return Ab[0]
 
 
 def vectors_path(Ab, rows):
@@ -593,17 +601,22 @@ def report_fields(report):
     return [report.singular_values, report.numerical_rank, report.tolerance_used, report.borderline]
 
 
+def stack_fields(stack, policy=Tolerance()):
+    """Each matrix's report fields read off one stack: a row of its settled spectra
+    (``numrank._spectra``) and the same row of their verdicts (``numrank._verdicts``)."""
+    s = _spectra(stack, policy)
+    return [list(row) for row in zip(s, *_verdicts(s, policy, stack.shape[1:]))]
+
+
 @pytest.mark.parametrize("k, rank", [(1, None), (6, None), (9, 4), (12, 11)])
 @pytest.mark.parametrize("policy", [Tolerance(), Tolerance(1e-9)], ids=["relative", "factor"])
 def test_stacked_symmetric_report_equals_separate_reports(k, rank, policy):
     stack = symmetric_stack(5, k, seed=60 + k, rank=rank)
     stack[3] = 0.0  # a singular member, which the eigensolve flags and the SVD settles
     stack[1] *= 1e-10  # a member at another scale, whose tau is its own
-    stacked = batched_rank_report(stack, policy)
-    for t in range(len(stack)):
-        alone = batched_rank_report(stack[t : t + 1], policy)
-        for got, want in zip(report_fields(stacked), report_fields(alone)):
-            assert np.array_equal(got[t], want[0]), t
+    for t, got in enumerate(stack_fields(stack, policy)):
+        for got_field, want in zip(got, report_fields(rank_report(stack[t], policy))):
+            assert np.array_equal(got_field, want), t
 
 
 @pytest.mark.parametrize("k", [2, 7, 40])
@@ -611,9 +624,9 @@ def test_symmetric_spectrum_matches_svd(k):
     stack = symmetric_stack(6, k, seed=70 + k)
     eig = factorization_report(stack, Tolerance(), symmetric=True)
     svd = factorization_report(stack, Tolerance())
-    s1 = svd.singular_values[:, :1]
-    assert np.all(np.diff(eig.singular_values, axis=1) <= 0)
-    assert np.all(np.abs(eig.singular_values - svd.singular_values) <= 1e-12 * s1)
+    s_eig, s_svd = factorization_spectra(stack, symmetric=True), factorization_spectra(stack)
+    assert np.all(np.diff(s_eig, axis=1) <= 0)
+    assert np.all(np.abs(s_eig - s_svd) <= 1e-12 * s_svd[:, :1])
     assert np.array_equal(eig.numerical_rank, svd.numerical_rank)
     assert np.array_equal(eig.borderline, svd.borderline)
     assert np.all(eig.numerical_rank == k)
@@ -624,15 +637,15 @@ def test_symmetric_path_needs_square_matrices(monkeypatch):
         raise AssertionError("a non-square stack reached the eigensolve")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-    report = batched_rank_report(np.ones((2, 3, 4)))
-    assert report.singular_values.shape == (2, 3)
-    assert list(report.numerical_rank) == [1, 1]
+    reports = stack_fields(np.ones((2, 3, 4)))
+    assert [s.shape for s, *_ in reports] == [(3,), (3,)]
+    assert [rank for _, rank, *_ in reports] == [1, 1]
 
 
 def eigensolve_decides(matrix):
     """A bitwise-symmetric matrix whose eigensolve leaves no value in the borderline band."""
-    report = factorization_report(matrix[None], Tolerance(), symmetric=True)[0]
-    return np.array_equal(matrix, matrix.T) and not report.borderline
+    report = factorization_report(matrix[None], Tolerance(), symmetric=True)
+    return np.array_equal(matrix, matrix.T) and not report.borderline[0]
 
 
 def near_threshold_matrix():
@@ -646,7 +659,7 @@ def near_threshold_matrix():
 
 
 class TestOneRule:
-    """rank_report and batched_rank_report decide by one rule: eigensolve a matrix that
+    """rank_report and a stack's verdicts decide by one rule: eigensolve a matrix that
     equals its transpose bit for bit, settle what it flags by the SVD, and factor any
     other matrix by the SVD."""
 
@@ -666,7 +679,7 @@ class TestOneRule:
         A = near_threshold_matrix()
         assert np.array_equal(A, A.T) and not eigensolve_decides(A)
         svd = np.linalg.svd(A, compute_uv=False)
-        assert not np.array_equal(factorization_report(A[None], Tolerance(), symmetric=True).singular_values[0], svd)
+        assert not np.array_equal(factorization_spectra(A[None], symmetric=True)[0], svd)
         report = rank_report(A)
         assert np.array_equal(report.singular_values, svd)
         assert report.borderline
@@ -680,8 +693,8 @@ class TestOneRule:
             "asymmetric": rng.standard_normal((6, 6)),
             "tall": rng.standard_normal((8, 3)),
         }[name]
-        alone, batch = rank_report(A), batched_rank_report(A[None])[0]
-        for got, want in zip(report_fields(alone), report_fields(batch)):
+        [batch] = stack_fields(A[None])
+        for got, want in zip(report_fields(rank_report(A)), batch):
             assert np.array_equal(got, want)
 
 
@@ -691,16 +704,15 @@ def test_mixed_stack_reports_each_matrix_as_alone():
     off = decided.copy()
     off[0, 1] = np.nextafter(off[0, 1], np.inf)
     stack = np.stack([decided, off, near_threshold_matrix(), np.zeros((9, 9))])
-    batch = batched_rank_report(stack)
+    batch = stack_fields(stack)
     for t, A in enumerate(stack):
-        for got, want in zip(report_fields(batch), report_fields(batched_rank_report(A[None]))):
-            assert np.array_equal(got[t], want[0]), t
-    assert np.array_equal(batch.singular_values[0], -np.sort(-np.abs(np.linalg.eigvalsh(decided))))
-    assert np.array_equal(batch.singular_values[1], np.linalg.svd(off, compute_uv=False))
+        for got, want in zip(batch[t], report_fields(rank_report(A))):
+            assert np.array_equal(got, want), t
+    assert np.array_equal(batch[0][0], -np.sort(-np.abs(np.linalg.eigvalsh(decided))))
+    assert np.array_equal(batch[1][0], np.linalg.svd(off, compute_uv=False))
 
 
 def test_reports_are_read_only():
-    batch = batched_rank_report(np.eye(3)[None])
-    for array in report_fields(batch) + [rank_report(np.eye(3)).singular_values]:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = array[0]
+    array = rank_report(np.eye(3)).singular_values
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[0]

@@ -37,7 +37,7 @@ from covrank import (  # noqa: E402
 from covrank.cli import _csv, _spell  # noqa: E402
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
 from covrank.numrank import _solve_augmented  # noqa: E402
-from covrank.tensor import _frame_coordinates, _recovery_systems  # noqa: E402
+from covrank.tensor import _frame_coordinates, _reduced_systems, _split  # noqa: E402
 from reference import euclidean_distances  # noqa: E402
 
 
@@ -193,7 +193,8 @@ def test_reduced_system_keeps_the_singular_values_and_ranks_of_Y_c(system):
     Y = assemble_Y(field)
     full = np.column_stack([Y, unfold_C(CovField(sigmas=sigmas))])
     V, S = _frame_coordinates(field.manifold, field.sample.points[None], field.eta[None], sigmas[None])
-    [(_, reduced)] = _recovery_systems(field.manifold, V, S, Tolerance())
+    [(_, dims)] = _split(field.manifold, V, Tolerance(), "Y")
+    reduced = _reduced_systems(V, S, dims)
     s_full, s_reduced = (np.linalg.svd(a, compute_uv=False) for a in (full, reduced[0]))
     # on euclid:1 [Y | c] has k rows, and the reduced system's extra singular value is 0
     s_full = np.pad(s_full, (0, k + 1 - len(s_full)))
