@@ -23,7 +23,7 @@ from .montecarlo import (
     rows_to_csv,
     rows_to_jsonl,
 )
-from .numrank import DEFAULT_TOLERANCE, RankReport, Tolerance, rank_report
+from .numrank import DEFAULT_TOLERANCE, Tolerance
 from .tensor import (
     CovField,
     OperatorField,
@@ -49,7 +49,6 @@ __all__ = [
     "OperatorField",
     "RankBoundError",
     "RankLawRow",
-    "RankReport",
     "RecoveryResult",
     "RecoveryTrial",
     "SampleSet",
@@ -66,7 +65,6 @@ __all__ = [
     "outer_field",
     "parse_kernel",
     "rank_law_sweep",
-    "rank_report",
     "recover",
     "recovery_experiment",
     "rng_stream",

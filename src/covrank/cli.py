@@ -40,7 +40,7 @@ from .montecarlo import (
     rows_to_jsonl,
     sample_stream,
 )
-from .numrank import Tolerance, rank_report
+from .numrank import Tolerance, _spectra, _validated, _verdicts
 from .tensor import (
     LAYOUT_VERSION,
     CovField,
@@ -397,8 +397,9 @@ def cmd_tensor(args) -> str:
     (rank_Y, borderline_Y), (rank_Z, borderline_Z) = (
         (int(rank[0]), bool(borderline[0]))
         for rank, borderline in (_system_verdicts(manifold, P, eta, policy, system) for system in ("Y", "Z")))
-    report_psi = rank_report(psi, policy)
-    _enforce_bound("Psi", report_psi.numerical_rank, manifold._proven_ranks().get("sqdist"), args.k)
+    rank, _, borderline = _verdicts(_spectra(_validated(psi)[None], policy), policy, psi.shape)
+    rank_Psi, borderline_Psi = int(rank[0]), bool(borderline[0])
+    _enforce_bound("Psi", rank_Psi, manifold._proven_ranks().get("sqdist"), args.k)
     wrote = ""
     if args.out:
         f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)
@@ -417,8 +418,8 @@ def cmd_tensor(args) -> str:
     return (
         f"tensor manifold={manifold} k={args.k} seed={args.seed} d={field.d}"
         f" rank_Y={rank_Y} rank_Z={rank_Z}"
-        f" rank_Psi={report_psi.numerical_rank} borderline_Y={fmt17(borderline_Y)}"
-        f" borderline_Z={fmt17(borderline_Z)} borderline_Psi={fmt17(report_psi.borderline)}{wrote}"
+        f" rank_Psi={rank_Psi} borderline_Y={fmt17(borderline_Y)}"
+        f" borderline_Z={fmt17(borderline_Z)} borderline_Psi={fmt17(borderline_Psi)}{wrote}"
     )
 
 

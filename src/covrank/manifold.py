@@ -21,6 +21,7 @@ with the same bits as computing each sample on its own.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -48,10 +49,17 @@ class AntipodalPairError(ValueError):
     """Sphere log map requested at (numerically) antipodal points."""
 
 
-def _check_key_word(value: int) -> None:
-    """Refuse a seed or stream that is not one unsigned 64-bit Philox key word."""
+def _check_key_word(value: int) -> int:
+    """A seed or stream as an int, refused unless it is one unsigned 64-bit Philox key word:
+    an integer, numpy's included, in [0, 2**64).  The key is cast to uint64, which would
+    run 1.5 as 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"seed and stream must be integers, got {value!r}") from None
     if not 0 <= value < 1 << 64:
         raise ValueError(f"seed and stream must lie in [0, 2**64), got {value}")
+    return value
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -126,8 +134,13 @@ class _ManifoldBase:
     _unit_points = False
 
     def __post_init__(self):
-        if self.n < 1:
+        try:  # numpy integers pass; 2.5 is refused, and 2.0 would print euclid:2.0
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"dimension must be an integer, got {self.n!r}") from None
+        if n < 1:
             raise ValueError("dimension must be positive")
+        object.__setattr__(self, "n", n)
 
     def sample_uniform(self, k: int, seed: int, *, stream: int = 0) -> SampleSet:
         """Draw k independent uniform points; identical inputs give identical bits."""
@@ -138,8 +151,8 @@ class _ManifoldBase:
         """The points of ``sample_uniform(k, seed, stream=s)`` for each s in streams,
         stacked into shape (len(streams), k, coord_dim) with the same bits: the re-keyed
         generators of ``rng_streams`` fill each slice with raw draws, and one pass over
-        the stack makes them points.  A seed or stream outside [0, 2**64) raises
-        ValueError before anything is drawn."""
+        the stack makes them points.  A seed or stream that is no integer in [0, 2**64)
+        raises ValueError before anything is drawn."""
         if k < 1:
             raise ValueError("k must be at least 1")
         streams = list(streams)

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
-from .manifold import _ManifoldBase, rng_streams
+from .manifold import _check_key_word, _ManifoldBase, rng_streams
 from .numrank import DEFAULT_TOLERANCE, Tolerance, _singular_values, _spectra, _spectral_ratios, _validated, _verdicts
 from .tensor import (
     RankBoundError,
@@ -114,6 +114,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at most 2**32, got {self.trials}")
         if self.kernel is not None and self.kernel.manifold != self.manifold:
             raise ValueError(f"kernel on {self.kernel.manifold!r} for samples on {self.manifold!r}")
+        object.__setattr__(self, "seed", _check_key_word(self.seed))
 
 
 @dataclass(frozen=True)
@@ -365,7 +366,7 @@ def recovery_experiment(
         tolerance=tolerance,
     )
     (k,) = cfg.k_values
-    weights = rng_streams(seed, (aux_stream(k, t) for t in range(cfg.trials)))
+    weights = rng_streams(cfg.seed, (aux_stream(k, t) for t in range(cfg.trials)))
     rows = []
     for _, P in _sample_chunks(cfg, k, 8 * _system_rows(manifold, k) * (k + 1)):
         f0 = np.stack([next(weights).random(k) for _ in P])

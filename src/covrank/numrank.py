@@ -2,7 +2,7 @@
 
 Numerical rank counts singular values above a tolerance, always the relative
 tau = factor * sigma_1 with the default factor max(m, n) * eps, so a verdict
-does not depend on the scale of the matrix.  Reports flag decisions as
+does not depend on the scale of the matrix.  Verdicts flag decisions as
 borderline when any singular value lands within a factor of 10 of the
 threshold, so experiment drivers can report ambiguity instead of silently
 misclassifying.
@@ -12,8 +12,8 @@ values, and ``_verdicts`` draws the verdicts from them.  In ``_spectra`` the
 matrices that equal their transposes bit for bit get one stacked symmetric
 eigensolve, whose |eigenvalues| are the singular values, and only those it
 flags borderline are factored again by the stacked SVD; every other matrix
-takes the SVD alone.  ``rank_report`` is row 0 of the verdicts of a one-matrix
-stack's spectra.  The rank-law engine (``montecarlo``) measures a k's kernel
+takes the SVD alone.  ``covrank tensor`` takes Psi's verdict as row 0 of those
+of a one-matrix stack.  The rank-law engine (``montecarlo``) measures a k's kernel
 trials in chunks and takes one verdict per k.  Its Y and Z verdicts and those
 of ``covrank tensor`` come from one path (``tensor._system_verdicts``), which
 certifies tall reduced Y and Z first, by test (a) of the recovery certificate
@@ -44,11 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "Tolerance",
-    "RankReport",
-    "rank_report",
-]
+__all__ = ["Tolerance"]
 
 
 @dataclass(frozen=True)
@@ -76,24 +72,6 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True)
-class RankReport:
-    """Singular values of one matrix and the decisions drawn from them."""
-
-    singular_values: np.ndarray
-    numerical_rank: int
-    tolerance_used: float
-    borderline: bool
-
-    def __post_init__(self):
-        self.singular_values.setflags(write=False)
-
-    @property
-    def spectral_ratio(self) -> float:
-        """Raw sigma_1 / sigma_min, ignoring the tolerance policy."""
-        return float(_spectral_ratios(self.singular_values))
-
-
 def _spectral_ratios(s: np.ndarray) -> np.ndarray:
     """Raw sigma_1 / sigma_min of singular values s (..., r), descending, ignoring the
     tolerance policy: inf where sigma_min is 0."""
@@ -108,15 +86,6 @@ def _validated(matrix, ndim: int = 2) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
-
-
-def rank_report(matrix, policy: Tolerance = DEFAULT_TOLERANCE) -> RankReport:
-    """The report of one matrix: its settled spectrum (``_spectra``) and that spectrum's
-    verdicts (``_verdicts``), row 0 of those of a stack holding it alone."""
-    a = _validated(matrix)[None]
-    s = _spectra(a, policy)
-    rank, tolerance, borderline = _verdicts(s, policy, a.shape[1:])
-    return RankReport(s[0], int(rank[0]), float(tolerance[0]), bool(borderline[0]))
 
 
 def _spectra(a: np.ndarray, policy: Tolerance, rows: int | None = None) -> np.ndarray:

@@ -3,12 +3,15 @@ with covrank; the report of one factorization, which covrank's verdict rule
 (eigensolve, then SVD where it flags) is checked against; and the settled spectra of
 the reduced Y and Z, which their certified verdicts are checked against.  The
 helpers of stacks return their spectra or their verdicts (``numrank._verdicts``);
-``spectrum_report`` makes one matrix's RankReport of both."""
+``spectrum_report`` makes one matrix's RankReport of both, and ``rank_report`` that
+of one matrix measured by the verdict rule."""
+
+from typing import NamedTuple
 
 import numpy as np
 
-from covrank import RankReport
-from covrank.numrank import _spectra, _verdicts
+from covrank import DEFAULT_TOLERANCE
+from covrank.numrank import _spectra, _spectral_ratios, _validated, _verdicts
 from covrank.tensor import _frame_coordinates, _reduced_stacks, _system_shape
 
 
@@ -33,11 +36,32 @@ def factorization_report(a, policy, symmetric=False):
     return _verdicts(factorization_spectra(a, symmetric), policy, a.shape[1:])
 
 
+class RankReport(NamedTuple):
+    """Singular values of one matrix and the verdicts drawn from them."""
+
+    singular_values: np.ndarray
+    numerical_rank: int
+    tolerance_used: float
+    borderline: bool
+
+    @property
+    def spectral_ratio(self):
+        """Raw sigma_1 / sigma_min, ignoring the tolerance policy."""
+        return float(_spectral_ratios(self.singular_values))
+
+
 def spectrum_report(s, policy, shape):
     """The RankReport of one matrix of the given shape whose singular values are s (r,),
     descending: row 0 of the verdicts (``numrank._verdicts``) of a stack of it alone."""
     rank, tolerance, borderline = _verdicts(s[None], policy, shape)
     return RankReport(s, int(rank[0]), float(tolerance[0]), bool(borderline[0]))
+
+
+def rank_report(matrix, policy=DEFAULT_TOLERANCE):
+    """The RankReport of one matrix by covrank's verdict rule: its settled spectrum, row 0
+    of those (``numrank._spectra``) of a stack of it alone, and that spectrum's verdicts."""
+    a = _validated(matrix)
+    return spectrum_report(_spectra(a[None], policy)[0], policy, a.shape)
 
 
 def system_spectra(manifold, P, eta, policy, system):

@@ -19,7 +19,6 @@ from covrank import (
     assemble_Y,
     assemble_Z,
     outer_field,
-    rank_report,
     rng_stream,
     sigma_field,
     trace_system,
@@ -29,6 +28,7 @@ from covrank import tensor
 from covrank.tensor import _frame_coordinates, _reduced_stacks, _system_shape
 from counting import assert_leaf_inverses, counted_inverses, counted_svds
 import reference
+from reference import rank_report
 
 # a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
 GOLDEN_SIGMA = Path(__file__).parent / "golden" / "tensor.Sigma.csv"
@@ -674,6 +674,15 @@ class TestFailureReports:
         assert captured.err.count("\n") == 1 and captured.err.startswith("covrank: ")
         assert "Traceback" not in captured.err
         assert caught == []
+
+    def test_psi_above_the_bound_is_a_numerical_failure(self, capsys, monkeypatch):
+        # a sqdist law one below the plane's Psi rank 4; the Y and Z laws stay as declared
+        declared = Euclidean._proven_ranks
+        monkeypatch.setattr(Euclidean, "_proven_ranks", lambda self: {**declared(self), "sqdist": self.n + 1})
+        assert main(["tensor", "--manifold", "euclid:2", "--k", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "covrank: numerical failure: Psi system exceeded its proven rank bound: rank 4 > 3 at k=5\n"
 
     def test_recover_file_above_the_bound_is_a_numerical_failure(self, capsys, monkeypatch, tmp_path):
         # a Y of rank 6 on euclid:2, read back under a tolerance that counts round-off

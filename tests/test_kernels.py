@@ -16,11 +16,11 @@ from covrank import (
     arccos_taylor_eval,
     parse_kernel,
     rank_law_sweep,
-    rank_report,
     theoretical_rank,
 )
 from covrank.cli import parse_manifold
 from covrank.numrank import _spectra, _verdicts
+from reference import rank_report
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])

@@ -276,6 +276,39 @@ def test_sample_batch_refuses_a_bad_key_before_any_draw(space, seed, streams, ba
     assert not drawn
 
 
+@pytest.mark.parametrize(
+    "run",
+    [lambda: Euclidean(2).sample_uniform(4, 1.9), lambda: UnitSphere(2).sample_batch(4, 3, [2.7]),
+     lambda: rng_stream(5.5), lambda: rng_stream(5, 0.5)],
+    ids=["sample_uniform-seed", "sample_batch-stream", "rng_stream-seed", "rng_stream-stream"],
+)
+def test_a_non_integer_key_is_refused(run):
+    # the key is cast to uint64, which would run 1.9 as seed 1
+    with pytest.raises(ValueError, match="seed and stream must be integers"):
+        run()
+
+
+def test_numpy_integer_keys_give_the_same_bits():
+    space = Euclidean(2)
+    assert np.array_equal(space.sample_uniform(4, np.int64(1)).points, space.sample_uniform(4, 1).points)
+    assert np.array_equal(space.sample_batch(4, np.uint64(3), np.array([2])), space.sample_batch(4, 3, [2]))
+    assert np.array_equal(rng_stream(np.int32(5), np.int64(1)).random(3), rng_stream(5, 1).random(3))
+
+
+@pytest.mark.parametrize("make", [lambda: Euclidean(2.5), lambda: UnitSphere(1.5), lambda: Euclidean(2.0)],
+                         ids=["euclid-2.5", "sphere-1.5", "euclid-2.0"])
+def test_a_non_integer_dimension_is_refused(make):
+    # 2.5 would fail at the first draw inside numpy, and 2.0 would print euclid:2.0
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        make()
+
+
+def test_a_numpy_integer_dimension_is_an_int():
+    space = Euclidean(np.int64(2))
+    assert str(space) == "euclid:2" and space == Euclidean(2) and type(space.n) is int
+    assert UnitSphere(np.int32(2)) == UnitSphere(2)
+
+
 def test_rng_streams_take_the_largest_key():
     top = 2**64 - 1
     (rng,) = rng_streams(top, [top])

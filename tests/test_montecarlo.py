@@ -15,14 +15,12 @@ from covrank import (
     Euclidean,
     ExperimentConfig,
     Kernel,
-    RankReport,
     SampleSet,
     Tolerance,
     UnitSphere,
     condition_sweep,
     fullrank_probability,
     rank_law_sweep,
-    rank_report,
     recovery_experiment,
     rows_to_csv,
     rows_to_jsonl,
@@ -269,6 +267,23 @@ class TestConfigValidation:
         assert [(r.trial, r.k) for r in rows] == [(0, 4), (1, 4)] and type(rows[0].k) is int
 
     @pytest.mark.parametrize(
+        "run",
+        [lambda: rank_law_sweep(config(Euclidean(2), seed=1.5), "Y"),
+         lambda: recovery_experiment(UnitSphere(2), 5, 3, 7.2)],
+        ids=["rank-law", "recovery"],
+    )
+    def test_rejects_a_non_integer_seed(self, run):
+        # the Philox key is cast to uint64, which would run seed 1.5 as seed 1
+        with pytest.raises(ValueError, match="seed and stream must be integers"):
+            run()
+
+    def test_numpy_integer_seed_gives_the_same_rows(self):
+        cfg = config(Euclidean(2), seed=np.int64(1))
+        assert type(cfg.seed) is int
+        assert rank_law_sweep(cfg, "Y") == rank_law_sweep(config(Euclidean(2), seed=1), "Y")
+        assert recovery_experiment(UnitSphere(2), 5, 3, np.uint64(7)) == recovery_experiment(UnitSphere(2), 5, 3, 7)
+
+    @pytest.mark.parametrize(
         "kernel_space, space",
         [(UnitSphere(2), Euclidean(3)), (Euclidean(2, box=(0.0, 2.0)), Euclidean(2)), (UnitSphere(3), UnitSphere(2))],
         ids=["sphere-on-cube", "other-box", "other-dimension"],
@@ -298,10 +313,9 @@ class TestLibrarySurface:
             (Euclidean.expected_distance, ["self", "trials", "seed"]),
             (condition_sweep, ["manifold", "alphas", "k_values", "trials", "seed", "tolerance"]),
             (recovery_experiment, ["manifold", "k", "trials", "seed", "tolerance"]),
-            (rank_report, ["matrix", "policy"]),
         ],
         ids=["sample_uniform", "sphere-sample_uniform", "sample_batch", "expected_distance",
-             "condition_sweep", "recovery_experiment", "rank_report"],
+             "condition_sweep", "recovery_experiment"],
     )
     def test_parameters(self, call, params):
         assert list(inspect.signature(call).parameters) == params
@@ -315,10 +329,8 @@ class TestLibrarySurface:
             (Tolerance, ["factor"]),
             (SampleSet, ["manifold", "points"]),
             (CovField, ["sigmas"]),
-            (RankReport, ["singular_values", "numerical_rank", "tolerance_used", "borderline"]),
         ],
-        ids=["ExperimentConfig", "Euclidean", "UnitSphere", "Tolerance", "SampleSet", "CovField",
-             "RankReport"],
+        ids=["ExperimentConfig", "Euclidean", "UnitSphere", "Tolerance", "SampleSet", "CovField"],
     )
     def test_fields(self, cls, names):
         assert [f.name for f in fields(cls)] == names
@@ -345,10 +357,10 @@ class TestLibrarySurface:
         assert covrank.__all__ == [
             "AntipodalPairError", "CovField", "DEFAULT_TOLERANCE", "Euclidean",
             "ExperimentConfig", "Kernel", "OperatorField", "RankBoundError", "RankLawRow",
-            "RankReport", "RecoveryResult", "RecoveryTrial", "SampleSet", "SweepRow", "Tolerance",
+            "RecoveryResult", "RecoveryTrial", "SampleSet", "SweepRow", "Tolerance",
             "UnclassifiedKernelError", "UnitSphere", "arccos_taylor_coeffs",
             "arccos_taylor_eval", "assemble_Y", "assemble_Z", "condition_sweep",
-            "fullrank_probability", "outer_field", "parse_kernel", "rank_law_sweep", "rank_report",
+            "fullrank_probability", "outer_field", "parse_kernel", "rank_law_sweep",
             "recover", "recovery_experiment", "rng_stream", "rows_to_csv", "rows_to_jsonl", "sigma_field",
             "theoretical_rank", "trace_system", "unfold_C",
         ]

@@ -27,7 +27,6 @@ from covrank import (  # noqa: E402
     assemble_Y,
     assemble_Z,
     outer_field,
-    rank_report,
     rng_stream,
     rows_to_jsonl,
     sigma_field,
@@ -38,7 +37,7 @@ from covrank.cli import _csv, _spell  # noqa: E402
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
 from covrank.numrank import _solve_augmented  # noqa: E402
 from covrank.tensor import _frame_coordinates, _reduced_systems, _split  # noqa: E402
-from reference import euclidean_distances  # noqa: E402
+from reference import euclidean_distances, rank_report  # noqa: E402
 
 
 def same_double(a: float, b: float) -> bool:

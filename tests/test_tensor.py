@@ -15,7 +15,6 @@ from covrank import (
     assemble_Y,
     assemble_Z,
     outer_field,
-    rank_report,
     recover,
     recovery_experiment,
     rng_stream,
@@ -26,7 +25,7 @@ from covrank import (
 from covrank import numrank, tensor
 from covrank.montecarlo import aux_stream, sample_stream
 from covrank.tensor import _frame_coordinates, _reduced_stacks, _split, _system_verdicts
-from reference import system_report, system_spectra
+from reference import rank_report, system_report, system_spectra
 
 
 def sample_of(manifold, points):
