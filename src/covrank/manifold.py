@@ -287,20 +287,26 @@ class UnitSphere(_ManifoldBase):
         and eta_jj = 0.  Pairs within ANTIPODAL_MARGIN of antipodal raise
         AntipodalPairError, since the log map is undefined at the cut locus.
         """
-        G = np.clip(P @ np.swapaxes(P, -1, -2), -1.0, 1.0)
+        G = P @ np.swapaxes(P, -1, -2)
+        np.clip(G, -1.0, 1.0, out=G)
         theta = _zero_diagonal(np.arccos(G))
-        bad = np.argwhere(theta > np.pi - ANTIPODAL_MARGIN)
-        if bad.size:
-            j, i = bad[0][-2:]
+        if theta.max(initial=0.0) > np.pi - ANTIPODAL_MARGIN:
+            j, i = np.argwhere(theta > np.pi - ANTIPODAL_MARGIN)[0][-2:]
             raise AntipodalPairError(
                 f"points {j} and {i} are antipodal; the log map is undefined there"
             )
-        sin = np.sin(theta)
-        factor = np.divide(theta, sin, out=np.ones_like(theta), where=sin > 0)
-        # one (..., k, k, n+1) buffer holds every step, with the bits of the plain expression
-        eta = np.multiply(G[..., None], P[..., :, None, :])
-        np.subtract(P[..., None, :, :], eta, out=eta)
-        np.multiply(factor[..., None], eta, out=eta)
+        # theta / sin(theta) in sin's buffer, and 1 where sin(theta) = 0, which is at theta = 0
+        factor = np.sin(theta)
+        np.divide(theta, factor, out=factor, where=factor > 0)
+        factor[factor == 0.0] = 1.0
+        # one coordinate at a time, in theta's buffer, with the bits of the plain expression
+        # factor * (p_i - G_ji p_j) and no (..., k, k, n+1) temporary
+        eta = np.empty(G.shape + P.shape[-1:])
+        term = theta
+        for c in range(P.shape[-1]):
+            np.multiply(G, P[..., :, c, None], out=term)
+            np.subtract(P[..., None, :, c], term, out=term)
+            np.multiply(factor, term, out=eta[..., c])
         i = np.arange(P.shape[-2])
         eta[..., i, i, :] = 0.0
         return eta

@@ -207,9 +207,14 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     <= sigma_1(A) (from R[:n, :n], whose norms each step measures), and x and
     the residual are scaled back by 2^e.  Scaling by a power of two is exact,
     so they keep their bits, and Ab is not touched.
+
+    R is made C-contiguous right after the QR, whatever the layout of Ab: numpy's sums
+    and matmuls may add in another order on another layout, so every bound and solution
+    of the ladder is computed on the same layout, and has the same bits, for a row-major
+    Ab and for the column-major systems of ``tensor._reduced_systems``.
     """
     m, n = Ab.shape[1] if rows is None else rows, Ab.shape[2] - 1
-    R = np.linalg.qr(Ab, mode="r")  # (T, min(Ab.shape[1], n+1), n+1)
+    R = np.ascontiguousarray(np.linalg.qr(Ab, mode="r"))  # (T, min(Ab.shape[1], n+1), n+1)
     if R.shape[1] <= n:
         R = np.concatenate([R, np.zeros((R.shape[0], n + 1 - R.shape[1], n + 1))], axis=1)
         return _solve_by_vectors(R, policy, m)

@@ -186,28 +186,38 @@ def _reduced_systems(V: np.ndarray, S: np.ndarray, dims: int) -> np.ndarray:
     dims x dims corner.  With dims = n those are the normal parts, and the Y entries
     dropped with them vanish but for round-off (``_dropped_norms``); with dims = d
     nothing of Y is dropped.
+
+    Each system is column-major, a transposed view of a (T, k+1, rows) array, and its Y
+    part is written along its columns, in memory order.  LAPACK's QR factors column-major matrices, and
+    np.linalg.qr copies a row-major stack into that order column by column, reading each
+    column across the whole system; a column-major stack it copies in contiguous runs.
+    The values are those of a row-major stack, and so is the QR's triangle.
     """
     T, k = V.shape[:2]
     a, b = np.triu_indices(dims)
     strict = a < b
-    out = np.empty((T, len(a) * k + 1, k + 1))
-    blocks = out[:, :-1].reshape(T, len(a), k, k + 1)  # a view: rows pair*k + j
-    _reduced_Y(V, dims, blocks[..., :k])
+    columns = np.empty((T, k + 1, len(a) * k + 1))  # columns[t, i]: column i of system t
+    # column i holds the products of V_ji over j, the transpose of V's order: they run along
+    # j, the last axis of both views, so they are written in memory order
+    W = np.moveaxis(V[..., :dims], -1, 1).swapaxes(2, 3)  # a view: W[t, c, i, j] = V[t, j, i, c]
+    _reduced_Y(W, columns[:, :k, :-1].reshape(T, k, len(a), k).swapaxes(1, 2))  # a view: [t, pair, i, j]
     half = S * math.sqrt(0.5)
-    blocks[..., k] = np.swapaxes(np.where(strict, half[..., a, b] + half[..., b, a], S[..., a, b]), 1, 2)
-    out[:, -1, :k] = 0.0
+    c = np.where(strict, half[..., a, b] + half[..., b, a], S[..., a, b])  # c[t, j, pair]
+    columns[:, k, :-1] = np.swapaxes(c, 1, 2).reshape(T, -1)
+    columns[:, :k, -1] = 0.0
     dropped = [half[..., a[strict], b[strict]] - half[..., b[strict], a[strict]], S[..., dims:, :], S[..., :dims, dims:]]
-    out[:, -1, k] = _norms(np.concatenate([part.reshape(T, -1) for part in dropped], axis=1))
-    return out
+    columns[:, k, -1] = _norms(np.concatenate([part.reshape(T, -1) for part in dropped], axis=1))
+    return columns.swapaxes(1, 2)
 
 
-def _reduced_Y(V: np.ndarray, dims: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The Y rows (T, dims(dims+1)/2, k, k) of _reduced_systems(V, S, dims), written into out
-    if given: [t, pair, j, i] holds V_ji[a] V_ji[b], times sqrt(2) where a < b."""
-    a, b = np.triu_indices(dims)
-    W = np.moveaxis(V[..., :dims], -1, -3)  # W[t, a, j, i]: frame coordinate a of eta_ji
+def _reduced_Y(W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Products (T, dims(dims+1)/2, p, q) of coordinate stacks W (T, dims, p, q), written into
+    out if given: [t, pair, p, q] holds W[t, a, p, q] W[t, b, p, q], times sqrt(2) where
+    a < b, the pairs (a, b) numbered as np.triu_indices(dims).  With W[t, a, j, i] the frame
+    coordinate a of eta_ji, they are the Y rows pair*k + j of _reduced_systems(V, S, dims)."""
+    a, b = np.triu_indices(W.shape[1])
     if out is None:
-        out = np.empty((len(V), len(a)) + V.shape[1:3])
+        out = np.empty((len(W), len(a)) + W.shape[2:])
     for row, (x, y) in enumerate(zip(a, b)):
         np.multiply(W[:, x], W[:, y], out=out[:, row])
         if x != y:
@@ -218,10 +228,26 @@ def _reduced_Y(V: np.ndarray, dims: int, out: np.ndarray | None = None) -> np.nd
 def _dropped_norms(V: np.ndarray, dims: int, weight: float) -> np.ndarray:
     """Frobenius norms (T,) of the entries that the reductions of Y (weight 2) or Z (weight 1)
     to dims frame axes drop: per log vector v = (v_T, v_N), split at dims, they hold
-    |v_N|^2 (weight |v_T|^2 + |v_N|^2), summed free of cancellation."""
-    tangent = np.einsum("...a,...a->...", V[..., :dims], V[..., :dims])
-    normal = np.einsum("...a,...a->...", V[..., dims:], V[..., dims:])
-    return np.sqrt((normal * (weight * tangent + normal)).sum(axis=(-2, -1)))
+    |v_N|^2 (weight |v_T|^2 + |v_N|^2), summed free of cancellation.  Each squared norm is
+    added up in place, one coordinate at a time in coordinate order, which fixes its bits."""
+    term = np.empty(V.shape[:-1])
+    tangent, normal = (_squares(V, axes, term) for axes in (range(dims), range(dims, V.shape[-1])))
+    tangent *= weight
+    tangent += normal
+    tangent *= normal
+    return np.sqrt(tangent.sum(axis=(-2, -1)))
+
+
+def _squares(V: np.ndarray, axes: range, term: np.ndarray) -> np.ndarray:
+    """sum_a V[..., a]^2 over the given coordinates of V, a new array (zeros if there are
+    none), each square made in the scratch array term, then added."""
+    if not axes:
+        return np.zeros(V.shape[:-1])
+    out = np.multiply(V[..., axes[0]], V[..., axes[0]])
+    for a in axes[1:]:
+        np.multiply(V[..., a], V[..., a], out=term)
+        out += term
+    return out
 
 
 def _system_rows(manifold: _ManifoldBase, k: int) -> int:
@@ -275,7 +301,8 @@ def _reduced_stacks(manifold: _ManifoldBase, V: np.ndarray, eta: np.ndarray, pol
     k = V.shape[1]
     for trials, dims in _split(manifold, V, policy, system):
         if system == "Y":
-            yield trials, _reduced_Y(V[trials], dims).reshape(-1, dims * (dims + 1) // 2 * k, k)
+            Y = _reduced_Y(np.moveaxis(V[trials, ..., :dims], -1, 1))
+            yield trials, Y.reshape(len(Y), -1, k)
         else:
             yield trials, _Z_array(eta[trials], V[trials, ..., :dims])
 

@@ -22,6 +22,30 @@ def euclidean_distances(X, Y):
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def sphere_log(P):
+    """Sphere log vectors eta[..., j, i, :] = theta / sin(theta) (p_i - cos(theta) p_j) of
+    point stacks P (..., k, n+1), each step one whole-array expression: cos(theta) the
+    clipped p_j . p_i, theta / sin(theta) taken as 1 where sin(theta) is 0, and zero
+    diagonals."""
+    G = np.clip(P @ np.swapaxes(P, -1, -2), -1.0, 1.0)
+    theta = np.arccos(G)
+    i = np.arange(P.shape[-2])
+    theta[..., i, i] = 0.0
+    sin = np.sin(theta)
+    factor = np.divide(theta, sin, out=np.ones_like(theta), where=sin > 0)
+    eta = factor[..., None] * (P[..., None, :, :] - G[..., None] * P[..., :, None, :])
+    eta[..., i, i, :] = 0.0
+    return eta
+
+
+def dropped_norms(V, dims, weight):
+    """sqrt(sum |v_N|^2 (weight |v_T|^2 + |v_N|^2)) over the log vectors v = (v_T, v_N) of
+    V (T, k, k, d), split at dims, each squared norm summed over its coordinates in order."""
+    tangent = sum(V[..., a] * V[..., a] for a in range(dims))
+    normal = sum(V[..., a] * V[..., a] for a in range(dims, V.shape[-1]))
+    return np.sqrt((normal * (weight * tangent + normal)).sum(axis=(-2, -1)))
+
+
 def factorization_spectra(a, symmetric=False):
     """The singular values (T, min(m, n)) of one stacked factorization of a (T, m, n), with
     no ladder: its SVD's or, with symmetric=True, the sorted |eigenvalues| of its

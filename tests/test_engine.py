@@ -308,7 +308,7 @@ def test_circle_Y_chunks_mix_symmetric_and_asymmetric_trials():
     cfg = make_config(manifold, k=k, trials=chunk_size(k, 4) + 5, seed=0)
     P = manifold.sample_batch(k, 0, (sample_stream(k, t) for t in range(chunk_size(k, 4))))
     V, _ = _frame_coordinates(manifold, P, manifold.pairwise_log(P))
-    Y = _reduced_Y(V, manifold.n)[:, 0]
+    Y = _reduced_Y(np.moveaxis(V[..., :manifold.n], -1, 1))[:, 0]
     assert 0 < np.count_nonzero((Y == np.swapaxes(Y, 1, 2)).all(axis=(1, 2))) < len(Y)
     assert_verdicts_equal(_trial_verdicts(cfg, k, "Y"), one_trial_reports(cfg, k, "Y"))
 

@@ -9,6 +9,7 @@ import pytest
 from covrank import AntipodalPairError, Euclidean, UnitSphere, rng_stream
 from covrank.manifold import rng_streams
 from covrank.montecarlo import aux_stream, sample_stream
+from reference import sphere_log
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -95,6 +96,37 @@ class TestLogExp:
     def test_antipodal_log_refused(self):
         with pytest.raises(AntipodalPairError):
             UnitSphere(2).pairwise_log(np.stack([E1, -E1]))
+
+    def test_antipodal_pair_in_a_stack_names_its_indices_within_its_trial(self):
+        P = UnitSphere(2).sample_batch(4, 7, range(3))
+        P[1, 3] = -P[1, 1]  # the stack's one antipodal pair: points 1 and 3 of trial 1
+        with pytest.raises(AntipodalPairError, match="points 1 and 3 are antipodal"):
+            UnitSphere(2).pairwise_log(P)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (20,), (200,), (5, 40)], ids=str)
+    def test_sphere_log_has_the_bits_of_the_plain_formula(self, n, shape):
+        *trials, k = shape
+        sphere = UnitSphere(n)
+        P = sphere.sample_batch(k, 3, range(trials[0] if trials else 1))
+        P = P if trials else P[0]
+        assert sphere.pairwise_log(P).tobytes() == sphere_log(P).tobytes()
+
+    def test_sphere_log_peak_memory_stays_near_its_output(self):
+        # G, theta and theta / sin(theta), in sin's buffer, take 3 stacks of k x k and the
+        # (T, k, k, 3) output 3 more: 6.26 here; a fourth stack or a (T, k, k, 3) temporary
+        # would pass the bound
+        T, k = 20, 40
+        sphere = UnitSphere(2)
+        P = sphere.sample_batch(k, 1, range(T))
+        sphere.pairwise_log(P)  # warm: first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            sphere.pairwise_log(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 8 * T * k * k
 
     @pytest.mark.parametrize("seed", range(5))
     def test_log_exp_round_trip(self, seed):

@@ -25,7 +25,7 @@ from covrank import (
 from covrank import numrank, tensor
 from covrank.montecarlo import aux_stream, sample_stream
 from covrank.tensor import _frame_coordinates, _reduced_stacks, _split, _system_verdicts
-from reference import rank_report, system_report, system_spectra
+from reference import dropped_norms, rank_report, system_report, system_spectra
 
 
 def sample_of(manifold, points):
@@ -475,6 +475,56 @@ class TestReducedRecovery:
             assert np.array_equal(scaled.f_hat, scale * one.f_hat)
             assert scaled.residual == scale * one.residual
 
+    @pytest.mark.parametrize("T, k", [(1, 200), (100, 20)])
+    def test_column_major_systems_solve_as_their_row_major_copies(self, T, k):
+        sphere, policy = UnitSphere(2), Tolerance()
+        P = sphere.sample_batch(k, 5, range(T))
+        eta = sphere.pairwise_log(P)
+        V, S = _frame_coordinates(sphere, P, eta, tensor._weighted_sigmas(eta, rng_stream(6).random((T, 1, k))))
+        for trials, dims in _split(sphere, V, policy, "Y"):
+            systems = tensor._reduced_systems(V[trials], S[trials], dims)
+            assert np.swapaxes(systems, 1, 2).flags.c_contiguous  # each column is contiguous
+            column_major = numrank._solve_augmented(systems, policy, 9 * k)
+            row_major = numrank._solve_augmented(np.ascontiguousarray(systems), policy, 9 * k)
+            for got, want in zip(column_major, row_major):
+                assert got.tobytes() == want.tobytes()
+
+
+class TestDroppedNorms:
+    """``tensor._dropped_norms``: the norm of what a reduction of Y or Z to the tangent
+    axes drops, which ``_split`` weighs against the threshold."""
+
+    @pytest.mark.parametrize("manifold", [UnitSphere(1), UnitSphere(2), UnitSphere(3)], ids=str)
+    def test_bits_are_those_of_the_formula(self, manifold):
+        P = manifold.sample_batch(20, 4, range(6))
+        V, _ = _frame_coordinates(manifold, P, manifold.pairwise_log(P))
+        for dims in (manifold.n, manifold.coord_dim):
+            for weight in (1.0, 2.0):
+                got = tensor._dropped_norms(V, dims, weight)
+                assert got.tobytes() == dropped_norms(V, dims, weight).tobytes()
+                assert np.all(got > 0) if dims == manifold.n else np.array_equal(got, np.zeros(6))
+
+    def test_near_the_cut_locus_the_dropped_part_grows(self):
+        P = np.stack([near_antipodal_sample(), UnitSphere(2).sample_uniform(12, 3).points])
+        V, _ = _frame_coordinates(UnitSphere(2), P, UnitSphere(2).pairwise_log(P))
+        got = tensor._dropped_norms(V, 2, 2.0)
+        assert got.tobytes() == dropped_norms(V, 2, 2.0).tobytes()
+        assert got[0] > 1e3 * got[1]
+
+    def test_peak_memory_stays_near_three_stacks(self):
+        # two sums of squares and one square at a time take 3 stacks of k x k; a whole
+        # (T, k, k, d) square, or a fourth stack, would pass the bound
+        T, k = 20, 40
+        P = UnitSphere(2).sample_batch(k, 1, range(T))
+        V, _ = _frame_coordinates(UnitSphere(2), P, UnitSphere(2).pairwise_log(P))
+        tensor._dropped_norms(V, 2, 2.0)  # warm: first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            tensor._dropped_norms(V, 2, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * T * k * k
 
 
 def near_antipodal_sample(k=12, delta=1e-4):
