@@ -18,10 +18,11 @@ of a k's chunks fill one (trials, k) array, which gets one verdict
 taking the eigensolve alone, since its rows report every trial's spectral
 ratio.  A Y or Z chunk takes its verdicts from ``covrank tensor``'s path
 (``tensor._system_verdicts``: tangent-frame reductions, the tall ones certified
-first), which also enforces the space's Y and Z bounds; ``rank_law_sweep`` enforces
-the kernel's.  A recovery chunk is solved by ``tensor._forward_recoveries``, one
-stacked solve per frame group.  Results are therefore independent of the chunking,
-and aggregation is by trial index.
+first), which also enforces the space's Y and Z bounds.  ``rank_law_sweep``, and so
+``fullrank_probability``, enforces the kernel's, and ``condition_sweep`` the space's
+sqdist bound on its alpha = 0 cells.  A recovery chunk is solved by
+``tensor._forward_recoveries``, one stacked solve per frame group, under the Y bound.
+Results are therefore independent of the chunking, and aggregation is by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
 written with 17 significant digits so files round-trip exactly.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -112,6 +113,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.trials > 1 << 32:  # sample_stream indexes trials below 2**32
             raise ValueError(f"trials must be at most 2**32, got {self.trials}")
+        if max(ks) >= 1 << 31:  # and sizes below 2**31
+            raise ValueError(f"k must be below 2**31, got {max(ks)}")
         if self.kernel is not None and self.kernel.manifold != self.manifold:
             raise ValueError(f"kernel on {self.kernel.manifold!r} for samples on {self.manifold!r}")
         object.__setattr__(self, "seed", _check_key_word(self.seed))
@@ -210,10 +213,9 @@ def _trial_verdicts(cfg: ExperimentConfig, k: int, system: str) -> tuple[np.ndar
 
 
 def fullrank_probability(cfg: ExperimentConfig, k: int) -> float:
-    """Fraction of trials whose k x k kernel matrix has numerical rank k."""
-    if cfg.kernel is None:
-        raise ValueError("config needs a kernel for kernel-matrix experiments")
-    return float(np.mean(_trial_verdicts(cfg, k, "kernel")[0] == k))
+    """Fraction of trials whose k x k kernel matrix has numerical rank k, read from
+    rank_law_sweep's row for k, which validates k and enforces the kernel's bound."""
+    return rank_law_sweep(replace(cfg, k_values=(k,)))[0].fullrank_fraction
 
 
 def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLawRow]:
@@ -294,9 +296,10 @@ def condition_sweep(
     eigensolve, its singular values being the |eigenvalues|, unless alpha = 0
     and the space proves sqdist finite-rank (``_proven_ranks``), as on R^n:
     then its noise singular values sit at a rank gap, where the SVD places
-    them further below the threshold, and the cell keeps the SVD.  Unlike
-    ``numrank._spectra``, no SVD settles the trials the eigensolve flags: the
-    rows read every trial's spectrum, not only its verdict.
+    them further below the threshold, the cell keeps the SVD, and a rank above
+    that bound raises RankBoundError.  Unlike ``numrank._spectra``, no SVD
+    settles the trials the eigensolve flags: the rows read every trial's
+    spectrum, not only its verdict.
     """
     alphas = [float(a) for a in alphas]
     k_values = tuple(k_values)
@@ -309,8 +312,8 @@ def condition_sweep(
         manifold=manifold, kernel=None, k_values=k_values, trials=trials, seed=seed,
         tolerance=tolerance,
     )
-    finite = manifold._proven_ranks().get("sqdist") is not None
-    symmetric = [alpha != 0.0 or not finite for alpha in alphas]
+    sqdist_bound = manifold._proven_ranks().get("sqdist")
+    symmetric = [alpha != 0.0 or sqdist_bound is None for alpha in alphas]
     spectra = {}
     for k in cfg.k_values:
         per_alpha = [np.empty((cfg.trials, k)) for _ in alphas]
@@ -325,6 +328,7 @@ def condition_sweep(
         for k in cfg.k_values:
             s = spectra[alpha, k]
             cell = _verdicts(s, tolerance, (k, k))
+            _enforce_bound("kernel", int(cell.numerical_rank.max()), None if alpha else sqdist_bound, k)
             conds = _spectral_ratios(s)
             with np.errstate(divide="ignore"):  # log 0 = -inf: a singular trial's log-det is -inf
                 log_abs_det = np.log(s).sum(axis=1)

@@ -550,6 +550,13 @@ class TestExitCodes:
         # rank Y = 20 under the tiny threshold, above the plane's bound 6
         (["tensor", "--manifold", "euclid:2", "--k", "20", "--tol-factor", "1e-30"], 2,
          "covrank: numerical failure: Y system exceeded its proven rank bound: rank 20 > 6 at k=20\n"),
+        # the plane's sqdist has rank <= 4, which the threshold leaves exceeded
+        (["rank", "--manifold", "euclid:2", "--kernel", "sqdist", "--k", "12", "--trials", "5",
+          "--tol-factor", "1e-30"], 2,
+         "covrank: numerical failure: kernel system exceeded its proven rank bound: rank 12 > 4 at k=12\n"),
+        (["cond-sweep", "--manifold", "euclid:2", "--k", "12", "--alpha", "0", "--trials", "5",
+          "--tol-factor", "1e-30"], 2,
+         "covrank: numerical failure: kernel system exceeded its proven rank bound: rank 12 > 4 at k=12\n"),
     ])
     def test_process_exits_with_mains_code(self, tmp_path, argv, code, err):
         # `python -m covrank.cli` runs entry(), as the installed `covrank` script does

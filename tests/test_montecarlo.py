@@ -15,6 +15,7 @@ from covrank import (
     Euclidean,
     ExperimentConfig,
     Kernel,
+    RankBoundError,
     SampleSet,
     Tolerance,
     UnitSphere,
@@ -28,7 +29,7 @@ from covrank import (
 from covrank.montecarlo import SweepRow, sample_stream
 
 
-def config(manifold, kernel_spec=None, k_values=(5,), trials=20, seed=1):
+def config(manifold, kernel_spec=None, k_values=(5,), trials=20, seed=1, tolerance=covrank.DEFAULT_TOLERANCE):
     kernel = Kernel(manifold, *kernel_spec) if kernel_spec else None
     return ExperimentConfig(
         manifold=manifold,
@@ -36,6 +37,7 @@ def config(manifold, kernel_spec=None, k_values=(5,), trials=20, seed=1):
         k_values=tuple(k_values),
         trials=trials,
         seed=seed,
+        tolerance=tolerance,
     )
 
 
@@ -191,6 +193,55 @@ class TestConditionSweep:
             condition_sweep(UnitSphere(2), [], [5], trials=3, seed=1)
 
 
+# a threshold far below round-off, under which every trial measures full rank
+TIGHT = Tolerance(1e-30)
+KERNEL_REFUSAL = "kernel system exceeded its proven rank bound: rank 12 > 4 at k=12"
+Y_REFUSAL = "Y system exceeded its proven rank bound: rank 20 > 6 at k=20"
+
+
+def tight_plane(kernel_spec=None, k=12):
+    return config(Euclidean(2), kernel_spec, k_values=(k,), trials=5, seed=0, tolerance=TIGHT)
+
+
+class TestBoundRefusals:
+    """Every place that turns spectra into rank verdicts checks them against the law the
+    space proves: on the plane, rank sqdist <= 4, rank Y <= 6 and rank Z <= 8."""
+
+    @pytest.mark.parametrize(
+        "run, refusal",
+        [
+            (lambda: fullrank_probability(tight_plane(("sqdist",)), 12), KERNEL_REFUSAL),
+            (lambda: condition_sweep(Euclidean(2), [0.0], [12], 5, 0, TIGHT), KERNEL_REFUSAL),
+            (lambda: rank_law_sweep(tight_plane(("sqdist",))), KERNEL_REFUSAL),
+            (lambda: rank_law_sweep(tight_plane(k=20), "Y"), Y_REFUSAL),
+            (lambda: rank_law_sweep(tight_plane(k=10), "Z"),
+             "Z system exceeded its proven rank bound: rank 20 > 8 at k=10"),
+            (lambda: recovery_experiment(Euclidean(2), 20, 5, 0, TIGHT), Y_REFUSAL),
+            # a shifted kernel and the sphere's sqdist have no proven bound
+            (lambda: condition_sweep(Euclidean(2), [0.3], [12], 5, 0, TIGHT), None),
+            (lambda: condition_sweep(UnitSphere(2), [0.0], [12], 5, 0, TIGHT), None),
+        ],
+        ids=["fullrank", "cond-sweep", "rank-law-kernel", "rank-law-Y", "rank-law-Z", "recovery",
+             "cond-sweep-shifted", "cond-sweep-sphere"],
+    )
+    def test_a_rank_above_its_bound_is_refused(self, run, refusal):
+        if refusal is None:
+            run()
+        else:
+            with pytest.raises(RankBoundError) as caught:
+                run()
+            assert str(caught.value) == refusal
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("box", [(0.0, 1.0), (-1.0, 3.0)], ids=str)
+    def test_default_tolerance_keeps_sqdist_within_its_bound(self, n, box):
+        # the sweep's alpha = 0 cells on R^n take the SVD, which places the singular values
+        # past the cap n + 2 far below the default threshold, so no cell is refused
+        for seed in (0, 1):
+            rows = condition_sweep(Euclidean(n, box=box), [0.0], [3, 5, 10, 25, 50, 100], trials=20, seed=seed)
+            assert all(row.fullrank_fraction == 0.0 for row in rows if row.k > n + 2)
+
+
 class TestAlphaRecommendation:
     """The shift the alpha command recommends, E d(X, Y), as expected_distance estimates it."""
 
@@ -226,6 +277,8 @@ class TestConfigValidation:
             config(UnitSphere(2), k_values=())
         with pytest.raises(ValueError):
             config(UnitSphere(2), k_values=(0,))
+        with pytest.raises(ValueError, match="every k >= 1"):
+            fullrank_probability(config(Euclidean(2), ("sqdist",)), 0)
         with pytest.raises(ValueError):
             config(UnitSphere(2), trials=0)
 
@@ -236,6 +289,10 @@ class TestConfigValidation:
         for trials in (2**32 + 1, 5_000_000_000):
             with pytest.raises(ValueError, match=r"trials must be at most 2\*\*32"):
                 config(UnitSphere(2), trials=trials)
+        # and sizes below 2**31; the configs are only built, never run
+        assert config(UnitSphere(2), k_values=(5, 2**31 - 1)).k_values == (5, 2**31 - 1)
+        with pytest.raises(ValueError, match=r"k must be below 2\*\*31, got 2147483648"):
+            config(UnitSphere(2), k_values=(5, 2**31))
 
     @pytest.mark.parametrize(
         "run",
@@ -248,9 +305,10 @@ class TestConfigValidation:
             lambda: condition_sweep(Euclidean(2), [0.0], [7], trials=2.5, seed=1),
             lambda: recovery_experiment(Euclidean(2), 7.9, trials=3, seed=1),
             lambda: recovery_experiment(Euclidean(2), 7, trials=2.5, seed=1),
+            lambda: fullrank_probability(config(Euclidean(2)), 7.9),
         ],
         ids=["config-k", "config-trials", "config-float-k", "rank-law-k", "cond-k", "cond-trials",
-             "recovery-k", "recovery-trials"],
+             "recovery-k", "recovery-trials", "fullrank-k"],
     )
     def test_rejects_non_integral_k_and_trials(self, run):
         # int() would run k = 7 for 7.9; range and << would raise a bare TypeError
