@@ -152,7 +152,11 @@ class _ManifoldBase:
         stacked into shape (len(streams), k, coord_dim) with the same bits: the re-keyed
         generators of ``rng_streams`` fill each slice with raw draws, and one pass over
         the stack makes them points.  A seed or stream that is no integer in [0, 2**64)
-        raises ValueError before anything is drawn."""
+        raises ValueError before anything is drawn, as does a k that is no integer."""
+        try:  # numpy integers pass; 2.5 is refused, and 2.0 too, as by the dimension
+            k = operator.index(k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {k!r}") from None
         if k < 1:
             raise ValueError("k must be at least 1")
         streams = list(streams)
@@ -171,6 +175,10 @@ class _ManifoldBase:
         second, so trials=1 returns the distance of points[0] and points[1]
         of the corresponding 2-point sample.
         """
+        try:  # numpy integers pass; 1.5 is refused, which 2 * trials would make a k of 3.0
+            trials = operator.index(trials)
+        except TypeError:
+            raise ValueError(f"trials must be an integer, got {trials!r}") from None
         if trials < 1:
             raise ValueError("trials must be at least 1")
         pts = self.sample_uniform(2 * trials, seed).points

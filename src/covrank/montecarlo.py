@@ -40,7 +40,7 @@ import numpy as np
 
 from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
 from .manifold import _check_key_word, _ManifoldBase, rng_streams
-from .numrank import DEFAULT_TOLERANCE, Tolerance, _singular_values, _spectra, _spectral_ratios, _validated, _verdicts
+from .numrank import DEFAULT_TOLERANCE, Tolerance, _singular_values, _spectra, _validated, _verdicts
 from .tensor import (
     RankBoundError,
     _enforce_bound,
@@ -329,8 +329,8 @@ def condition_sweep(
             s = spectra[alpha, k]
             cell = _verdicts(s, tolerance, (k, k))
             _enforce_bound("kernel", int(cell.numerical_rank.max()), None if alpha else sqdist_bound, k)
-            conds = _spectral_ratios(s)
-            with np.errstate(divide="ignore"):  # log 0 = -inf: a singular trial's log-det is -inf
+            with np.errstate(divide="ignore", invalid="ignore"):  # a singular trial's ratio is inf, its log-det -inf
+                conds = np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
                 log_abs_det = np.log(s).sum(axis=1)
             rows.append(
                 SweepRow(

@@ -1,11 +1,12 @@
-"""Rank, conditioning, and minimum-norm least-squares measurements.
+"""Rank verdicts and minimum-norm least-squares measurements.
 
 Numerical rank counts singular values above a tolerance, always the relative
-tau = factor * sigma_1 with the default factor max(m, n) * eps, so a verdict
-does not depend on the scale of the matrix.  Verdicts flag decisions as
-borderline when any singular value lands within a factor of 10 of the
-threshold, so experiment drivers can report ambiguity instead of silently
-misclassifying.
+tau = factor * sigma_1 with the default factor max(m, n) * eps, so a verdict does not
+depend on the scale of the matrix.  Verdicts flag decisions as borderline when any singular
+value lands within a factor of 10 of the threshold, so experiment drivers can report
+ambiguity instead of silently misclassifying.  ``_verdicts`` is the only code that
+compares singular values with tau: ``_spectra``'s eigensolve flags and the recovery's
+vectors path (``_solve_by_vectors``) read it too.
 
 The one verdict rule is two steps: ``_spectra`` settles a stack's singular
 values, and ``_verdicts`` draws the verdicts from them.  In ``_spectra`` the
@@ -72,13 +73,6 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-def _spectral_ratios(s: np.ndarray) -> np.ndarray:
-    """Raw sigma_1 / sigma_min of singular values s (..., r), descending, ignoring the
-    tolerance policy: inf where sigma_min is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(s[..., -1] == 0.0, np.inf, s[..., 0] / s[..., -1])
-
-
 def _validated(matrix, ndim: int = 2) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != ndim or a.size == 0:
@@ -114,7 +108,7 @@ def _spectra(a: np.ndarray, policy: Tolerance, rows: int | None = None) -> np.nd
         if symmetric.any():  # a mask that keeps every matrix would copy the stack
             eig = _singular_values(a if symmetric.all() else a[symmetric], True)
             s[symmetric] = eig
-            svd[symmetric] = _near(eig, policy.threshold(shape, eig[:, 0]))
+            svd[symmetric] = _verdicts(eig, policy, shape).borderline
     if svd.any():
         s[svd] = _singular_values(a if svd.all() else a[svd])
     return s
@@ -138,14 +132,11 @@ class _Verdicts(NamedTuple):
 
 
 def _verdicts(s: np.ndarray, policy: Tolerance, shape: tuple[int, int]) -> _Verdicts:
-    """The verdicts of matrices of the given shape whose singular values are s (T, r), descending."""
+    """The verdicts of matrices of the given shape whose singular values are s (T, r), descending:
+    the count of values above tau, tau, and whether any value lies within 10x of tau."""
     tol = policy.threshold(shape, s[:, 0])
-    return _Verdicts(np.count_nonzero(s > tol[:, None], axis=1), tol, _near(s, tol))
-
-
-def _near(s: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Whether any of the singular values s (T, r) lies within 10x of its row's threshold tol (T,)."""
-    return (tol > 0) & ((s > (tol / 10)[:, None]) & (s < (tol * 10)[:, None])).any(axis=1)
+    near = (tol > 0) & ((s > (tol / 10)[:, None]) & (s < (tol * 10)[:, None])).any(axis=1)
+    return _Verdicts(np.count_nonzero(s > tol[:, None], axis=1), tol, near)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -377,13 +368,11 @@ def _solve_by_vectors(R: np.ndarray, policy: Tolerance, m: int) -> _AugmentedSol
     e = _scale_exponents(_norms(s) / math.sqrt(n), Rb)
     np.ldexp(Rb, -e[:, None], out=Rb)
     z = (np.swapaxes(U, 1, 2) @ Rb[:, :n, None])[..., 0]
-    augmented = _verdicts(np.linalg.svd(R, compute_uv=False), policy, (m, n + 1))
-    rank_augmented = augmented.numerical_rank
-    tau = policy.threshold((m, n), s[:, 0])
+    rank_augmented, _, near_augmented = _verdicts(np.linalg.svd(R, compute_uv=False), policy, (m, n + 1))
+    rank, tau, near = _verdicts(s, policy, (m, n))
     keep = s > tau[:, None]
-    rank = np.count_nonzero(keep, axis=1)
     # appending a column raises the rank by 0 or 1, so any other verdict is round-off
-    borderline = augmented.borderline | _near(s, tau) | (rank_augmented < rank) | (rank_augmented > rank + 1)
+    borderline = near_augmented | near | (rank_augmented < rank) | (rank_augmented > rank + 1)
     coeff = np.divide(z, s, out=np.zeros_like(s), where=keep)
     x = (np.swapaxes(Vt, 1, 2) @ coeff[..., None])[..., 0]
     # Q has orthonormal columns spanning A's and b's, so ||A x - b|| = ||R[:, :n] x - R[:, n]||

@@ -434,10 +434,10 @@ def _recoveries(manifold: _ManifoldBase, V: np.ndarray, S: np.ndarray, policy: T
     are negligible, and dims = d otherwise, thresholded for the shapes of the unreduced
     [Y | c] and Y.  A rank_Y above the Y bound the space proves raises RankBoundError."""
     k = V.shape[1]
-    bound = manifold._proven_ranks().get("Y")
+    rows, bound = _system_shape(manifold, k, "Y")[0], manifold._proven_ranks().get("Y")
     results = [None] * len(V)
     for trials, dims in _split(manifold, V, policy, "Y"):
-        solution = _solve_augmented(_reduced_systems(V[trials], S[trials], dims), policy, manifold.coord_dim ** 2 * k)
+        solution = _solve_augmented(_reduced_systems(V[trials], S[trials], dims), policy, rows)
         _enforce_bound("Y", int(solution.rank.max()), bound, k)
         for t, x, residual, rank, rank_augmented, borderline in zip(np.arange(len(V))[trials], *solution):
             results[t] = RecoveryResult(f_hat=x, residual=float(residual), rank_Y=int(rank),

@@ -6,12 +6,13 @@ helpers of stacks return their spectra or their verdicts (``numrank._verdicts``)
 ``spectrum_report`` makes one matrix's RankReport of both, and ``rank_report`` that
 of one matrix measured by the verdict rule."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from covrank import DEFAULT_TOLERANCE
-from covrank.numrank import _spectra, _spectral_ratios, _validated, _verdicts
+from covrank.numrank import _spectra, _validated, _verdicts
 from covrank.tensor import _frame_coordinates, _reduced_stacks, _system_shape
 
 
@@ -70,8 +71,9 @@ class RankReport(NamedTuple):
 
     @property
     def spectral_ratio(self):
-        """Raw sigma_1 / sigma_min, ignoring the tolerance policy."""
-        return float(_spectral_ratios(self.singular_values))
+        """Raw sigma_1 / sigma_min, ignoring the tolerance policy: inf where sigma_min is 0."""
+        s = self.singular_values
+        return math.inf if s[-1] == 0.0 else float(s[0]) / float(s[-1])
 
 
 def spectrum_report(s, policy, shape):

@@ -659,6 +659,14 @@ class TestFailureReports:
             # a dimension the space refuses
             (["sample", "--manifold", "sphere:0", "--k", "3"], 1),
             (["rank", "--manifold", "euclid:0", "--kernel", "sqdist", "--k", "5"], 1),
+            # lists, specs and files the parsers refuse
+            (["rank", "--manifold", "euclid:2", "--kernel", "sqdist", "--k-list", "3,x", "--trials", "2"], 1),
+            (["cond-sweep", "--manifold", "euclid:2", "--k", "3", "--alpha-list", "0,x", "--trials", "2"], 1),
+            (["sample", "--manifold", "euclid:2:foo=1", "--k", "3"], 1),
+            (["recover", "--manifold", "euclid:2", "--k", "3", "--sigma-file", "missing.csv"], 1),
+            (["recover", "--manifold", "euclid:2", "--k", "3", "--sigma-file", "bad.csv"], 1),
+            # a k of 2**31 has no stream index
+            (["tensor", "--manifold", "euclid:2", "--k", str(2**31)], 1),
         ],
         ids=["rank-bound", "recover-trials", "cond-trials", "cond-threads", "recover-threads",
              "rank-threads", "sample-threads", "sample-tol", "alpha-tol", "rank-k-pair",
@@ -669,10 +677,13 @@ class TestFailureReports:
              "recover-file-k", "recover-file-manifold", "recover-overflow",
              "alpha-overflow", "rank-shift-overflow", "tensor-overflow", "sample-box-tiny",
              "rank-box-tiny", "tensor-box-tiny", "recover-box-tiny", "cond-box-tiny", "alpha-box-tiny",
-             "tensor-bound", "recover-bound", "sample-sphere-0", "rank-euclid-0"],
+             "tensor-bound", "recover-bound", "sample-sphere-0", "rank-euclid-0", "rank-k-list-bad",
+             "cond-alpha-list-bad", "sample-spec-bad", "recover-file-missing", "recover-file-bad",
+             "tensor-k-2**31"],
     )
     def test_one_line_and_exit_code(self, capsys, monkeypatch, tmp_path, argv, code):
         monkeypatch.chdir(tmp_path)  # a wrongly accepted --out writes here
+        (tmp_path / "bad.csv").write_text("1,2,x\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == code

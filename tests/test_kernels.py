@@ -56,6 +56,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             Kernel(UnitSphere(2), "shifted", alpha=-1.0)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel family 'foo'"):
+            Kernel(Euclidean(2), "foo")
+
 
 class TestMatrix:
     def test_two_points_on_line(self):

@@ -162,6 +162,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             UnitSphere(2).sample_uniform(0, seed=1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0], ids=["fraction", "integral-float"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            Euclidean(2).sample_uniform(k, 0)
+
+    def test_numpy_integer_k_draws_the_int_sample(self):
+        assert np.array_equal(Euclidean(2).sample_uniform(np.int64(3), 0).points,
+                              Euclidean(2).sample_uniform(3, 0).points)
+
     @pytest.mark.parametrize(
         "box",
         [(1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0), (-1e308, 1e308)],
@@ -275,6 +284,14 @@ class TestExpectedDistance:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             UnitSphere(2).expected_distance(0, seed=1)
+
+    @pytest.mark.parametrize("trials", [1.5, 2.0], ids=["fraction", "integral-float"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            Euclidean(2).expected_distance(trials, 0)
+
+    def test_numpy_integer_trials_give_the_int_estimate(self):
+        assert Euclidean(2).expected_distance(np.int64(3), 0) == Euclidean(2).expected_distance(3, 0)
 
 
 def test_rng_stream_rejects_negative():

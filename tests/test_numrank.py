@@ -551,11 +551,28 @@ def test_vectors_path_verdicts_match_50_digit_singular_values():
         rank, near = want
         # A's part of the flag, from the values of the solve's own SVD of A's block
         s = np.linalg.svd(block, full_matrices=False)[1][None]
-        near_A = numrank._near(s, Tolerance().threshold((rows, len(block)), s[:, 0]))[0]
+        near_A = numrank._verdicts(s, Tolerance(), (rows, len(block))).borderline[0]
         assert sol.rank_augmented[0] == rank, name
         assert sol.borderline[0] == (near or near_A or rank not in (sol.rank[0], sol.rank[0] + 1)), name
         compared += 1
     assert compared >= 24
+
+
+def test_vectors_path_verdicts_of_A_are_the_rule_of_its_own_svd():
+    # no mpmath: the rank of A is the verdict (``_verdicts``) of the values of the solve's own
+    # SVD of A's block, and the solution is borderline wherever that verdict is.  In the last
+    # system only A's flag is raised: A's second value, 3 tau, lies in its band, and [A | b],
+    # b scaled to norm 1/2, has the values 1, about 1/2 and 0, none in its own
+    near_A_only = np.array([[1.0, 0.0, 0.0], [0.0, 3 * Tolerance().threshold((3, 2), 1.0), 1.0], [0.0, 0.0, 0.0]])
+    systems, flagged = [*reference_systems(), ("near-A-only", 3, vectors_path(near_A_only, 3))], 0
+    for name, rows, (sol, block, _) in systems:
+        s = np.linalg.svd(block, full_matrices=False)[1][None]
+        rank, _, near = _verdicts(s, Tolerance(), (rows, len(block)))
+        assert sol.rank[0] == rank[0], name
+        assert sol.borderline[0] or not near[0], name
+        flagged += int(near[0])
+    assert (len(systems), flagged) == (27, 4)
+    assert (sol.rank[0], sol.rank_augmented[0]) == (2, 2)
 
 
 def edge_systems():
