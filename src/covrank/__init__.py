@@ -5,7 +5,6 @@ from .kernels import (
     Kernel,
     UnclassifiedKernelError,
     arccos_taylor_coeffs,
-    arccos_taylor_eval,
     parse_kernel,
     theoretical_rank,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "UnclassifiedKernelError",
     "UnitSphere",
     "arccos_taylor_coeffs",
-    "arccos_taylor_eval",
     "assemble_Y",
     "assemble_Z",
     "condition_sweep",

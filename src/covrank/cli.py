@@ -1,16 +1,15 @@
-"""Command-line surface: sampling, rank measurement, tensor assembly,
-recovery, condition sweeps, and the shift recommendation.
+"""covrank samples points, measures kernel ranks, dumps the Y, Z and Psi systems,
+recovers f from a covariance field, sweeps condition numbers and recommends the shift.
+Each command writes the same bytes given its argv (seeds default to 0) on one numpy/OpenBLAS
+build, CPU and BLAS thread count.  Exit codes: 0 success; 1 bad input, an unreadable or
+unwritable file or too large a size (ValueError, OSError, MemoryError); 2 a numerical
+failure: overflow, an invalid operation, a failed factorization or a rank above its proven
+bound (FloatingPointError, LinAlgError, RankBoundError).  Formats are in docs/formats.md.
 
-Every subcommand is deterministic given its argv (seeds default to 0) on one
-numpy/OpenBLAS build, CPU and BLAS thread count, and numeric output uses 17
-significant digits, so reruns there produce byte-identical files (see
-docs/formats.md for the scope).  Row tables spell each value with fmt17.  Matrix dumps spell whole arrays
-at once with a vectorised speller that gives the bytes of "%.17g", fmt17's, and
-hands the rare values it cannot settle exactly to "%.17g" itself.  Exit codes: 0
-success, 1 validation error, 2 numerical failure, which includes a rank above its
-proven bound: ``tensor`` enforces Psi's sqdist bound here, and its Y and Z verdicts
-(``tensor._system_verdicts``) and every recovery enforce their own.
-File formats and layouts are documented in docs/formats.md.
+Numeric output uses 17 significant digits: row tables spell values with fmt17, and matrix
+dumps use a vectorised speller with the bytes of "%.17g", fmt17's, which hands the values
+it cannot settle exactly to "%.17g" itself.  ``tensor`` enforces Psi's sqdist bound here;
+its Y and Z verdicts (``tensor._system_verdicts``) and every recovery enforce their own.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import functools
 import math
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
@@ -40,7 +38,7 @@ from .montecarlo import (
     rows_to_jsonl,
     sample_stream,
 )
-from .numrank import Tolerance, _spectra, _validated, _verdicts
+from .numrank import Tolerance, _spectra, _verdicts
 from .tensor import (
     LAYOUT_VERSION,
     CovField,
@@ -59,14 +57,6 @@ from .tensor import (
 __all__ = ["main", "entry", "parse_manifold"]
 
 
-class CliError(Exception):
-    """Bad flags or unparsable input; maps to exit code 1."""
-
-
-class NumericalFailure(Exception):
-    """NaN in computed results; maps to exit code 2."""
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -74,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def parse_manifold(text: str):
@@ -90,7 +80,7 @@ def parse_manifold(text: str):
                 raise ValueError
             options["box"] = tuple(float(x) for x in rest[1][4:].split(","))
     except ValueError:
-        raise CliError(
+        raise ValueError(
             f"bad manifold spec {text!r}; expected sphere:<n> or euclid:<n>[:box=a,b]"
         ) from None
     # a dimension below 1 or a degenerate box raises the space's own ValueError
@@ -101,26 +91,18 @@ def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise CliError(f"bad integer list {text!r}") from None
+        raise ValueError(f"bad integer list {text!r}") from None
 
 
 def _float_list(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x]
     except ValueError:
-        raise CliError(f"bad float list {text!r}") from None
+        raise ValueError(f"bad float list {text!r}") from None
 
 
 def _k_values(args) -> list[int]:
     return _int_list(args.k_list) if args.k_list is not None else [args.k]
-
-
-def _check_no_nan(rows):
-    for row in rows:
-        for f in fields(row):
-            v = getattr(row, f.name)
-            if isinstance(v, float) and math.isnan(v):
-                raise NumericalFailure(f"result column {f.name} is NaN")
 
 
 def _write_rows(args, rows) -> str:
@@ -345,9 +327,9 @@ def _read_matrix_csv(path: str) -> tuple[dict[str, str], np.ndarray]:
             rows.append([float(x) for x in line.split(",")])
         return header, np.array(rows)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except ValueError:
-        raise CliError(f"{path} is not a numeric CSV matrix") from None
+        raise ValueError(f"{path} is not a numeric CSV matrix") from None
 
 
 # --- subcommands ---------------------------------------------------------
@@ -376,7 +358,6 @@ def cmd_rank(args) -> str:
         tolerance=Tolerance(args.tol_factor),
     )
     rows = rank_law_sweep(cfg, "kernel")
-    _check_no_nan(rows)
     wrote = _write_rows(args, rows)
     return (
         f"rank manifold={manifold} kernel={kernel} trials={args.trials} seed={args.seed}"
@@ -397,7 +378,7 @@ def cmd_tensor(args) -> str:
     (rank_Y, borderline_Y), (rank_Z, borderline_Z) = (
         (int(rank[0]), bool(borderline[0]))
         for rank, borderline in (_system_verdicts(manifold, P, eta, policy, system) for system in ("Y", "Z")))
-    rank, _, borderline = _verdicts(_spectra(_validated(psi)[None], policy), policy, psi.shape)
+    rank, _, borderline = _verdicts(_spectra(psi[None], policy), policy, psi.shape)
     rank_Psi, borderline_Psi = int(rank[0]), bool(borderline[0])
     _enforce_bound("Psi", rank_Psi, manifold._proven_ranks().get("sqdist"), args.k)
     wrote = ""
@@ -428,21 +409,19 @@ def cmd_recover(args) -> str:
     policy = Tolerance(args.tol_factor)
     if args.sigma_file:
         if args.format != "csv":
-            raise CliError("recover --sigma-file writes CSV only; --format jsonl is not supported")
+            raise ValueError("recover --sigma-file writes CSV only; --format jsonl is not supported")
         field = outer_field(manifold, _trial0_sample(manifold, args))
         d = field.d
         header, sigmas = _read_matrix_csv(args.sigma_file)
         wanted = {"layout": LAYOUT_VERSION, "manifold": str(manifold), "k": str(args.k), "seed": str(args.seed)}
         for key, value in wanted.items():
             if header.get(key, value) != value:
-                raise CliError(f"{args.sigma_file} was dumped with {key}={header[key]}, not {key}={value}")
+                raise ValueError(f"{args.sigma_file} was dumped with {key}={header[key]}, not {key}={value}")
         if sigmas.shape != (args.k * d, d):
-            raise CliError(
+            raise ValueError(
                 f"sigma file must hold k*d x d = {args.k * d} x {d} values, got {sigmas.shape}"
             )
         result = recover(field, CovField(sigmas=sigmas.reshape(args.k, d, d)), policy)
-        if not np.all(np.isfinite(result.f_hat)):
-            raise NumericalFailure("recovered f contains non-finite entries")
         if args.out:
             meta = _dump_meta(manifold, d, args)
             _write_matrix(args.out, "f_hat", meta, [_csv(_spell(result.f_hat.reshape(-1, 1)))])
@@ -454,7 +433,6 @@ def cmd_recover(args) -> str:
         )
     trials = 1 if args.trials is None else args.trials
     rows = recovery_experiment(manifold, args.k, trials, args.seed, policy)
-    _check_no_nan(rows)
     wrote = _write_rows(args, rows)
     return (
         f"recover mode=forward manifold={manifold} k={args.k} trials={trials}"
@@ -476,7 +454,6 @@ def cmd_cond_sweep(args) -> str:
         args.seed,
         tolerance=Tolerance(args.tol_factor),
     )
-    _check_no_nan(rows)
     wrote = _write_rows(args, rows)
     return (
         f"cond-sweep manifold={manifold} trials={args.trials} seed={args.seed}"
@@ -488,8 +465,6 @@ def cmd_cond_sweep(args) -> str:
 def cmd_alpha(args) -> str:
     manifold = parse_manifold(args.manifold)
     value = manifold.expected_distance(args.trials, args.seed)
-    if math.isnan(value):
-        raise NumericalFailure("alpha recommendation is NaN")
     exact = manifold.mean_distance
     analytic = "" if exact is None else f" analytic={fmt17(exact)}"
     return (
@@ -528,7 +503,7 @@ def _add_common(p, *, kernel=False, k=False, k_list=False, alphas=False, trials=
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="covrank", description=__doc__)
+    parser = _Parser(prog="covrank", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a reproducible uniform sample")
@@ -568,16 +543,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "k", None) is not None and args.k < 1:
-            raise CliError("--k must be at least 1")
+            raise ValueError("--k must be at least 1")
         # overflow and NaN-making operations raise instead of warning, so they end in one line
         with np.errstate(over="raise", invalid="raise"):
             summary = args.func(args)
     # ahead of the ValueError clause, since numpy's LinAlgError subclasses ValueError
-    except (NumericalFailure, RankBoundError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (RankBoundError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"covrank: numerical failure: {exc}", file=sys.stderr)
         return 2
     # OSError: an --out that cannot be written; MemoryError: a k or trial count too large to hold
-    except (CliError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"covrank: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     print(summary)

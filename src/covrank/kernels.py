@@ -24,7 +24,6 @@ __all__ = [
     "UnclassifiedKernelError",
     "parse_kernel",
     "arccos_taylor_coeffs",
-    "arccos_taylor_eval",
     "theoretical_rank",
 ]
 
@@ -123,12 +122,6 @@ def arccos_taylor_coeffs(order: int) -> np.ndarray:
         a *= (2 * m + 1) / (2 * m + 2)
         m += 1
     return coeffs
-
-
-def arccos_taylor_eval(z, order: int):
-    """Partial sum of the arccos series at z (elementwise)."""
-    coeffs = arccos_taylor_coeffs(order)
-    return np.polyval(coeffs[::-1], np.asarray(z, dtype=float))
 
 
 def theoretical_rank(kernel: Kernel) -> int | None:

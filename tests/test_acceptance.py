@@ -17,7 +17,6 @@ from covrank import (
     Kernel,
     UnitSphere,
     arccos_taylor_coeffs,
-    arccos_taylor_eval,
     assemble_Y,
     assemble_Z,
     condition_sweep,
@@ -170,7 +169,7 @@ def test_criterion_7_arccos_series():
         for idx in range(2, 21, 2):
             assert coeffs[idx] == 0.0
         z = np.linspace(-0.8, 0.8, 401)
-        assert np.max(np.abs(arccos_taylor_eval(z, 41) - np.arccos(z))) <= 1e-6
+        assert np.max(np.abs(np.polyval(arccos_taylor_coeffs(41)[::-1], z) - np.arccos(z))) <= 1e-6
 
 
 def test_criterion_8_alpha_recommendation():

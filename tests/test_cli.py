@@ -74,7 +74,7 @@ class TestManifoldGrammar:
 
     @pytest.mark.parametrize("bad", ["torus:2", "sphere", "euclid:x", "euclid:2:box=1", "sphere:2:box=0,1"])
     def test_rejects(self, bad):
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError):
             parse_manifold(bad)
 
     @pytest.mark.parametrize("spec", ["sphere:0", "euclid:0", "euclid:-1", "euclid:0:box=0,1"])
@@ -588,6 +588,12 @@ class TestCliSurface:
         }
         assert declared == {name: common | flags for name, flags in reads.items()}
 
+    def test_help_speaks_to_users(self):
+        # the module docstring's first paragraph only: the developer notes stay out of --help
+        text = " ".join(build_parser().format_help().split())
+        assert "Exit codes" in text and "docs/formats.md" in text
+        assert "fmt17" not in text and "._" not in text
+
 
 class TestFailureReports:
     """Each failure exits 1 or 2 with one stderr line: no traceback, no warning."""
@@ -646,6 +652,10 @@ class TestFailureReports:
             (["alpha", "--manifold", "euclid:2:box=0,1e308", "--trials", "3"], 2),
             (["rank", "--manifold", "sphere:2", "--kernel", "shifted:1e200", "--k", "5"], 2),
             (["tensor", "--manifold", "euclid:2:box=-1e200,1e200", "--k", "4"], 2),
+            (["cond-sweep", "--manifold", "euclid:2:box=-1e200,1e200", "--alpha", "0", "--k", "4",
+              "--trials", "2"], 2),
+            # a Sigma file of finite values whose products overflow
+            (["recover", "--manifold", "sphere:2", "--k", "3", "--sigma-file", "huge.csv"], 2),
             # a box side whose eps side^2 underflows: every distance's round-off is lost
             (["sample", "--manifold", "euclid:2:box=0,1e-155", "--k", "3"], 1),
             (["rank", "--manifold", "euclid:2:box=0,1e-155", "--kernel", "sqdist", "--k", "5"], 1),
@@ -675,7 +685,8 @@ class TestFailureReports:
              "rank-box-nan", "recover-file-trials-1", "rank-out-missing-dir", "tensor-out-missing-dir",
              "sample-out-dir", "sample-seed-2**64", "rank-seed-2**64", "recover-file-seed",
              "recover-file-k", "recover-file-manifold", "recover-overflow",
-             "alpha-overflow", "rank-shift-overflow", "tensor-overflow", "sample-box-tiny",
+             "alpha-overflow", "rank-shift-overflow", "tensor-overflow", "cond-overflow",
+             "recover-file-overflow", "sample-box-tiny",
              "rank-box-tiny", "tensor-box-tiny", "recover-box-tiny", "cond-box-tiny", "alpha-box-tiny",
              "tensor-bound", "recover-bound", "sample-sphere-0", "rank-euclid-0", "rank-k-list-bad",
              "cond-alpha-list-bad", "sample-spec-bad", "recover-file-missing", "recover-file-bad",
@@ -684,6 +695,7 @@ class TestFailureReports:
     def test_one_line_and_exit_code(self, capsys, monkeypatch, tmp_path, argv, code):
         monkeypatch.chdir(tmp_path)  # a wrongly accepted --out writes here
         (tmp_path / "bad.csv").write_text("1,2,x\n")
+        (tmp_path / "huge.csv").write_text("1e307,-1.7e308,1e307\n" * 9)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == code

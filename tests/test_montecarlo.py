@@ -417,7 +417,7 @@ class TestLibrarySurface:
             "ExperimentConfig", "Kernel", "OperatorField", "RankBoundError", "RankLawRow",
             "RecoveryResult", "RecoveryTrial", "SampleSet", "SweepRow", "Tolerance",
             "UnclassifiedKernelError", "UnitSphere", "arccos_taylor_coeffs",
-            "arccos_taylor_eval", "assemble_Y", "assemble_Z", "condition_sweep",
+            "assemble_Y", "assemble_Z", "condition_sweep",
             "fullrank_probability", "outer_field", "parse_kernel", "rank_law_sweep",
             "recover", "recovery_experiment", "rng_stream", "rows_to_csv", "rows_to_jsonl", "sigma_field",
             "theoretical_rank", "trace_system", "unfold_C",
