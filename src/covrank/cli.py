@@ -9,7 +9,8 @@ bound (FloatingPointError, LinAlgError, RankBoundError).  Formats are in docs/fo
 Numeric output uses 17 significant digits: row tables spell values with fmt17, and matrix
 dumps use a vectorised speller with the bytes of "%.17g", fmt17's, which hands the values
 it cannot settle exactly to "%.17g" itself.  ``tensor`` enforces Psi's sqdist bound here;
-its Y and Z verdicts (``tensor._system_verdicts``) and every recovery enforce their own.
+its Y and Z verdicts (``tensor._system_verdicts``) and every recovery enforce their own;
+each bound is read through the one law lookup, ``kernels._law``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernels import parse_kernel
+from .kernels import Kernel, _law, parse_kernel
 from .manifold import Euclidean, UnitSphere, rng_stream
 from .montecarlo import (
     ExperimentConfig,
@@ -380,7 +381,7 @@ def cmd_tensor(args) -> str:
         for rank, borderline in (_system_verdicts(manifold, P, eta, policy, system) for system in ("Y", "Z")))
     rank, _, borderline = _verdicts(_spectra(psi[None], policy), policy, psi.shape)
     rank_Psi, borderline_Psi = int(rank[0]), bool(borderline[0])
-    _enforce_bound("Psi", rank_Psi, manifold._proven_ranks().get("sqdist"), args.k)
+    _enforce_bound("Psi", rank_Psi, _law(manifold, Kernel(manifold, "sqdist"))[0], args.k)
     wrote = ""
     if args.out:
         f0 = rng_stream(args.seed, aux_stream(args.k, 0)).random(args.k)

@@ -56,14 +56,6 @@ class Kernel:
         if self.alpha != 0.0 and self.family != "shifted":
             raise ValueError("alpha only applies to the shifted family")
 
-    @property
-    def _own_zero(self) -> bool:
-        """Whether k(p, p) = 0: d(p, p) = 0 for sqdist and shifted:0, and arccos(p.p) =
-        arccos(1) = 0 for dot:arccos and dot:arccos2 on a space of unit points."""
-        if self.family.startswith("dot:arccos"):
-            return self.manifold._unit_points
-        return self.family in ("sqdist", "shifted") and not self.alpha
-
     def pairwise(self, P: np.ndarray) -> np.ndarray:
         """Kernel matrices k(p_r, p_s) of point stacks P (..., k, c), batched over leading
         axes, where d(p, p) = 0 exactly, and so is arccos(p.p) on unit points, which
@@ -78,7 +70,7 @@ class Kernel:
         if self.family == "dot:cos":
             return np.cos(g)
         a = np.arccos(np.clip(g, -1.0, 1.0))
-        if self._own_zero:
+        if self.manifold._unit_points:
             _zero_diagonal(a)
         return a * a if self.family == "dot:arccos2" else a
 
@@ -124,13 +116,31 @@ def arccos_taylor_coeffs(order: int) -> np.ndarray:
     return coeffs
 
 
+def _law(manifold: _ManifoldBase, system: Kernel | str) -> tuple[int | None, int | None, int]:
+    """The rank law a space proves for a kernel on it or for its system "Y" or "Z", the one
+    reader of ``manifold._proven_ranks()``: (bound, c, own), with shifted:0 counted as sqdist.
+
+    bound is the declared rank, an int, or None for full rank almost everywhere.  Each point
+    adds at most c to the rank: 1 for a kernel and Y, and n for Z, whose column block s stacks
+    eta_sr eta_sr^T over r != s and so lies in span{eta_sr}; c is None where the space proves
+    no law.  own is 1 where a point's own entries vanish, as in Y, Z, sqdist, and dot:arccos
+    and dot:arccos2 on unit points (arccos(p.p) = 0), which then draw on the other k - 1
+    points alone.  The expected rank at k is min(bound, k min(c, k - own)).
+    """
+    if isinstance(system, Kernel):
+        name = "sqdist" if system.family == "shifted" and not system.alpha else system.family
+        c, own = 1, name == "sqdist" or (name.startswith("dot:arccos") and manifold._unit_points)
+    else:
+        name, c, own = system, 1 if system == "Y" else manifold.n, True
+    ranks = manifold._proven_ranks()
+    return ranks.get(name), c if name in ranks else None, int(own)
+
+
 def theoretical_rank(kernel: Kernel) -> int | None:
     """Rank of the kernel as a bivariate function: the proven rank its space declares
-    for the family (``_proven_ranks``), an int, or None for full rank almost
-    everywhere; shifted:0 counts as sqdist.  A kernel its space does not settle
-    raises UnclassifiedKernelError."""
-    family = "sqdist" if kernel.family == "shifted" and kernel.alpha == 0.0 else kernel.family
-    ranks = kernel.manifold._proven_ranks()
-    if family not in ranks:
+    (``_law``), an int, or None for full rank almost everywhere.  A kernel its space
+    does not settle raises UnclassifiedKernelError."""
+    bound, c, _ = _law(kernel.manifold, kernel)
+    if c is None:
         raise UnclassifiedKernelError(f"no rank classification for {kernel} on {kernel.manifold}")
-    return ranks[family]
+    return bound

@@ -122,7 +122,7 @@ class _ManifoldBase:
     of the systems "Y" and "Z" keyed by name, an int for a finite rank and None for
     full rank almost everywhere, a missing key unsettled; ``mean_distance``; and
     ``_unit_points``, whether every point has norm 1, so that arccos(p.p) = 0.
-    The rank oracle, the Y/Z rank laws and the CLI read those, not the class.
+    The ranks have one reader, the law lookup ``kernels._law``; no reader tests the class.
     Each space spells its distance once, in the batched ``distance_matrix``;
     ``pairwise_distance`` and ``paired_distance`` are read off it, so a pair gets
     the same bits whichever computes it.  Maps act on stacks only: a single pair

@@ -22,6 +22,7 @@ first), which also enforces the space's Y and Z bounds.  ``rank_law_sweep``, and
 ``fullrank_probability``, enforces the kernel's, and ``condition_sweep`` the space's
 sqdist bound on its alpha = 0 cells.  A recovery chunk is solved by
 ``tensor._forward_recoveries``, one stacked solve per frame group, under the Y bound.
+Every bound is the space's law, read through one lookup, ``kernels._law``.
 Results are therefore independent of the chunking, and aggregation is by trial index.
 
 Rows serialize to CSV and JSON lines with stable column order; floats are
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernels import Kernel, UnclassifiedKernelError, theoretical_rank
+from .kernels import Kernel, _law
 from .manifold import _check_key_word, _ManifoldBase, rng_streams
 from .numrank import DEFAULT_TOLERANCE, Tolerance, _singular_values, _spectra, _validated, _verdicts
 from .tensor import (
@@ -226,28 +227,15 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
     verdict path (``tensor._system_verdicts``).  Equality with the generic
     expected rank is reported as a fraction of the non-borderline trials.
 
-    The expected rank is min(bound, k min(c, k - own)).  Each point adds at most c to
-    the rank: 1 for a kernel and Y, and n for Z, whose column block s stacks
-    eta_sr eta_sr^T over r != s and so lies in span{eta_sr}.  own is 1 where a point's
-    own entries vanish, as in Y, Z, sqdist (shifted:0), and dot:arccos and dot:arccos2
-    on the sphere, which then draw on the other k - 1 points alone and expect 0 at k = 1.
+    The expected rank is that of the law (``kernels._law``): min(bound, k min(c, k - own)).
     """
-    if system == "kernel":
-        if cfg.kernel is None:
-            raise ValueError("config needs a kernel for kernel-matrix experiments")
-        kernel = cfg.kernel
-        try:
-            bound, per_point = theoretical_rank(kernel), 1
-        except UnclassifiedKernelError:
-            bound, per_point = None, None  # no law, so no expected rank
-        own = int(kernel._own_zero)
-    elif system in ("Y", "Z"):
-        ranks = cfg.manifold._proven_ranks()
-        if system not in ranks:
-            raise ValueError(f"no {system} rank law is proven on {cfg.manifold}")
-        bound, per_point, own = ranks[system], 1 if system == "Y" else cfg.manifold.n, 1
-    else:
+    if system not in ("kernel", "Y", "Z"):
         raise ValueError(f"unknown system {system!r}; expected 'kernel', 'Y' or 'Z'")
+    if system == "kernel" and cfg.kernel is None:
+        raise ValueError("config needs a kernel for kernel-matrix experiments")
+    bound, per_point, own = _law(cfg.manifold, cfg.kernel if system == "kernel" else system)
+    if per_point is None and system != "kernel":
+        raise ValueError(f"no {system} rank law is proven on {cfg.manifold}")
     rows = []
     for k in cfg.k_values:
         ranks, borderline = _trial_verdicts(cfg, k, system)
@@ -294,7 +282,7 @@ def condition_sweep(
 
     The matrices are symmetric, so a cell is measured by one symmetric
     eigensolve, its singular values being the |eigenvalues|, unless alpha = 0
-    and the space proves sqdist finite-rank (``_proven_ranks``), as on R^n:
+    and the space proves sqdist finite-rank (``kernels._law``), as on R^n:
     then its noise singular values sit at a rank gap, where the SVD places
     them further below the threshold, the cell keeps the SVD, and a rank above
     that bound raises RankBoundError.  Unlike ``numrank._spectra``, no SVD
@@ -312,7 +300,7 @@ def condition_sweep(
         manifold=manifold, kernel=None, k_values=k_values, trials=trials, seed=seed,
         tolerance=tolerance,
     )
-    sqdist_bound = manifold._proven_ranks().get("sqdist")
+    sqdist_bound = _law(manifold, Kernel(manifold, "sqdist"))[0]
     symmetric = [alpha != 0.0 or sqdist_bound is None for alpha in alphas]
     spectra = {}
     for k in cfg.k_values:

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _law
 from .manifold import SampleSet, _ManifoldBase
 from .numrank import DEFAULT_TOLERANCE, Tolerance, _certify_columns, _norms, _solve_augmented, _spectra, _verdicts
 
@@ -314,7 +315,7 @@ def _system_verdicts(
     P (T, k, d) with log vectors eta = manifold.pairwise_log(P), measured on orthogonally
     equivalent reductions (``_reduced_stacks``) but thresholded for the full shapes
     (``_system_shape``); each trial's are those of a stack of it alone.  A rank above the
-    bound the space proves for the system (``_proven_ranks``) raises RankBoundError, so
+    bound the space proves for the system (``kernels._law``) raises RankBoundError, so
     neither the rank-law engine nor ``covrank tensor`` reads the Y or Z law again.
 
     A tall reduced stack goes through ``numrank._certify_columns`` first, unless the
@@ -329,7 +330,7 @@ def _system_verdicts(
     k = P.shape[1]
     V, _ = _frame_coordinates(manifold, P, eta)
     shape = _system_shape(manifold, k, system)
-    bound = manifold._proven_ranks().get(system)
+    bound = _law(manifold, system)[0]
     rank, borderline = np.empty(len(P), int), np.zeros(len(P), bool)
     for trials, a in _reduced_stacks(manifold, V, eta, policy, system):
         trials, width = np.arange(len(P))[trials], a.shape[2]
@@ -432,9 +433,9 @@ def _recoveries(manifold: _ManifoldBase, V: np.ndarray, S: np.ndarray, policy: T
     Each group of trials ``_split`` makes of Y is solved in place: a trial gets the tangent
     system of _reduced_systems(V, S, n), n(n+1)/2 k + 1 rows, where the Y entries it drops
     are negligible, and dims = d otherwise, thresholded for the shapes of the unreduced
-    [Y | c] and Y.  A rank_Y above the Y bound the space proves raises RankBoundError."""
+    [Y | c] and Y.  A rank_Y above the space's Y bound (``kernels._law``) raises RankBoundError."""
     k = V.shape[1]
-    rows, bound = _system_shape(manifold, k, "Y")[0], manifold._proven_ranks().get("Y")
+    rows, bound = _system_shape(manifold, k, "Y")[0], _law(manifold, "Y")[0]
     results = [None] * len(V)
     for trials, dims in _split(manifold, V, policy, "Y"):
         solution = _solve_augmented(_reduced_systems(V[trials], S[trials], dims), policy, rows)

@@ -705,14 +705,31 @@ class TestFailureReports:
         assert "Traceback" not in captured.err
         assert caught == []
 
-    def test_psi_above_the_bound_is_a_numerical_failure(self, capsys, monkeypatch):
-        # a sqdist law one below the plane's Psi rank 4; the Y and Z laws stay as declared
+    @pytest.mark.parametrize(
+        "law, argv, message",
+        [
+            ("sqdist", ["tensor", "--manifold", "euclid:2", "--k", "5"],
+             "Psi system exceeded its proven rank bound: rank 4 > 3 at k=5"),
+            ("sqdist", ["cond-sweep", "--manifold", "euclid:2", "--alpha", "0", "--k", "5"],
+             "kernel system exceeded its proven rank bound: rank 4 > 3 at k=5"),
+            ("sqdist", ["rank", "--manifold", "euclid:2", "--kernel", "shifted:0", "--k", "5", "--trials", "2"],
+             "kernel system exceeded its proven rank bound: rank 4 > 3 at k=5"),
+            ("Y", ["recover", "--manifold", "euclid:2", "--k", "8"],
+             "Y system exceeded its proven rank bound: rank 6 > 5 at k=8"),
+            ("Z", ["tensor", "--manifold", "euclid:2", "--k", "5"],
+             "Z system exceeded its proven rank bound: rank 8 > 7 at k=5"),
+        ],
+        ids=["psi-sqdist", "cond-sqdist", "rank-sqdist", "recover-Y", "tensor-Z"],
+    )
+    def test_one_declared_law_reaches_its_enforcement(self, capsys, monkeypatch, law, argv, message):
+        # one law the plane declares, set one below the truth, is enforced wherever it is
+        # read; the other laws stay as declared
         declared = Euclidean._proven_ranks
-        monkeypatch.setattr(Euclidean, "_proven_ranks", lambda self: {**declared(self), "sqdist": self.n + 1})
-        assert main(["tensor", "--manifold", "euclid:2", "--k", "5"]) == 2
+        monkeypatch.setattr(Euclidean, "_proven_ranks", lambda self: {**declared(self), law: declared(self)[law] - 1})
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "covrank: numerical failure: Psi system exceeded its proven rank bound: rank 4 > 3 at k=5\n"
+        assert captured.err == f"covrank: numerical failure: {message}\n"
 
     def test_recover_file_above_the_bound_is_a_numerical_failure(self, capsys, monkeypatch, tmp_path):
         # a Y of rank 6 on euclid:2, read back under a tolerance that counts round-off

@@ -18,6 +18,7 @@ from covrank import (
     theoretical_rank,
 )
 from covrank.cli import parse_manifold
+from covrank.kernels import _law
 from covrank.numrank import _spectra, _verdicts
 from reference import rank_report
 
@@ -148,27 +149,52 @@ class TestArccosSeries:
             arccos_taylor_coeffs(-1)
 
 
-# The class the oracle gives each kernel spec on each space: an int is a finite rank,
-# None full rank almost everywhere, REFUSED an UnclassifiedKernelError.
+# The class the oracle gives each kernel spec, and the unfolded systems Y and Z, on each
+# space: an int is a finite rank, None full rank almost everywhere, REFUSED an
+# UnclassifiedKernelError for a kernel and a "no ... rank law is proven" for a system.
 REFUSED = "refused"
-ORACLE_SPECS = ("sqdist", "shifted:0", "shifted:0.5", "dot:arccos", "dot:arccos2", "dot:cos")
+SYSTEMS = ("Y", "Z")
+KERNEL_SPECS = ("sqdist", "shifted:0", "shifted:0.5", "dot:arccos", "dot:arccos2", "dot:cos")
+ORACLE_SPECS = KERNEL_SPECS + SYSTEMS
 ORACLE_TABLE = {
-    "euclid:1": (3, 3, REFUSED, REFUSED, REFUSED, None),
-    "euclid:2": (4, 4, REFUSED, REFUSED, REFUSED, None),
-    "euclid:3": (5, 5, REFUSED, REFUSED, REFUSED, None),
+    # Y: (n+1)(n+2)/2, Z: n(n+2), since the log map p_i - p_j is affine in both points
+    "euclid:1": (3, 3, REFUSED, REFUSED, REFUSED, None, 3, 3),
+    "euclid:2": (4, 4, REFUSED, REFUSED, REFUSED, None, 6, 8),
+    "euclid:3": (5, 5, REFUSED, REFUSED, REFUSED, None, 10, 15),
     # S^1 is flat: on a semicircle its squared arc distance is a line's, rank <= 3
-    "sphere:1": (REFUSED, REFUSED, REFUSED, None, REFUSED, None),
-    "sphere:2": (None, None, REFUSED, None, None, None),
-    "sphere:3": (None, None, REFUSED, None, None, None),
+    "sphere:1": (REFUSED, REFUSED, REFUSED, None, REFUSED, None, REFUSED, REFUSED),
+    "sphere:2": (None, None, REFUSED, None, None, None, REFUSED, REFUSED),
+    "sphere:3": (None, None, REFUSED, None, None, None, REFUSED, REFUSED),
 }
 
 
+def oracle_cells(specs=ORACLE_SPECS):
+    cells = [(space, spec, cls) for space, row in ORACLE_TABLE.items()
+             for spec, cls in zip(ORACLE_SPECS, row) if spec in specs]
+    return pytest.mark.parametrize("space, spec, expected", cells, ids=[f"{space}-{spec}" for space, spec, _ in cells])
+
+
+def spelled_law(space, spec, expected):
+    """(bound, c, own) of a cell, bound and c None where it is refused: each point adds at
+    most c to the rank, 1 for a kernel and Y and n for Z; own is 1 where a point's own
+    entries vanish, as in Y, Z, sqdist and shifted:0, and in dot:arccos and dot:arccos2
+    on the sphere's unit points."""
+    kind, n = space.split(":")
+    own = int(spec in ("sqdist", "shifted:0") + SYSTEMS or (kind == "sphere" and spec.startswith("dot:arccos")))
+    if expected == REFUSED:
+        return None, None, own
+    return expected, int(n) if spec == "Z" else 1, own
+
+
+def expected_rank(bound, c, own, k):
+    if c is None:
+        return None
+    rank = k * min(c, k - own)
+    return rank if bound is None else min(bound, rank)
+
+
 class TestRankOracle:
-    @pytest.mark.parametrize(
-        "space, spec, expected",
-        [(space, spec, cls) for space, row in ORACLE_TABLE.items() for spec, cls in zip(ORACLE_SPECS, row)],
-        ids=[f"{space}-{spec}" for space in ORACLE_TABLE for spec in ORACLE_SPECS],
-    )
+    @oracle_cells(KERNEL_SPECS)
     def test_table(self, space, spec, expected):
         kernel = parse_kernel(spec, parse_manifold(space))
         if expected == REFUSED:
@@ -176,6 +202,57 @@ class TestRankOracle:
                 theoretical_rank(kernel)
         else:
             assert theoretical_rank(kernel) == expected
+
+    @oracle_cells()
+    def test_sweep_expects_the_spelled_law(self, space, spec, expected):
+        # rank_law_sweep's bound and expected rank at a few k, one trial each: the cell's
+        # law min(bound, k min(c, k - own)) with c and own spelled out here; a refused
+        # kernel is swept with no bound and no expected rank, a refused system not at all
+        manifold = parse_manifold(space)
+        system, kernel = (spec, None) if spec in SYSTEMS else ("kernel", parse_kernel(spec, manifold))
+        cfg = ExperimentConfig(manifold=manifold, kernel=kernel, k_values=(1, 3, 16), trials=1, seed=5)
+        if expected == REFUSED and system in SYSTEMS:
+            with pytest.raises(ValueError) as refused:
+                rank_law_sweep(cfg, system)
+            assert str(refused.value) == f"no {spec} rank law is proven on {space}"
+            return
+        law = spelled_law(space, spec, expected)
+        assert [(row.bound, row.expected_rank) for row in rank_law_sweep(cfg, system)] == [
+            (law[0], expected_rank(*law, k)) for k in cfg.k_values]
+
+    @oracle_cells()
+    def test_one_law_lookup_gives_the_spelled_law(self, space, spec, expected):
+        manifold = parse_manifold(space)
+        law = _law(manifold, spec if spec in SYSTEMS else parse_kernel(spec, manifold))
+        spelled = spelled_law(space, spec, expected)
+        assert law == spelled
+        assert [expected_rank(*law, k) for k in range(1, 51)] == [expected_rank(*spelled, k) for k in range(1, 51)]
+
+    @pytest.mark.parametrize(
+        "space, spec, system, message",
+        [
+            ("sphere:2", None, "Y", "no Y rank law is proven on sphere:2"),
+            ("euclid:2", "shifted:0.5", None, "no rank classification for shifted:0.5 on euclid:2"),
+            ("sphere:1", "sqdist", None, "no rank classification for sqdist on sphere:1"),
+            ("euclid:2", None, "Psi", "unknown system 'Psi'; expected 'kernel', 'Y' or 'Z'"),
+            ("euclid:2", "sqdist", "Psi", "unknown system 'Psi'; expected 'kernel', 'Y' or 'Z'"),
+            ("sphere:2", None, "kernel", "config needs a kernel for kernel-matrix experiments"),
+        ],
+        ids=["Y-on-sphere", "shifted-oracle", "circle-oracle", "unknown-system",
+             "unknown-system-with-kernel", "no-kernel"],
+    )
+    def test_refusals(self, space, spec, system, message):
+        # an unknown system is refused first, then a kernel sweep without a kernel, then
+        # a system whose law the space does not prove; the oracle refuses what it cannot settle
+        manifold = parse_manifold(space)
+        kernel = None if spec is None else parse_kernel(spec, manifold)
+        with pytest.raises(ValueError) as refused:
+            if system is None:
+                theoretical_rank(kernel)
+            else:
+                rank_law_sweep(ExperimentConfig(manifold=manifold, kernel=kernel, k_values=(2,), trials=1,
+                                                seed=0), system)
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("k", [5, 6, 8])
     def test_circle_sqdist_rank_three_on_a_semicircle(self, k):

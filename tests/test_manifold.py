@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import math
 import re
 import tracemalloc
@@ -374,8 +375,15 @@ def test_empirical_pairwise_mean_matches_expected_distance():
 
 class TestOneClassPerSpace:
     """Facts about a space live in its class (``_proven_ranks``, ``mean_distance``), so
-    the modules that read them never name a concrete space."""
+    the modules that read them never name a concrete space, and its proven ranks are read
+    through one lookup, ``kernels._law``."""
 
     @pytest.mark.parametrize("module", ["covrank.kernels", "covrank.montecarlo", "covrank.tensor"])
     def test_readers_do_not_name_a_space(self, module):
         assert {"Euclidean", "UnitSphere"} & set(vars(importlib.import_module(module))) == set()
+
+    @pytest.mark.parametrize("module", ["covrank.montecarlo", "covrank.tensor", "covrank.cli"])
+    def test_readers_take_the_laws_from_one_lookup(self, module):
+        # kernels._law alone reads the declared ranks and knows whose own entries vanish
+        source = inspect.getsource(importlib.import_module(module))
+        assert "_proven_ranks" not in source and "_own_zero" not in source
