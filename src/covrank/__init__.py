@@ -28,7 +28,6 @@ from .tensor import (
     OperatorField,
     RecoveryResult,
     assemble_Y,
-    assemble_Z,
     outer_field,
     recover,
     sigma_field,
@@ -57,7 +56,6 @@ __all__ = [
     "UnitSphere",
     "arccos_taylor_coeffs",
     "assemble_Y",
-    "assemble_Z",
     "condition_sweep",
     "fullrank_probability",
     "outer_field",

@@ -373,7 +373,7 @@ def cmd_rank(args) -> str:
 def cmd_tensor(args) -> str:
     manifold = parse_manifold(args.manifold)
     field = outer_field(manifold, _trial0_sample(manifold, args))
-    psi, _ = trace_system(field)
+    psi = trace_system(field)
     policy = Tolerance(args.tol_factor)
     P, eta = field.sample.points[None], field.eta[None]
     (rank_Y, borderline_Y), (rank_Z, borderline_Z) = (

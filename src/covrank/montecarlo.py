@@ -18,9 +18,9 @@ of a k's chunks fill one (trials, k) array, which gets one verdict
 taking the eigensolve alone, since its rows report every trial's spectral
 ratio.  A Y or Z chunk takes its verdicts from ``covrank tensor``'s path
 (``tensor._system_verdicts``: tangent-frame reductions, the tall ones certified
-first), which also enforces the space's Y and Z bounds.  ``rank_law_sweep``, and so
-``fullrank_probability``, enforces the kernel's, and ``condition_sweep`` the space's
-sqdist bound on its alpha = 0 cells.  A recovery chunk is solved by
+first), which also enforces the space's Y and Z bounds.  The kernel verdicts meet
+the kernel's where they are made (``_trial_verdicts``), and ``condition_sweep`` the
+space's sqdist bound on its alpha = 0 cells.  A recovery chunk is solved by
 ``tensor._forward_recoveries``, one stacked solve per frame group, under the Y bound.
 Every bound is the space's law, read through one lookup, ``kernels._law``.
 Results are therefore independent of the chunking, and aggregation is by trial index.
@@ -197,7 +197,9 @@ def _sample_chunks(cfg: ExperimentConfig, k: int, trial_bytes: int) -> Iterator[
 def _trial_verdicts(cfg: ExperimentConfig, k: int, system: str) -> tuple[np.ndarray, np.ndarray]:
     """Numerical ranks and borderline flags (trials,) of the kernel, Y or Z matrix of every
     trial at size k: the Y or Z chunks' verdicts in trial order, or the one verdict of a
-    (trials, k) array that each kernel chunk's settled spectra fill."""
+    (trials, k) array that each kernel chunk's settled spectra fill.  A rank above the
+    bound the space proves for the system (``kernels._law``) raises RankBoundError, the
+    kernel's here and Y's or Z's in ``tensor._system_verdicts``."""
     manifold, d, tolerance = cfg.manifold, cfg.manifold.coord_dim, cfg.tolerance
     if system != "kernel":
         chunks = [_system_verdicts(manifold, P, manifold.pairwise_log(P), tolerance, system)
@@ -207,6 +209,7 @@ def _trial_verdicts(cfg: ExperimentConfig, k: int, system: str) -> tuple[np.ndar
     for start, P in _sample_chunks(cfg, k, 8 * k * k * d):
         s[start:start + len(P)] = _spectra(_validated(cfg.kernel.pairwise(P), ndim=3), tolerance)
     report = _verdicts(s, tolerance, (k, k))
+    _enforce_bound(system, int(report.numerical_rank.max()), _law(manifold, cfg.kernel)[0], k)
     return report.numerical_rank, report.borderline
 
 
@@ -223,9 +226,9 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
     """Measure numerical ranks across cfg.k_values for one system kind.
 
     Proven upper bounds are enforced, not just recorded: a trial exceeding
-    its bound raises RankBoundError, the kernel's here and Y's or Z's in the
-    verdict path (``tensor._system_verdicts``).  Equality with the generic
-    expected rank is reported as a fraction of the non-borderline trials.
+    its bound raises RankBoundError where its verdicts are made
+    (``_trial_verdicts``).  Equality with the generic expected rank is
+    reported as a fraction of the non-borderline trials.
 
     The expected rank is that of the law (``kernels._law``): min(bound, k min(c, k - own)).
     """
@@ -240,8 +243,6 @@ def rank_law_sweep(cfg: ExperimentConfig, system: str = "kernel") -> list[RankLa
     for k in cfg.k_values:
         ranks, borderline = _trial_verdicts(cfg, k, system)
         width = k if system == "kernel" else min(_system_shape(cfg.manifold, k, system))
-        if system == "kernel":
-            _enforce_bound(system, int(ranks.max()), bound, k)
         expected = None if per_point is None else k * min(per_point, k - own)
         if bound is not None:
             expected = min(bound, expected)

@@ -59,15 +59,11 @@ class Tolerance:
         if self.factor is not None and not 0 < self.factor < np.inf:
             raise ValueError(f"tolerance factor must be positive and finite, got {self.factor}")
 
-    def threshold(self, shape: tuple[int, int], sigma1):
-        """tau for m x n matrices with largest singular value sigma1.
-
-        sigma1 may be a float, giving a float, or an array of them, giving
-        an array of thresholds of the same shape.
-        """
+    def threshold(self, shape: tuple[int, int], sigma1: np.ndarray) -> np.ndarray:
+        """Thresholds tau, of sigma1's shape, for m x n matrices whose largest singular
+        values are the array sigma1."""
         factor = self.factor if self.factor is not None else max(shape) * np.finfo(float).eps
-        tau = factor * np.asarray(sigma1, dtype=float)
-        return tau if tau.ndim else float(tau)
+        return factor * sigma1
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -172,10 +168,10 @@ _MARGIN = 20  # a certificate's bounds clear the 10x band by this factor, 2x to 
 
 
 def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None) -> _AugmentedSolution:
-    """Minimum-norm least squares of every system [A | b] of a (T, m, n+1) stack.
+    """Minimum-norm least squares of every system [A | b] of a (T, m, n+1) stack, m >= n+1,
+    as every reduced system (``tensor._reduced_systems``) is.
 
-    One stacked QR gives [A | b] = Q R, R padded with zero rows to n+1 when m is
-    smaller, which changes neither its singular values nor the solution.  x solves
+    One stacked QR gives [A | b] = Q R, R (n+1) x (n+1).  x solves
     R[:, :n] x = R[:, n], which is A x = b in the coordinates of Q.  The thresholds
     use the shapes (rows, n+1) and (rows, n) of the original matrices: rows defaults
     to m, and a caller whose stack is an orthogonally reduced copy of taller systems
@@ -186,8 +182,7 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     The solve is a two-step ladder.  Bounds on the singular values of R[:n, :n], from
     its norms, its diagonal and its inverse, certify the systems whose verdicts they
     settle (``_certify``): A of rank n and [A | b] of rank n or n + 1, nothing near a
-    threshold; their x comes from that inverse.  The
-    rest, and every system of a stack with fewer than n+1 rows, take the vectors path
+    threshold; their x comes from that inverse.  The rest take the vectors path
     (``_solve_by_vectors``), run on the gathered subset.  Every result for a system
     equals, bit for bit, what a stack holding only that system gives.
 
@@ -205,10 +200,7 @@ def _solve_augmented(Ab: np.ndarray, policy: Tolerance, rows: int | None = None)
     Ab and for the column-major systems of ``tensor._reduced_systems``.
     """
     m, n = Ab.shape[1] if rows is None else rows, Ab.shape[2] - 1
-    R = np.ascontiguousarray(np.linalg.qr(Ab, mode="r"))  # (T, min(Ab.shape[1], n+1), n+1)
-    if R.shape[1] <= n:
-        R = np.concatenate([R, np.zeros((R.shape[0], n + 1 - R.shape[1], n + 1))], axis=1)
-        return _solve_by_vectors(R, policy, m)
+    R = np.ascontiguousarray(np.linalg.qr(Ab, mode="r"))  # (T, n+1, n+1)
     certified, solution = _certify(R, policy, m)
     if not certified.all():
         rest = ~certified

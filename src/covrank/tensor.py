@@ -10,8 +10,10 @@ used downstream, all pinned to layout version ``v1``:
 * ``unfold_C``: covariance matrices Sigma_j flattened the same way, entry
   ``(l*d + m)*k + j`` holds ``Sigma_j[l, m]``, so the forward model is
   exactly ``Y_unfolded @ f = C_unfolded``.
-* ``assemble_Z``: the (d k) x (d k) block arrangement whose block at
-  block-row r, block-column s is ``Y[s, r]``.
+* Z: the (d k) x (d k) block arrangement whose block at block-row r,
+  block-column s is ``Y[s, r]``.  No public function builds it: the verdicts
+  take it from ``_Z_array``, and ``covrank tensor --out`` writes it from Y's
+  records.
 
 Y, Sigma and Psi are computed from the log vectors eta_ji of the sample,
 which the field stores; no (k, k, d, d) array of blocks is ever built.
@@ -71,7 +73,6 @@ __all__ = [
     "sigma_field",
     "assemble_Y",
     "unfold_C",
-    "assemble_Z",
     "trace_system",
     "recover",
 ]
@@ -364,20 +365,10 @@ def unfold_C(cov: CovField) -> np.ndarray:
     return np.moveaxis(cov.sigmas, 0, -1).reshape(-1)
 
 
-def assemble_Z(field: OperatorField) -> np.ndarray:
-    """Arrange the blocks into the (d k) x (d k) matrix with block (r, s) = Y[s, r]."""
-    return _Z_array(field.eta, field.eta)
-
-
-def trace_system(field: OperatorField, cov: CovField | None = None):
-    """Blockwise traces: Psi[j, i] = tr Y[j, i] (the squared-distance matrix) and c_j = tr Sigma_j.
+def trace_system(field: OperatorField) -> np.ndarray:
+    """Blockwise traces Psi[j, i] = tr Y[j, i], the squared-distance matrix.
     Psi[j, i] = ||eta_ji||^2 has the bits of the trace of the block eta_ji eta_ji^T."""
-    psi = (field.eta * field.eta).sum(-1)
-    if cov is None:
-        return psi, None
-    if cov.sigmas.shape != (field.k, field.d, field.d):
-        raise ValueError("covariance field does not match the sample")
-    return psi, np.trace(cov.sigmas, axis1=1, axis2=2)
+    return (field.eta * field.eta).sum(-1)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ with covrank; the report of one factorization, which covrank's verdict rule
 the reduced Y and Z, which their certified verdicts are checked against.  The
 helpers of stacks return their spectra or their verdicts (``numrank._verdicts``);
 ``spectrum_report`` makes one matrix's RankReport of both, and ``rank_report`` that
-of one matrix measured by the verdict rule."""
+of one matrix measured by the verdict rule.  ``block_Z`` builds layout-v1 Z from the
+log vectors alone, and ``modular_rank`` is an exact referee: the rank of an integer
+matrix modulo a prime, in Python integers, with no rounding anywhere."""
 
 import math
 from typing import NamedTuple
@@ -37,6 +39,51 @@ def sphere_log(P):
     eta = factor[..., None] * (P[..., None, :, :] - G[..., None] * P[..., :, None, :])
     eta[..., i, i, :] = 0.0
     return eta
+
+
+def block_Z(eta):
+    """Layout-v1 Z (d k, d k) of log vectors eta (k, k, d): Z[r*d + a, s*d + b] =
+    eta[s, r, a] * eta[s, r, b], so the block at block-row r, block-column s is the
+    outer product of eta_sr with itself.  Each entry is one product."""
+    k, _, d = eta.shape
+    blocks = eta[:, :, :, None] * eta[:, :, None, :]  # [s, r, a, b]
+    return blocks.transpose(1, 2, 0, 3).reshape(d * k, d * k)
+
+
+MERSENNE_61 = (1 << 61) - 1
+
+
+def integer_sqdist(points):
+    """The squared distances of points (k, n), scaled by 2^106, as rows of Python ints:
+    exact where every coordinate is a multiple of 2^-53, as a double drawn from [0, 1)
+    is.  A coordinate that is not raises ValueError."""
+    X = np.ldexp(points, 53)
+    if not np.array_equal(X, np.trunc(X)):
+        raise ValueError("a coordinate is not a multiple of 2^-53")
+    rows = [[int(x) for x in p] for p in X.tolist()]
+    return [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in rows] for p in rows]
+
+
+def modular_rank(matrix, p=MERSENNE_61):
+    """The rank modulo the prime p of an integer matrix, a list of rows of Python ints,
+    by Gaussian elimination over Z/p.  Reduction mod p maps Z to a field, and a minor
+    that vanishes over Q vanishes mod p, so the result is a lower bound of the rank over
+    Q; where it meets a proven upper bound, the exact rank is certified."""
+    rows = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inverse = pow(top[col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inverse % p
+            if factor:
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 def dropped_norms(V, dims, weight):

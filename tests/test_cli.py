@@ -17,7 +17,6 @@ from covrank import (
     Tolerance,
     UnitSphere,
     assemble_Y,
-    assemble_Z,
     outer_field,
     rng_stream,
     sigma_field,
@@ -28,7 +27,7 @@ from covrank import tensor
 from covrank.tensor import _frame_coordinates, _reduced_stacks, _system_shape
 from counting import assert_leaf_inverses, counted_inverses, counted_svds
 import reference
-from reference import rank_report
+from reference import block_Z, rank_report
 
 # a k = 8 Sigma dump of sphere:2 at seed 3 (see test_golden.py)
 GOLDEN_SIGMA = Path(__file__).parent / "golden" / "tensor.Sigma.csv"
@@ -223,7 +222,7 @@ class TestTensorAndRecover:
         assert code == 0
         manifold = parse_manifold(spec)
         field = outer_field(manifold, manifold.sample_uniform(k, 0, stream=sample_stream(k, 0)))
-        for name, matrix in (("Y", assemble_Y(field)), ("Z", assemble_Z(field))):
+        for name, matrix in (("Y", assemble_Y(field)), ("Z", block_Z(field.eta))):
             header, body = (tmp_path / f"sys.{name}.csv").read_text().split("\n", 1)
             assert header.startswith(f"# covrank {name} layout=v1")
             assert body == "".join(",".join(map(fmt17, row)) + "\n" for row in matrix.tolist())
@@ -354,9 +353,9 @@ class TestTensorRanks:
             for seed in range(4):
                 out = self.summary(capsys, spec, k, seed)
                 field = outer_field(manifold, manifold.sample_uniform(k, seed, stream=sample_stream(k, 0)))
-                psi = rank_report(trace_system(field)[0])
+                psi = rank_report(trace_system(field))
                 assert (out["rank_Psi"], out["borderline_Psi"]) == (str(psi.numerical_rank), fmt17(psi.borderline))
-                for name, full in (("Y", assemble_Y(field)), ("Z", assemble_Z(field))):
+                for name, full in (("Y", assemble_Y(field)), ("Z", block_Z(field.eta))):
                     report = rank_report(full)
                     runs += 1
                     if not report.borderline:
@@ -375,7 +374,7 @@ class TestTensorRanks:
         field = outer_field(manifold, sample)
         report_Z = system_report(field, "Z")
         assert report_Z.singular_values.shape == (2 * k,)
-        full = rank_report(assemble_Z(field))
+        full = rank_report(block_Z(field.eta))
         assert report_Z.numerical_rank == full.numerical_rank == 22
         out = self.summary(capsys, "sphere:1", k, 0)
         assert (out["rank_Z"], out["borderline_Z"]) == ("22", "true")
@@ -387,7 +386,7 @@ class TestTensorRanks:
         manifold, k = parse_manifold(spec), 12
         field = outer_field(manifold, manifold.sample_uniform(k, 0, stream=sample_stream(k, 0)))
         report = system_report(field, "Z")
-        Z = assemble_Z(field)
+        Z = block_Z(field.eta)
         assert not report.borderline
         assert np.array_equal(report.singular_values, -np.sort(-np.abs(np.linalg.eigvalsh(Z))))
         assert report.numerical_rank == rank_report(Z).numerical_rank
@@ -401,7 +400,7 @@ class TestTensorRanks:
         # the reduction was taken: Z's k(d - n) dropped singular values are reported as 0
         assert reports[1].singular_values.shape == (d * k,)
         assert reports[1].singular_values[n * k - 1] > 0 and not reports[1].singular_values[n * k:].any()
-        for report, full in zip(reports, (assemble_Y(field), assemble_Z(field))):
+        for report, full in zip(reports, (assemble_Y(field), block_Z(field.eta))):
             assert report.tolerance_used == pytest.approx(rank_report(full).tolerance_used, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -429,7 +428,7 @@ class TestTensorCertificate:
         assert "rank_Y=200 rank_Z=400" in out and "borderline_Y=false borderline_Z=false" in out
         field = outer_field(manifold, manifold.sample_uniform(k, 0, stream=sample_stream(k, 0)))
         # an SVD settles Psi where its eigensolve flags it, as it does here; none runs on Y or Z
-        psi = trace_system(field)[0]
+        psi = trace_system(field)
         assert len(svds) <= 1 and all(np.array_equal(a, psi[None]) for a, _ in svds)
         P, eta = field.sample.points[None], field.eta[None]
         V, _ = _frame_coordinates(manifold, P, eta)

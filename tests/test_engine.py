@@ -24,7 +24,6 @@ from covrank import (
     Tolerance,
     UnitSphere,
     assemble_Y,
-    assemble_Z,
     condition_sweep,
     fullrank_probability,
     outer_field,
@@ -50,9 +49,12 @@ from covrank.tensor import (
 )
 from counting import counted_qrs, counted_svds
 from reference import (
+    block_Z,
     euclidean_distances,
     factorization_report,
     factorization_spectra,
+    integer_sqdist,
+    modular_rank,
     spectrum_report,
     system_report,
     system_spectra,
@@ -104,7 +106,7 @@ def reference_matrices(cfg, k, system):
             yield cfg.kernel.pairwise(sample.points)
         else:
             field = outer_field(cfg.manifold, sample)
-            yield assemble_Y(field) if system == "Y" else assemble_Z(field)
+            yield assemble_Y(field) if system == "Y" else block_Z(field.eta)
 
 
 def one_trial_reports(cfg, k, system):
@@ -393,7 +395,7 @@ def test_ladder_agrees_with_the_svd(manifold, kernel, ks, moved):
             cfg = make_config(manifold, kernel, k=k, trials=AGREEMENT_TRIALS, seed=seed)
             P = manifold.sample_batch(k, seed, (sample_stream(k, t) for t in range(cfg.trials)))
             eta = None if kernel else manifold.pairwise_log(P)
-            stack = cfg.kernel.pairwise(P) if kernel else _Z_array(eta, eta)
+            stack = cfg.kernel.pairwise(P) if kernel else np.stack([block_Z(e) for e in eta])
             svd = factorization_report(stack, cfg.tolerance)
             eig = factorization_report(stack, cfg.tolerance, symmetric=True)
             _, ladder = _trial_verdicts(cfg, k, system)
@@ -419,6 +421,27 @@ def test_engine_matrices_are_exactly_symmetric(manifold):
             eta = manifold.pairwise_log(P)
             Z = _Z_array(eta, eta)
             assert np.array_equal(Z, np.swapaxes(Z, 1, 2)), ("Z", k)
+
+
+def test_sqdist_verdicts_meet_the_certified_exact_rank():
+    """An exact referee for the kernel verdicts: sqdist on R^n has rank at most n + 2, and
+    a float sample's squared distances, scaled by 2^106, are exact integers, whose rank
+    modulo a prime bounds their rank over Q from below.  A modular rank of n + 2 so
+    certifies the exact rank, with no rounding anywhere, and every verdict the engine
+    decides must equal it."""
+    checked = flagged = 0
+    for n in (1, 2, 3):
+        manifold = Euclidean(n)
+        for seed in range(3):
+            for k in range(n + 3, 13):
+                cfg = make_config(manifold, "sqdist", k=k, trials=20, seed=seed)
+                ranks, borderline = _trial_verdicts(cfg, k, "kernel")
+                for P, rank, near in zip(trial_points(cfg, k), ranks, borderline):
+                    assert modular_rank(integer_sqdist(P)) == n + 2, (n, seed, k)
+                    assert rank == n + 2 or near, (n, seed, k)
+                    checked += 1
+                    flagged += int(near)
+    assert checked == 1440 and flagged < checked // 100  # the referee settles 99% of verdicts
 
 
 def test_fullrank_probability_matches_reference():

@@ -25,6 +25,7 @@ from covrank import (
     recovery_experiment,
     rows_to_csv,
     rows_to_jsonl,
+    trace_system,
 )
 from covrank.montecarlo import SweepRow, sample_stream
 
@@ -371,9 +372,10 @@ class TestLibrarySurface:
             (Euclidean.expected_distance, ["self", "trials", "seed"]),
             (condition_sweep, ["manifold", "alphas", "k_values", "trials", "seed", "tolerance"]),
             (recovery_experiment, ["manifold", "k", "trials", "seed", "tolerance"]),
+            (trace_system, ["field"]),
         ],
         ids=["sample_uniform", "sphere-sample_uniform", "sample_batch", "expected_distance",
-             "condition_sweep", "recovery_experiment"],
+             "condition_sweep", "recovery_experiment", "trace_system"],
     )
     def test_parameters(self, call, params):
         assert list(inspect.signature(call).parameters) == params
@@ -417,7 +419,7 @@ class TestLibrarySurface:
             "ExperimentConfig", "Kernel", "OperatorField", "RankBoundError", "RankLawRow",
             "RecoveryResult", "RecoveryTrial", "SampleSet", "SweepRow", "Tolerance",
             "UnclassifiedKernelError", "UnitSphere", "arccos_taylor_coeffs",
-            "assemble_Y", "assemble_Z", "condition_sweep",
+            "assemble_Y", "condition_sweep",
             "fullrank_probability", "outer_field", "parse_kernel", "rank_law_sweep",
             "recover", "recovery_experiment", "rng_stream", "rows_to_csv", "rows_to_jsonl", "sigma_field",
             "theoretical_rank", "trace_system", "unfold_C",

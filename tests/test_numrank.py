@@ -111,13 +111,13 @@ def solve_one(A, b):
 
 class TestLeastSquares:
     def test_identity_system(self):
-        x, residual, rank, _, borderline = solve_one(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        x, residual, rank, _, borderline = solve_one(np.eye(4, 3), np.array([1.0, 2.0, 3.0, 0.0]))
         assert np.allclose(x, [1, 2, 3])
         assert residual == pytest.approx(0.0, abs=1e-14)
         assert rank == 3 and not borderline
 
     def test_rank_one_system_takes_minimum_norm(self):
-        x, _, rank, _, _ = solve_one(np.ones((2, 2)), np.array([2.0, 2.0]))
+        x, _, rank, _, _ = solve_one(np.ones((3, 2)), np.array([2.0, 2.0, 2.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
         assert rank == 1
 
@@ -152,6 +152,15 @@ def pinv_reference(A, b, policy=Tolerance()):
     return x, residual, r, int(np.count_nonzero(s_aug > policy.threshold(Ab.shape, s_aug[0])))
 
 
+def augmented(A, b):
+    """[A | b] of an m x n system, with zero rows appended up to n + 1 when m is smaller:
+    the solver takes systems of at least n + 1 rows, and zero rows change neither the
+    least-squares solutions nor the singular values.  Pass rows=len(A) to the solver so
+    that its thresholds are those of the system as given."""
+    Ab = np.column_stack([A, b])
+    return np.vstack([Ab, np.zeros((max(0, Ab.shape[1] - len(Ab)), Ab.shape[1]))])
+
+
 def deficient(m, n, r, seed):
     rng = rng_stream(seed)
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
@@ -176,7 +185,7 @@ SOLVE_CASES = list(solve_cases())
 @pytest.mark.parametrize("name, A, b", SOLVE_CASES, ids=[case[0] for case in SOLVE_CASES])
 def test_qr_solve_matches_svd_pseudo_inverse(name, A, b):
     x_ref, residual_ref, rank_ref, rank_aug_ref = pinv_reference(A, b)
-    sol = _solve_augmented(np.column_stack([A, b])[None], Tolerance())
+    sol = _solve_augmented(augmented(A, b)[None], Tolerance(), len(A))
     assert sol.rank[0] == rank_ref
     assert sol.rank_augmented[0] == rank_aug_ref
     scale = 1e-12 * max(1.0, np.linalg.norm(b))
@@ -187,11 +196,11 @@ def test_qr_solve_matches_svd_pseudo_inverse(name, A, b):
 @pytest.mark.parametrize("name, A, b", SOLVE_CASES, ids=[case[0] for case in SOLVE_CASES])
 def test_solve_does_not_depend_on_the_scale_of_b(name, A, b):
     # rank([A | b]) is that of [A | 2^e b]; x and the residual scale with b, exactly
-    one = _solve_augmented(np.column_stack([A, b])[None], Tolerance())
+    one = _solve_augmented(augmented(A, b)[None], Tolerance(), len(A))
     for e in (-600, 600):
-        Ab = np.column_stack([A, np.ldexp(b, e)])[None]
+        Ab = augmented(A, np.ldexp(b, e))[None]
         given = Ab.copy()
-        sol = _solve_augmented(Ab, Tolerance())
+        sol = _solve_augmented(Ab, Tolerance(), len(A))
         assert np.array_equal(Ab, given)  # the caller's stack is left as it was
         assert np.array_equal(sol.x, np.ldexp(one.x, e))
         assert np.array_equal(sol.residual, np.ldexp(one.residual, e))
@@ -213,10 +222,8 @@ def test_case_list_covers_each_kind():
 @pytest.mark.parametrize("policy", [Tolerance(), Tolerance(1e-9)], ids=["relative", "factor"])
 def test_stacked_solve_equals_separate_solves(m, n, rank, policy):
     rng = rng_stream(44)
-    stack = np.stack([
-        np.column_stack([deficient(m, n, rank, seed=50 + t), rng.standard_normal(m)]) for t in range(7)
-    ])
-    stack[2, :, -1] = stack[2, :, :-1] @ rng.standard_normal(n)  # one consistent system
+    stack = np.stack([augmented(deficient(m, n, rank, seed=50 + t), rng.standard_normal(m)) for t in range(7)])
+    stack[2, :m, -1] = stack[2, :m, :-1] @ rng.standard_normal(n)  # one consistent system
     # members of other kinds: the zero system, a copy of the consistent one and one
     # scaled by 2^600
     stack = np.concatenate([stack, np.zeros_like(stack[:1]), stack[2:3], np.ldexp(stack[1:2], 600)])
@@ -581,7 +588,7 @@ def edge_systems():
     yield "zero-k1", np.zeros((5, 1)), rng.standard_normal(5), (0, 1)
     yield "zero-k1-b0", np.zeros((5, 1)), np.zeros(5), (0, 0)
     yield "b0", A, np.zeros(6), (3, 3)
-    yield "deficient-b0", np.diag([1.0, 0.5, 0.0]), np.zeros(3), (2, 2)  # the vectors path
+    yield "deficient-b0", np.diag([1.0, 0.5, 0.0, 0.0])[:, :3], np.zeros(4), (2, 2)  # the vectors path
     A = rng.integers(-4, 5, (6, 3)).astype(float)
     yield "b-in-range", A, A @ np.array([1.0, -2.0, 3.0]), (3, 3)  # exact: small integers
     yield "general", A, rng.standard_normal(6), (3, 4)

@@ -25,7 +25,6 @@ from covrank import (  # noqa: E402
     Tolerance,
     UnitSphere,
     assemble_Y,
-    assemble_Z,
     outer_field,
     rng_stream,
     rows_to_jsonl,
@@ -36,7 +35,7 @@ from covrank import (  # noqa: E402
 from covrank.cli import _csv, _spell  # noqa: E402
 from covrank.montecarlo import RecoveryTrial, SweepRow, fmt17  # noqa: E402
 from covrank.numrank import _solve_augmented  # noqa: E402
-from covrank.tensor import _frame_coordinates, _reduced_systems, _split  # noqa: E402
+from covrank.tensor import _frame_coordinates, _reduced_systems, _split, _Z_array  # noqa: E402
 from reference import euclidean_distances, rank_report  # noqa: E402
 
 
@@ -144,7 +143,7 @@ def test_Y_mirrored_row_blocks_are_equal(field):
 def test_Z_is_an_index_map_of_Y(field):
     # Z[r*d + a, s*d + b] = Y[(a*d + b)*k + s, r] = blocks[s, r, a, b]
     k, d = field.k, field.d
-    Y, Z = assemble_Y(field), assemble_Z(field)
+    Y, Z = assemble_Y(field), _Z_array(field.eta, field.eta)
     r, a, s, b = np.indices((k, d, k, d))
     assert same_bits(Z[r * d + a, s * d + b], Y[(a * d + b) * k + s, r])
     assert same_bits(Z[r * d + a, s * d + b], _blocks(field)[s, r, a, b])
@@ -162,7 +161,7 @@ def test_C_entries_are_the_sigma_entries(field, data):
 
 @given(operator_fields())
 def test_psi_is_the_block_trace(field):
-    assert same_bits(trace_system(field)[0], np.trace(_blocks(field), axis1=2, axis2=3))
+    assert same_bits(trace_system(field), np.trace(_blocks(field), axis1=2, axis2=3))
 
 
 # --- the reduced recovery system ---------------------------------------------

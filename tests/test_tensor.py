@@ -13,7 +13,6 @@ from covrank import (
     Tolerance,
     UnitSphere,
     assemble_Y,
-    assemble_Z,
     outer_field,
     recover,
     recovery_experiment,
@@ -24,8 +23,8 @@ from covrank import (
 )
 from covrank import numrank, tensor
 from covrank.montecarlo import aux_stream, sample_stream
-from covrank.tensor import _frame_coordinates, _reduced_stacks, _split, _system_verdicts
-from reference import dropped_norms, rank_report, system_report, system_spectra
+from covrank.tensor import _frame_coordinates, _reduced_stacks, _reduced_systems, _split, _system_verdicts, _Z_array
+from reference import block_Z, dropped_norms, rank_report, system_report, system_spectra
 
 
 def sample_of(manifold, points):
@@ -119,7 +118,8 @@ class TestUnfolding:
         assert assemble_Y(random_field(Euclidean(2), 3, seed=1)).shape == (12, 3)
         cov = sigma_field(random_field(Euclidean(3), 4, seed=2), np.ones(4))
         assert unfold_C(cov).shape == (36,)
-        assert assemble_Z(random_field(Euclidean(2), 5, seed=3)).shape == (10, 10)
+        eta = random_field(Euclidean(2), 5, seed=3).eta
+        assert _Z_array(eta, eta).shape == (10, 10)
 
     def test_row_index_formula(self):
         # row of component (l, m) of block (j, i) is (l*d + m)*k + j, column i
@@ -145,7 +145,7 @@ class TestUnfolding:
     def test_z_block_layout(self):
         # block at block-row r, block-column s is Y[s, r]
         field = random_field(Euclidean(3), 4, seed=9)
-        Z = assemble_Z(field)
+        Z = _Z_array(field.eta, field.eta)
         d, blocks = field.d, _blocks(field)
         for r in range(4):
             for s in range(4):
@@ -164,15 +164,16 @@ class TestUnfolding:
 
     def test_euclidean_Z_is_symmetric(self):
         for seed in range(5):
-            Z = assemble_Z(random_field(Euclidean(2), 12, seed=seed))
+            eta = random_field(Euclidean(2), 12, seed=seed).eta
+            Z = _Z_array(eta, eta)
             assert np.max(np.abs(Z - Z.T)) <= 1e-12
 
     def test_line_collapse_Y_equals_Z_equals_Psi(self):
         # d = 1: all three arrangements carry the same squared distances
         field = random_field(Euclidean(1), 7, seed=13)
-        psi, _ = trace_system(field)
+        psi = trace_system(field)
         assert np.array_equal(assemble_Y(field), psi)
-        assert np.array_equal(assemble_Z(field), psi)
+        assert np.array_equal(_Z_array(field.eta, field.eta), psi)
 
 
 class TestRankLaws:
@@ -185,7 +186,7 @@ class TestRankLaws:
 
     def test_plane_Z_rank_is_eight(self):
         ranks = {
-            rank_report(assemble_Z(random_field(Euclidean(2), 12, seed=s))).numerical_rank
+            rank_report(block_Z(random_field(Euclidean(2), 12, seed=s).eta)).numerical_rank
             for s in range(20)
         }
         assert ranks == {8}
@@ -198,7 +199,7 @@ class TestRankLaws:
             for seed in (0, 1):
                 field = random_field(Euclidean(n), k, seed=seed)
                 assert rank_report(assemble_Y(field)).numerical_rank <= y_bound
-                assert rank_report(assemble_Z(field)).numerical_rank <= z_bound
+                assert rank_report(block_Z(field.eta)).numerical_rank <= z_bound
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sphere_Z_annihilates_each_normal(self, n):
@@ -209,7 +210,7 @@ class TestRankLaws:
         for k in (2, 3, 8, 20, 40):
             for seed in range(6):
                 points = manifold.sample_uniform(k, seed).points
-                Z = assemble_Z(outer_field(manifold, sample_of(manifold, points)))
+                Z = block_Z(outer_field(manifold, sample_of(manifold, points)).eta)
                 theta = manifold.pairwise_distance(points)
                 off = theta > 0
                 scale = np.where(off, theta**2 / np.sin(np.where(off, theta, 1.0)), 0.0)
@@ -227,34 +228,21 @@ class TestRankLaws:
 class TestTraceSystem:
     def test_line_pair(self):
         field = outer_field(Euclidean(1), sample_of(Euclidean(1), [[0.0], [1.0]]))
-        psi, c = trace_system(field)
-        assert np.array_equal(psi, [[0.0, 1.0], [1.0, 0.0]])
-        assert c is None
-
-    def test_trace_of_cov_is_weighted_square_distances(self):
-        field = random_field(UnitSphere(2), 6, seed=14)
-        psi, c = trace_system(field, sigma_field(field, np.ones(6)))
-        np.testing.assert_allclose(c, psi.sum(axis=1), atol=1e-12)
+        assert np.array_equal(trace_system(field), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_psi_matches_squared_distance_kernel(self):
         sphere = UnitSphere(2)
         sample = sphere.sample_uniform(8, seed=15)
-        psi, _ = trace_system(outer_field(sphere, sample))
+        psi = trace_system(outer_field(sphere, sample))
         kernel_entries = Kernel(sphere, "dot:arccos2").pairwise(sample.points)
         assert np.max(np.abs(psi - kernel_entries)) <= 1e-9
 
     def test_psi_matches_kernel_on_plane_too(self):
         eucl = Euclidean(2)
         sample = eucl.sample_uniform(9, seed=16)
-        psi, _ = trace_system(outer_field(eucl, sample))
+        psi = trace_system(outer_field(eucl, sample))
         kernel_entries = Kernel(eucl, "sqdist").pairwise(sample.points)
         assert np.max(np.abs(psi - kernel_entries)) <= 1e-9
-
-    def test_mismatched_cov_rejected(self):
-        field = random_field(Euclidean(2), 4, seed=16)
-        other = sigma_field(random_field(Euclidean(2), 5, seed=17), np.ones(5))
-        with pytest.raises(ValueError):
-            trace_system(field, other)
 
 
 class TestRecovery:
@@ -474,6 +462,28 @@ class TestReducedRecovery:
         if math.frexp(scale)[0] == 0.5:  # a power of two scales x and the residual exactly
             assert np.array_equal(scaled.f_hat, scale * one.f_hat)
             assert scaled.residual == scale * one.residual
+
+    @pytest.mark.parametrize("manifold", [Euclidean(n) for n in (1, 2, 3)] + [UnitSphere(n) for n in (1, 2, 3)],
+                             ids=str)
+    def test_systems_have_at_least_k_plus_one_rows(self, manifold):
+        # the solve takes systems of k + 1 columns and at least as many rows; a reduced
+        # system has dims(dims+1)/2 k + 1 of them at either dims _split picks, n or d
+        for k in (1, 2, 5):
+            P = manifold.sample_batch(k, 0, range(2))
+            eta = manifold.pairwise_log(P)
+            V, S = _frame_coordinates(manifold, P, eta, tensor._weighted_sigmas(eta, np.ones((2, 1, k))))
+            for dims in (manifold.n, manifold.coord_dim):
+                rows = _reduced_systems(V, S, dims).shape[1]
+                assert rows == dims * (dims + 1) // 2 * k + 1 >= k + 1, (k, dims)
+
+    @pytest.mark.parametrize("manifold", [Euclidean(1), UnitSphere(1)], ids=str)
+    def test_the_fewest_rows_solve(self, manifold):
+        # n = 1 and k = 1 or 2 give the shortest systems, k + 1 rows at dims = n: one
+        # point has an all-zero Y, and two have the rank-2 Y of their squared distance
+        for k, rank in ((1, 0), (2, 2)):
+            for row in recovery_experiment(manifold, k, trials=4, seed=3):
+                assert (row.rank_Y, row.rank_augmented, row.unique, row.borderline) == (rank, rank, k == 2, False)
+                assert row.rel_error <= 1e-15 if k == 2 else row.rel_error == 1.0
 
     @pytest.mark.parametrize("T, k", [(1, 200), (100, 20)])
     def test_column_major_systems_solve_as_their_row_major_copies(self, T, k):
